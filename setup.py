@@ -1,11 +1,4 @@
-from setuptools import setup, find_packages
+from setuptools import setup
 
-setup(
-    name="repro",
-    version="1.0.0",
-    package_dir={"": "src"},
-    packages=find_packages(where="src"),
-    install_requires=["numpy>=1.24"],
-    python_requires=">=3.10",
-    entry_points={"console_scripts": ["repro=repro.cli:main"]},
-)
+# Metadata lives in pyproject.toml; the version is repro.__version__.
+setup()

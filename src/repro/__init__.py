@@ -111,7 +111,7 @@ from .structures import (
     to_linear,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     # machine

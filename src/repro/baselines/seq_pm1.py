@@ -20,7 +20,7 @@ import numpy as np
 
 from ..geometry.clip import segments_intersect_rects
 from ..geometry.generators import check_power_of_two
-from ..geometry.rect import contains_point_halfopen
+from ..geometry.rect import child_boxes, contains_point_halfopen
 from ..geometry.segment import validate_segments
 
 __all__ = ["seq_pm1_decomposition", "pm1_node_must_split"]
@@ -48,13 +48,6 @@ def pm1_node_must_split(lines: np.ndarray, ids: np.ndarray, box: np.ndarray,
     return ids.size > 1  # mx == mn == 0
 
 
-def _child_boxes(box: np.ndarray) -> List[np.ndarray]:
-    x0, y0, x1, y1 = box
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return [np.array(b, dtype=float) for b in (
-        (x0, y0, cx, cy), (cx, y0, x1, cy), (x0, cy, cx, y1), (cx, cy, x1, y1))]
-
-
 def seq_pm1_decomposition(lines: np.ndarray, domain: int,
                           max_depth: Optional[int] = None
                           ) -> list[tuple[tuple, tuple]]:
@@ -71,7 +64,7 @@ def seq_pm1_decomposition(lines: np.ndarray, domain: int,
 
     def recurse(box: np.ndarray, ids: np.ndarray, depth: int) -> None:
         if depth < depth_cap and pm1_node_must_split(lines, ids, box, float(domain)):
-            for child in _child_boxes(box):
+            for child in child_boxes(box):
                 if ids.size:
                     inside = segments_intersect_rects(
                         lines[ids], np.tile(child, (ids.size, 1)))

@@ -24,16 +24,10 @@ import numpy as np
 
 from ..geometry.clip import segments_intersect_rects
 from ..geometry.generators import check_power_of_two
+from ..geometry.rect import child_boxes
 from ..geometry.segment import validate_segments
 
 __all__ = ["PMRQuadtree", "seq_bucket_pmr_decomposition"]
-
-
-def _child_boxes(box: np.ndarray) -> List[np.ndarray]:
-    x0, y0, x1, y1 = box
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return [np.array(b, dtype=float) for b in (
-        (x0, y0, cx, cy), (cx, y0, x1, cy), (x0, cy, cx, y1), (cx, cy, x1, y1))]
 
 
 class _Node:
@@ -112,7 +106,7 @@ class PMRQuadtree:
                 self._collect_leaves(ch, seg, out)
 
     def _split_once(self, leaf: _Node) -> None:
-        leaf.children = [_Node(b, leaf.depth + 1) for b in _child_boxes(leaf.box)]
+        leaf.children = [_Node(b, leaf.depth + 1) for b in child_boxes(leaf.box)]
         moved = leaf.lines
         leaf.lines = {}
         for lid, seg in moved.items():
@@ -210,7 +204,7 @@ def seq_bucket_pmr_decomposition(lines: np.ndarray, domain: int, capacity: int,
 
     def recurse(box: np.ndarray, ids: np.ndarray, depth: int) -> None:
         if ids.size > capacity and depth < depth_cap:
-            for child in _child_boxes(box):
+            for child in child_boxes(box):
                 inside = segments_intersect_rects(
                     lines[ids], np.tile(child, (ids.size, 1))) if ids.size else \
                     np.zeros(0, dtype=bool)

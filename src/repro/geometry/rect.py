@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "EMPTY_RECT",
+    "UNION_SIGNS",
     "make_rects",
     "empty_rects",
     "is_empty",
@@ -32,9 +33,16 @@ __all__ = [
     "overlaps",
     "enlargement",
     "rects_from_segments",
+    "child_boxes",
 ]
 
 EMPTY_RECT = np.array([np.inf, np.inf, -np.inf, -np.inf])
+
+#: ``max(x) == -min(-x)`` exactly, so the union of rectangles (min, min,
+#: max, max over the columns) is one columnwise *min* of ``rects *
+#: UNION_SIGNS``, times ``UNION_SIGNS`` again; the empty rectangle is all
+#: ``+inf`` in that form.
+UNION_SIGNS = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def _as2d(rects) -> np.ndarray:
@@ -180,6 +188,22 @@ def enlargement(node_rects: np.ndarray, entry_rects: np.ndarray) -> np.ndarray:
     R-tree (paper Section 2.3).
     """
     return area(union(node_rects, entry_rects)) - area(node_rects)
+
+
+def child_boxes(boxes: np.ndarray) -> np.ndarray:
+    """The four quadrants of every box: ``(..., 4)`` -> ``(..., 4, 4)``.
+
+    Axis -2 is the child code (0=SW, 1=SE, 2=NW, 3=NE); one elementwise
+    midpoint computation however many boxes are cut.
+    """
+    boxes = np.asarray(boxes, dtype=float)
+    x0, y0, x1, y1 = (boxes[..., c] for c in range(4))
+    cx = 0.5 * (x0 + x1)
+    cy = 0.5 * (y0 + y1)
+    return np.stack([
+        np.stack([x0, y0, cx, cy], axis=-1), np.stack([cx, y0, x1, cy], axis=-1),
+        np.stack([x0, cy, cx, y1], axis=-1), np.stack([cx, cy, x1, y1], axis=-1),
+    ], axis=-2)
 
 
 def rects_from_segments(segments: np.ndarray) -> np.ndarray:

@@ -70,22 +70,25 @@ __all__ = [
 class CostModel:
     """Per-primitive step costs for a :class:`Machine`.
 
-    Each field is a callable ``(n, p) -> float`` giving the step cost of
-    one invocation of that primitive on a length-``n`` vector with ``p``
-    physical processors.  ``n`` may be 0 for degenerate vectors; costs
-    must be non-negative.
+    Each field is either a callable ``(n, p) -> float`` giving the step
+    cost of one invocation of that primitive on a length-``n`` vector
+    with ``p`` physical processors, or a plain number when the cost
+    depends on neither (the scan model's unit-time primitives).  ``n``
+    may be 0 for degenerate vectors; costs must be non-negative.
     """
 
     name: str
-    scan: Callable[[int, int], float]
-    elementwise: Callable[[int, int], float]
-    permute: Callable[[int, int], float]
-    sort: Callable[[int, int], float]
+    scan: Callable[[int, int], float] | float
+    elementwise: Callable[[int, int], float] | float
+    permute: Callable[[int, int], float] | float
+    sort: Callable[[int, int], float] | float
 
     def cost(self, primitive: str, n: int, p: int) -> float:
         fn = getattr(self, primitive, None)
         if fn is None:
             raise KeyError(f"cost model {self.name!r} has no primitive {primitive!r}")
+        if not callable(fn):
+            return float(fn)
         return float(fn(max(int(n), 0), max(int(p), 1)))
 
 
@@ -96,9 +99,9 @@ def _log2ceil(x: int) -> int:
 def _scan_model() -> CostModel:
     return CostModel(
         name="scan_model",
-        scan=lambda n, p: 1.0,
-        elementwise=lambda n, p: 1.0,
-        permute=lambda n, p: 1.0,
+        scan=1.0,
+        elementwise=1.0,
+        permute=1.0,
         sort=lambda n, p: float(_log2ceil(n)),
     )
 
@@ -153,6 +156,7 @@ class Machine:
     events: list = field(default_factory=list)
     max_vector_length: int = 0
     _phase: Optional[str] = None
+    _constant_costs: Dict[str, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.cost_model, str):
@@ -165,13 +169,17 @@ class Machine:
                 ) from exc
         if self.processors < 1:
             raise ValueError("processors must be >= 1")
+        self._constant_costs = {k: float(v) for k, v in vars(self.cost_model).items()
+                                if k != "name" and not callable(v)}
 
     # -- recording -------------------------------------------------------
 
     def record(self, primitive: str, n: int = 0) -> None:
         """Record one invocation of ``primitive`` on a length-``n`` vector."""
         self.counts[primitive] = self.counts.get(primitive, 0) + 1
-        delta = self.cost_model.cost(primitive, n, self.processors)
+        delta = self._constant_costs.get(primitive)
+        if delta is None:
+            delta = self.cost_model.cost(primitive, n, self.processors)
         self.steps += delta
         if self._phase is not None:
             self.phase_steps[self._phase] = self.phase_steps.get(self._phase, 0.0) + delta

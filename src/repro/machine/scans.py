@@ -40,7 +40,8 @@ Two execution engines produce identical results:
 
 Every call records exactly **one** ``scan`` primitive on the accounting
 :class:`~repro.machine.machine.Machine` -- the scan model's unit-time
-semantics -- regardless of engine.
+semantics -- regardless of engine (:func:`seg_scan_columns` scans ``k``
+vectors in one pass and records ``k``).
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .vector import Segments
 
 __all__ = [
     "seg_scan",
+    "seg_scan_columns",
     "up_scan",
     "down_scan",
     "scan_identity",
@@ -91,10 +93,11 @@ def scan_identity(op: str, dtype: np.dtype):
     raise ValueError(f"unknown scan operator {op!r}; expected one of {SCAN_OPS}")
 
 
-def _coerce(data: np.ndarray, op: str) -> np.ndarray:
+def _coerce(data: np.ndarray, op: str, ndim: int = 1) -> np.ndarray:
     data = np.asarray(data)
-    if data.ndim != 1:
-        raise ValueError("scan input must be one-dimensional")
+    if data.ndim != ndim:
+        raise ValueError("scan input must be one-dimensional" if ndim == 1 else
+                         "column-wise scan input must have shape (n, k)")
     if op in _BOOL_OPS:
         return data.astype(bool)
     if op == "+" and data.dtype == bool:
@@ -112,17 +115,18 @@ def _ufunc(op: str) -> np.ufunc:
 # ---------------------------------------------------------------------------
 
 def _up_inclusive_fast(data: np.ndarray, seg: Segments, op: str) -> np.ndarray:
+    # ``data`` is one vector (n,) or k vectors as columns (n, k)
     ids = seg.ids
     heads = seg.heads
     if op == "copy":
         return data[heads][ids]
     if op == "+":
-        c = np.cumsum(data)
+        c = np.cumsum(data, axis=0)
         base = (c[heads] - data[heads])[ids]
         return c - base
     if op in _BOOL_OPS:
         x = data.astype(np.int64) if op == "or" else (~data).astype(np.int64)
-        c = np.cumsum(x)
+        c = np.cumsum(x, axis=0)
         base = (c[heads] - x[heads])[ids]
         within = c - base
         return within > 0 if op == "or" else within == 0
@@ -135,34 +139,36 @@ def _up_inclusive_fast(data: np.ndarray, seg: Segments, op: str) -> np.ndarray:
         hi = int(data.max(initial=0))
         span = hi - lo + 1
         if span * max(seg.nseg, 1) < 2**62:
+            band = (ids * span).reshape((-1,) + (1,) * (data.ndim - 1))  # per slot
             if op == "max":
-                shifted = data.astype(np.int64) - lo + ids * span
+                shifted = data.astype(np.int64) - lo + band
                 acc = np.maximum.accumulate(shifted)
-                return (acc - ids * span + lo).astype(data.dtype, copy=False)
-            shifted = data.astype(np.int64) - lo - ids * span
+                return (acc - band + lo).astype(data.dtype, copy=False)
+            shifted = data.astype(np.int64) - lo - band
             acc = np.minimum.accumulate(shifted)
-            return (acc + ids * span + lo).astype(data.dtype, copy=False)
+            return (acc + band + lo).astype(data.dtype, copy=False)
     # floats (offset embedding loses precision) and band-overflow cases
     # fall back to the exact log-step engine.
     return _up_inclusive_doubling(data, seg, op)
 
 
 def _up_inclusive_doubling(data: np.ndarray, seg: Segments, op: str) -> np.ndarray:
-    """Hillis-Steele doubling network; exact for every operator."""
-    n = data.size
+    """Hillis-Steele doubling network; exact for every operator.
+
+    Slots ``2**k`` apart lie in different segments once ``2**k`` reaches
+    the longest segment, so the network stops there.
+    """
     if op == "copy":
         return data[seg.heads][seg.ids]
-    out = data.copy()
-    ids = seg.ids
+    out = np.array(data.T, order="C")       # each vector contiguous
+    offset = seg.offsets_within()
     fn = _ufunc(op)
+    longest = int(seg.lengths.max(initial=0))
     d = 1
-    while d < n:
-        src = out[:-d]
-        same = ids[d:] == ids[:-d]
-        combined = fn(out[d:], src)
-        out[d:] = np.where(same, combined, out[d:])
+    while d < longest:
+        np.copyto(out[..., d:], fn(out[..., d:], out[..., :-d]), where=offset[d:] >= d)
         d <<= 1
-    return out
+    return out.T
 
 
 def _to_exclusive(inc: np.ndarray, data: np.ndarray, seg: Segments, op: str) -> np.ndarray:
@@ -215,6 +221,22 @@ def seg_scan(
     -------
     numpy.ndarray of the same length as ``data``.
     """
+    return _seg_scan(data, segments, op, direction, inclusive, machine, engine, ndim=1)
+
+
+def seg_scan_columns(data, segments: Optional[Segments] = None, op: str = "+",
+                     direction: str = "up", inclusive: bool = True,
+                     machine: Optional[Machine] = None, engine: str = "fast") -> np.ndarray:
+    """:func:`seg_scan` of the ``k`` columns of an ``(n, k)`` array at once.
+
+    The columns are ``k`` vectors sharing one descriptor (the four
+    coordinates of a box vector, say); they go through the engine in one
+    pass and are recorded as what they are on the machine: ``k`` scans.
+    """
+    return _seg_scan(data, segments, op, direction, inclusive, machine, engine, ndim=2)
+
+
+def _seg_scan(data, segments, op, direction, inclusive, machine, engine, ndim) -> np.ndarray:
     if op not in SCAN_OPS:
         raise ValueError(f"unknown scan operator {op!r}; expected one of {SCAN_OPS}")
     if direction not in ("up", "down"):
@@ -224,14 +246,17 @@ def seg_scan(
     if engine not in ("fast", "hillis_steele"):
         raise ValueError("engine must be 'fast' or 'hillis_steele'")
 
-    data = _coerce(data, op)
-    seg = segments if segments is not None else Segments.single(data.size)
-    if seg.n != data.size:
-        raise ValueError(f"segment descriptor covers {seg.n} slots, data has {data.size}")
+    data = _coerce(data, op, ndim)
+    n = data.shape[0]
+    seg = segments if segments is not None else Segments.single(n)
+    if seg.n != n:
+        raise ValueError(f"segment descriptor covers {seg.n} slots, data has {n}")
 
-    (machine or get_machine()).record("scan", data.size)
+    m = machine or get_machine()
+    for _ in range(1 if ndim == 1 else data.shape[1]):
+        m.record("scan", n)
 
-    if data.size == 0:
+    if n == 0:
         return data.copy()
 
     if direction == "down":

@@ -67,6 +67,20 @@ def sort(keys, *payloads, machine: Optional[Machine] = None):
     return (out,) + moved
 
 
+def _narrow(v: np.ndarray) -> np.ndarray:
+    """Non-negative integers in their narrowest dtype (16-bit keys radix-sort)."""
+    if v.size and np.issubdtype(v.dtype, np.integer) and v.min() >= 0:
+        return v.astype(np.min_scalar_type(int(v.max())), copy=False)
+    return v
+
+
+def _seg_order(keys: np.ndarray, segments: Segments) -> np.ndarray:
+    """Stable order that sorts every segment independently."""
+    if segments.nseg <= 1:
+        return np.argsort(_narrow(keys), kind="stable")
+    return np.lexsort((_narrow(keys), _narrow(segments.ids)))   # lexsort is stable
+
+
 def seg_rank(keys, segments: Segments, machine: Optional[Machine] = None) -> np.ndarray:
     """Stable within-segment rank (destination index) of each element.
 
@@ -80,7 +94,7 @@ def seg_rank(keys, segments: Segments, machine: Optional[Machine] = None) -> np.
     if segments.n != keys.size:
         raise ValueError("segment descriptor does not cover the key vector")
     (machine or get_machine()).record("sort", keys.size)
-    order = np.lexsort((np.arange(keys.size), keys, segments.ids))
+    order = _seg_order(keys, segments)
     ranks = np.empty(keys.size, dtype=np.int64)
     ranks[order] = np.arange(keys.size, dtype=np.int64)
     return ranks
@@ -92,7 +106,7 @@ def seg_sort(keys, segments: Segments, *payloads, machine: Optional[Machine] = N
     if segments.n != keys.size:
         raise ValueError("segment descriptor does not cover the key vector")
     (machine or get_machine()).record("sort", keys.size)
-    order = np.lexsort((np.arange(keys.size), keys, segments.ids))
+    order = _seg_order(keys, segments)
     out = keys[order]
     if not payloads:
         return out

@@ -15,6 +15,10 @@ need:
 ``ids``     per-element segment index (non-decreasing),
 ``lengths`` per-segment element counts (all positive).
 
+The derived vectors (``ids``, ``ends``, ``lengths``, the
+:meth:`~Segments.reversed` descriptor) are computed once per descriptor
+and handed out read-only; copy before writing.
+
 Empty segments cannot be represented by flags alone (two adjacent 1s
 encode two length-1 segments, not an empty one); the tree builders
 therefore track empty nodes in their node tables, never in the segment
@@ -39,11 +43,11 @@ class Segments:
     represented by zero segments.
     """
 
-    __slots__ = ("_n", "_heads")
+    __slots__ = ("_n", "_heads", "_cache")
 
     def __init__(self, n: int, heads: np.ndarray):
         n = int(n)
-        heads = np.asarray(heads, dtype=np.int64)
+        heads = np.array(heads, dtype=np.int64)     # private copy: frozen below
         if n < 0:
             raise ValueError("vector length must be non-negative")
         if n == 0:
@@ -58,16 +62,45 @@ class Segments:
                 raise ValueError("segment heads must be strictly increasing")
             if heads[-1] >= n:
                 raise ValueError("segment head beyond vector end")
+        heads.setflags(write=False)
         self._n = n
         self._heads = heads
-        self._heads.setflags(write=False)
+        self._cache = {}
+
+    @classmethod
+    def _trusted(cls, n: int, heads: np.ndarray, **derived: np.ndarray) -> "Segments":
+        """Internal constructor: ``heads`` valid by construction, no re-check.
+
+        ``heads`` and the ``derived`` vectors the caller already holds
+        (``lengths=``) must be fresh int64 arrays; they are frozen here.
+        """
+        self = object.__new__(cls)
+        self._n = n
+        self._heads = heads
+        self._cache = derived
+        for v in (heads, *derived.values()):
+            v.setflags(write=False)
+        return self
+
+    def _cached(self, name: str, compute):
+        """Derived value ``name``, computed once: the descriptor is immutable."""
+        try:
+            return self._cache[name]
+        except KeyError:
+            value = self._cache[name] = compute()
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            return value
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def single(cls, n: int) -> "Segments":
         """One segment spanning the whole vector (or none if ``n == 0``)."""
-        return cls(n, np.zeros(1 if n else 0, dtype=np.int64))
+        n = int(n)
+        if n < 0:
+            raise ValueError("vector length must be non-negative")
+        return cls._trusted(n, np.zeros(1 if n else 0, dtype=np.int64))
 
     @classmethod
     def from_flags(cls, flags: Sequence[int] | np.ndarray) -> "Segments":
@@ -88,9 +121,9 @@ class Segments:
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.size and np.any(lengths <= 0):
             raise ValueError("segment lengths must be positive")
-        n = int(lengths.sum())
-        heads = np.concatenate(([0], np.cumsum(lengths)[:-1])) if lengths.size else np.zeros(0, np.int64)
-        return cls(n, heads)
+        heads = np.zeros(lengths.size, dtype=np.int64)
+        np.cumsum(lengths[:-1], out=heads[1:])
+        return cls._trusted(int(lengths.sum()), heads, lengths=lengths.copy())
 
     @classmethod
     def from_ids(cls, ids: Sequence[int] | np.ndarray) -> "Segments":
@@ -104,7 +137,7 @@ class Segments:
             raise ValueError("segment ids must be non-decreasing")
         flags = np.ones(ids.size, dtype=bool)
         flags[1:] = ids[1:] != ids[:-1]
-        return cls.from_flags(flags)
+        return cls._trusted(ids.size, np.flatnonzero(flags))
 
     # -- representations -------------------------------------------------
 
@@ -126,9 +159,8 @@ class Segments:
     @property
     def ends(self) -> np.ndarray:
         """One past the last index of each segment, shape ``(nseg,)``."""
-        if self.nseg == 0:
-            return np.zeros(0, np.int64)
-        return np.concatenate((self._heads[1:], [self._n]))
+        return self._cached("ends", lambda: np.append(self._heads[1:], self._n)
+                            if self.nseg else np.zeros(0, np.int64))
 
     @property
     def tails(self) -> np.ndarray:
@@ -145,17 +177,13 @@ class Segments:
     @property
     def ids(self) -> np.ndarray:
         """Per-element segment index, shape ``(n,)``, non-decreasing."""
-        ids = np.zeros(self._n, dtype=np.int64)
-        if self._n:
-            ids[self._heads] = 1
-            ids[0] = 0
-            np.cumsum(ids, out=ids)
-        return ids
+        return self._cached("ids", lambda: np.repeat(
+            np.arange(self.nseg, dtype=np.int64), self.lengths))
 
     @property
     def lengths(self) -> np.ndarray:
         """Per-segment element count, shape ``(nseg,)``, all positive."""
-        return self.ends - self._heads
+        return self._cached("lengths", lambda: self.ends - self._heads)
 
     # -- derived descriptors ----------------------------------------------
 
@@ -166,14 +194,13 @@ class Segments:
         vector: segment ``k`` of the reversal is segment ``nseg-1-k`` of
         the original, reversed in place.
         """
-        if self._n == 0:
-            return Segments(0, np.zeros(0, np.int64))
-        new_heads = (self._n - self.ends)[::-1]
-        return Segments(self._n, new_heads.copy())
+        return self._cached("reversed", lambda: Segments._trusted(
+            self._n, (self._n - self.ends)[::-1].copy(), lengths=self.lengths[::-1].copy()))
 
     def offsets_within(self) -> np.ndarray:
         """Per-element offset from its segment head, shape ``(n,)``."""
-        return np.arange(self._n, dtype=np.int64) - self._heads[self.ids]
+        return self._cached("offsets", lambda: np.arange(self._n, dtype=np.int64)
+                            - self._heads[self.ids])
 
     def slices(self) -> Iterator[slice]:
         """Iterate per-segment slices (reference/verification paths only)."""

@@ -16,19 +16,14 @@ from typing import Optional
 import numpy as np
 
 from ..machine import Machine, Segments, get_machine
-from ..machine.broadcast import seg_broadcast
-from ..machine.permute import gather
-from ..machine.scans import seg_scan
+from ..machine.broadcast import seg_broadcast, seg_count
 
 __all__ = ["node_counts", "overflowing_nodes", "overflow_per_line"]
 
 
 def node_counts(segments: Segments, machine: Optional[Machine] = None) -> np.ndarray:
     """Lines per node, via Figure 19's downward inclusive scan of ones."""
-    m = machine or get_machine()
-    ones = np.ones(segments.n, dtype=np.int64)
-    scanned = seg_scan(ones, segments, "+", "down", True, machine=m)
-    return gather(scanned, segments.heads, machine=m)
+    return seg_count(segments, machine=machine)
 
 
 def overflowing_nodes(segments: Segments, capacity: int,

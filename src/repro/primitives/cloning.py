@@ -107,14 +107,13 @@ def clone(flags, *arrays, segments: Optional[Segments] = None,
         filler[1:] = source[:-1]
         source = np.where(is_clone, filler, source)
 
-    out_arrays = tuple(np.asarray(a)[source] for a in arrays)
+    out_arrays = tuple(np.take(a, source, axis=0) for a in arrays)
     if arrays:
         m.record("permute", total)
 
     new_segments: Optional[Segments] = None
     if segments is not None:
-        grown = np.zeros(segments.nseg, dtype=np.int64)
-        np.add.at(grown, seg.ids[flags], 1)
+        grown = np.bincount(seg.ids[flags], minlength=segments.nseg)
         new_segments = Segments.from_lengths(segments.lengths + grown)
 
     return CloneResult(out_arrays, source, is_clone, new_segments)

@@ -102,9 +102,7 @@ def delete_duplicates(flags, *arrays, segments: Optional[Segments] = None,
 
     new_segments: Optional[Segments] = None
     if segments is not None:
-        removed = np.zeros(segments.nseg, dtype=np.int64)
-        if n:
-            np.add.at(removed, segments.ids[flags], 1)
+        removed = np.bincount(segments.ids[flags], minlength=segments.nseg)
         new_segments = Segments.from_lengths(segments.lengths - removed)
     # new_pos[kept] is contiguous 0..len-1 by construction; exposed for
     # the tests that verify Figure 18's arithmetic.

@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..geometry.rect import contains_point_halfopen
+from ..geometry.rect import UNION_SIGNS, contains_point_halfopen
 from ..machine import Machine, Segments, get_machine
 from ..machine.broadcast import seg_reduce
 
@@ -87,29 +87,20 @@ def pm1_should_split(segs_xy: np.ndarray, line_boxes: np.ndarray,
     max_eps = seg_reduce(eps, segments, "max", machine=m)
     min_eps = seg_reduce(eps, segments, "min", machine=m)
 
-    # Figure 21: MBB of the endpoints lying inside the node.  Lines whose
-    # endpoints are all outside contribute the empty box (scan identity).
-    big = np.inf
-    ex1 = np.where(p1_in, segs_xy[:, 0], big)
-    ey1 = np.where(p1_in, segs_xy[:, 1], big)
-    ex2 = np.where(p2_in, segs_xy[:, 2], big)
-    ey2 = np.where(p2_in, segs_xy[:, 3], big)
+    # Figure 21: MBB of the endpoints lying inside the node, as one
+    # min-reduction over UNION_SIGNS-signed columns.  Endpoints outside
+    # contribute the empty box (the scan identity).
+    signed = np.minimum(
+        np.where(p1_in[:, None], segs_xy[:, [0, 1, 0, 1]] * UNION_SIGNS, np.inf),
+        np.where(p2_in[:, None], segs_xy[:, [2, 3, 2, 3]] * UNION_SIGNS, np.inf))
     m.record("elementwise", n)
-    mbb_xmin = seg_reduce(np.minimum(ex1, ex2), segments, "min", machine=m)
-    mbb_ymin = seg_reduce(np.minimum(ey1, ey2), segments, "min", machine=m)
-    ex1 = np.where(p1_in, segs_xy[:, 0], -big)
-    ey1 = np.where(p1_in, segs_xy[:, 1], -big)
-    ex2 = np.where(p2_in, segs_xy[:, 2], -big)
-    ey2 = np.where(p2_in, segs_xy[:, 3], -big)
     m.record("elementwise", n)
-    mbb_xmax = seg_reduce(np.maximum(ex1, ex2), segments, "max", machine=m)
-    mbb_ymax = seg_reduce(np.maximum(ey1, ey2), segments, "max", machine=m)
-    mbb = np.column_stack([mbb_xmin, mbb_ymin, mbb_xmax, mbb_ymax])
+    mbb = seg_reduce(signed, segments, "min", machine=m) * UNION_SIGNS
 
     # Figure 22: plain line count for the vertex-free case.
     counts = seg_reduce(np.ones(n, dtype=np.int64), segments, "+", machine=m)
 
-    mbb_is_point = (mbb_xmin == mbb_xmax) & (mbb_ymin == mbb_ymax)
+    mbb_is_point = (mbb[:, 0] == mbb[:, 2]) & (mbb[:, 1] == mbb[:, 3])
     m.record("elementwise", segments.nseg)
     must_split = np.where(
         max_eps == 2, True,

@@ -97,40 +97,25 @@ def _stage(segs_xy: np.ndarray, boxes: np.ndarray, payload: Dict[str, np.ndarray
     crossing = in_low & in_high & splitting
     m.record("elementwise", n)
 
+    # geometry and boxes travel as (n, 4) payloads: one routing each
     names = list(payload)
-    cr = clone(crossing, segs_xy[:, 0], segs_xy[:, 1], segs_xy[:, 2], segs_xy[:, 3],
-               boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3],
-               splitting, in_high, crossing,
-               *[payload[k] for k in names],
-               segments=seg, machine=m)
-    cols = cr.arrays
-    segs_xy = np.column_stack(cols[0:4])
-    boxes = np.column_stack(cols[4:8])
-    splitting = cols[8]
-    in_high = cols[9]
-    crossing = cols[10]
-    payload = {k: v for k, v in zip(names, cols[11:])}
+    cr = clone(crossing, segs_xy, boxes, splitting, in_high, crossing,
+               *[payload[k] for k in names], segments=seg, machine=m)
+    segs_xy, boxes, splitting, in_high, crossing = cr.arrays[:5]
+    payload = dict(zip(names, cr.arrays[5:]))
     seg = cr.segments
-    is_clone = cr.is_clone
     n = seg.n
 
     # side: clones take the high half, crossing originals the low half,
     # everyone else the (unique) half its q-edge meets; non-splitting
     # segments uniformly report low so their order is untouched.
     m.record("elementwise", n)
-    side = np.where(crossing, is_clone, in_high) & splitting
+    side = np.where(crossing, cr.is_clone, in_high) & splitting
 
-    ur = unshuffle(side, segs_xy[:, 0], segs_xy[:, 1], segs_xy[:, 2], segs_xy[:, 3],
-                   boxes[:, 0], boxes[:, 1], boxes[:, 2], boxes[:, 3],
-                   splitting, side,
-                   *[payload[k] for k in names],
-                   segments=seg, machine=m)
-    cols = ur.arrays
-    segs_xy = np.column_stack(cols[0:4])
-    boxes = np.column_stack(cols[4:8])
-    splitting = cols[8].astype(bool)
-    side = cols[9].astype(bool)
-    payload = {k: v for k, v in zip(names, cols[10:])}
+    ur = unshuffle(side, segs_xy, boxes, splitting, side,
+                   *[payload[k] for k in names], segments=seg, machine=m)
+    segs_xy, boxes, splitting, side = ur.arrays[:4]
+    payload = dict(zip(names, ur.arrays[4:]))
 
     # shrink each split line's node box to the half it now lives in
     mid = 0.5 * (boxes[:, 0 + axis] + boxes[:, 2 + axis])
@@ -181,12 +166,9 @@ def split_quad_nodes(segs_xy: np.ndarray, node_boxes: np.ndarray,
     m = machine or get_machine()
 
     # every line learns its node's box and the split decision (broadcasts)
-    boxes = np.column_stack([
-        seg_broadcast(node_boxes[:, c], segments, machine=m) for c in range(4)
-    ])
+    boxes = seg_broadcast(node_boxes, segments, machine=m)
     splitting = seg_broadcast(split_flags, segments, machine=m).astype(bool)
 
-    payload = dict(payload)
     payload["__orig_seg__"] = segments.ids.copy()
 
     # stage 1: cut at y = cy (bottom | top), stage 2: cut at x = cx

@@ -33,7 +33,7 @@ import numpy as np
 from ..geometry import rect as _rect
 from ..machine import Machine, Segments, get_machine
 from ..machine.broadcast import seg_broadcast, seg_reduce
-from ..machine.scans import seg_scan
+from ..machine.scans import seg_scan_columns
 from ..machine.sort import seg_rank
 
 __all__ = ["RtreeSplitChoice", "mean_split", "sweep_split", "prefix_suffix_boxes"]
@@ -65,18 +65,13 @@ class RtreeSplitChoice:
 def _group_boxes(rects: np.ndarray, side: np.ndarray, segments: Segments,
                  m: Machine) -> tuple[np.ndarray, np.ndarray]:
     """Bounding boxes of the left/right groups of each segment (scans)."""
-    inf = np.inf
-    left_sel = ~side
-    cols = []
-    for c, op in ((0, "min"), (1, "min"), (2, "max"), (3, "max")):
-        masked = np.where(left_sel, rects[:, c], inf if op == "min" else -inf)
-        cols.append(seg_reduce(masked, segments, op, machine=m))
-    left = np.column_stack(cols)
-    cols = []
-    for c, op in ((0, "min"), (1, "min"), (2, "max"), (3, "max")):
-        masked = np.where(side, rects[:, c], inf if op == "min" else -inf)
-        cols.append(seg_reduce(masked, segments, op, machine=m))
-    right = np.column_stack(cols)
+    signed = rects * _rect.UNION_SIGNS
+
+    def union_of(group: np.ndarray) -> np.ndarray:   # non-members: the empty box
+        masked = np.where(group[:, None], signed, np.inf)
+        return seg_reduce(masked, segments, "min", machine=m) * _rect.UNION_SIGNS
+
+    left, right = union_of(~side), union_of(side)
     m.record("elementwise", segments.n)
     return left, right
 
@@ -149,19 +144,11 @@ def prefix_suffix_boxes(rects_sorted: np.ndarray, segments: Segments,
     """
     rects_sorted = _rect.validate_rects(rects_sorted)
     m = machine or get_machine()
-    L = np.column_stack([
-        seg_scan(rects_sorted[:, 0], segments, "min", "up", True, machine=m),
-        seg_scan(rects_sorted[:, 1], segments, "min", "up", True, machine=m),
-        seg_scan(rects_sorted[:, 2], segments, "max", "up", True, machine=m),
-        seg_scan(rects_sorted[:, 3], segments, "max", "up", True, machine=m),
-    ])
-    R = np.column_stack([
-        seg_scan(rects_sorted[:, 0], segments, "min", "down", False, machine=m),
-        seg_scan(rects_sorted[:, 1], segments, "min", "down", False, machine=m),
-        seg_scan(rects_sorted[:, 2], segments, "max", "down", False, machine=m),
-        seg_scan(rects_sorted[:, 3], segments, "max", "down", False, machine=m),
-    ])
-    return L, R
+    # the four coordinate scans of each direction as one min-scan
+    signed = rects_sorted * _rect.UNION_SIGNS
+    L = seg_scan_columns(signed, segments, "min", "up", True, machine=m)
+    R = seg_scan_columns(signed, segments, "min", "down", False, machine=m)
+    return L * _rect.UNION_SIGNS, R * _rect.UNION_SIGNS
 
 
 def _axis_candidate(rects: np.ndarray, segments: Segments, min_counts: np.ndarray,
@@ -174,11 +161,11 @@ def _axis_candidate(rects: np.ndarray, segments: Segments, min_counts: np.ndarra
     m.record("permute", n)
     inv = np.empty(n, dtype=np.int64)
     inv[ranks] = np.arange(n, dtype=np.int64)  # inv: sorted slot -> original
-    rects_sorted = rects[inv]
+    rects_sorted = np.take(rects, inv, axis=0)
 
     L, R = prefix_suffix_boxes(rects_sorted, segments, machine=m)
 
-    offsets = np.arange(n, dtype=np.int64) - segments.heads[segments.ids]
+    offsets = segments.offsets_within()
     length_b = seg_broadcast(segments.lengths, segments, machine=m)
     min_b = seg_broadcast(min_counts, segments, machine=m)
     k = offsets + 1                       # cutting after sorted slot i puts k entries left

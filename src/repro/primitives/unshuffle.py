@@ -90,15 +90,11 @@ def unshuffle(side, *arrays, segments: Optional[Segments] = None,
     m.record("elementwise", n)
     dest = np.where(side, p + f2, p - f1)
 
+    # routing every payload to ``dest`` == reading it through the inverse map
     m.record("permute", n)
-    out_arrays = []
-    for a in arrays:
-        a = np.asarray(a)
-        out = np.empty_like(a)
-        out[dest] = a
-        out_arrays.append(out)
+    order = np.empty(n, dtype=np.int64)
+    order[dest] = p
+    out_arrays = [np.take(a, order, axis=0) for a in arrays]
 
-    left_counts = np.zeros(seg.nseg, dtype=np.int64)
-    if n:
-        np.add.at(left_counts, seg.ids, is_a)
+    left_counts = np.add.reduceat(is_a, seg.heads) if n else np.zeros(0, dtype=np.int64)
     return UnshuffleResult(tuple(out_arrays), dest, left_counts)

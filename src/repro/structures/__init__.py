@@ -20,7 +20,7 @@ from .linear import LinearQuadtree, to_linear
 from .nearest import brute_nearest, quadtree_nearest, rtree_nearest
 from .pm1 import PM1Quadtree, build_pm1
 from .pr_quadtree import PRQuadtree, build_pr_quadtree
-from .quadblock import CHILD_NAMES, NodeTable, Quadtree, child_box
+from .quadblock import CHILD_NAMES, NodeTable, Quadtree, child_box, child_boxes
 from .region import RegionQuadtree, build_region_quadtree
 from .rtree import RTree, build_rtree
 from .sharded import (Shard, ShardedIndex, build_sharded, repair_sharded,
@@ -31,6 +31,7 @@ __all__ = [
     "Quadtree",
     "NodeTable",
     "child_box",
+    "child_boxes",
     "CHILD_NAMES",
     "BuildTrace",
     "RoundStats",

@@ -98,23 +98,16 @@ def build_quadtree(lines: np.ndarray, domain: int, rule: SplitRule,
     table = NodeTable(domain)
     n = lines.shape[0]
 
-    if n == 0:
-        boxes, level, parent, children = table.freeze()
-        tree = Quadtree(lines, boxes, level, parent, children,
-                        np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                        float(domain), depth_cap)
-        return tree, BuildTrace()
-
     segs_xy = lines.copy()
     lid = np.arange(n, dtype=np.int64)
     segments = Segments.single(n)
-    seg_node = np.zeros(1, dtype=np.int64)  # segment index -> node id
+    seg_node = np.zeros(segments.nseg, dtype=np.int64)  # segment index -> node id
 
     trace = BuildTrace()
     round_index = 0
-    while True:
-        node_boxes = np.vstack([table.boxes[i] for i in seg_node])
-        node_levels = np.asarray([table.level[i] for i in seg_node], dtype=np.int64)
+    while n:        # an empty map keeps the lone root and asks the rule nothing
+        node_boxes = table.boxes[seg_node]
+        node_levels = table.level[seg_node]
 
         with m.phase(f"round{round_index}"):
             verdict = np.asarray(
@@ -130,20 +123,10 @@ def build_quadtree(lines: np.ndarray, domain: int, rule: SplitRule,
                                    payloads={"lid": lid}, machine=m)
 
         # node-table update: every splitting node gains all four children
-        children_of: dict[int, tuple[int, int, int, int]] = {}
-        for s in np.flatnonzero(split_flags):
-            children_of[int(seg_node[s])] = table.split(int(seg_node[s]))
-
-        new_seg_node = np.empty(res.segments.nseg, dtype=np.int64)
-        for j in range(res.segments.nseg):
-            parent_node = int(seg_node[res.parent_seg[j]])
-            code = int(res.child_code[j])
-            new_seg_node[j] = children_of[parent_node][code] if code >= 0 else parent_node
-
+        seg_node = table.descend(seg_node, split_flags, res.parent_seg, res.child_code)
         segs_xy = res.segs_xy
         lid = res.payloads["lid"]
         segments = res.segments
-        seg_node = new_seg_node
 
         trace.rounds.append(RoundStats(
             round_index, int(split_flags.sum()), segments.n,
@@ -153,17 +136,6 @@ def build_quadtree(lines: np.ndarray, domain: int, rule: SplitRule,
             raise RuntimeError("build failed to terminate within the depth cap")
 
     # assemble the CSR line assignment over the full node table
-    boxes, level, parent, children = table.freeze()
-    k = boxes.shape[0]
-    counts = np.zeros(k, dtype=np.int64)
-    counts[seg_node] = segments.lengths
-    node_ptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(counts, out=node_ptr[1:])
-    node_lines = np.empty(segments.n, dtype=np.int64)
-    for s, sl in enumerate(segments.slices()):
-        node = int(seg_node[s])
-        node_lines[node_ptr[node]:node_ptr[node + 1]] = lid[sl]
-
-    tree = Quadtree(lines, boxes, level, parent, children,
-                    node_ptr, node_lines, float(domain), depth_cap)
+    node_ptr, node_lines = table.assign(seg_node, segments.lengths, lid)
+    tree = Quadtree(lines, *table.freeze(), node_ptr, node_lines, float(domain), depth_cap)
     return tree, trace

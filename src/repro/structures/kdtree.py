@@ -171,19 +171,22 @@ def build_kdtree(points: np.ndarray, leaf_size: int = 4,
     m = machine or get_machine()
     n = points.shape[0]
 
-    split_axis = [np.int64(-1)]
-    split_value = [np.float64(np.nan)]
-    node_left = [np.int64(-1)]
-    node_right = [np.int64(-1)]
-    node_start = [np.int64(0)]
-    node_end = [np.int64(n)]
+    # node table, structure-of-arrays: every split leaves two non-empty
+    # halves, so there are fewer than 2n nodes
+    cap = max(2 * n, 1)
+    split_axis = np.full(cap, -1, dtype=np.int64)
+    split_value = np.full(cap, np.nan)
+    node_left = np.full(cap, -1, dtype=np.int64)
+    node_right = np.full(cap, -1, dtype=np.int64)
+    node_start = np.zeros(cap, dtype=np.int64)
+    node_end = np.zeros(cap, dtype=np.int64)
+    node_end[0] = n
+    num_nodes = 1
 
     trace = BuildTrace()
     if n == 0:
-        return KDTree(points, np.zeros(0, np.int64),
-                      *(np.asarray(a) for a in
-                        (split_axis, split_value, node_left, node_right,
-                         node_start, node_end)), leaf_size), trace
+        return KDTree(points, np.zeros(0, np.int64), split_axis, split_value,
+                      node_left, node_right, node_start, node_end, leaf_size), trace
 
     order = np.arange(n, dtype=np.int64)
     segments = Segments.single(n)
@@ -212,37 +215,26 @@ def build_kdtree(points: np.ndarray, leaf_size: int = 4,
             moved_side[res.destination] = side
             segments_new = Segments.from_ids(segments.ids * 2 + moved_side)
 
-        # node bookkeeping: every active node gains two children
-        new_seg_node = np.empty(segments_new.nseg, dtype=np.int64)
-        head_ids = segments.ids[segments_new.heads]
-        head_side = moved_side[segments_new.heads]
-        for j in range(segments_new.nseg):
-            parent_seg = int(head_ids[j])
-            parent_node = int(seg_node[parent_seg])
-            if not active[parent_seg]:
-                new_seg_node[j] = parent_node
-                continue
-            if node_left[parent_node] < 0:
-                length = int(lengths[parent_seg])
-                cut = length - length // 2  # left gets the larger half
-                cut_pos = int(segments.heads[parent_seg]) + cut - 1
-                split_axis[parent_node] = np.int64(depth % 2)
-                # the median: largest coordinate of the left (lower-rank) half
-                split_value[parent_node] = np.float64(by_rank[cut_pos])
-                for which in range(2):
-                    split_axis.append(np.int64(-1))
-                    split_value.append(np.float64(np.nan))
-                    node_left.append(np.int64(-1))
-                    node_right.append(np.int64(-1))
-                    node_start.append(np.int64(0))
-                    node_end.append(np.int64(0))
-                node_left[parent_node] = np.int64(len(split_axis) - 2)
-                node_right[parent_node] = np.int64(len(split_axis) - 1)
-            child = int(node_left[parent_node] if not head_side[j]
-                        else node_right[parent_node])
-            new_seg_node[j] = child
-            node_start[child] = np.int64(segments_new.heads[j])
-            node_end[child] = np.int64(segments_new.ends[j])
+        # node bookkeeping: the rank-th active node (exclusive +-scan of
+        # ``active``) gains children ``num_nodes + 2 * rank`` and ``+ 1``
+        act = np.flatnonzero(active)
+        parents = seg_node[act]
+        left = num_nodes + 2 * np.arange(act.size, dtype=np.int64)
+        num_nodes += 2 * act.size
+        cut = lengths[act] - lengths[act] // 2      # left gets the larger half
+        split_axis[parents] = axis
+        # the median: largest coordinate of the left (lower-rank) half
+        split_value[parents] = by_rank[segments.heads[act] + cut - 1]
+        node_left[parents], node_right[parents] = left, left + 1
+
+        heads = segments_new.heads
+        parent_seg = segments.ids[heads]
+        split = active[parent_seg]
+        rank = np.cumsum(active) - active
+        new_seg_node = seg_node[parent_seg]
+        new_seg_node[split] = left[rank[parent_seg[split]]] + moved_side[heads[split]]
+        node_start[new_seg_node[split]] = heads[split]
+        node_end[new_seg_node[split]] = segments_new.ends[split]
 
         segments = segments_new
         seg_node = new_seg_node
@@ -252,11 +244,6 @@ def build_kdtree(points: np.ndarray, leaf_size: int = 4,
         if depth > 2 * (int(np.log2(n)) + 2) + 4:
             raise RuntimeError("k-d tree build failed to terminate")
 
-    return KDTree(points, order,
-                  np.asarray(split_axis, dtype=np.int64),
-                  np.asarray(split_value, dtype=float),
-                  np.asarray(node_left, dtype=np.int64),
-                  np.asarray(node_right, dtype=np.int64),
-                  np.asarray(node_start, dtype=np.int64),
-                  np.asarray(node_end, dtype=np.int64),
-                  leaf_size), trace
+    return KDTree(points, order, *(a[:num_nodes].copy() for a in (
+        split_axis, split_value, node_left, node_right, node_start, node_end)),
+        leaf_size), trace

@@ -53,9 +53,7 @@ def build_pm1(lines: np.ndarray, domain: int, max_depth: Optional[int] = None,
 
     def rule(segs_xy: np.ndarray, segments: Segments, node_boxes: np.ndarray,
              node_levels: np.ndarray, m: Machine) -> np.ndarray:
-        line_boxes = np.column_stack([
-            seg_broadcast(node_boxes[:, c], segments, machine=m) for c in range(4)
-        ])
+        line_boxes = seg_broadcast(node_boxes, segments, machine=m)
         decision = pm1_should_split(segs_xy, line_boxes, segments,
                                     domain=float(domain), machine=m)
         return decision.must_split

@@ -150,29 +150,21 @@ def build_pr_quadtree(points: np.ndarray, domain: int, capacity: int = 1,
     table = NodeTable(domain)
     n = points.shape[0]
     trace = BuildTrace()
-    if n == 0:
-        boxes, level, parent, children = table.freeze()
-        return PRQuadtree(points, boxes, level, parent, children,
-                          np.zeros(2, np.int64), np.zeros(0, np.int64),
-                          float(domain), depth_cap), trace
-
     pid = np.arange(n, dtype=np.int64)
     pts = points.copy()
     segments = Segments.single(n)
-    seg_node = np.zeros(1, dtype=np.int64)
+    seg_node = np.zeros(segments.nseg, dtype=np.int64)
     round_index = 0
-    while True:
-        node_levels = np.asarray([table.level[i] for i in seg_node])
+    while n:        # no points: the lone root, no rounds
+        node_levels = table.level[seg_node]
         over = overflowing_nodes(segments, capacity, machine=m)
         split_flags = over & (node_levels < depth_cap)
         if not split_flags.any():
             break
         steps_before = m.steps
         with m.phase(f"round{round_index}"):
-            node_boxes = np.vstack([table.boxes[i] for i in seg_node])
-            boxes_b = np.column_stack([
-                seg_broadcast(node_boxes[:, c], segments, machine=m)
-                for c in range(4)])
+            node_boxes = table.boxes[seg_node]
+            boxes_b = seg_broadcast(node_boxes, segments, machine=m)
             splitting = seg_broadcast(split_flags, segments, machine=m).astype(bool)
             cy = 0.5 * (boxes_b[:, 1] + boxes_b[:, 3])
             cx = 0.5 * (boxes_b[:, 0] + boxes_b[:, 2])
@@ -180,60 +172,31 @@ def build_pr_quadtree(points: np.ndarray, domain: int, capacity: int = 1,
 
             side1 = (pts[:, 1] >= cy) & splitting
             m.record("elementwise", n)
-            res = unshuffle(side1, pts[:, 0], pts[:, 1], pid, cx, splitting, side1,
-                            segments=segments, machine=m)
-            pts = np.column_stack(res.arrays[0:2])
-            pid = res.arrays[2]
-            cx = res.arrays[3]
-            splitting = res.arrays[4].astype(bool)
-            side1 = res.arrays[5].astype(bool)
+            pts, pid, cx, splitting, side1 = unshuffle(
+                side1, pts, pid, cx, splitting, side1,
+                segments=segments, machine=m).arrays
             seg1 = Segments.from_ids(segments.ids * 2 + side1)
 
             side2 = (pts[:, 0] >= cx) & splitting
             m.record("elementwise", n)
-            res = unshuffle(side2, pts[:, 0], pts[:, 1], pid, side1, side2,
-                            segments=seg1, machine=m)
-            pts = np.column_stack(res.arrays[0:2])
-            pid = res.arrays[2]
-            side1 = res.arrays[3].astype(bool)
-            side2 = res.arrays[4].astype(bool)
+            pts, pid, side1, side2 = unshuffle(
+                side2, pts, pid, side1, side2, segments=seg1, machine=m).arrays
             seg2 = Segments.from_ids(seg1.ids * 2 + side2)
 
-        # node-table update, mirroring the line builders
-        children_of = {}
-        for s in np.flatnonzero(split_flags):
-            children_of[int(seg_node[s])] = table.split(int(seg_node[s]))
-        # positions never leave their original segment during an unshuffle,
-        # so the old positional ids still name each element's parent segment
+        # node-table update, mirroring the line builders.  Positions never
+        # leave their original segment during an unshuffle, so the old
+        # positional ids still name each element's parent segment.
         heads = seg2.heads
-        parent_seg = segments.ids[heads]
-        child_code = 2 * side1[heads].astype(np.int64) + side2[heads]
-        new_seg_node = np.empty(seg2.nseg, dtype=np.int64)
-        for j in range(seg2.nseg):
-            parent_node = int(seg_node[int(parent_seg[j])])
-            if split_flags[int(parent_seg[j])]:
-                new_seg_node[j] = children_of[parent_node][int(child_code[j])]
-            else:
-                new_seg_node[j] = parent_node
+        seg_node = table.descend(seg_node, split_flags, segments.ids[heads],
+                                 2 * side1[heads].astype(np.int64) + side2[heads])
         segments = seg2
-        seg_node = new_seg_node
         trace.rounds.append(RoundStats(round_index, int(split_flags.sum()), n,
                                        steps_before, m.steps))
         round_index += 1
         if round_index > depth_cap + 1:
             raise RuntimeError("PR build failed to terminate within the depth cap")
 
-    boxes, level, parent, children = table.freeze()
-    k = boxes.shape[0]
-    counts = np.zeros(k, dtype=np.int64)
-    counts[seg_node] = segments.lengths
-    node_ptr = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(counts, out=node_ptr[1:])
-    node_points = np.empty(n, dtype=np.int64)
-    for s, sl in enumerate(segments.slices()):
-        node = int(seg_node[s])
-        node_points[node_ptr[node]:node_ptr[node + 1]] = pid[sl]
-
-    tree = PRQuadtree(points, boxes, level, parent, children,
-                      node_ptr, node_points, float(domain), depth_cap)
+    node_ptr, node_points = table.assign(seg_node, segments.lengths, pid)
+    tree = PRQuadtree(points, *table.freeze(), node_ptr, node_points,
+                      float(domain), depth_cap)
     return tree, trace

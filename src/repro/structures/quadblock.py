@@ -15,75 +15,96 @@ out at 1x1 blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from ..geometry.clip import segments_intersect_rects
-from ..geometry.rect import contains_point_halfopen, overlaps, validate_rects
+from ..geometry.rect import child_boxes, contains_point_halfopen, overlaps, validate_rects
 
-__all__ = ["NodeTable", "Quadtree", "CHILD_NAMES", "child_box"]
+__all__ = ["NodeTable", "Quadtree", "CHILD_NAMES", "child_box", "child_boxes"]
 
 CHILD_NAMES = ("SW", "SE", "NW", "NE")
 
 
 def child_box(box: np.ndarray, code: int) -> np.ndarray:
     """Box of child ``code`` (0=SW, 1=SE, 2=NW, 3=NE) of ``box``."""
-    x0, y0, x1, y1 = box
-    cx = 0.5 * (x0 + x1)
-    cy = 0.5 * (y0 + y1)
-    xbit = code & 1
-    ybit = (code >> 1) & 1
-    return np.array([
-        cx if xbit else x0, cy if ybit else y0,
-        x1 if xbit else cx, y1 if ybit else cy,
-    ])
+    return child_boxes(box)[code]
 
 
 class NodeTable:
-    """Growable table of quadtree blocks used during a build.
+    """Structure-of-arrays table of quadtree blocks, grown during a build.
 
-    Append-only: nodes are created at the root and by :meth:`split`,
-    which adds all four children of a block (empty ones included, as the
-    paper's Figure 2 discussion of empty-node proliferation requires us
-    to count them).
+    Append-only: the root exists from the start and :meth:`split_many`
+    adds all four children of every block it is given (empty ones
+    included, as the paper's Figure 2 discussion of empty-node
+    proliferation requires us to count them).  Child ``code`` of the
+    ``rank``-th block of a call gets id ``len + 4 * rank + code`` -- the
+    scan model's allocation idiom: ``rank`` is the exclusive +-scan of
+    the round's split flags.  The table is host-side bookkeeping and is
+    not charged to the :class:`~repro.machine.Machine` (DESIGN.md
+    Section 3).
     """
 
     def __init__(self, domain: float):
         self.domain = float(domain)
-        self.boxes: List[np.ndarray] = [np.array([0.0, 0.0, self.domain, self.domain])]
-        self.level: List[int] = [0]
-        self.parent: List[int] = [-1]
-        self.children: List[Optional[Tuple[int, int, int, int]]] = [None]
+        self.boxes = np.array([[0.0, 0.0, self.domain, self.domain]])
+        self.level = np.zeros(1, dtype=np.int64)
+        self.parent = np.full(1, -1, dtype=np.int64)
+        self.children = np.full((1, 4), -1, dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.boxes)
+        return int(self.boxes.shape[0])
 
-    def split(self, node: int) -> Tuple[int, int, int, int]:
-        """Create the four children of ``node``; returns their indices."""
-        if self.children[node] is not None:
-            raise ValueError(f"node {node} already split")
-        base = len(self.boxes)
-        ids = (base, base + 1, base + 2, base + 3)
-        for code in range(4):
-            self.boxes.append(child_box(self.boxes[node], code))
-            self.level.append(self.level[node] + 1)
-            self.parent.append(node)
-            self.children.append(None)
-        self.children[node] = ids
+    def split_many(self, nodes: np.ndarray) -> np.ndarray:
+        """Create the children of all ``nodes``; returns their ids, ``(k, 4)``."""
+        nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+        k = nodes.size
+        again = np.ones(k, dtype=bool)      # a repeat within the call counts too
+        again[np.unique(nodes, return_index=True)[1]] = False
+        again |= self.children[nodes, 0] >= 0
+        if again.any():
+            raise ValueError(f"node {int(nodes[again][0])} already split")
+        ids = len(self) + np.arange(4 * k, dtype=np.int64).reshape(k, 4)
+        self.children[nodes] = ids
+        self.boxes = np.concatenate([self.boxes, child_boxes(self.boxes[nodes]).reshape(-1, 4)])
+        self.level = np.concatenate([self.level, np.repeat(self.level[nodes] + 1, 4)])
+        self.parent = np.concatenate([self.parent, np.repeat(nodes, 4)])
+        self.children = np.concatenate([self.children, np.full((4 * k, 4), -1, dtype=np.int64)])
         return ids
+
+    def descend(self, seg_node: np.ndarray, split_flags: np.ndarray,
+                parent_seg: np.ndarray, child_code: np.ndarray) -> np.ndarray:
+        """Split the flagged segments' nodes; node id of every new segment.
+
+        ``seg_node`` / ``split_flags`` are per old segment; ``parent_seg``
+        and ``child_code`` say, per new segment, which old segment it
+        came from and which quadrant it is (ignored where the parent did
+        not split: such a segment keeps its node).
+        """
+        kids = self.split_many(seg_node[split_flags])
+        rank = np.cumsum(split_flags) - split_flags     # exclusive +-scan
+        new_seg_node = seg_node[parent_seg]
+        moved = split_flags[parent_seg]
+        new_seg_node[moved] = kids[rank[parent_seg[moved]], child_code[moved]]
+        return new_seg_node
 
     def freeze(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Return dense arrays ``(boxes, level, parent, children)``."""
-        k = len(self.boxes)
-        boxes = np.vstack(self.boxes) if k else np.zeros((0, 4))
-        level = np.asarray(self.level, dtype=np.int64)
-        parent = np.asarray(self.parent, dtype=np.int64)
-        children = np.full((k, 4), -1, dtype=np.int64)
-        for i, ch in enumerate(self.children):
-            if ch is not None:
-                children[i] = ch
-        return boxes, level, parent, children
+        return self.boxes, self.level, self.parent, self.children
+
+    def assign(self, seg_node: np.ndarray, segment_lengths: np.ndarray,
+               items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(node_ptr, node_items)`` of segmented ``items`` over all nodes.
+
+        Segment ``s`` (``segment_lengths[s]`` consecutive items) belongs
+        to node ``seg_node[s]``; nodes without a segment get empty rows.
+        """
+        counts = np.zeros(len(self), dtype=np.int64)
+        counts[seg_node] = segment_lengths
+        node_ptr = np.concatenate(([0], np.cumsum(counts)))
+        order = np.argsort(np.repeat(seg_node, segment_lengths), kind="stable")
+        return node_ptr, items[order]
 
 
 @dataclass
@@ -229,14 +250,12 @@ class Quadtree:
         assert self.node_ptr.shape == (k + 1,)
         assert self.node_ptr[0] == 0 and self.node_ptr[-1] == self.node_lines.size
         assert np.all(np.diff(self.node_ptr) >= 0)
-        internal = ~self.is_leaf
-        for i in np.flatnonzero(internal):
-            assert self.node_ptr[i + 1] == self.node_ptr[i], f"internal node {i} holds lines"
-            ch = self.children[i]
-            for code, c in enumerate(ch):
-                assert self.parent[c] == i
-                assert self.level[c] == self.level[i] + 1
-                np.testing.assert_allclose(self.boxes[c], child_box(self.boxes[i], code))
+        internal = np.flatnonzero(~self.is_leaf)
+        kids = self.children[internal]
+        assert not np.diff(self.node_ptr)[internal].any(), "an internal node holds lines"
+        assert np.all(self.parent[kids] == internal[:, None])
+        assert np.all(self.level[kids] == self.level[internal, None] + 1)
+        np.testing.assert_allclose(self.boxes[kids], child_boxes(self.boxes[internal]))
         assert np.all(self.level <= self.max_depth)
         if full and self.lines.size:
             n = self.lines.shape[0]

@@ -216,14 +216,8 @@ def _group_mbrs(child_mbr: np.ndarray, parent_ids: np.ndarray, num_parents: int,
                 m: Machine) -> np.ndarray:
     """MBR of every parent from its children's rectangles (scan reduce)."""
     view, grp = _grouped_view(parent_ids, m)
-    sorted_mbr = child_mbr[view]
-    cols = [
-        seg_reduce(sorted_mbr[:, 0], grp, "min", machine=m),
-        seg_reduce(sorted_mbr[:, 1], grp, "min", machine=m),
-        seg_reduce(sorted_mbr[:, 2], grp, "max", machine=m),
-        seg_reduce(sorted_mbr[:, 3], grp, "max", machine=m),
-    ]
-    out = np.column_stack(cols)
+    signed = np.take(child_mbr, view, axis=0) * _rect.UNION_SIGNS
+    out = seg_reduce(signed, grp, "min", machine=m) * _rect.UNION_SIGNS
     owners = parent_ids[view][grp.heads]
     mbr = np.zeros((num_parents, 4))
     mbr[owners] = out
@@ -252,7 +246,7 @@ def _split_level(child_mbr: np.ndarray, parent_ids: np.ndarray, num_parents: int
     sel = np.flatnonzero(over_lines)                   # sorted-view slots
     sub_sizes = counts[over]
     sub_seg = Segments.from_lengths(sub_sizes)
-    sub_mbr = child_mbr[view[sel]]
+    sub_mbr = np.take(child_mbr, view[sel], axis=0)
     if algo == "sweep":
         choice = sweep_split(sub_mbr, sub_seg, min_fill=m_fill,
                              node_capacity=M if fractional_fill else None,

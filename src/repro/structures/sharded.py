@@ -93,6 +93,7 @@ class Shard:
     ids: np.ndarray    # ascending global line ids
     mbr: np.ndarray    # (4,) bounding rectangle of the shard's segments
     tree: object       # Quadtree | RTree over the shard's segments
+    max_key: Optional[int] = None   # largest curve key; None until first needed
 
 
 @dataclass
@@ -125,6 +126,18 @@ class ShardedIndex:
 
     def shard_sizes(self) -> np.ndarray:
         return np.array([s.ids.size for s in self.shards], dtype=np.int64)
+
+    def shard_max_keys(self) -> np.ndarray:
+        """Largest curve key per shard: the sorted insert-routing table.
+
+        Computed once per shard and kept on it, so a repair pays for the
+        keys of the shards it rebuilt last time, not of every old line.
+        """
+        for s in self.shards:
+            if s.max_key is None:
+                s.max_key = int(shard_keys(self.lines[s.ids], self.domain,
+                                           self.ordering).max())
+        return np.array([s.max_key for s in self.shards])
 
     # -- scalar queries --------------------------------------------------
 
@@ -361,14 +374,10 @@ def build_sharded(lines: np.ndarray, domain: float, structure: str = "pmr",
                 continue
             ids = np.sort(order[lo:hi])  # ascending global ids (tie-break!)
             segs = lines[ids]
-            if structure == "pmr":
-                tree, _ = build_bucket_pmr(segs, domain, capacity,
-                                           max_depth=max_depth)
-            elif structure == "pm1":
-                tree, _ = build_pm1(segs, domain, max_depth=max_depth)
-            else:
-                tree, _ = build_rtree(segs, min_fill, capacity)
-            built.append(Shard(ids=ids, mbr=_segment_mbr(segs), tree=tree))
+            tree = _build_shard_tree(segs, domain, structure,
+                                     capacity, min_fill, max_depth)
+            built.append(Shard(ids=ids, mbr=_segment_mbr(segs), tree=tree,
+                               max_key=int(keys[order[hi - 1]])))
     return ShardedIndex(lines=lines, domain=float(domain), structure=structure,
                         ordering=ordering, shards=built)
 
@@ -458,8 +467,7 @@ def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
     # curve, so the per-shard max key is a sorted routing table
     routed: List[List[int]] = [[] for _ in range(index.num_shards)]
     if n_inserted:
-        old_keys = shard_keys(index.lines, dom, index.ordering)
-        max_keys = np.array([old_keys[s.ids].max() for s in index.shards])
+        max_keys = index.shard_max_keys()
         ins_keys = shard_keys(new_lines[n_new - n_inserted:], dom,
                               index.ordering)
         target = np.minimum(np.searchsorted(max_keys, ins_keys, side="left"),
@@ -476,7 +484,8 @@ def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
     built: List[Shard] = []
     for k, s in enumerate(index.shards):
         if not touched[k]:
-            built.append(Shard(ids=remap[s.ids], mbr=s.mbr, tree=s.tree))
+            built.append(Shard(ids=remap[s.ids], mbr=s.mbr, tree=s.tree,
+                               max_key=s.max_key))
             stats["shards_reused"] += 1
             continue
         ids = np.sort(np.concatenate([

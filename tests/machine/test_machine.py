@@ -50,6 +50,19 @@ class TestCostModels:
         m.record("scan", 5)
         assert m.steps == 2.0
 
+    def test_constant_costs_need_no_call(self):
+        cm = CostModel("mixed", scan=3.0, elementwise=0.5, permute=2,
+                       sort=lambda n, p: float(n))
+        assert cm.cost("scan", 10**9, 1) == 3.0
+        m = Machine(cost_model=cm)
+        for primitive in ("scan", "elementwise", "permute", "sort"):
+            m.record(primitive, 8)
+        assert m.steps == 13.5
+
+    def test_unknown_primitive_rejected(self):
+        with pytest.raises(KeyError, match="no primitive"):
+            Machine().record("teleport", 4)
+
     def test_all_registered_models_instantiate(self):
         for name in COST_MODELS:
             Machine(cost_model=name).record("scan", 8)

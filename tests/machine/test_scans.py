@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.machine import Machine, Segments, down_scan, seg_scan, up_scan
-from repro.machine.scans import scan_identity
+from repro.machine.scans import SCAN_OPS, scan_identity, seg_scan_columns
 
 FIG8_DATA = np.array([3, 1, 2, 1, 0, 1, 2, 2, 1, 0, 3, 3])
 FIG8_FLAGS = np.array([1, 0, 0, 1, 0, 0, 0, 1, 0, 1, 0, 0])
@@ -169,3 +169,46 @@ def test_scan_records_one_primitive():
     seg_scan([1, 2, 3], machine=m)
     assert m.counts == {"scan": 1}
     assert m.steps == 1.0
+
+
+# -- column-wise scans: k vectors, one pass, k recorded scans ------------------
+
+@pytest.mark.parametrize("engine", ["fast", "hillis_steele"])
+@pytest.mark.parametrize("direction", ["up", "down"])
+@pytest.mark.parametrize("inclusive", [True, False])
+@pytest.mark.parametrize("kind", ["int", "float", "bool"])
+@pytest.mark.parametrize("op", SCAN_OPS)
+def test_columns_equal_one_scan_per_column(op, kind, inclusive, direction, engine):
+    if not inclusive and (op == "copy" or (op in ("min", "max") and kind == "bool")):
+        pytest.skip("no identity: the exclusive scan is undefined")
+    rng = np.random.default_rng(17)
+    seg = Segments.from_lengths([5, 1, 1, 9, 2])
+    data = {"int": rng.integers(-30, 30, (seg.n, 3)),
+            "float": rng.integers(-99, 99, (seg.n, 3)) / 4.0,
+            "bool": rng.random((seg.n, 3)) < 0.4}[kind]
+    m = Machine()
+    got = seg_scan_columns(data, seg, op, direction, inclusive, machine=m, engine=engine)
+    assert m.counts == {"scan": 3}
+    assert got.shape == data.shape
+    for c in range(3):
+        want = seg_scan(data[:, c], seg, op, direction, inclusive, engine=engine)
+        assert got[:, c].dtype == want.dtype
+        assert np.array_equal(got[:, c], want)
+
+
+def test_columns_reject_vectors_and_mismatched_descriptors():
+    with pytest.raises(ValueError, match=r"shape \(n, k\)"):
+        seg_scan_columns(np.zeros(4))
+    with pytest.raises(ValueError, match="covers"):
+        seg_scan_columns(np.zeros((3, 2)), Segments.single(2))
+    assert seg_scan_columns(np.zeros((0, 4))).shape == (0, 4)
+
+
+def test_doubling_network_stops_at_the_longest_segment():
+    """Float min/max take the log-step engine; many short segments are cheap
+    and still exact (a head never sees its left neighbour)."""
+    seg = Segments.from_lengths([2] * 500)
+    data = np.random.default_rng(3).random(seg.n)
+    got = seg_scan(data, seg, "min", "up", True)
+    assert np.array_equal(got[0::2], data[0::2])
+    assert np.array_equal(got[1::2], np.minimum(data[0::2], data[1::2]))

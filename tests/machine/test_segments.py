@@ -106,3 +106,44 @@ def test_representation_roundtrips(lengths):
     assert Segments.from_heads(s.n, s.heads) == s
     assert s.n == sum(lengths)
     assert s.nseg == len(lengths)
+
+
+class TestCachedViews:
+    """The descriptor is immutable, so its derived vectors are computed once
+    and handed out read-only."""
+
+    def test_derived_vectors_are_computed_once(self):
+        s = Segments.from_flags([1, 0, 1, 0, 0])
+        assert s.ids is s.ids
+        assert s.ends is s.ends
+        assert s.lengths is s.lengths
+        assert s.offsets_within() is s.offsets_within()
+        assert s.reversed() is s.reversed()
+
+    @pytest.mark.parametrize("view", ["heads", "ends", "ids", "lengths"])
+    def test_views_are_read_only(self, view):
+        s = Segments.from_lengths([2, 3])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, view)[0] = 9
+
+    def test_constructors_do_not_freeze_or_alias_the_callers_array(self):
+        lengths = np.array([2, 3])
+        heads = np.array([0, 2])
+        a, b = Segments.from_lengths(lengths), Segments.from_heads(5, heads)
+        lengths[0] = 4
+        heads[1] = 1
+        assert list(a.lengths) == [2, 3] and list(b.heads) == [0, 2]
+
+    def test_single_rejects_negative_length(self):
+        with pytest.raises(ValueError):
+            Segments.single(-1)
+
+    @given(lengths_strategy)
+    def test_trusted_constructors_agree_with_the_validating_one(self, lengths):
+        s = Segments.from_lengths(lengths)
+        checked = Segments(s.n, s.heads)
+        for other in (Segments.from_ids(s.ids), s.reversed().reversed(), s):
+            assert other == checked
+            assert np.array_equal(other.ids, checked.ids)
+            assert np.array_equal(other.lengths, checked.lengths)
+            assert np.array_equal(other.ends, checked.ends)

@@ -131,22 +131,45 @@ class TestRegionValidator:
 class TestNodeTable:
     def test_double_split_rejected(self):
         table = NodeTable(8)
-        table.split(0)
-        with pytest.raises(ValueError, match="already split"):
-            table.split(0)
+        table.split_many([0])
+        with pytest.raises(ValueError, match="node 0 already split"):
+            table.split_many([0])
+
+    def test_repeat_within_one_call_rejected(self):
+        table = NodeTable(8)
+        kids = table.split_many([0])
+        with pytest.raises(ValueError, match="node 2 already split"):
+            table.split_many([kids[0, 0], 2, 2])
+        assert len(table) == 5              # the failed call added nothing
 
     def test_split_produces_quadrant_boxes(self):
         table = NodeTable(8)
-        ids = table.split(0)
-        assert len(ids) == 4
-        assert np.allclose(table.boxes[ids[0]], [0, 0, 4, 4])
-        assert np.allclose(table.boxes[ids[3]], [4, 4, 8, 8])
+        ids = table.split_many([0])
+        assert ids.shape == (1, 4)
+        assert np.allclose(table.boxes[ids[0, 0]], [0, 0, 4, 4])
+        assert np.allclose(table.boxes[ids[0, 3]], [4, 4, 8, 8])
+
+    def test_children_are_allocated_by_rank(self):
+        """ids = len + 4 * rank + code, rank in the order the nodes are given."""
+        table = NodeTable(8)
+        table.split_many([0])
+        ids = table.split_many([3, 1])
+        assert ids.tolist() == [[5, 6, 7, 8], [9, 10, 11, 12]]
+        assert table.parent[5:].tolist() == [3] * 4 + [1] * 4
+        assert table.level[5:].tolist() == [2] * 8
+        assert np.allclose(table.boxes[9], [0, 0, 2, 2])     # SW of SW
+
+    def test_splitting_nothing_is_a_no_op(self):
+        table = NodeTable(8)
+        assert table.split_many(np.zeros(0, dtype=np.int64)).shape == (0, 4)
+        assert len(table) == 1
 
     def test_freeze_shapes(self):
         table = NodeTable(8)
-        table.split(0)
+        table.split_many([0])
         boxes, level, parent, children = table.freeze()
         assert boxes.shape == (5, 4)
         assert list(level) == [0, 1, 1, 1, 1]
         assert list(parent) == [-1, 0, 0, 0, 0]
         assert children[0].tolist() == [1, 2, 3, 4]
+        assert (children[1:] == -1).all()

@@ -18,6 +18,9 @@ from repro.structures import (
     build_bucket_pmr,
     build_rtree,
     build_sharded,
+    load_structure,
+    repair_sharded,
+    save_structure,
     shard_keys,
     sharded_join,
 )
@@ -92,6 +95,44 @@ class TestShardKeys:
         for ordering in ("morton", "hilbert"):
             k = shard_keys(segs, DOMAIN, ordering)
             assert k[0] == k[1]
+
+
+class TestShardMaxKeys:
+    """The insert-routing table is cached per shard, never recomputed from
+    every old line on a commit."""
+
+    @staticmethod
+    def recomputed(idx):
+        keys = shard_keys(idx.lines, idx.domain, idx.ordering)
+        return [int(keys[s.ids].max()) for s in idx.shards]
+
+    @pytest.mark.parametrize("ordering", ["morton", "hilbert"])
+    def test_build_fills_the_cache_and_it_is_sorted(self, ordering):
+        idx = build_sharded(lines_of(21, 400), DOMAIN, shards=4, ordering=ordering)
+        assert [s.max_key for s in idx.shards] == self.recomputed(idx)
+        assert idx.shard_max_keys().tolist() == sorted(self.recomputed(idx))
+
+    def test_repair_carries_reused_shards_and_fills_rebuilt_ones_lazily(self):
+        idx = build_sharded(lines_of(22, 400), DOMAIN, shards=4, ordering="hilbert")
+        victim = idx.shards[1].ids[:3]
+        new_rows = idx.lines[idx.shards[1].ids[3:6]] + 1.0      # lands in or near shard 1
+        new_lines = np.vstack([np.delete(idx.lines, victim, axis=0), new_rows])
+        repaired, stats = repair_sharded(idx, new_lines, victim, new_rows.shape[0])
+        assert not stats["full_rebuild"] and stats["shards_reused"] >= 2
+        carried = [s.max_key for s in repaired.shards]
+        assert carried.count(None) == stats["shards_rebuilt"]
+        for old, new in zip(idx.shards, repaired.shards):
+            if new.tree is old.tree:
+                assert new.max_key == old.max_key
+        assert repaired.shard_max_keys().tolist() == self.recomputed(repaired)
+        assert None not in [s.max_key for s in repaired.shards]
+
+    def test_a_loaded_index_computes_its_table_on_first_use(self, tmp_path):
+        idx = build_sharded(lines_of(23, 200), DOMAIN, shards=3)
+        save_structure(idx, tmp_path / "idx.npz")
+        loaded = load_structure(tmp_path / "idx.npz")
+        assert [s.max_key for s in loaded.shards] == [None] * 3     # not in the layout
+        assert loaded.shard_max_keys().tolist() == idx.shard_max_keys().tolist()
 
 
 class TestScalarQueries:
