@@ -10,9 +10,11 @@
 * a :class:`~repro.engine.coalescer.Coalescer` that batches individual
   window / point / nearest probes per (index, kind) within a count or
   deadline window;
-* a :class:`~repro.engine.executor.BoundedExecutor` dispatching each
-  batch as **one** vectorized ``structures.batch`` frontier pass over
-  the shared read-only index, with backpressure when saturated;
+* an executor backend (threads, or a process pool) running each batch
+  as **one** vectorized ``structures.batch`` frontier pass over the
+  read-only index, with backpressure when saturated -- every group
+  reaches it as a :class:`~repro.engine.worker.JobSpec` through one
+  submit/settle pipeline (``_run_group``; DESIGN.md section 7);
 * an :class:`~repro.engine.stats.EngineStats` layer aggregating batch
   sizes, queue depth, cache hit rate, latency percentiles, and the
   scan-model step accounting per batch;
@@ -47,19 +49,17 @@ import threading
 import time
 from concurrent.futures import (Future, InvalidStateError,
                                 TimeoutError as FutureTimeoutError)
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..baselines.brute import brute_point_query, brute_window_query
 from ..durability import (FSYNC_POLICIES, JournalError, MutationJournal,
                           RecoveryReport, journal_roots, replay_journal)
 from ..resilience import (OPEN, BreakerBoard, CircuitOpenError, FaultInjector,
                           FaultPlan, InjectedFault, PartialResult, RetryPolicy)
-from ..structures.join import brute_join, quadtree_join, rtree_join
-from ..structures.nearest import brute_nearest
-from ..structures.sharded import ORDERINGS, ShardedIndex, sharded_join
+from ..structures.sharded import ORDERINGS, ShardedIndex
 from ..shm import DATASET_PREFIX, INDEX_PREFIX, ShmArena
 from ..store import store_key_id
 from ..structures.io import structure_payload
@@ -68,8 +68,8 @@ from .coalescer import Coalescer, Probe
 from .executor import BoundedExecutor, ProcessBackend, RejectedError
 from .registry import IndexKey, IndexRegistry
 from .stats import EngineStats
-from .worker import FAMILY as _FAMILY
-from .worker import IndexRef, JobSpec, WorkerResult, batch_kernel
+from .worker import (FAMILY, IndexRef, JobSpec, RegistryResolver,
+                     WorkerResult, interpret)
 
 __all__ = ["EngineConfig", "MutationResult", "SpatialQueryEngine"]
 
@@ -158,7 +158,7 @@ class EngineConfig:
     journal_segment_bytes: int = 4 << 20   # WAL segment rotation threshold
 
     def __post_init__(self) -> None:
-        if self.structure not in _FAMILY:
+        if self.structure not in FAMILY:
             raise ValueError(f"unknown structure {self.structure!r}")
         if self.executor not in EXECUTORS:
             raise ValueError(f"unknown executor {self.executor!r}; "
@@ -349,12 +349,7 @@ class SpatialQueryEngine:
         info = self.registry.resolve(fingerprint)   # KeyError: unknown map
         self.stats.record_submitted(op)
         probe = Probe((op, payload))
-        try:
-            self._coalescer.submit(("mutate", info.root), probe)
-        except RejectedError as exc:
-            self.stats.record_rejected(exc.reason)
-            probe.future.set_exception(exc)
-        return probe.future
+        return self._enqueue(("mutate", info.root), probe)
 
     def insert_lines(self, fingerprint: str, new_lines,
                      timeout: Optional[float] = None) -> str:
@@ -398,15 +393,7 @@ class SpatialQueryEngine:
                                   **dict(key.params))
         if not self._is_process:
             return
-        if self.store is not None and not self.store.contains(key):
-            try:
-                self.store.put(key, entry.tree,
-                               build_steps=entry.build_steps,
-                               build_primitives=entry.build_primitives,
-                               num_lines=entry.num_lines)
-            except (OSError, InjectedFault):
-                pass   # disk full: workers will cold-build instead
-        self._publish_index(key, entry.tree)
+        self._share_index(key, entry)
         ref = self._index_ref(key)
         futs = []
         for _ in range(self.config.workers):
@@ -437,7 +424,7 @@ class SpatialQueryEngine:
                      deadline: Optional[float] = None) -> Future:
         pt = np.asarray(point, dtype=float).reshape(2)
         structure = structure or self.config.structure
-        if _FAMILY[structure] == "quadtree":
+        if FAMILY[structure] == "quadtree":
             dom = self.registry.domain(
                 self.registry.resolve(fingerprint).fingerprint)
             if not (0 <= pt[0] <= dom and 0 <= pt[1] <= dom):
@@ -468,7 +455,7 @@ class SpatialQueryEngine:
         per-pair outcomes, so one bad pair fails only its own future.
         """
         structure = structure or self.config.structure
-        if structure not in _FAMILY:
+        if structure not in FAMILY:
             raise ValueError(f"unknown structure {structure!r}")
         self.stats.record_submitted("join")
         infos = (self.registry.resolve(fingerprint_a),
@@ -477,7 +464,9 @@ class SpatialQueryEngine:
         if not all(self.breakers.allow(fp) for fp in fps):
             if not self.config.brute_fallback:
                 return self._fail_fast("join", fps)
-            return self._submit_brute_join(fps)
+            probe = Probe(fps)   # degraded join: a group of one, brute
+            self._dispatch_join(structure, [probe], brute=True)
+            return probe.future
         probe = Probe(fps)
         probe.future.version = max(i.version for i in infos)
         probe.future.versions = tuple(i.version for i in infos)
@@ -485,37 +474,7 @@ class SpatialQueryEngine:
             self.registry.pin(fp)
         probe.future.add_done_callback(
             lambda _f, pair=fps: [self.registry.unpin(fp) for fp in pair])
-        try:
-            self._coalescer.submit(("join", structure), probe)
-        except RejectedError as exc:
-            self.stats.record_rejected(exc.reason)
-            probe.future.set_exception(exc)
-        return probe.future
-
-    def _submit_brute_join(self, fps: Tuple[str, str]) -> Future:
-        """Degraded join (breaker open, ``brute_fallback`` on)."""
-        if self._is_process:
-            try:
-                pair = (self._index_ref(self._index_key(fps[0], None)),
-                        self._index_ref(self._index_key(fps[1], None)))
-            except KeyError as exc:
-                fut: Future = Future()
-                fut.set_exception(exc)
-                self.stats.record_failed()
-                return fut
-            spec = JobSpec(op="join", pairs=(pair,), brute=True)
-            return self._deliver_join_spec(spec, [Probe(fps)],
-                                           time.monotonic(), brute=True)
-
-        def job(machine):
-            pairs = brute_join(self.registry.dataset(fps[0]),
-                               self.registry.dataset(fps[1]))
-            self.stats.record_fallback()
-            self.stats.record_batch("brute:join", 1, machine.steps,
-                                    machine.total_primitives)
-            return pairs
-
-        return self._spawn(job)
+        return self._enqueue(("join", structure), probe)
 
     # -- synchronous helpers ---------------------------------------------
 
@@ -728,16 +687,7 @@ class SpatialQueryEngine:
                                       **new_params)
             new_key = entry.key
             if self._is_process and K > 1:
-                if self.store is not None \
-                        and not self.store.contains(new_key):
-                    try:
-                        self.store.put(new_key, entry.tree,
-                                       build_steps=entry.build_steps,
-                                       build_primitives=entry.build_primitives,
-                                       num_lines=entry.num_lines)
-                    except (OSError, InjectedFault):
-                        pass
-                self._publish_index(new_key, entry.tree)
+                self._share_index(new_key, entry)
             self._shard_overrides[root] = (K, ordn, gen)
             self.stats.record_reshard()
             # the old decomposition's service EWMAs must not judge the
@@ -793,7 +743,7 @@ class SpatialQueryEngine:
         s = self.stats
         executor = {"backend": self._executor.kind,
                     "workers": self.config.workers}
-        if self._is_process:
+        if self._executor.kind == "process":
             executor.update({
                 "start_method": self._executor.start_method,
                 "restarts": s.worker_restarts,
@@ -925,7 +875,7 @@ class SpatialQueryEngine:
 
     def _index_key(self, fingerprint: str, structure: Optional[str]) -> IndexKey:
         structure = structure or self.config.structure
-        if structure not in _FAMILY:
+        if structure not in FAMILY:
             raise ValueError(f"unknown structure {structure!r}")
         if structure == "rtree":
             params = {"min_fill": self.config.min_fill,
@@ -986,8 +936,12 @@ class SpatialQueryEngine:
         self.registry.pin(fingerprint)
         probe.future.add_done_callback(
             lambda _f, fp=fingerprint: self.registry.unpin(fp))
+        return self._enqueue(key, probe)
+
+    def _enqueue(self, group_key, probe: Probe) -> Future:
+        """Hand a probe to the coalescer; a refusal fails only its future."""
         try:
-            self._coalescer.submit(key, probe)
+            self._coalescer.submit(group_key, probe)
         except RejectedError as exc:
             self.stats.record_rejected(exc.reason)
             probe.future.set_exception(exc)
@@ -1013,57 +967,11 @@ class SpatialQueryEngine:
         ``brute_fallback`` is enabled -- an O(n) scan keeps answers
         flowing (exact-geometry semantics) until the index path heals.
         """
-        started = time.monotonic()
-        if self._is_process:
-            key = self._index_key(fingerprint, None)
-            spec = JobSpec(op="brute", kind=kind, index=self._index_ref(key),
-                           payloads=payload[None, :])
-            fut = self._spawn(spec)
-            out: Future = Future()
-
-            def deliver(done: Future) -> None:
-                exc = done.exception()
-                if exc is not None:
-                    self.stats.record_failed()
-                    _reject(out, exc)
-                    return
-                wr: WorkerResult = done.result()
-                self.stats.record_fallback()
-                self.stats.record_batch(f"brute:{kind}", 1, wr.steps,
-                                        wr.primitives,
-                                        time.monotonic() - started)
-                _resolve(out, wr.values[0])
-
-            fut.add_done_callback(deliver)
-            return out
-
-        def job(machine):
-            lines = self.registry.dataset(fingerprint)
-            if kind == "window":
-                res = brute_window_query(lines, payload)
-            elif kind == "point":
-                res = brute_point_query(lines, float(payload[0]),
-                                        float(payload[1]))
-            else:
-                res = brute_nearest(lines, float(payload[0]),
-                                    float(payload[1]))
-            self.stats.record_fallback()
-            self.stats.record_batch(f"brute:{kind}", 1, machine.steps,
-                                    machine.total_primitives,
-                                    time.monotonic() - started)
-            return res
-
-        return self._spawn(job)
-
-    def _spawn(self, job) -> Future:
-        """Submit one executor job, converting a rejection into a future."""
-        try:
-            return self._submit_job_with_retry(job)
-        except RejectedError as exc:
-            self.stats.record_rejected(exc.reason)
-            fut: Future = Future()
-            fut.set_exception(exc)
-            return fut
+        probe = Probe(payload)
+        ref = self._index_ref(self._index_key(fingerprint, None))
+        self._run_group(JobSpec(op="brute", kind=kind, index=ref,
+                                payloads=payload[None, :]), [probe])
+        return probe.future
 
     def _submit_job_with_retry(self, job) -> Future:
         """Executor submit with backoff on transient ``queue_full``.
@@ -1097,23 +1005,115 @@ class SpatialQueryEngine:
             self.stats.record_cancel(future.cancel())
             raise
 
-    def _batch_fn(self, structure: str, kind: str, exact: bool):
-        # one shared kernel table for both backends (worker.py)
-        return batch_kernel(structure, kind, exact)
+    # -- the job pipeline --------------------------------------------------
 
-    def _brute_batch(self, kind: str, lines: np.ndarray,
-                     payloads: np.ndarray) -> List[object]:
-        """Brute-force answers for a whole batch (degraded dispatch)."""
-        if kind == "window":
-            return [brute_window_query(lines, r) for r in payloads]
-        if kind == "point":
-            return [brute_point_query(lines, float(p[0]), float(p[1]))
-                    for p in payloads]
-        return [brute_nearest(lines, float(p[0]), float(p[1]))
-                for p in payloads]
+    def _bind(self, spec: JobSpec, held=None):
+        """The single spec -> executor-work binding (DESIGN.md section 7).
+
+        Thread backend: the shared interpreter over the parent's
+        registry (``held`` short-circuits refs the caller already
+        resolved).  Process backend: the spec itself crosses; the worker
+        resolves its index without the parent registry, so the
+        ``registry.get`` fault site a thread batch arrives at inside
+        ``registry.get`` is fired here for chaos parity.
+        """
+        if not self._is_process:
+            return partial(interpret, RegistryResolver(self.registry, held),
+                           spec, injector=self.faults)
+        if self.faults is not None and spec.op == "batch":
+            self.faults.fire("registry.get",
+                             fingerprint=spec.index.fingerprint,
+                             structure=spec.index.structure)
+        return spec
+
+    def _run_group(self, spec: JobSpec, probes: List[Probe],
+                   started: Optional[float] = None) -> None:
+        """The one group pipeline: submit -> settle, on either backend.
+
+        Submit with retry; a rejection is counted and rejects every
+        probe (it never feeds a breaker).  A failed job goes to
+        :meth:`_group_failed`; a finished one feeds the breaker(s),
+        records its batch row and resolves each probe exactly once.
+        A ``brute`` spec (or ``join`` with ``brute=True``) is the
+        degraded service: it leaves the breakers alone and counts as a
+        fallback.
+        """
+        if started is None:
+            started = min(p.submitted_at for p in probes)
+        try:
+            fut = self._submit_job_with_retry(self._bind(spec))
+        except RejectedError as exc:
+            self.stats.record_rejected(exc.reason, len(probes))
+            for p in probes:
+                _reject(p.future, RejectedError(str(exc), reason=exc.reason))
+            return
+        except InjectedFault as exc:   # the binding's registry.get site
+            self._group_failed(exc, spec, probes, started)
+            return
+        fut.add_done_callback(
+            lambda done: self._group_done(done, spec, probes, started))
+
+    def _group_done(self, done: Future, spec: JobSpec, probes: List[Probe],
+                    started: float) -> None:
+        exc = done.exception()
+        if exc is not None:
+            self._group_failed(exc, spec, probes, started)
+            return
+        res: WorkerResult = done.result()
+        degraded = spec.degraded
+        if degraded:
+            self.stats.record_fallback(len(probes))
+        elif spec.op != "join":
+            self.breakers.record_success(spec.index.fingerprint)
+        served_by = "brute" if degraded else spec.refs[0].structure
+        kind = "join" if spec.op == "join" else spec.kind
+        self.stats.record_batch(f"{served_by}:{kind}", len(probes), res.steps,
+                                res.primitives, time.monotonic() - started)
+        if spec.op != "join":
+            for p, val in zip(probes, res.values):
+                _resolve(p.future, val)
+            return
+        # per-pair outcomes: one bad pair fails (and feeds the breakers
+        # of) only its own probe
+        for p, (status, val) in zip(probes, res.values):
+            if not degraded:
+                feed = (self.breakers.record_success if status == "ok"
+                        else self.breakers.record_failure)
+                for fp in p.payload:
+                    feed(fp)
+            if status == "ok":
+                _resolve(p.future, val)
+            else:
+                self.stats.record_failed()
+                _reject(p.future, val)
+
+    def _group_failed(self, exc: BaseException, spec: JobSpec,
+                      probes: List[Probe], started: float) -> None:
+        """A whole group failed: breaker(s), then brute re-issue or reject.
+
+        The failure (index resolve, kernel, crash retries exhausted,
+        injected fault) counts against every fingerprint of the group;
+        with ``brute_fallback`` and a breaker now OPEN the *same* group
+        is re-issued once as a degraded spec.  Backpressure
+        (:class:`RejectedError`) and failures of an already degraded
+        spec feed no breaker and are not re-issued.
+        """
+        if not (spec.degraded or isinstance(exc, RejectedError)):
+            keys = [ref.fingerprint for ref in spec.refs]
+            for fp in keys:
+                self.breakers.record_failure(fp)
+            if self.config.brute_fallback \
+                    and any(self.breakers.state(fp) == OPEN for fp in keys):
+                self._run_group(replace(spec, brute=True) if spec.op == "join"
+                                else replace(spec, op="brute"),
+                                probes, started)
+                return
+        self.stats.record_failed(len(probes))
+        for p in probes:
+            _reject(p.future, exc)
 
     def _dispatch(self, group_key, probes: List[Probe]) -> None:
-        """Flush callback: run one group as a single vectorized pass."""
+        """Flush callback: turn one coalesced group into its job(s)."""
         if group_key[0] == "join":
             self._dispatch_join(group_key[1], probes)
             return
@@ -1133,64 +1133,15 @@ class SpatialQueryEngine:
         if int(dict(index_key.params).get("shards", 1)) > 1:
             self._dispatch_sharded(index_key, kind, exact, probes)
             return
-        if self._is_process:
-            self._dispatch_process(index_key, kind, exact, probes)
-            return
-        batch_fn = self._batch_fn(index_key.structure, kind, exact)
-        started = min(p.submitted_at for p in probes)
-        fingerprint = index_key.fingerprint
-
-        def job(machine):
-            payloads = np.stack([p.payload for p in probes])
-            try:
-                entry = self.registry.get(index_key.fingerprint,
-                                          index_key.structure,
-                                          **dict(index_key.params))
-            except Exception:
-                self.breakers.record_failure(fingerprint)
-                if self.config.brute_fallback \
-                        and self.breakers.state(fingerprint) == OPEN:
-                    # the failure tripped (or kept) the breaker open:
-                    # serve the batch from the raw segments instead
-                    lines = self.registry.dataset(fingerprint)
-                    results = self._brute_batch(kind, lines, payloads)
-                    self.stats.record_fallback(len(probes))
-                    self.stats.record_batch(
-                        f"brute:{kind}", len(probes), machine.steps,
-                        machine.total_primitives, time.monotonic() - started)
-                    return results
-                raise
-            try:
-                results = batch_fn(entry.tree, payloads, machine)
-            except Exception:
-                self.breakers.record_failure(fingerprint)
-                raise
-            self.breakers.record_success(fingerprint)
-            self.stats.record_batch(
-                f"{index_key.structure}:{kind}", len(probes), machine.steps,
-                machine.total_primitives, time.monotonic() - started)
-            return results
-
-        try:
-            fut = self._submit_job_with_retry(job)
-        except RejectedError as exc:
-            self.stats.record_rejected(exc.reason, len(probes))
-            for p in probes:
-                _reject(p.future, RejectedError(str(exc), reason=exc.reason))
-            return
-
-        def deliver(done: Future) -> None:
-            exc = done.exception()
-            if exc is not None:
-                self.stats.record_failed(len(probes))
-                for p in probes:
-                    _reject(p.future, exc)
-                return
-            results = done.result()
-            for p, res in zip(probes, results):
-                _resolve(p.future, res)
-
-        fut.add_done_callback(deliver)
+        # np.array, not np.stack: one C pass over the equal-shape rows;
+        # this runs on the submitting thread, where stack's per-row
+        # Python overhead (4x) would stretch the wave past max_wait
+        self._run_group(
+            JobSpec(op="batch", kind=kind, index=self._index_ref(index_key),
+                    payloads=np.array([p.payload for p in probes]),
+                    exact=exact,
+                    version=self.registry.version_of(index_key.fingerprint)),
+            probes)
 
     def _index_ref(self, key: IndexKey) -> IndexRef:
         """The picklable stand-in a worker materialises the index from."""
@@ -1212,15 +1163,9 @@ class SpatialQueryEngine:
         arena = self._arena
         if arena is None:
             return ()
-        refs: List[IndexRef] = []
-        if spec.index is not None:
-            refs.append(spec.index)
-        for ref_a, ref_b in spec.pairs:
-            refs.append(ref_a)
-            refs.append(ref_b)
         handles: List[object] = []
         seen: set = set()
-        for ref in refs:
+        for ref in spec.refs:
             handle = self._dataset_handle(ref)
             if handle is not None and handle.tag not in seen:
                 seen.add(handle.tag)
@@ -1276,6 +1221,19 @@ class SpatialQueryEngine:
         arena.publish_payload(tag, arrays,
                               meta={"fingerprint": key.fingerprint})
 
+    def _share_index(self, key: IndexKey, entry) -> None:
+        """Feed a built index to both worker warm tiers, best effort:
+        the store (durable bytes) and the arena (zero-copy pages)."""
+        if self.store is not None and not self.store.contains(key):
+            try:
+                self.store.put(key, entry.tree,
+                               build_steps=entry.build_steps,
+                               build_primitives=entry.build_primitives,
+                               num_lines=entry.num_lines)
+            except (OSError, InjectedFault):
+                pass   # disk full: the arena may still carry it
+        self._publish_index(key, entry.tree)
+
     def _worker_visible(self, key: IndexKey) -> bool:
         """Can a pool worker warm-load this exact index (arena or store)?"""
         if self._arena is not None \
@@ -1287,9 +1245,9 @@ class SpatialQueryEngine:
     def _share_commit(self, key: IndexKey, entry) -> object:
         """Make a freshly committed index worker-visible (process backend).
 
-        Feeds both warm tiers -- the store (durable bytes, best effort)
-        and the arena (zero-copy pages) -- so workers adopt the parent's
-        build instead of each paying a rebuild.  For an incrementally
+        Feeds both warm tiers (:meth:`_share_index`) so workers adopt
+        the parent's build instead of each paying a rebuild.  For an
+        incrementally
         *repaired* entry visibility is a correctness requirement, not a
         nicety: a worker that cannot load the repaired payload would
         rebuild canonically and disagree with the parent's shard plan.
@@ -1297,116 +1255,13 @@ class SpatialQueryEngine:
         and rebuilt canonically here (raising like any failed warm
         build).  Returns the entry that will serve reads.
         """
-        if self.store is not None and not self.store.contains(key):
-            try:
-                self.store.put(key, entry.tree,
-                               build_steps=entry.build_steps,
-                               build_primitives=entry.build_primitives,
-                               num_lines=entry.num_lines)
-            except (OSError, InjectedFault):
-                pass   # disk full: the arena may still carry it
-        self._publish_index(key, entry.tree)
+        self._share_index(key, entry)
         if entry.repaired_from is None or self._worker_visible(key):
             return entry
         self.registry.discard(key)
         self.registry.drop_repair_hint(key.fingerprint)
         return self.registry.get(key.fingerprint, key.structure,
                                  **dict(key.params))
-
-    def _dispatch_process(self, index_key: IndexKey, kind: str, exact: bool,
-                          probes: List[Probe]) -> None:
-        """One coalesced group as one :class:`JobSpec` to the pool.
-
-        Index materialisation happens in the worker, so breaker and
-        stats accounting move to the delivery callback; the
-        ``registry.get`` fault site is evaluated here for chaos parity
-        with the thread path (the worker bypasses the parent registry).
-        """
-        started = min(p.submitted_at for p in probes)
-        fingerprint = index_key.fingerprint
-        payloads = np.stack([p.payload for p in probes])
-        if self.faults is not None:
-            try:
-                self.faults.fire("registry.get", fingerprint=fingerprint,
-                                 structure=index_key.structure)
-            except Exception as exc:
-                self._process_batch_failed(exc, index_key, kind, probes,
-                                           payloads, started)
-                return
-        spec = JobSpec(op="batch", kind=kind,
-                       index=self._index_ref(index_key),
-                       payloads=payloads, exact=exact,
-                       version=self.registry.version_of(fingerprint))
-        try:
-            fut = self._submit_job_with_retry(spec)
-        except RejectedError as exc:
-            self.stats.record_rejected(exc.reason, len(probes))
-            for p in probes:
-                _reject(p.future, RejectedError(str(exc), reason=exc.reason))
-            return
-
-        def deliver(done: Future) -> None:
-            exc = done.exception()
-            if exc is not None:
-                self._process_batch_failed(exc, index_key, kind, probes,
-                                           payloads, started)
-                return
-            wr: WorkerResult = done.result()
-            self.breakers.record_success(fingerprint)
-            self.stats.record_batch(
-                f"{index_key.structure}:{kind}", len(probes), wr.steps,
-                wr.primitives, time.monotonic() - started)
-            for p, res in zip(probes, wr.values):
-                _resolve(p.future, res)
-
-        fut.add_done_callback(deliver)
-
-    def _process_batch_failed(self, exc: BaseException, index_key: IndexKey,
-                              kind: str, probes: List[Probe],
-                              payloads: np.ndarray, started: float) -> None:
-        """Failure path of a process batch: breaker, then brute or reject.
-
-        Mirrors the thread job's except-clause: the failure feeds the
-        fingerprint's breaker, and with ``brute_fallback`` an OPEN
-        breaker re-serves the whole group as a degraded brute spec
-        (the dataset ships to the worker if it must).
-        """
-        fingerprint = index_key.fingerprint
-        self.breakers.record_failure(fingerprint)
-        if self.config.brute_fallback \
-                and self.breakers.state(fingerprint) == OPEN:
-            spec = JobSpec(op="brute", kind=kind,
-                           index=self._index_ref(index_key),
-                           payloads=payloads)
-            try:
-                fut = self._submit_job_with_retry(spec)
-            except RejectedError as rej:
-                self.stats.record_rejected(rej.reason, len(probes))
-                for p in probes:
-                    _reject(p.future, RejectedError(str(rej),
-                                                    reason=rej.reason))
-                return
-
-            def deliver(done: Future) -> None:
-                brute_exc = done.exception()
-                if brute_exc is not None:
-                    self.stats.record_failed(len(probes))
-                    for p in probes:
-                        _reject(p.future, brute_exc)
-                    return
-                wr: WorkerResult = done.result()
-                self.stats.record_fallback(len(probes))
-                self.stats.record_batch(f"brute:{kind}", len(probes),
-                                        wr.steps, wr.primitives,
-                                        time.monotonic() - started)
-                for p, res in zip(probes, wr.values):
-                    _resolve(p.future, res)
-
-            fut.add_done_callback(deliver)
-            return
-        self.stats.record_failed(len(probes))
-        for p in probes:
-            _reject(p.future, exc)
 
     # -- mutations -------------------------------------------------------
 
@@ -1620,130 +1475,24 @@ class SpatialQueryEngine:
 
     # -- joins -----------------------------------------------------------
 
-    def _dispatch_join(self, structure: str, probes: List[Probe]) -> None:
-        """Flush one coalesced join group as a single executor job."""
-        started = min(p.submitted_at for p in probes)
-        name = f"{structure}:join"
-        if self._is_process:
-            live: List[Probe] = []
-            pairs: List[Tuple[IndexRef, IndexRef]] = []
-            for p in probes:
-                fp_a, fp_b = p.payload
-                try:
-                    pairs.append(
-                        (self._index_ref(self._index_key(fp_a, structure)),
-                         self._index_ref(self._index_key(fp_b, structure))))
-                except KeyError as exc:   # unknown fingerprint
-                    self.stats.record_failed()
-                    _reject(p.future, exc)
-                    continue
-                live.append(p)
-            if live:
-                self._deliver_join_spec(JobSpec(op="join",
-                                                pairs=tuple(pairs)),
-                                        live, started, name)
-            return
-
-        keys = [(self._index_key(a, structure), self._index_key(b, structure))
-                for a, b in (p.payload for p in probes)]
-
-        def job(machine):
-            out = []
-            for key_a, key_b in keys:
-                try:
-                    ta = self.registry.get(key_a.fingerprint,
-                                           key_a.structure,
-                                           **dict(key_a.params)).tree
-                    tb = self.registry.get(key_b.fingerprint,
-                                           key_b.structure,
-                                           **dict(key_b.params)).tree
-                    if isinstance(ta, ShardedIndex) \
-                            or isinstance(tb, ShardedIndex):
-                        res = sharded_join(ta, tb)
-                    else:
-                        join = (rtree_join if _FAMILY[structure] == "rtree"
-                                else quadtree_join)
-                        res = join(ta, tb)
-                except Exception as exc:  # noqa: BLE001 - per-pair outcome
-                    out.append(("err", exc))
-                else:
-                    out.append(("ok", res))
-            self.stats.record_batch(name, len(out), machine.steps,
-                                    machine.total_primitives,
-                                    time.monotonic() - started)
-            return out
-
-        try:
-            fut = self._submit_job_with_retry(job)
-        except RejectedError as exc:
-            self.stats.record_rejected(exc.reason, len(probes))
-            for p in probes:
-                _reject(p.future, RejectedError(str(exc), reason=exc.reason))
-            return
-
-        def deliver(done: Future) -> None:
-            exc = done.exception()
-            if exc is not None:
-                self._fail_join_group(exc, probes)
-                return
-            self._settle_join_outcomes(done.result(), probes)
-
-        fut.add_done_callback(deliver)
-
-    def _deliver_join_spec(self, spec: JobSpec, probes: List[Probe],
-                           started: float, name: str,
-                           brute: bool = False) -> Future:
-        """Submit a join :class:`JobSpec` and wire per-pair delivery."""
-        try:
-            fut = self._submit_job_with_retry(spec)
-        except RejectedError as exc:
-            self.stats.record_rejected(exc.reason, len(probes))
-            for p in probes:
-                _reject(p.future, RejectedError(str(exc), reason=exc.reason))
-            return probes[0].future
-
-        def deliver(done: Future) -> None:
-            exc = done.exception()
-            if exc is not None:
-                self._fail_join_group(exc, probes, brute=brute)
-                return
-            wr: WorkerResult = done.result()
-            self.stats.record_batch("brute:join" if brute else name,
-                                    len(probes), wr.steps, wr.primitives,
-                                    time.monotonic() - started)
-            if brute:
-                self.stats.record_fallback(len(probes))
-            self._settle_join_outcomes(wr.values, probes, brute=brute)
-
-        fut.add_done_callback(deliver)
-        return probes[0].future
-
-    def _fail_join_group(self, exc: BaseException, probes: List[Probe],
-                         brute: bool = False) -> None:
-        if not (brute or isinstance(exc, RejectedError)):
-            # a whole-job failure (crash retries exhausted, injected
-            # fault) counts against every pair's fingerprints
-            for p in probes:
-                for fp in p.payload:
-                    self.breakers.record_failure(fp)
-        self.stats.record_failed(len(probes))
+    def _dispatch_join(self, structure: str, probes: List[Probe],
+                       brute: bool = False) -> None:
+        """Flush one coalesced join group as a single ``join`` job."""
+        live: List[Probe] = []
+        pairs: List[Tuple[IndexRef, IndexRef]] = []
         for p in probes:
-            _reject(p.future, exc)
-
-    def _settle_join_outcomes(self, outcomes, probes: List[Probe],
-                              brute: bool = False) -> None:
-        for p, (status, val) in zip(probes, outcomes):
-            if status == "ok":
-                if not brute:
-                    for fp in p.payload:
-                        self.breakers.record_success(fp)
-                _resolve(p.future, val)
-            else:
-                if not brute:
-                    for fp in p.payload:
-                        self.breakers.record_failure(fp)
+            try:
+                pairs.append(tuple(
+                    self._index_ref(self._index_key(fp, structure))
+                    for fp in p.payload))
+            except KeyError as exc:   # dataset forgotten since submit
                 self.stats.record_failed()
-                _reject(p.future, val)
+                _reject(p.future, exc)
+                continue
+            live.append(p)
+        if live:
+            self._run_group(JobSpec(op="join", pairs=tuple(pairs),
+                                    brute=brute), live)
 
     def _dispatch_sharded(self, index_key: IndexKey, kind: str, exact: bool,
                           probes: List[Probe]) -> None:
@@ -1767,23 +1516,20 @@ class SpatialQueryEngine:
         """
         started = min(p.submitted_at for p in probes)
         name = f"{index_key.structure}:{kind}"
-        fingerprint = index_key.fingerprint
+        payloads = np.stack([p.payload for p in probes])
+        # the template every shard job of this fan-out is cut from
+        spec = JobSpec(op="shard", kind=kind,
+                       index=self._index_ref(index_key), payloads=payloads,
+                       exact=exact,
+                       version=self.registry.version_of(index_key.fingerprint))
         try:
             entry = self.registry.get(index_key.fingerprint,
                                       index_key.structure,
                                       **dict(index_key.params))
         except Exception as exc:  # unknown structure, build failure, ...
-            self.breakers.record_failure(fingerprint)
-            if self.config.brute_fallback \
-                    and self.breakers.state(fingerprint) == OPEN:
-                self._dispatch_brute_group(kind, fingerprint, probes, started)
-                return
-            self.stats.record_failed(len(probes))
-            for p in probes:
-                _reject(p.future, exc)
+            self._group_failed(exc, spec, probes, started)
             return
         sharded: ShardedIndex = entry.tree
-        payloads = np.stack([p.payload for p in probes])
 
         if sharded.num_shards == 0:
             # empty dataset: empty id sets, or the scalar nearest error
@@ -1801,52 +1547,14 @@ class SpatialQueryEngine:
             return
 
         deadlines = [p.deadline_at for p in probes if p.deadline_at is not None]
-        merge = _ShardedMerge(self, sharded, kind, exact, probes, payloads,
-                              started, name, fingerprint,
-                              deadline=min(deadlines) if deadlines else None,
-                              index_ref=(self._index_ref(index_key)
-                                         if self._is_process else None),
-                              version=self.registry.version_of(fingerprint))
+        merge = _ShardedMerge(self, sharded, spec, probes, started, name,
+                              deadline=min(deadlines) if deadlines else None)
         if kind == "nearest":
             merge.start_nearest()
         else:
             mask = (sharded.plan_windows(payloads) if kind == "window"
                     else sharded.plan_points(payloads))
             merge.start_ids(mask)
-
-    def _dispatch_brute_group(self, kind: str, fingerprint: str,
-                              probes: List[Probe], started: float) -> None:
-        """Serve a whole coalesced group brute-force (breaker open)."""
-        def job(machine):
-            lines = self.registry.dataset(fingerprint)
-            payloads = np.stack([p.payload for p in probes])
-            results = self._brute_batch(kind, lines, payloads)
-            self.stats.record_fallback(len(probes))
-            self.stats.record_batch(f"brute:{kind}", len(probes),
-                                    machine.steps, machine.total_primitives,
-                                    time.monotonic() - started)
-            return results
-
-        try:
-            fut = self._submit_job_with_retry(job)
-        except RejectedError as exc:
-            self.stats.record_rejected(exc.reason, len(probes))
-            for p in probes:
-                _reject(p.future, RejectedError(str(exc), reason=exc.reason))
-            return
-
-        def deliver(done: Future) -> None:
-            exc = done.exception()
-            if exc is not None:
-                self.stats.record_failed(len(probes))
-                for p in probes:
-                    _reject(p.future, exc)
-                return
-            for p, res in zip(probes, done.result()):
-                _resolve(p.future, res)
-
-        fut.add_done_callback(deliver)
-
 
 class _ShardedMerge:
     """Merge state for one sharded fan-out batch.
@@ -1866,23 +1574,20 @@ class _ShardedMerge:
     """
 
     def __init__(self, engine: SpatialQueryEngine, sharded: ShardedIndex,
-                 kind: str, exact: bool, probes: List[Probe],
-                 payloads: np.ndarray, started: float, name: str,
-                 fingerprint: str,
-                 deadline: Optional[float] = None,
-                 index_ref: Optional[IndexRef] = None,
-                 version: int = -1) -> None:
+                 spec: JobSpec, probes: List[Probe], started: float,
+                 name: str, deadline: Optional[float] = None) -> None:
         self.engine = engine
         self.sharded = sharded
-        self.index_ref = index_ref    # set iff the backend is a process pool
-        self.kind = kind
-        self.exact = exact
+        self.spec = spec      # template: whole-group payloads, no shard yet
+        # the planner already resolved the index: shard jobs on the
+        # thread backend query it without a second registry lookup
+        self.held = {spec.index: sharded}
+        self.kind = spec.kind
         self.probes = probes
-        self.payloads = payloads
+        self.payloads = spec.payloads
         self.started = started
         self.name = name
-        self.fingerprint = fingerprint
-        self.version = version
+        self.fingerprint = spec.index.fingerprint
         self.lock = threading.Lock()
         self.failed = False
         self.done = False
@@ -1963,14 +1668,9 @@ class _ShardedMerge:
         with self.lock:
             self.remaining += len(jobs)   # count before any job can finish
         for k, sel in jobs:
-            if self.index_ref is not None:
-                work = JobSpec(op="shard", kind=self.kind,
-                               index=self.index_ref,
-                               payloads=self.payloads[sel],
-                               exact=self.exact, shard=k,
-                               version=self.version)
-            else:
-                work = self._make_job(k, sel)
+            work = self.engine._bind(
+                replace(self.spec, payloads=self.payloads[sel], shard=k),
+                self.held)
             t0 = time.monotonic()
             try:
                 fut = self.engine._submit_job_with_retry(work)
@@ -1979,40 +1679,23 @@ class _ShardedMerge:
                                                   len(self.probes))
                 self._fail(RejectedError(str(exc), reason=exc.reason))
                 return
-            # the probe selection rides in the callback, not the result,
-            # so both backends deliver through the same path; the shard
-            # id and submit time feed the per-shard service EWMAs the
-            # balance watchdog reads
+            # the probe selection rides in the callback, not the result;
+            # the shard id and submit time feed the per-shard service
+            # EWMAs the balance watchdog reads
             fut.add_done_callback(
                 lambda done, s=sel, k=k, t0=t0: self._deliver(done, s, k, t0))
 
-    def _make_job(self, k: int, sel: np.ndarray):
-        def job(machine):
-            if self.engine.faults is not None:
-                self.engine.faults.fire("shard.query", shard=k,
-                                        kind=self.kind)
-            results = self.sharded.query_shard_batch(
-                k, self.kind, self.payloads[sel], exact=self.exact,
-                machine=machine, flat=self.kind != "nearest")
-            return results, machine.steps, machine.total_primitives
-        return job
-
-    def _deliver(self, done: Future, sel: np.ndarray,
-                 shard: Optional[int] = None,
-                 submitted: Optional[float] = None) -> None:
+    def _deliver(self, done: Future, sel: np.ndarray, shard: int,
+                 submitted: float) -> None:
         exc = done.exception()
         if exc is not None:
             self._fail(exc)
             return
-        if shard is not None and submitted is not None:
-            # queue + kernel time, what a probe actually waits on
-            self.engine.stats.record_shard_service(
-                self.fingerprint, shard, time.monotonic() - submitted)
-        res = done.result()
-        if isinstance(res, WorkerResult):
-            results, steps, primitives = res.values, res.steps, res.primitives
-        else:
-            results, steps, primitives = res
+        # queue + kernel time, what a probe actually waits on
+        self.engine.stats.record_shard_service(
+            self.fingerprint, shard, time.monotonic() - submitted)
+        res: WorkerResult = done.result()
+        results = res.values
         with self.lock:
             if self.failed or self.done:
                 return   # the batch already failed or went partial
@@ -2028,8 +1711,8 @@ class _ShardedMerge:
             else:
                 gids, counts = results
                 self.chunks.append((sel, gids, counts))
-            self.steps += steps
-            self.primitives += primitives
+            self.steps += res.steps
+            self.primitives += res.primitives
             self.completed_jobs += 1
             self.remaining -= 1
             last = self.remaining == 0

@@ -8,13 +8,19 @@ bounded queue (thread) or the in-flight window (process) is full,
 reason, so overload surfaces as explicit rejections instead of
 unbounded memory growth and collapsing latency.
 
-:class:`BoundedExecutor` (``kind="thread"``) runs job *callables* in
-threads sharing the parent's indexes.  Cheap and zero-copy, but the GIL
-serialises the CPU-bound portions of concurrent batch kernels.
+The engine's unit of work is a :class:`~repro.engine.worker.JobSpec`
+on either backend; both futures yield a
+:class:`~repro.engine.worker.WorkerResult`.
 
-:class:`ProcessBackend` (``kind="process"``) runs picklable
-:class:`~repro.engine.worker.JobSpec`\\ s in a
-``concurrent.futures.ProcessPoolExecutor`` of shared-nothing workers
+:class:`BoundedExecutor` (``kind="thread"``) runs ``fn(machine)``
+callables in threads -- the engine hands it a spec bound to the shared
+interpreter over the parent's registry
+(:func:`~repro.engine.worker.interpret`).  Cheap and zero-copy, but
+the GIL serialises the CPU-bound portions of concurrent batch kernels.
+
+:class:`ProcessBackend` (``kind="process"``) ships the picklable spec
+itself to a ``concurrent.futures.ProcessPoolExecutor`` of
+shared-nothing workers running the same interpreter
 (see :mod:`repro.engine.worker` for how workers materialise indexes).
 On top of the raw pool it adds what serving needs:
 
@@ -131,8 +137,9 @@ def _nbytes(obj) -> int:
 class ExecutorBackend:
     """The surface the engine needs from an executor backend.
 
-    ``submit`` takes a job callable (thread backend) or a
-    :class:`~repro.engine.worker.JobSpec` (process backend) and returns
+    ``submit`` takes what ``SpatialQueryEngine._bind`` made of a
+    :class:`~repro.engine.worker.JobSpec` -- a ``fn(machine)`` callable
+    (thread backend) or the spec itself (process backend) -- and returns
     a future; ``queue_depth`` gauges waiting work; ``shutdown`` drains.
     """
 

@@ -1,4 +1,19 @@
-"""Process-pool worker: shared-nothing index serving over picklable jobs.
+"""The job vocabulary: :class:`JobSpec`, its interpreter, and the pool worker.
+
+A :class:`JobSpec` is the **only** unit of work the engine hands an
+executor, and :data:`_OPS` the only place a kernel is chosen.  Five ops
+(``batch``, ``shard``, ``join``, ``brute``, ``warm``) are interpreted by
+:func:`interpret` against a two-method *resolver* -- ``tree(ref)`` and
+``lines(ref)`` -- so the backends differ only in how a job reaches its
+index:
+
+* thread backend: :class:`RegistryResolver` over the parent's registry
+  (the engine binds a spec to :func:`interpret` directly);
+* process backend: the worker's :class:`_WorkerState`
+  (:func:`run_job` is what crosses into the pool).
+
+Both yield a :class:`WorkerResult` (``values``, ``steps``,
+``primitives``), so the engine settles and accounts a job once.
 
 The process backend never ships a built tree across the process
 boundary.  A job crosses as a :class:`JobSpec` -- fingerprint-addressed
@@ -27,7 +42,12 @@ Builds are pure functions of ``(dataset, structure, params)`` (the
 registry invariant), so a worker-built tree is bit-identical to the
 parent's and results cannot depend on which path materialised it.
 
-Fault-site parity: the parent evaluates ``error``/``crash``/``corrupt``
+Fault sites: ``executor.job`` is fired by whoever runs the job (the
+thread pool's worker loop; for the process backend the parent at
+submit time plus :func:`run_job`), ``shard.query`` by :func:`interpret`
+for ``shard`` specs, ``registry.get`` inside the registry (thread) or by
+the engine's binding (process parity).  The process backend splits
+each site by kind: the parent evaluates ``error``/``crash``/``corrupt``
 specs at submit time (one global, deterministic schedule regardless of
 which worker runs the job); ``latency``/``stall`` specs are evaluated
 here, inside the worker, so a stalled shard delays only itself.  A spec
@@ -44,7 +64,7 @@ must pickle.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -70,7 +90,7 @@ from ..structures.sharded import ShardedIndex, sharded_join
 from .registry import IndexRegistry
 
 __all__ = ["FAMILY", "IndexRef", "JobSpec", "WorkerResult", "NeedDataset",
-           "batch_kernel", "run_job"]
+           "RegistryResolver", "batch_kernel", "interpret", "run_job"]
 
 #: structure name -> tree family used to pick the batch kernels
 FAMILY = {"pmr": "quadtree", "pm1": "quadtree", "rtree": "rtree"}
@@ -86,11 +106,7 @@ def _degenerate_rects(points) -> np.ndarray:
 
 
 def batch_kernel(structure: str, kind: str, exact: bool):
-    """The vectorized batch kernel for one (structure, kind) pair.
-
-    Shared by the thread engine and the process workers so both
-    backends run literally the same code path per batch.
-    """
+    """The vectorized batch kernel for one (structure, kind) pair."""
     family = FAMILY[structure]
     if kind == "window":
         if family == "quadtree":
@@ -134,7 +150,7 @@ class IndexRef:
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One unit of work crossing the process boundary.
+    """One unit of work: what the engine submits, on either backend.
 
     ``op`` selects the kernel: ``batch`` (one vectorized pass),
     ``shard`` (one per-shard sub-batch of a fan-out), ``join`` (a batch
@@ -164,6 +180,17 @@ class JobSpec:
     #: at -- pinned so a worker's accounting and any future
     #: version-aware materialisation can name the snapshot it served
     version: int = -1
+
+    @property
+    def refs(self) -> Tuple[IndexRef, ...]:
+        """Every index the job names: ``index``, then the join pairs."""
+        own = () if self.index is None else (self.index,)
+        return own + tuple(ref for pair in self.pairs for ref in pair)
+
+    @property
+    def degraded(self) -> bool:
+        """Answered from the raw segments, no index (brute scan/join)."""
+        return self.op == "brute" or self.brute
 
 
 @dataclass(frozen=True)
@@ -211,7 +238,8 @@ class NeedDataset(Exception):
 
 @dataclass
 class _WorkerState:
-    """Per-process caches and counters (module-global, one per worker)."""
+    """Per-process caches and counters (module-global, one per worker);
+    the worker-side resolver of :func:`interpret`."""
 
     store: Optional[IndexStore]
     injector: Optional[FaultInjector]
@@ -228,6 +256,66 @@ class _WorkerState:
     jobs: int = 0
     job_warm: int = 0
     job_cold: int = 0
+
+    def tree(self, ref: IndexRef):
+        """Cache -> shm payload -> read-only store -> rebuild, in that order."""
+        key_id = store_key_id(ref)
+        tree = self.trees.get(key_id)
+        if tree is not None:
+            return tree
+        handle = self.payload_handles.get(key_id)
+        if handle is not None:
+            tree = _attach_tree(self, key_id, handle)
+        if tree is None and self.store is not None:
+            probe = self.store.get(ref)
+            if probe is not None:
+                tree = probe[0]
+        if tree is not None:
+            self.job_warm += 1
+        else:
+            lines, domain = self._snapshot(ref)
+            builder = IndexRegistry.BUILDERS[ref.structure]
+            tree = builder(lines, domain, **dict(ref.params))
+            self.job_cold += 1
+        self.trees[key_id] = tree
+        return tree
+
+    def lines(self, ref: IndexRef) -> np.ndarray:
+        return self._snapshot(ref)[0]
+
+    def _snapshot(self, ref: IndexRef) -> Tuple[np.ndarray, int]:
+        snap = self.datasets.get(ref.fingerprint)
+        if snap is None:
+            raise NeedDataset((ref.fingerprint,))
+        return snap
+
+
+class RegistryResolver:
+    """The parent-side resolver: the thread backend's view of an index.
+
+    Trees come through ``registry.get`` -- memory cache, arena and store
+    tiers, build on a miss, and the ``registry.get`` fault site all
+    apply per lookup -- and raw segments through ``registry.dataset``.
+    ``held`` maps refs the caller has already resolved to their trees:
+    the sharded planner holds the :class:`ShardedIndex` its shard jobs
+    query, and a second lookup per shard job would be a second
+    fault-site arrival and a second cache hit.
+    """
+
+    def __init__(self, registry: IndexRegistry,
+                 held: Optional[Dict[IndexRef, object]] = None):
+        self.registry = registry
+        self.held = held or {}
+
+    def tree(self, ref: IndexRef):
+        tree = self.held.get(ref)
+        if tree is None:
+            tree = self.registry.get(ref.fingerprint, ref.structure,
+                                     **dict(ref.params)).tree
+        return tree
+
+    def lines(self, ref: IndexRef) -> np.ndarray:
+        return self.registry.dataset(ref.fingerprint)
 
 
 _STATE: Optional[_WorkerState] = None
@@ -258,7 +346,7 @@ def _register_handle(state: _WorkerState, handle: ShmHandle) -> None:
 
     Dataset arrays are attached eagerly (one mapping per worker, reused
     by every later job); index payloads are only recorded here and
-    mapped on first use in :func:`_materialize`.  Any attach failure --
+    mapped on first use in :meth:`_WorkerState.tree`.  Any attach failure --
     the parent released the block between pickling the spec and the
     worker opening it -- falls through silently to the store / rebuild
     / :class:`NeedDataset` paths, which remain correct without shm.
@@ -299,99 +387,41 @@ def _attach_tree(state: _WorkerState, key_id: str,
     return tree
 
 
-def _materialize(state: _WorkerState, ref: IndexRef):
-    """Cache -> shm payload -> read-only store -> rebuild, in that order."""
-    key_id = store_key_id(ref)
-    tree = state.trees.get(key_id)
-    if tree is not None:
-        return tree
-    handle = state.payload_handles.get(key_id)
-    if handle is not None:
-        tree = _attach_tree(state, key_id, handle)
-        if tree is not None:
-            state.trees[key_id] = tree
-            state.job_warm += 1
-            return tree
-    if state.store is not None:
-        probe = state.store.get(ref)
-        if probe is not None:
-            tree = probe[0]
-            state.trees[key_id] = tree
-            state.job_warm += 1
-            return tree
-    snap = state.datasets.get(ref.fingerprint)
-    if snap is None:
-        raise NeedDataset((ref.fingerprint,))
-    lines, domain = snap
-    builder = IndexRegistry.BUILDERS[ref.structure]
-    tree = builder(lines, domain, **dict(ref.params))
-    state.trees[key_id] = tree
-    state.job_cold += 1
-    return tree
-
-
-def _dataset(state: _WorkerState, ref: IndexRef) -> np.ndarray:
-    snap = state.datasets.get(ref.fingerprint)
-    if snap is None:
-        raise NeedDataset((ref.fingerprint,))
-    return snap[0]
-
-
 def _preflight(state: _WorkerState, spec: JobSpec) -> None:
     """Raise one :class:`NeedDataset` naming *every* missing dataset.
 
     Checked before any kernel runs so a join over N pairs costs at most
-    one ship round trip instead of N.
+    one ship round trip instead of N.  A degraded spec needs the raw
+    segments; any other is also served by a tree the worker can load.
     """
     missing: List[str] = []
-
-    def need_tree(ref: IndexRef) -> None:
-        key_id = store_key_id(ref)
-        if key_id in state.trees:
-            return
-        if key_id in state.payload_handles:
-            return
-        if state.store is not None and state.store.contains(ref):
-            return
-        if ref.fingerprint not in state.datasets \
-                and ref.fingerprint not in missing:
-            missing.append(ref.fingerprint)
-
-    def need_lines(ref: IndexRef) -> None:
-        if ref.fingerprint not in state.datasets \
-                and ref.fingerprint not in missing:
-            missing.append(ref.fingerprint)
-
-    if spec.op in ("batch", "shard", "warm"):
-        need_tree(spec.index)
-    elif spec.op == "brute":
-        need_lines(spec.index)
-    elif spec.op == "join":
-        for ref_a, ref_b in spec.pairs:
-            if spec.brute:
-                need_lines(ref_a)
-                need_lines(ref_b)
-            else:
-                need_tree(ref_a)
-                need_tree(ref_b)
+    for ref in spec.refs:
+        if ref.fingerprint in state.datasets or ref.fingerprint in missing:
+            continue
+        if not spec.degraded:
+            key_id = store_key_id(ref)
+            if key_id in state.trees or key_id in state.payload_handles \
+                    or (state.store is not None and state.store.contains(ref)):
+                continue
+        missing.append(ref.fingerprint)
     if missing:
         raise NeedDataset(missing)
 
 
-def _op_batch(state: _WorkerState, spec: JobSpec, machine: Machine):
-    tree = _materialize(state, spec.index)
+def _op_batch(resolver, spec: JobSpec, machine: Machine):
+    tree = resolver.tree(spec.index)
     fn = batch_kernel(spec.index.structure, spec.kind, spec.exact)
     return fn(tree, spec.payloads, machine)
 
 
-def _op_shard(state: _WorkerState, spec: JobSpec, machine: Machine):
-    sharded: ShardedIndex = _materialize(state, spec.index)
+def _op_shard(resolver, spec: JobSpec, machine: Machine):
+    sharded: ShardedIndex = resolver.tree(spec.index)
     return sharded.query_shard_batch(
         spec.shard, spec.kind, spec.payloads, exact=spec.exact,
         machine=machine, flat=spec.kind != "nearest")
 
 
-def _op_join(state: _WorkerState, spec: JobSpec, machine: Machine):
+def _op_join(resolver, spec: JobSpec, machine: Machine):
     """A batch of joins: per-pair ``("ok", pairs)`` / ``("err", exc)``.
 
     Per-pair outcomes (not one shared exception) so one failing pair
@@ -402,11 +432,11 @@ def _op_join(state: _WorkerState, spec: JobSpec, machine: Machine):
     for ref_a, ref_b in spec.pairs:
         try:
             if spec.brute:
-                pairs = brute_join(_dataset(state, ref_a),
-                                   _dataset(state, ref_b))
+                pairs = brute_join(resolver.lines(ref_a),
+                                   resolver.lines(ref_b))
             else:
-                ta = _materialize(state, ref_a)
-                tb = _materialize(state, ref_b)
+                ta = resolver.tree(ref_a)
+                tb = resolver.tree(ref_b)
                 if isinstance(ta, ShardedIndex) or isinstance(tb, ShardedIndex):
                     pairs = sharded_join(ta, tb)
                 else:
@@ -422,8 +452,8 @@ def _op_join(state: _WorkerState, spec: JobSpec, machine: Machine):
     return out
 
 
-def _op_brute(state: _WorkerState, spec: JobSpec, machine: Machine):
-    lines = _dataset(state, spec.index)
+def _op_brute(resolver, spec: JobSpec, machine: Machine):
+    lines = resolver.lines(spec.index)
     if spec.kind == "window":
         return [brute_window_query(lines, r) for r in spec.payloads]
     if spec.kind == "point":
@@ -433,13 +463,35 @@ def _op_brute(state: _WorkerState, spec: JobSpec, machine: Machine):
             for p in spec.payloads]
 
 
-def _op_warm(state: _WorkerState, spec: JobSpec, machine: Machine):
-    _materialize(state, spec.index)
+def _op_warm(resolver, spec: JobSpec, machine: Machine):
+    resolver.tree(spec.index)
     return None
 
 
+#: the op table: every ``JobSpec.op`` has exactly this one implementation
 _OPS = {"batch": _op_batch, "shard": _op_shard, "join": _op_join,
         "brute": _op_brute, "warm": _op_warm}
+
+
+def interpret(resolver, spec: JobSpec, machine: Machine,
+              injector: Optional[FaultInjector] = None,
+              only_kinds: Optional[Tuple[str, ...]] = None) -> WorkerResult:
+    """Run one spec against a resolver: the interpreter of both backends.
+
+    The caller has installed ``machine`` (:func:`use_machine`) and
+    fired ``executor.job``; the per-shard ``shard.query`` site fires
+    here so both backends arrive at it once per shard job.  The thread
+    backend runs ``partial(interpret, RegistryResolver(...), spec,
+    injector=...)`` as the ``fn(machine)`` of a
+    :class:`~repro.engine.executor.BoundedExecutor`; :func:`run_job`
+    calls it on the worker's state and adds the worker-side accounting.
+    """
+    if injector is not None and spec.op == "shard":
+        injector.fire("shard.query", only_kinds=only_kinds,
+                      shard=spec.shard, kind=spec.kind)
+    values = _OPS[spec.op](resolver, spec, machine)
+    return WorkerResult(values, machine.steps, machine.total_primitives,
+                        os.getpid())
 
 
 def run_job(spec: JobSpec) -> WorkerResult:
@@ -470,15 +522,9 @@ def run_job(spec: JobSpec) -> WorkerResult:
         if state.injector is not None:
             state.injector.fire("executor.job",
                                 only_kinds=WORKER_FAULT_KINDS)
-            if spec.op == "shard":
-                state.injector.fire("shard.query",
-                                    only_kinds=WORKER_FAULT_KINDS,
-                                    shard=spec.shard, kind=spec.kind)
-        values = _OPS[spec.op](state, spec, machine)
-    return WorkerResult(values=values, steps=machine.steps,
-                        primitives=machine.total_primitives,
-                        pid=os.getpid(), faults=tuple(state.fired),
-                        warm_loads=state.job_warm,
-                        cold_builds=state.job_cold,
-                        jobs=state.jobs, cached_trees=len(state.trees),
-                        shm_attached=tuple(state.job_attached))
+        result = interpret(state, spec, machine, state.injector,
+                           WORKER_FAULT_KINDS)
+    return replace(result, faults=tuple(state.fired),
+                   warm_loads=state.job_warm, cold_builds=state.job_cold,
+                   jobs=state.jobs, cached_trees=len(state.trees),
+                   shm_attached=tuple(state.job_attached))

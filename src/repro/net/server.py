@@ -147,13 +147,22 @@ class SpatialServer:
             await self._server.serve_forever()
 
     async def close(self) -> None:
+        """Stop listening and end every connection task.
+
+        Handlers before ``wait_closed()`` (from 3.12 on it waits for
+        every connection to drop), and re-collected until none is left:
+        a connection accepted just before the listener closed registers
+        its task while the first ones are being awaited.
+        """
         if self._server is not None:
             self._server.close()
+        while self._conn_tasks:
+            tasks = list(self._conn_tasks)
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+        if self._server is not None:
             await self._server.wait_closed()
-        for task in list(self._conn_tasks):
-            task.cancel()
-        if self._conn_tasks:
-            await asyncio.gather(*self._conn_tasks, return_exceptions=True)
 
     # -- graceful drain ---------------------------------------------------
 
@@ -214,10 +223,20 @@ class SpatialServer:
 
     # -- connection handling ---------------------------------------------
 
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        conn_task = asyncio.current_task()
-        self._conn_tasks.add(conn_task)
+    def _handle_conn(self, reader: asyncio.StreamReader,
+                     writer: asyncio.StreamWriter) -> None:
+        """``start_server`` callback: one tracked task per connection.
+
+        A plain function, so the task is in ``_conn_tasks`` from the
+        moment the connection exists -- :meth:`close` can never miss a
+        handler that was created but had not run its first step yet.
+        """
+        task = asyncio.ensure_future(self._serve_conn(reader, writer))
+        self._conn_tasks.add(task)
+        task.add_done_callback(self._conn_tasks.discard)
+
+    async def _serve_conn(self, reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> None:
         conn_id = self._next_conn_id
         self._next_conn_id += 1
         self.stats.connections_total += 1
@@ -229,7 +248,6 @@ class SpatialServer:
                 "error": "server connection limit reached",
                 "retry_after_ms": int(self.admission.retry_hint * 1e3)})
             writer.close()
-            self._conn_tasks.discard(conn_task)
             return
         self.stats.connections_open += 1
         tasks: Set[asyncio.Task] = set()
@@ -257,7 +275,6 @@ class SpatialServer:
                 await writer.wait_closed()
             except (asyncio.CancelledError, ConnectionError, OSError):
                 pass
-            self._conn_tasks.discard(conn_task)
 
     async def _read_loop(self, reader, writer, write_lock,
                          conn_id: int, tasks: Set[asyncio.Task]) -> None:
@@ -479,6 +496,15 @@ class ServerThread:
         try:
             self._loop.run_until_complete(self._main())
         finally:
+            # as asyncio.run does: no task may outlive its loop.  A
+            # connection the listener accepted as it closed can still be
+            # on its way to a handler task; left pending it would run
+            # its cleanup from the garbage collector, on a closed loop
+            while pending := asyncio.all_tasks(self._loop):
+                for task in pending:
+                    task.cancel()
+                self._loop.run_until_complete(
+                    asyncio.gather(*pending, return_exceptions=True))
             self._loop.close()
 
     async def _main(self) -> None:

@@ -126,7 +126,9 @@ def test_join_identical_across_backends():
 def test_dataset_ships_once_per_worker():
     lines = np.unique(random_segments(100, DOMAIN, 64, seed=5), axis=0)
     rects = windows(12, 6)
-    with make_engine("process") as eng:
+    # arena off: this cell is about the pipe-shipping path (with the
+    # arena on nothing ships and workers warm-load, never cold-build)
+    with make_engine("process", shm_budget_bytes=0) as eng:
         fp = eng.register(lines, domain=DOMAIN)
         eng.warm(fp)
         first = [eng.submit_window(fp, r) for r in rects]
