@@ -146,8 +146,8 @@ class MutationJournal:
     (optional) receives ``(event, n)`` per counter increment --
     ``wal_append``, ``wal_bytes``, ``fsync``, ``torn_tail_truncation``,
     ``checkpoint``, ``wal_segment_rotated``, ``wal_segment_truncated``,
-    ``wal_abandon`` -- the engine points it at
-    :meth:`~repro.engine.stats.EngineStats.record_wal_event`.
+    ``wal_abandon`` -- the engine points it at its counter table's
+    :meth:`~repro.counters.Counters.event`.
     """
 
     def __init__(self, directory: str, *, fsync: str = "commit",

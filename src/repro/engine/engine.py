@@ -67,7 +67,7 @@ from .adaptive import AdaptiveController
 from .coalescer import Coalescer, Probe
 from .executor import BoundedExecutor, ProcessBackend, RejectedError
 from .registry import IndexKey, IndexRegistry
-from .stats import EngineStats
+from .stats import EXEC, TOP, WAL, EngineStats
 from .worker import (FAMILY, IndexRef, JobSpec, RegistryResolver,
                      WorkerResult, interpret)
 
@@ -218,7 +218,7 @@ class SpatialQueryEngine:
         self.config = config
         self.stats = EngineStats()
         self.faults = (FaultInjector(config.fault_plan,
-                                     observer=self.stats.record_fault)
+                                     observer=self._on_fault)
                        if config.fault_plan is not None
                        and config.fault_plan.specs else None)
         self._retry = RetryPolicy(attempts=config.retry_attempts,
@@ -230,7 +230,7 @@ class SpatialQueryEngine:
             from ..store import IndexStore
             self.store = IndexStore(config.cache_dir,
                                     budget_bytes=config.disk_budget_bytes,
-                                    observer=self.stats.record_store_event,
+                                    observer=self.stats.event,
                                     retry=self._retry, injector=self.faults)
         self.registry = IndexRegistry(
             capacity=config.cache_capacity, store=self.store,
@@ -241,7 +241,7 @@ class SpatialQueryEngine:
         # path makes every repaired payload worker-visible (store bytes
         # and/or arena pages) *before* reads flip, and falls back to a
         # canonical rebuild when it cannot -- so workers always agree
-        # with the parent's shard cuts (registry.repair_enabled stays on)
+        # with the parent's shard cuts
         self._mutation_lock = threading.Lock()
         self._mutation_root_locks: Dict[str, threading.Lock] = {}
         self._mutation_threads: List[threading.Thread] = []
@@ -279,7 +279,7 @@ class SpatialQueryEngine:
         self.breakers = BreakerBoard(
             failure_threshold=config.breaker_threshold,
             reset_timeout=config.breaker_reset,
-            listener=self.stats.record_breaker_event)
+            listener=lambda event, key: self.stats.event(event))
         self._coalescer = Coalescer(self._dispatch,
                                     max_batch=config.max_batch,
                                     max_wait=config.max_wait)
@@ -433,7 +433,7 @@ class SpatialQueryEngine:
                 fut.set_exception(
                     ValueError(f"point {tuple(pt)} outside the domain"))
                 self.stats.record_submitted("point")
-                self.stats.record_failed()
+                self.stats.inc(failed=1)
                 return fut
         return self._submit("point", fingerprint, pt, structure, exact,
                             deadline)
@@ -541,7 +541,7 @@ class SpatialQueryEngine:
                     directory,
                     fsync=self.config.journal_fsync,
                     segment_bytes=self.config.journal_segment_bytes,
-                    observer=self.stats.record_wal_event)
+                    observer=self.stats.event)
             try:
                 report = replay_journal(journal, self.registry, name)
             except BaseException:
@@ -553,10 +553,8 @@ class SpatialQueryEngine:
             if attached is not None:
                 self._journals.pop(attached, None)
             self._journals[report.chain_root] = journal
-            self.stats.record_wal_event("recovery")
-            if report.records_replayed:
-                self.stats.record_wal_event("wal_replay",
-                                            report.records_replayed)
+            self.stats.inc(recoveries=1,
+                           wal_records_replayed=report.records_replayed)
             reports.append(report)
         return reports
 
@@ -689,7 +687,7 @@ class SpatialQueryEngine:
             if self._is_process and K > 1:
                 self._share_index(new_key, entry)
             self._shard_overrides[root] = (K, ordn, gen)
-            self.stats.record_reshard()
+            self.stats.inc(reshards=1)
             # the old decomposition's service EWMAs must not judge the
             # new one
             self.stats.drop_shard_service(cur.fingerprint)
@@ -744,54 +742,24 @@ class SpatialQueryEngine:
         executor = {"backend": self._executor.kind,
                     "workers": self.config.workers}
         if self._executor.kind == "process":
-            executor.update({
-                "start_method": self._executor.start_method,
-                "restarts": s.worker_restarts,
-                "datasets_shipped": s.datasets_shipped,
-                "dataset_ship_bytes": s.dataset_ship_bytes,
-                "ipc_bytes_sent": s.ipc_bytes_sent,
-                "ipc_bytes_resent": s.ipc_bytes_resent,
-                "ipc_bytes_received": s.ipc_bytes_received,
-                "ipc_jobs": s.ipc_jobs,
-                "worker_warm_loads": s.worker_warm_loads,
-                "worker_cold_builds": s.worker_cold_builds,
-                "shm_attaches": s.shm_attaches,
-                "workers_seen": sorted(s.workers),
-                "shm": (self._arena.snapshot() if self._arena is not None
-                        else {"enabled": False}),
-            })
+            executor.update(
+                s.walk(EXEC), start_method=self._executor.start_method,
+                workers_seen=sorted(s.workers),
+                shm=(self._arena.snapshot() if self._arena is not None
+                     else {"enabled": False}))
+            executor["restarts"] = executor.pop("worker_restarts")
         return {
             "status": "degraded" if not_closed else "ok",
             "closed": self._closed,
             "executor": executor,
             "breakers": breakers,
             "breakers_not_closed": sorted(not_closed),
-            "breaker_trips": s.breaker_trips,
-            "breaker_fast_fails": s.breaker_fast_fails,
-            "breaker_half_opens": s.breaker_half_opens,
-            "breaker_closes": s.breaker_closes,
-            "retries": dict(s.retries),
-            "partial_batches": s.partial_batches,
-            "partial_results": s.partial_results,
-            "shards_dropped": s.shards_dropped,
-            "fallbacks": s.fallbacks,
-            "cancels": s.cancels,
-            "mutation_batches": s.mutation_batches,
-            "mutation_failures": s.mutation_failures,
+            **s.walk(TOP),
             "wal": {
                 "enabled": self._journal_dir is not None,
                 "journal_dir": self._journal_dir,
                 "fsync_policy": self.config.journal_fsync,
-                "wal_appends": s.wal_appends,
-                "wal_append_failures": s.wal_append_failures,
-                "wal_bytes": s.wal_bytes,
-                "fsyncs": s.fsyncs,
-                "wal_abandons": s.wal_abandons,
-                "torn_tail_truncations": s.torn_tail_truncations,
-                "checkpoints": s.checkpoints,
-                "checkpoint_failures": s.checkpoint_failures,
-                "recoveries": s.recoveries,
-                "wal_records_replayed": s.wal_records_replayed,
+                **s.walk(WAL),
                 "journals": {root: j.snapshot()
                              for root, j in self._journals.items()},
             },
@@ -841,37 +809,28 @@ class SpatialQueryEngine:
 
     # -- internals -------------------------------------------------------
 
-    def _on_executor_event(self, name: str, value=None) -> None:
-        """Process-backend telemetry -> the stats layer (and fault replay)."""
-        if name == "restart":
-            self.stats.record_restart()
-            if self._arena is not None:
-                # the blocks survive (the parent owns them) but every
-                # worker mapping died with the pool
-                self._arena.reset_live_attachments()
-        elif name == "crash_retry":
-            self.stats.record_retry("executor.crash")
-        elif name == "dataset_shipped":
-            self.stats.record_dataset_shipped(int(value))
-        elif name == "dataset_ship_bytes":
-            self.stats.record_dataset_shipped(0, nbytes=int(value))
-        elif name == "ipc_sent":
-            self.stats.record_ipc(sent=int(value))
-        elif name == "ipc_resent":
-            self.stats.record_ipc(resent=int(value))
-        elif name == "ipc_received":
-            self.stats.record_ipc(received=int(value))
-        elif name == "worker_result":
+    def _on_fault(self, site: str, kind: str) -> None:
+        """One injected fault fired (the :class:`FaultInjector` observer)."""
+        self.stats.inc(faults_injected={site: 1})
+
+    def _on_executor_event(self, name: str, value=1) -> None:
+        """Process-backend telemetry: every event but the structured
+        ``worker_result`` is a row of the counter table."""
+        if name == "worker_result":
             wr: WorkerResult = value
-            self.stats.record_worker(wr.pid, wr.jobs, wr.warm_loads,
-                                     wr.cold_builds, wr.cached_trees,
-                                     shm_attaches=len(wr.shm_attached))
+            self.stats.record_worker(wr)
             if self._arena is not None and wr.shm_attached:
                 self._arena.note_attaches(wr.shm_attached)
             for site, kind in wr.faults:
                 # latency/stall specs fired inside the worker; replay
                 # them here so `faults_injected` covers both sides
-                self.stats.record_fault(site, kind)
+                self._on_fault(site, kind)
+            return
+        if name == "restart" and self._arena is not None:
+            # the blocks survive (the parent owns them) but every
+            # worker mapping died with the pool
+            self._arena.reset_live_attachments()
+        self.stats.event(name, value)
 
     def _index_key(self, fingerprint: str, structure: Optional[str]) -> IndexKey:
         structure = structure or self.config.structure
@@ -943,14 +902,13 @@ class SpatialQueryEngine:
         try:
             self._coalescer.submit(group_key, probe)
         except RejectedError as exc:
-            self.stats.record_rejected(exc.reason)
+            self.stats.inc(rejected={exc.reason: 1})
             probe.future.set_exception(exc)
         return probe.future
 
     def _fail_fast(self, kind: str, fingerprints) -> Future:
         """An already-failed future for a probe refused by an open breaker."""
-        self.stats.record_breaker_event("fast_fail")
-        self.stats.record_failed()
+        self.stats.inc(breaker_fast_fails=1, failed=1)
         fp = next((f for f in fingerprints
                    if self.breakers.state(f) != "closed"), fingerprints[0])
         fut: Future = Future()
@@ -989,7 +947,7 @@ class SpatialQueryEngine:
                 if exc.reason != "queue_full" \
                         or attempt + 1 >= self._retry.attempts:
                     raise
-                self.stats.record_retry("executor.submit")
+                self.stats.inc(retries={"executor.submit": 1})
                 time.sleep(self._retry.delay(attempt, self._rng))
                 attempt += 1
 
@@ -1001,8 +959,9 @@ class SpatialQueryEngine:
             # try to free the slot: a not-yet-started job (or a probe
             # still waiting on its batch) cancels cleanly and its
             # worker/delivery skips it; a running one must finish
-            self.stats.record_timeout()
-            self.stats.record_cancel(future.cancel())
+            cancelled = future.cancel()
+            self.stats.inc(timeouts=1, cancels=int(cancelled),
+                           cancel_failures=int(not cancelled))
             raise
 
     # -- the job pipeline --------------------------------------------------
@@ -1043,7 +1002,7 @@ class SpatialQueryEngine:
         try:
             fut = self._submit_job_with_retry(self._bind(spec))
         except RejectedError as exc:
-            self.stats.record_rejected(exc.reason, len(probes))
+            self.stats.inc(rejected={exc.reason: len(probes)})
             for p in probes:
                 _reject(p.future, RejectedError(str(exc), reason=exc.reason))
             return
@@ -1062,7 +1021,7 @@ class SpatialQueryEngine:
         res: WorkerResult = done.result()
         degraded = spec.degraded
         if degraded:
-            self.stats.record_fallback(len(probes))
+            self.stats.inc(fallbacks=len(probes))
         elif spec.op != "join":
             self.breakers.record_success(spec.index.fingerprint)
         served_by = "brute" if degraded else spec.refs[0].structure
@@ -1084,8 +1043,7 @@ class SpatialQueryEngine:
             if status == "ok":
                 _resolve(p.future, val)
             else:
-                self.stats.record_failed()
-                _reject(p.future, val)
+                self._fail_probes([p], val)
 
     def _group_failed(self, exc: BaseException, spec: JobSpec,
                       probes: List[Probe], started: float) -> None:
@@ -1108,7 +1066,13 @@ class SpatialQueryEngine:
                                 else replace(spec, op="brute"),
                                 probes, started)
                 return
-        self.stats.record_failed(len(probes))
+        self._fail_probes(probes, exc)
+
+    def _fail_probes(self, probes: List[Probe], exc: BaseException,
+                     **also) -> None:
+        """Count the probes as failed (plus any ``also`` counters, under
+        the same acquisition) and reject each future."""
+        self.stats.inc(failed=len(probes), **also)
         for p in probes:
             _reject(p.future, exc)
 
@@ -1226,10 +1190,7 @@ class SpatialQueryEngine:
         the store (durable bytes) and the arena (zero-copy pages)."""
         if self.store is not None and not self.store.contains(key):
             try:
-                self.store.put(key, entry.tree,
-                               build_steps=entry.build_steps,
-                               build_primitives=entry.build_primitives,
-                               num_lines=entry.num_lines)
+                self.registry._put(entry)
             except (OSError, InjectedFault):
                 pass   # disk full: the arena may still carry it
         self._publish_index(key, entry.tree)
@@ -1286,7 +1247,7 @@ class SpatialQueryEngine:
                 os.path.join(self._journal_dir, cur.root),
                 fsync=self.config.journal_fsync,
                 segment_bytes=self.config.journal_segment_bytes,
-                observer=self.stats.record_wal_event)
+                observer=self.stats.event)
             try:
                 last_fp = journal.last_fingerprint
                 if last_fp is not None \
@@ -1323,12 +1284,8 @@ class SpatialQueryEngine:
         head = self.registry.resolve(root)
         key = self._index_key(head.fingerprint, None)
         if self.store is not None and not self.store.contains(key):
-            entry = self.registry.get(key.fingerprint, key.structure,
-                                      **dict(key.params))
-            self.store.put(key, entry.tree,
-                           build_steps=entry.build_steps,
-                           build_primitives=entry.build_primitives,
-                           num_lines=entry.num_lines)
+            self.registry.persist(key.fingerprint, key.structure,
+                                  **dict(key.params))
         lines, domain = self.registry.dataset_snapshot(head.fingerprint)
         return journal.write_checkpoint(
             lines, fingerprint=head.fingerprint, version=head.version,
@@ -1350,9 +1307,7 @@ class SpatialQueryEngine:
             try:
                 cur = self.registry.resolve(root)
             except KeyError as exc:
-                self.stats.record_failed(len(probes))
-                for p in probes:
-                    _reject(p.future, exc)
+                self._fail_probes(probes, exc)
                 return
             n = cur.num_lines
             live, del_parts, ins_parts = [], [], []
@@ -1360,8 +1315,7 @@ class SpatialQueryEngine:
                 op, payload = p.payload
                 if op == "delete" and payload.size and (
                         payload.min() < 0 or payload.max() >= n):
-                    self.stats.record_failed()
-                    _reject(p.future, IndexError(
+                    self._fail_probes([p], IndexError(
                         f"delete ids out of range for {n} lines "
                         f"(version {cur.version})"))
                     continue
@@ -1410,12 +1364,8 @@ class SpatialQueryEngine:
                         delete_ids=del_ids, insert_lines=ins)
                 except Exception as exc:  # noqa: BLE001 - any failed append
                     self.registry.abandon_version(staged.fingerprint)
-                    self.stats.record_wal_event("wal_append_failure")
-                    self.stats.record_failed(len(live))
-                    self.stats.record_mutation(len(live), int(del_ids.size),
-                                               int(ins.shape[0]), failed=True)
-                    for p in live:
-                        _reject(p.future, exc)
+                    self._fail_probes(live, exc, wal_append_failures=1,
+                                      mutation_failures=1)
                     return
             key = self._index_key(staged.fingerprint, None)
             try:
@@ -1433,17 +1383,15 @@ class SpatialQueryEngine:
                 if journal is not None:
                     journal.abandon_last(seq)
                 self.registry.abandon_version(staged.fingerprint)
-                self.stats.record_failed(len(live))
-                self.stats.record_mutation(len(live), int(del_ids.size),
-                                           int(ins.shape[0]), failed=True)
-                for p in live:
-                    _reject(p.future, exc)
+                self._fail_probes(live, exc, mutation_failures=1)
                 return
             info = self.registry.activate_version(staged.fingerprint)
             repaired = bool(entry.repair
                             and not entry.repair.get("full_rebuild"))
-            self.stats.record_mutation(len(live), int(del_ids.size),
-                                       int(ins.shape[0]), repaired=repaired)
+            self.stats.inc(mutation_batches=1, mutations_applied=len(live),
+                           lines_deleted=int(del_ids.size),
+                           lines_inserted=int(ins.shape[0]),
+                           repaired_builds=int(repaired))
             self.stats.record_batch(f"{key.structure}:mutate", len(live),
                                     entry.build_steps,
                                     entry.build_primitives,
@@ -1462,7 +1410,7 @@ class SpatialQueryEngine:
                     except Exception:  # noqa: BLE001 - checkpoint is advisory
                         # the WAL keeps every record the checkpoint
                         # would have truncated, so durability holds
-                        self.stats.record_wal_event("checkpoint_failure")
+                        self.stats.inc(checkpoint_failures=1)
                 self._ckpt_counts[info.root] = count
             self._settle_mutations(live, result)
 
@@ -1486,8 +1434,7 @@ class SpatialQueryEngine:
                     self._index_ref(self._index_key(fp, structure))
                     for fp in p.payload))
             except KeyError as exc:   # dataset forgotten since submit
-                self.stats.record_failed()
-                _reject(p.future, exc)
+                self._fail_probes([p], exc)
                 continue
             live.append(p)
         if live:
@@ -1534,10 +1481,8 @@ class SpatialQueryEngine:
         if sharded.num_shards == 0:
             # empty dataset: empty id sets, or the scalar nearest error
             if kind == "nearest":
-                self.stats.record_failed(len(probes))
-                for p in probes:
-                    _reject(p.future,
-                            ValueError("empty tree has no nearest line"))
+                self._fail_probes(
+                    probes, ValueError("empty tree has no nearest line"))
             else:
                 self.stats.record_shard_batch(0, 0)
                 for p in probes:
@@ -1675,8 +1620,7 @@ class _ShardedMerge:
             try:
                 fut = self.engine._submit_job_with_retry(work)
             except RejectedError as exc:
-                self.engine.stats.record_rejected(exc.reason,
-                                                  len(self.probes))
+                self.engine.stats.inc(rejected={exc.reason: len(self.probes)})
                 self._fail(RejectedError(str(exc), reason=exc.reason))
                 return
             # the probe selection rides in the callback, not the result;
@@ -1726,13 +1670,8 @@ class _ShardedMerge:
             self.failed = True
         if self.timer is not None:
             self.timer.cancel()
-        if not isinstance(exc, RejectedError):
-            # backpressure is not an index fault: only real shard-query
-            # failures feed the fingerprint's breaker
-            self.engine.breakers.record_failure(self.fingerprint)
-        self.engine.stats.record_failed(len(self.probes))
-        for p in self.probes:
-            _reject(p.future, exc)
+        # breaker feed, brute re-issue and ``failed`` counting exist once
+        self.engine._group_failed(exc, self.spec, self.probes, self.started)
 
     def _on_deadline(self) -> None:
         self._complete(partial=True)
@@ -1793,7 +1732,9 @@ class _ShardedMerge:
             self.timer.cancel()
         values = self._merged_values()
         if partial:
-            self.engine.stats.record_partial(len(self.probes), dropped)
+            self.engine.stats.inc(partial_batches=1,
+                                  partial_results=len(self.probes),
+                                  shards_dropped=dropped)
             for p, val in zip(self.probes, values):
                 _resolve(p.future,
                          PartialResult(val, shards_dropped=dropped,

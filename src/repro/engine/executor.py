@@ -245,8 +245,8 @@ class ProcessBackend(ExecutorBackend):
     shared-memory handles to stamp onto each launch;
     ``on_event(name, value)`` streams backend telemetry (``restart``,
     ``crash_retry``, ``dataset_shipped``, ``dataset_ship_bytes``,
-    ``ipc_sent``, ``ipc_resent``, ``ipc_received``, ``worker_result``)
-    to the engine's stats layer;
+    ``ipc_sent``, ``ipc_resent``, ``ipc_received``: the count to add;
+    ``worker_result``: the result itself) to the engine's counter table;
     ``retry`` budgets crash resubmissions; ``mp_start`` picks the
     multiprocessing start method (default: ``forkserver`` where
     available, else ``spawn`` -- never ``fork``, the parent runs
@@ -282,7 +282,6 @@ class ProcessBackend(ExecutorBackend):
         self._inflight = 0
         self._shutdown = False
         self._generation = 0
-        self.restarts = 0
         if mp_start is None:
             methods = multiprocessing.get_all_start_methods()
             mp_start = "forkserver" if "forkserver" in methods else "spawn"
@@ -302,7 +301,7 @@ class ProcessBackend(ExecutorBackend):
         with self._lock:
             return max(0, self._inflight - self._workers)
 
-    def _event(self, name: str, value=None) -> None:
+    def _event(self, name: str, value=1) -> None:
         if self._on_event is not None:
             try:
                 self._on_event(name, value)
@@ -456,7 +455,7 @@ class ProcessBackend(ExecutorBackend):
             err.__cause__ = exc
             _set_exception(outer, err)
             return
-        self._event("crash_retry", spec.op)
+        self._event("crash_retry")
         delay = (self._retry.delay(attempt, self._rng)
                  if self._retry is not None else 0.0)
         timer = threading.Timer(delay, self._launch,
@@ -474,7 +473,6 @@ class ProcessBackend(ExecutorBackend):
             self._generation += 1
             old = self._pool
             self._pool = self._new_pool()
-            self.restarts += 1
         self._event("restart")
         try:
             old.shutdown(wait=False)

@@ -37,15 +37,11 @@ Commits are **lazy**: no index is built and no cached tree is touched
 at mutation time.  The first read of the new version either *repairs*
 the previous version's sharded index (:func:`repair_sharded`, rebuilding
 only the curve ranges the mutation touched) when the parent tree is
-still in the memory tier and ``repair_enabled`` is set, or pays one
-canonical build.  The last ``versions_retained`` versions stay warm in
-both tiers; older versions are collected -- datasets, cached indexes,
-and store entries -- unless :meth:`pin`\\ ned by an in-flight read, in
-which case collection is deferred to the last :meth:`unpin`.
-
-:meth:`apply_update` keeps the legacy eager semantics (register the new
-dataset, invalidate the old fingerprint's indexes in both tiers) for
-callers that bypass the version chain.
+still in the memory tier, or pays one canonical build.  The last
+``versions_retained`` versions stay warm in both tiers; older versions
+are collected -- datasets, cached indexes, and store entries -- unless
+:meth:`pin`\\ ned by an in-flight read, in which case collection is
+deferred to the last :meth:`unpin`.
 """
 
 from __future__ import annotations
@@ -171,13 +167,6 @@ class IndexRegistry:
         #: published shared-memory blocks so workers cannot map stale
         #: datasets or index payloads
         self.arena = None
-        #: incremental shard repair on first read of a new version.
-        #: Workers must agree with the parent's decomposition shard for
-        #: shard, so the engine's commit path makes every repaired
-        #: payload worker-visible (store bytes and/or arena pages)
-        #: *before* reads flip -- and falls back to a canonical rebuild
-        #: when it cannot
-        self.repair_enabled = True
         self._lock = threading.RLock()
         self._datasets: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self._domains: Dict[str, int] = {}
@@ -594,10 +583,10 @@ class IndexRegistry:
         parent whose *same-key* sharded index is still in the memory
         tier -- then only the curve ranges the mutation touched are
         rebuilt.  Any miss in that chain of conditions (no hint, parent
-        evicted, unsharded key, repair disabled) returns ``None`` and
-        the caller pays the canonical build.
+        evicted, unsharded key) returns ``None`` and the caller pays the
+        canonical build.
         """
-        if not self.repair_enabled or int(params.get("shards", 1)) <= 1:
+        if int(params.get("shards", 1)) <= 1:
             return None
         with self._lock:
             hint = self._repair_hints.get(key.fingerprint)
@@ -691,13 +680,18 @@ class IndexRegistry:
                 self.evictions += 1
                 if self.store is not None:
                     try:
-                        self.store.put(victim.key, victim.tree,
-                                       build_steps=victim.build_steps,
-                                       build_primitives=victim.build_primitives,
-                                       num_lines=victim.num_lines)
+                        self._put(victim)
                         self.spills += 1
                     except (OSError, InjectedFault):
                         pass   # disk full / unwritable: plain eviction
+
+    def _put(self, entry: BuiltIndex) -> str:
+        """Write one built index, with its build accounting, to the
+        store; returns the archive path (store errors propagate)."""
+        return self.store.put(entry.key, entry.tree,
+                              build_steps=entry.build_steps,
+                              build_primitives=entry.build_primitives,
+                              num_lines=entry.num_lines)
 
     def persist(self, fingerprint: str, structure: str, **params) -> str:
         """Build (or fetch) an index and write it to the store now.
@@ -709,11 +703,7 @@ class IndexRegistry:
         """
         if self.store is None:
             raise RuntimeError("no IndexStore attached to this registry")
-        entry = self.get(fingerprint, structure, **params)
-        return self.store.put(entry.key, entry.tree,
-                              build_steps=entry.build_steps,
-                              build_primitives=entry.build_primitives,
-                              num_lines=entry.num_lines)
+        return self._put(self.get(fingerprint, structure, **params))
 
     def spill_all(self) -> int:
         """Spill every in-memory index not already on disk; returns count.
@@ -730,10 +720,7 @@ class IndexRegistry:
             if self.store.contains(entry.key):
                 continue   # deterministic content: the bytes match
             try:
-                self.store.put(entry.key, entry.tree,
-                               build_steps=entry.build_steps,
-                               build_primitives=entry.build_primitives,
-                               num_lines=entry.num_lines)
+                self._put(entry)
             except (OSError, InjectedFault):
                 continue
             with self._lock:
@@ -770,20 +757,6 @@ class IndexRegistry:
                 # dataset block (if any) is handled by _collect/forget
                 self.arena.release_indexes(fingerprint)
             return n
-
-    def apply_update(self, fingerprint: str,
-                     update: Callable[[np.ndarray], np.ndarray]) -> str:
-        """Apply a dataset update and invalidate the stale indexes.
-
-        ``update`` maps the old segment array to the new one (e.g. a
-        vstack for inserts, a row selection for deletes -- the canonical
-        rebuild semantics of :mod:`repro.structures.dynamic`).  Returns
-        the new fingerprint.
-        """
-        old = self.dataset(fingerprint)
-        new_fp = self.register(update(old))
-        self.invalidate(fingerprint)
-        return new_fp
 
     def insert_lines(self, fingerprint: str, new_lines: np.ndarray) -> str:
         """Append segments as a new chain version; returns its fingerprint.

@@ -1,21 +1,31 @@
-"""Engine statistics: counters, latency percentiles, step accounting.
+"""Engine statistics: one declared counter table, latency percentiles.
 
-Mirrors what a production query server exports: request/rejection
-counters, batch-size distribution, queue depth, cache hit rate, and
-p50/p95 latency -- plus the repo's own currency, scan-model steps and
-primitive counts aggregated per batch, so the cost semantics of the
-paper survive into the serving layer.
+Every engine counter is one :class:`Counter` row of :data:`COUNTERS`:
+its name (the ``eng.stats.<name>`` attribute and ``snapshot()`` key),
+the ``health()`` block exporting it, the subsystem event it counts when
+that is not its name, and its meaning.  :class:`~repro.counters.Counters`
+holds the values and the locked bump (``inc`` by name, ``event`` for the
+store / journal / breaker / executor streams); ``snapshot()`` and
+``health()`` walk the table, so a new counter is one new row.  Counters
+a subsystem bumps under its *own* lock (``IndexRegistry.hits``,
+``IndexStore``, ``MutationJournal``, ``ShmArena``) stay fields there
+(DESIGN.md, "Counters").  Beside the table sit the latency reservoir,
+the per-index rows and the repo's own currency -- scan-model steps and
+primitive counts per batch -- so the paper's cost semantics survive
+into the serving layer.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Dict, List, Optional
+from collections import OrderedDict, deque
+from typing import Dict, Optional
 
 import numpy as np
 
-__all__ = ["LatencyReservoir", "EngineStats"]
+from ..counters import Counter, Counters
+
+__all__ = ["LatencyReservoir", "COUNTERS", "EngineStats"]
 
 
 class LatencyReservoir:
@@ -45,225 +55,128 @@ class LatencyReservoir:
             return self._n
 
 
-class EngineStats:
-    """Thread-safe counters for the serving stack."""
+#: the ``health()`` blocks a row can be exported under
+TOP, WAL, EXEC = "top", "wal", "executor"
+
+COUNTERS = (
+    Counter("submitted"),          # probes and mutations accepted
+    Counter("completed"),          # ... answered: the sum of batch sizes
+    Counter("failed"),             # ... whose future carries an exception
+    Counter("timeouts"),           # sync helpers that gave up waiting
+    Counter("rejected", labels={}),    # refusal reason -> probes refused
+    Counter("batches"),            # dispatched batches (+ mutation commits)
+    Counter("steps"),              # scan-model steps of those batches
+    Counter("primitives"),         # ... and their primitive invocations
+    Counter("per_kind", labels={}),    # probe kind -> submitted
+    # -- sharded fan-out / adaptive serving --------------------------------
+    Counter("shard_batches"),      # sharded batches planned
+    Counter("shards_probed"),      # shard jobs those batches fanned out to
+    Counter("shards_skipped"),     # shards MBR-culled from a batch
+    Counter("reshards"),           # online re-shards committed
+    # -- persistent store (the IndexStore observer) ------------------------
+    Counter("disk_hits", event="disk_hit"),
+    Counter("disk_misses", event="disk_miss"),
+    Counter("spills", event="spill"),
+    Counter("corrupt_evictions", event="corrupt_eviction"),
+    Counter("disk_evictions", event="disk_eviction"),
+    # -- resilience --------------------------------------------------------
+    Counter("retries", TOP,        # site -> retry count
+            labels={"load_retry": "store.load",
+                    "crash_retry": "executor.crash"}),
+    Counter("faults_injected", labels={}),   # site -> fired count
+    Counter("breaker_trips", TOP, "trip"),
+    Counter("breaker_reopens", event="reopen"),
+    Counter("breaker_half_opens", TOP, "half_open"),
+    Counter("breaker_closes", TOP, "close"),
+    Counter("breaker_fast_fails", TOP),   # probes refused by an open breaker
+    Counter("partial_batches", TOP),   # fan-outs resolved at their deadline
+    Counter("partial_results", TOP),   # probes resolved partially
+    Counter("shards_dropped", TOP),    # shard jobs unreported at deadline
+    Counter("fallbacks", TOP),     # probes served by brute force
+    Counter("cancels", TOP),       # timed-out futures cancelled in time
+    Counter("cancel_failures"),    # ... that had already started
+    # -- mutations (MVCC commits) ------------------------------------------
+    Counter("mutation_batches", TOP),    # coalesced groups committed
+    Counter("mutation_failures", TOP),   # groups whose append or warm failed
+    Counter("mutations_applied"),  # insert/delete probes committed
+    Counter("lines_inserted"),
+    Counter("lines_deleted"),
+    Counter("repaired_builds"),    # warm builds served by shard repair
+    # -- durability (the MutationJournal observer, recover()) --------------
+    Counter("wal_appends", WAL, "wal_append"),   # records durably journaled
+    Counter("wal_append_failures", WAL),   # commits aborted at the append
+    Counter("wal_bytes", WAL),     # record bytes written
+    Counter("fsyncs", WAL, "fsync"),   # fsync calls (segments + checkpoints)
+    Counter("wal_abandons", WAL, "wal_abandon"),   # tail records rolled back
+    Counter("wal_segments_rotated", event="wal_segment_rotated"),
+    Counter("wal_segments_truncated",   # dropped by checkpoint prefix GC
+            event="wal_segment_truncated"),
+    Counter("torn_tail_truncations", WAL,   # torn records dropped on open
+            "torn_tail_truncation"),
+    Counter("checkpoints", WAL, "checkpoint"),
+    Counter("checkpoint_failures", WAL),
+    Counter("recoveries", WAL),    # chains replayed by Engine.recover()
+    Counter("wal_records_replayed", WAL),
+    # -- process backend (the executor's telemetry stream) -----------------
+    Counter("worker_restarts", EXEC, "restart"),   # broken pools replaced
+    Counter("ipc_bytes_sent", EXEC,    # pickled bytes of first submissions
+            "ipc_sent"),
+    Counter("ipc_bytes_resent", EXEC,  # ... of crash/NeedDataset resubmits
+            "ipc_resent"),
+    Counter("ipc_bytes_received", EXEC,    # pickled result bytes back
+            "ipc_received"),
+    # first submissions only, so ``ipc_bytes_sent / ipc_jobs`` stays an
+    # honest per-job gauge across pool restarts and bounded resubmits
+    Counter("ipc_jobs", EXEC, "ipc_sent", by=1),
+    Counter("datasets_shipped", EXEC,  # NeedDataset round trips served
+            "dataset_shipped"),
+    Counter("dataset_ship_bytes", EXEC),   # snapshot bytes those trips carried
+    Counter("worker_warm_loads", EXEC),    # worker index loads (store / shm)
+    Counter("worker_cold_builds", EXEC),   # worker rebuilds from snapshots
+    Counter("shm_attaches", EXEC),     # worker attachments to arena blocks
+)
+
+
+class EngineStats(Counters):
+    """Thread-safe counters for the serving stack (:data:`COUNTERS`) plus
+    the non-counter readings: latency, per-index rows, shard EWMAs."""
+
+    ROWS = COUNTERS
 
     def __init__(self, reservoir_size: int = 2048):
-        self._lock = threading.Lock()
-        self.submitted = 0
-        self.completed = 0
-        self.failed = 0
-        self.timeouts = 0
-        self.rejected: Dict[str, int] = {}
-        self.batches = 0
-        self.batch_sizes: List[int] = []
-        self.steps = 0.0
-        self.primitives = 0
-        self.per_kind: Dict[str, int] = {}
+        super().__init__()
+        self.steps = 0.0   # the one float-valued counter
+        self._max_batch = 0
+        #: sizes of the last 64 batches (all ``recent_batch_mean`` reads):
+        #: the full history is never kept
+        self._recent_batches: "deque[int]" = deque(maxlen=64)
         self.per_index: Dict[str, Dict[str, float]] = {}
-        self.shard_batches = 0
-        self.shards_probed = 0
-        self.shards_skipped = 0
-        # -- adaptive serving ---------------------------------------------
         #: fingerprint -> shard id -> EWMA of shard-job service seconds
         #: (queue + kernel, what a probe actually waits on); the balance
         #: watchdog reads the spread to decide an online re-shard
         self.shard_service: "OrderedDict[str, Dict[int, float]]" = OrderedDict()
-        self.shard_service_alpha = 0.3
-        self.reshards = 0            # online re-shards committed
-        self.disk_hits = 0
-        self.disk_misses = 0
-        self.spills = 0
-        self.corrupt_evictions = 0
-        self.disk_evictions = 0
-        # -- resilience ---------------------------------------------------
-        self.retries: Dict[str, int] = {}        # site -> retry count
-        self.faults_injected: Dict[str, int] = {}  # site -> fired count
-        self.breaker_trips = 0
-        self.breaker_reopens = 0
-        self.breaker_half_opens = 0
-        self.breaker_closes = 0
-        self.breaker_fast_fails = 0
-        self.partial_batches = 0
-        self.partial_results = 0     # probes resolved partially
-        self.shards_dropped = 0      # shard jobs unreported at deadline
-        self.fallbacks = 0           # probes served by brute force
-        self.cancels = 0             # timed-out futures cancelled in time
-        self.cancel_failures = 0     # ... that had already started
-        # -- mutations (MVCC commits) -------------------------------------
-        self.mutation_batches = 0    # coalesced groups committed
-        self.mutation_failures = 0   # groups whose warm build failed
-        self.mutations_applied = 0   # insert/delete probes committed
-        self.lines_inserted = 0
-        self.lines_deleted = 0
-        self.repaired_builds = 0     # warm builds served by shard repair
-        # -- durability (write-ahead journal) ------------------------------
-        self.wal_appends = 0         # records durably journaled
-        self.wal_append_failures = 0  # commits aborted at the append
-        self.wal_bytes = 0           # record bytes written
-        self.fsyncs = 0              # fsync calls (segments + checkpoints)
-        self.wal_abandons = 0        # tail records rolled back (failed warm)
-        self.wal_segments_rotated = 0
-        self.wal_segments_truncated = 0   # dropped by checkpoint prefix GC
-        self.torn_tail_truncations = 0    # torn records dropped on open
-        self.checkpoints = 0
-        self.checkpoint_failures = 0
-        self.recoveries = 0          # chains replayed by Engine.recover()
-        self.wal_records_replayed = 0
-        # -- process backend ----------------------------------------------
-        self.worker_restarts = 0     # broken pools replaced
-        self.ipc_bytes_sent = 0      # pickled bytes of first submissions
-        self.ipc_bytes_resent = 0    # ... of crash/NeedDataset resubmits
-        self.ipc_bytes_received = 0  # pickled result bytes back
-        self.ipc_jobs = 0            # first submissions (per-job divisor)
-        self.datasets_shipped = 0    # NeedDataset round trips served
-        self.dataset_ship_bytes = 0  # snapshot bytes those trips carried
-        self.worker_warm_loads = 0   # worker index loads from the store
-        self.worker_cold_builds = 0  # worker index rebuilds from snapshots
-        self.shm_attaches = 0        # worker attachments to arena blocks
         #: pid -> that worker's latest self-reported totals
         self.workers: Dict[int, Dict[str, int]] = {}
         self.latency = LatencyReservoir(reservoir_size)
 
-    # -- recording -------------------------------------------------------
+    # -- recording: the per-probe and per-batch paths bump the attributes
+    # directly under one acquisition, exactly what a field per counter cost
 
     def record_submitted(self, kind: str, n: int = 1) -> None:
         with self._lock:
             self.submitted += n
             self.per_kind[kind] = self.per_kind.get(kind, 0) + n
 
-    def record_rejected(self, reason: str, n: int = 1) -> None:
-        with self._lock:
-            self.rejected[reason] = self.rejected.get(reason, 0) + n
-
-    def record_timeout(self, n: int = 1) -> None:
-        with self._lock:
-            self.timeouts += n
-
-    def record_failed(self, n: int = 1) -> None:
-        with self._lock:
-            self.failed += n
-
-    # -- resilience ------------------------------------------------------
-
-    def record_retry(self, site: str, n: int = 1) -> None:
-        """One backoff-and-retry at a named site (``store.load``, ...)."""
-        with self._lock:
-            self.retries[site] = self.retries.get(site, 0) + n
-
-    def record_fault(self, site: str, kind: str) -> None:
-        """One injected fault fired (the :class:`FaultInjector` observer)."""
-        with self._lock:
-            self.faults_injected[site] = self.faults_injected.get(site, 0) + 1
-
-    #: BreakerBoard listener event -> EngineStats counter attribute
-    _BREAKER_EVENTS = {"trip": "breaker_trips", "reopen": "breaker_reopens",
-                       "half_open": "breaker_half_opens",
-                       "close": "breaker_closes",
-                       "fast_fail": "breaker_fast_fails"}
-
-    def record_breaker_event(self, event: str, key: str = "") -> None:
-        """One circuit-breaker transition (the :class:`BreakerBoard` hook)."""
-        attr = self._BREAKER_EVENTS.get(event)
-        if attr is None:
-            return
-        with self._lock:
-            setattr(self, attr, getattr(self, attr) + 1)
-
-    def record_partial(self, probes: int, dropped: int) -> None:
-        """One deadline-expired fan-out resolved with partial results."""
-        with self._lock:
-            self.partial_batches += 1
-            self.partial_results += probes
-            self.shards_dropped += dropped
-
-    def record_fallback(self, n: int = 1) -> None:
-        """Probes served by the engine-level brute-force fallback."""
-        with self._lock:
-            self.fallbacks += n
-
-    def record_mutation(self, probes: int, deleted: int, inserted: int,
-                        repaired: bool = False, failed: bool = False) -> None:
-        """One coalesced mutation group: its commit (or failed warm)."""
-        with self._lock:
-            if failed:
-                self.mutation_failures += 1
-                return
-            self.mutation_batches += 1
-            self.mutations_applied += probes
-            self.lines_deleted += deleted
-            self.lines_inserted += inserted
-            if repaired:
-                self.repaired_builds += 1
-
-    def record_restart(self, n: int = 1) -> None:
-        """One broken process pool replaced after a worker crash."""
-        with self._lock:
-            self.worker_restarts += n
-
-    def record_ipc(self, sent: int = 0, received: int = 0,
-                   resent: int = 0) -> None:
-        """Bytes pickled across the process boundary.
-
-        ``sent`` counts a job's *first* submission (and bumps the
-        ``ipc_jobs`` divisor); ``resent`` counts crash resubmissions
-        and post-``NeedDataset`` relaunches separately, so
-        ``ipc_bytes_sent / ipc_jobs`` stays an honest per-job gauge
-        across pool restarts and bounded resubmits.
-        """
-        with self._lock:
-            self.ipc_bytes_sent += sent
-            self.ipc_bytes_resent += resent
-            self.ipc_bytes_received += received
-            if sent:
-                self.ipc_jobs += 1
-
-    def record_dataset_shipped(self, n: int = 1, nbytes: int = 0) -> None:
-        """Dataset snapshots attached after ``NeedDataset`` round trips."""
-        with self._lock:
-            self.datasets_shipped += n
-            self.dataset_ship_bytes += nbytes
-
-    def record_worker(self, pid: int, jobs: int, warm_loads: int,
-                      cold_builds: int, cached_trees: int,
-                      shm_attaches: int = 0) -> None:
-        """Fold one :class:`WorkerResult`'s accounting into the stats.
-
-        ``warm_loads``/``cold_builds``/``shm_attaches`` are per-job
-        deltas (summed); ``jobs``/``cached_trees`` are the worker's own
-        running totals (latest wins), keyed by pid so restarts show up
-        as new rows.
-        """
-        with self._lock:
-            self.worker_warm_loads += warm_loads
-            self.worker_cold_builds += cold_builds
-            self.shm_attaches += shm_attaches
-            row = self.workers.setdefault(
-                pid, {"jobs": 0, "warm_loads": 0, "cold_builds": 0,
-                      "cached_trees": 0, "shm_attaches": 0})
-            row["jobs"] = jobs
-            row["warm_loads"] += warm_loads
-            row["cold_builds"] += cold_builds
-            row["cached_trees"] = cached_trees
-            row["shm_attaches"] += shm_attaches
-
-    def record_cancel(self, succeeded: bool, n: int = 1) -> None:
-        """A timed-out future we tried to cancel (freeing its slot)."""
-        with self._lock:
-            if succeeded:
-                self.cancels += n
-            else:
-                self.cancel_failures += n
-
     def record_batch(self, index_name: str, size: int, steps: float,
                      primitives: int, latency_s: Optional[float] = None) -> None:
         """One dispatched batch: its size and its scan-model accounting."""
         with self._lock:
             self.batches += 1
-            self.batch_sizes.append(size)
             self.completed += size
             self.steps += steps
             self.primitives += primitives
+            self._recent_batches.append(size)
+            self._max_batch = max(self._max_batch, size)
             per = self.per_index.setdefault(
                 index_name, {"batches": 0.0, "queries": 0.0, "steps": 0.0,
                              "primitives": 0.0})
@@ -281,6 +194,26 @@ class EngineStats:
             self.shards_probed += probed
             self.shards_skipped += total_shards - probed
 
+    def record_worker(self, wr) -> None:
+        """Fold one :class:`WorkerResult`'s accounting into the stats.
+
+        ``warm_loads``/``cold_builds``/``shm_attached`` are per-job
+        deltas (summed); ``jobs``/``cached_trees`` are the worker's own
+        running totals (latest wins), keyed by pid so restarts show up
+        as new rows.
+        """
+        attaches = len(wr.shm_attached)
+        with self._lock:
+            self.worker_warm_loads += wr.warm_loads
+            self.worker_cold_builds += wr.cold_builds
+            self.shm_attaches += attaches
+            row = self.workers.setdefault(
+                wr.pid, {"warm_loads": 0, "cold_builds": 0, "shm_attaches": 0})
+            row["warm_loads"] += wr.warm_loads
+            row["cold_builds"] += wr.cold_builds
+            row["shm_attaches"] += attaches
+            row.update(jobs=wr.jobs, cached_trees=wr.cached_trees)
+
     def record_shard_service(self, fingerprint: str, shard: int,
                              seconds: float) -> None:
         """One shard job's service time folded into its EWMA.
@@ -293,7 +226,7 @@ class EngineStats:
             per = self.shard_service.setdefault(fingerprint, {})
             self.shard_service.move_to_end(fingerprint)
             prev = per.get(shard)
-            a = self.shard_service_alpha
+            a = 0.3   # weight of the newest sample
             per[shard] = (seconds if prev is None
                           else (1.0 - a) * prev + a * seconds)
             while len(self.shard_service) > 64:
@@ -310,143 +243,40 @@ class EngineStats:
         with self._lock:
             self.shard_service.pop(fingerprint, None)
 
-    def record_reshard(self, n: int = 1) -> None:
-        """One online re-shard committed by the adaptive controller."""
-        with self._lock:
-            self.reshards += n
-
-    def recent_batch_mean(self, n: int = 64) -> float:
-        """Mean size of the last ``n`` dispatched batches (0.0: none).
+    def recent_batch_mean(self) -> float:
+        """Mean size of the last 64 dispatched batches (0.0: none).
 
         The coalescer tuner reads this as the *fill ratio* signal:
         batches near ``max_batch`` are count-triggered (the window is
         not binding), small ones were released by the deadline.
         """
         with self._lock:
-            tail = self.batch_sizes[-n:]
-            return float(np.mean(tail)) if tail else 0.0
-
-    #: MutationJournal / recovery event name -> EngineStats counter
-    _WAL_EVENTS = {"wal_append": "wal_appends",
-                   "wal_append_failure": "wal_append_failures",
-                   "wal_bytes": "wal_bytes",
-                   "fsync": "fsyncs",
-                   "wal_abandon": "wal_abandons",
-                   "wal_segment_rotated": "wal_segments_rotated",
-                   "wal_segment_truncated": "wal_segments_truncated",
-                   "torn_tail_truncation": "torn_tail_truncations",
-                   "checkpoint": "checkpoints",
-                   "checkpoint_failure": "checkpoint_failures",
-                   "recovery": "recoveries",
-                   "wal_replay": "wal_records_replayed"}
-
-    def record_wal_event(self, event: str, n: int = 1) -> None:
-        """One durability event (the :class:`MutationJournal` observer)."""
-        attr = self._WAL_EVENTS.get(event)
-        if attr is None:
-            return
-        with self._lock:
-            setattr(self, attr, getattr(self, attr) + n)
-
-    #: IndexStore event name -> EngineStats counter attribute
-    _STORE_EVENTS = {"disk_hit": "disk_hits", "disk_miss": "disk_misses",
-                     "spill": "spills", "corrupt_eviction": "corrupt_evictions",
-                     "disk_eviction": "disk_evictions"}
-
-    def record_store_event(self, event: str, n: int = 1) -> None:
-        """One persistent-store event (the :class:`IndexStore` observer)."""
-        if event == "load_retry":
-            self.record_retry("store.load", n)
-            return
-        attr = self._STORE_EVENTS.get(event)
-        if attr is None:
-            return
-        with self._lock:
-            setattr(self, attr, getattr(self, attr) + n)
+            tail = self._recent_batches
+            return sum(tail) / len(tail) if tail else 0.0
 
     # -- readout ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
+        """Every declared row, plus the values derived from them."""
         with self._lock:
-            sizes = np.asarray(self.batch_sizes, dtype=float)
-            return {
-                "submitted": self.submitted,
-                "completed": self.completed,
-                "failed": self.failed,
-                "timeouts": self.timeouts,
-                "rejected": dict(self.rejected),
-                "rejected_total": int(sum(self.rejected.values())),
-                "batches": self.batches,
-                "mean_batch_size": float(sizes.mean()) if sizes.size else 0.0,
-                "max_batch_size": int(sizes.max()) if sizes.size else 0,
-                "steps": self.steps,
-                "primitives": self.primitives,
-                "per_kind": dict(self.per_kind),
-                "per_index": {k: dict(v) for k, v in self.per_index.items()},
-                "disk_hits": self.disk_hits,
-                "disk_misses": self.disk_misses,
-                "spills": self.spills,
-                "corrupt_evictions": self.corrupt_evictions,
-                "disk_evictions": self.disk_evictions,
-                "retries": dict(self.retries),
-                "retries_total": int(sum(self.retries.values())),
-                "faults_injected": dict(self.faults_injected),
-                "breaker_trips": self.breaker_trips,
-                "breaker_reopens": self.breaker_reopens,
-                "breaker_half_opens": self.breaker_half_opens,
-                "breaker_closes": self.breaker_closes,
-                "breaker_fast_fails": self.breaker_fast_fails,
-                "partial_batches": self.partial_batches,
-                "partial_results": self.partial_results,
-                "shards_dropped": self.shards_dropped,
-                "fallbacks": self.fallbacks,
-                "cancels": self.cancels,
-                "cancel_failures": self.cancel_failures,
-                "mutation_batches": self.mutation_batches,
-                "mutation_failures": self.mutation_failures,
-                "mutations_applied": self.mutations_applied,
-                "lines_inserted": self.lines_inserted,
-                "lines_deleted": self.lines_deleted,
-                "repaired_builds": self.repaired_builds,
-                "wal_appends": self.wal_appends,
-                "wal_append_failures": self.wal_append_failures,
-                "wal_bytes": self.wal_bytes,
-                "fsyncs": self.fsyncs,
-                "wal_abandons": self.wal_abandons,
-                "wal_segments_rotated": self.wal_segments_rotated,
-                "wal_segments_truncated": self.wal_segments_truncated,
-                "torn_tail_truncations": self.torn_tail_truncations,
-                "checkpoints": self.checkpoints,
-                "checkpoint_failures": self.checkpoint_failures,
-                "recoveries": self.recoveries,
-                "wal_records_replayed": self.wal_records_replayed,
-                "worker_restarts": self.worker_restarts,
-                "ipc_bytes_sent": self.ipc_bytes_sent,
-                "ipc_bytes_resent": self.ipc_bytes_resent,
-                "ipc_bytes_received": self.ipc_bytes_received,
-                "ipc_jobs": self.ipc_jobs,
-                "datasets_shipped": self.datasets_shipped,
-                "dataset_ship_bytes": self.dataset_ship_bytes,
-                "worker_warm_loads": self.worker_warm_loads,
-                "worker_cold_builds": self.worker_cold_builds,
-                "shm_attaches": self.shm_attaches,
-                "workers": {pid: dict(row)
-                            for pid, row in self.workers.items()},
-                "shard_batches": self.shard_batches,
-                "shards_probed": self.shards_probed,
-                "shards_skipped": self.shards_skipped,
-                "reshards": self.reshards,
-                "shard_service_ms": {
-                    fp: {int(k): round(v * 1e3, 3)
-                         for k, v in per.items()}
+            out = self.walk()
+            probed, skipped = out["shards_probed"], out["shards_skipped"]
+            out.update(
+                rejected_total=sum(out["rejected"].values()),
+                retries_total=sum(out["retries"].values()),
+                mean_batch_size=(out["completed"] / out["batches"]
+                                 if out["batches"] else 0.0),
+                max_batch_size=self._max_batch,
+                mean_shards_probed=(probed / out["shard_batches"]
+                                    if out["shard_batches"] else 0.0),
+                shard_skip_rate=(skipped / (probed + skipped)
+                                 if probed + skipped else 0.0),
+                per_index={k: dict(v) for k, v in self.per_index.items()},
+                workers={pid: dict(row)
+                         for pid, row in self.workers.items()},
+                shard_service_ms={
+                    fp: {int(k): round(v * 1e3, 3) for k, v in per.items()}
                     for fp, per in self.shard_service.items()},
-                "mean_shards_probed": (
-                    self.shards_probed / self.shard_batches
-                    if self.shard_batches else 0.0),
-                "shard_skip_rate": (
-                    self.shards_skipped
-                    / (self.shards_probed + self.shards_skipped)
-                    if (self.shards_probed + self.shards_skipped) else 0.0),
-                "latency_p50_ms": self.latency.percentile(50) * 1e3,
-                "latency_p95_ms": self.latency.percentile(95) * 1e3,
-            }
+                latency_p50_ms=self.latency.percentile(50) * 1e3,
+                latency_p95_ms=self.latency.percentile(95) * 1e3)
+            return out

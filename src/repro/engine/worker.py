@@ -275,7 +275,9 @@ class _WorkerState:
         else:
             lines, domain = self._snapshot(ref)
             builder = IndexRegistry.BUILDERS[ref.structure]
-            tree = builder(lines, domain, **dict(ref.params))
+            # like ``registry.get``: a machine of its own pays the build
+            with use_machine(Machine()):
+                tree = builder(lines, domain, **dict(ref.params))
             self.job_cold += 1
         self.trees[key_id] = tree
         return tree

@@ -49,6 +49,7 @@ import numpy as np
 
 from ..resilience import CircuitOpenError, PartialResult
 from ..errors import EngineError
+from ..counters import Counter, Counters
 from ..engine.executor import RejectedError
 from .admission import AdmissionController
 from .protocol import (BAD_REQUEST, INTERNAL, MUTATION_KINDS, NOT_FOUND,
@@ -58,48 +59,34 @@ from .protocol import (BAD_REQUEST, INTERNAL, MUTATION_KINDS, NOT_FOUND,
 __all__ = ["ServerStats", "SpatialServer", "ServerThread"]
 
 
-class ServerStats:
-    """Socket-edge counters (loop-thread only; read via :meth:`snapshot`)."""
+class ServerStats(Counters):
+    """Socket-edge counters, one declared row each (loop-thread only, so
+    the handlers bump the attributes directly; read via :meth:`snapshot`)."""
 
-    def __init__(self):
-        self.connections_total = 0
-        self.connections_open = 0
-        self.connections_shed = 0
-        self.disconnects_inflight = 0   # connections dropped with work pending
-        self.requests_total = 0
-        self.per_kind: Dict[str, int] = {}
-        self.per_status: Dict[int, int] = {}
-        self.cancelled_inflight = 0     # probe futures cancelled on disconnect
-        self.request_timeouts = 0       # server-side wall cap expirations
-        self.requests_drained = 0       # refused with 503 shutting_down
-        self.bad_frames = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
+    ROWS = (
+        Counter("connections_total"),
+        Counter("connections_open"),
+        Counter("connections_shed"),
+        Counter("disconnects_inflight"),   # dropped with work pending
+        Counter("requests_total"),
+        Counter("per_kind", labels={}),    # request kind -> requests
+        Counter("per_status", labels={}),  # response status -> responses
+        Counter("cancelled_inflight"),   # futures cancelled on disconnect
+        Counter("request_timeouts"),       # server-side wall cap expirations
+        Counter("requests_drained"),       # refused with 503 shutting_down
+        Counter("bad_frames"),
+        Counter("bytes_in"),
+        Counter("bytes_out"),
+    )
 
     def record_request(self, kind: str) -> None:
-        self.requests_total += 1
-        self.per_kind[kind] = self.per_kind.get(kind, 0) + 1
-
-    def record_response(self, status: int) -> None:
-        self.per_status[status] = self.per_status.get(status, 0) + 1
+        self.inc(requests_total=1, per_kind={kind: 1})
 
     def snapshot(self) -> Dict[str, object]:
-        return {
-            "connections_total": self.connections_total,
-            "connections_open": self.connections_open,
-            "connections_shed": self.connections_shed,
-            "disconnects_inflight": self.disconnects_inflight,
-            "requests_total": self.requests_total,
-            "per_kind": dict(self.per_kind),
-            "per_status": {str(k): v
-                           for k, v in sorted(self.per_status.items())},
-            "cancelled_inflight": self.cancelled_inflight,
-            "request_timeouts": self.request_timeouts,
-            "requests_drained": self.requests_drained,
-            "bad_frames": self.bad_frames,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-        }
+        out = self.walk()
+        out["per_status"] = {str(k): v
+                             for k, v in sorted(out["per_status"].items())}
+        return out
 
 
 class SpatialServer:
@@ -435,7 +422,7 @@ class SpatialServer:
         return resp
 
     async def _respond(self, writer, write_lock, resp: dict) -> None:
-        self.stats.record_response(resp["status"])
+        self.stats.inc(per_status={resp["status"]: 1})
         try:
             async with write_lock:
                 self.stats.bytes_out += await write_frame(writer, resp)

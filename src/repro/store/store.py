@@ -39,7 +39,7 @@ registry's lock, so disk I/O cannot deadlock the serving path.  An
 optional ``observer`` callback receives one event name per counter
 increment (``disk_hit``, ``disk_miss``, ``spill``,
 ``corrupt_eviction``, ``disk_eviction``, ``load_retry``) -- the engine
-points it at :meth:`EngineStats.record_store_event`.
+points it at :meth:`EngineStats.event <repro.counters.Counters.event>`.
 """
 
 from __future__ import annotations

@@ -147,7 +147,7 @@ class TestCommitProtocol:
                 events.append(("flip", fingerprint))
                 return orig(fingerprint)
 
-            orig_record = eng.stats.record_wal_event
+            orig_record = eng.stats.event
 
             def spying_wal(event, n=1):
                 if event == "wal_append":
@@ -155,7 +155,7 @@ class TestCommitProtocol:
                 return orig_record(event, n)
 
             eng.registry.activate_version = spying_activate
-            eng.stats.record_wal_event = spying_wal
+            eng.stats.event = spying_wal
             eng.insert_lines(fp, [[1.0, 2.0, 3.0, 4.0]])
         kinds = [k for k, _ in events]
         assert kinds.index("append") < kinds.index("flip")

@@ -10,7 +10,9 @@ these cells pin the properties that rest on that:
   by ``spec.datasets``, the parent's registry) -- no process pool;
 * the pipeline fires each fault site exactly as often as the dispatch
   paths it replaced (chaos plans count arrivals);
-* a failing degraded (brute) job is counted the same on both backends.
+* a failing degraded (brute) job is counted the same on both backends;
+* a failed shard job takes the same failure path as every other group
+  (breaker feed, one brute re-issue, ``failed`` counted once).
 """
 
 from dataclasses import replace
@@ -18,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.baselines.brute import brute_window_query
+from repro.baselines.brute import brute_point_query, brute_window_query
 from repro.engine import (FaultPlan, FaultSpec, IndexKey, IndexRegistry,
                           InjectedFault, SpatialQueryEngine, worker)
 from repro.engine.worker import IndexRef, JobSpec
@@ -139,9 +141,8 @@ def assert_parity(maps, spec, refs):
     """One spec, both resolvers: equal values, identical accounting.
 
     The worker side is the pool's own entry point run in-process on a
-    state seeded through ``spec.datasets``; it is warmed first because a
-    worker charges a cold build to the job that triggers it, where the
-    parent's registry builds under a machine of its own.
+    state seeded through ``spec.datasets``, warmed first through
+    ``refs`` (none: the spec itself pays the cold resolve).
     """
     for ref in refs:
         worker.run_job(JobSpec(op="warm", index=ref, datasets=maps.datasets))
@@ -171,6 +172,23 @@ def test_parity_batch_and_brute(maps, structure, kind, exact):
     got = assert_parity(maps, spec, [ref])
     assert len(got.values) == 7 and got.steps > 0
     assert_parity(maps, replace(spec, op="brute"), [])
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_parity_cold_build_is_charged_to_neither_job(maps, structure):
+    """A cold worker state (datasets seeded, no tree cached) and a cold
+    registry both build under a machine of their own: the job that
+    triggers the build reports its kernel steps only, like a warm one."""
+    ref = maps.ref(structure)
+    spec = JobSpec(op="batch", kind="window", index=ref,
+                   payloads=_payloads(maps, "window"))
+    cold = assert_parity(maps, spec, [])
+    assert maps.registry.misses == 1 and worker._STATE.job_cold == 1
+    warm = assert_parity(maps, spec, [])
+    assert maps.registry.hits == 1 and worker._STATE.job_cold == 0
+    assert (cold.steps, cold.primitives) == (warm.steps, warm.primitives)
+    assert maps.registry.peek(IndexKey.make(
+        ref.fingerprint, ref.structure, **dict(ref.params))).build_steps > 0
 
 
 @pytest.mark.parametrize("kind", ["window", "point", "nearest"])
@@ -236,3 +254,44 @@ def test_degraded_path_accounting_matches_across_backends(backend):
             == {"brute:window": 1, "brute:nearest": 1, "brute:join": 1}
         assert eng.stats.latency.count == 3   # every row carries its elapsed
         assert eng.breakers.state(fp) == "open"   # brute feeds no breaker
+
+
+@pytest.mark.parametrize("kind", ["window", "point"])
+@pytest.mark.parametrize("brute_fallback", [True, False])
+def test_failed_shard_job_takes_the_group_failure_path(brute_fallback, kind):
+    """One injected ``shard.query`` error trips the breaker (threshold 1):
+    with ``brute_fallback`` the whole group is re-issued once as a brute
+    spec and every probe answers; without it every probe is rejected."""
+    plan = FaultPlan(specs=(
+        FaultSpec(site="shard.query", kind="error", times=1),))
+    lines = make_lines(8)
+    if kind == "window":
+        payloads = make_windows(6, 31)
+        oracle = [brute_window_query(lines, r) for r in payloads]
+    else:
+        payloads = make_points(6, 32, lines)
+        oracle = [brute_point_query(lines, float(x), float(y))
+                  for x, y in payloads]
+    with SpatialQueryEngine(shards=4, workers=1, max_wait=5.0,
+                            fault_plan=plan, breaker_threshold=1,
+                            breaker_reset=600.0,
+                            brute_fallback=brute_fallback) as eng:
+        fp = eng.register(lines, domain=DOMAIN)
+        eng.warm(fp)
+        submit = eng.submit_window if kind == "window" else eng.submit_point
+        futs = [submit(fp, p) for p in payloads]
+        eng.flush()
+        if brute_fallback:
+            for fut, want in zip(futs, oracle):
+                assert np.array_equal(fut.result(60), want)
+        else:
+            for fut in futs:
+                assert isinstance(fut.exception(60), InjectedFault)
+        snap = eng.snapshot()
+        n = len(payloads)
+        assert snap["fallbacks"] == (n if brute_fallback else 0)
+        assert snap["failed"] == (0 if brute_fallback else n)
+        assert snap["faults_injected"] == {"shard.query": 1}
+        assert eng.breakers.state(fp) == "open" and snap["breaker_trips"] == 1
+        if brute_fallback:
+            assert set(snap["per_index"]) == {f"brute:{kind}"}
