@@ -890,23 +890,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-#: engine-compatible build params per structure (mirrors
-#: SpatialQueryEngine._index_key so `store prefetch` seeds the exact
-#: keys a later engine run will probe)
-def _store_params(structure: str, capacity: int, min_fill: int,
-                  shards: int, ordering: str) -> dict:
-    if structure == "rtree":
-        params = {"min_fill": min_fill, "capacity": capacity}
-    elif structure == "pmr":
-        params = {"capacity": capacity}
-    else:
-        params = {}
-    if shards > 1:
-        params["shards"] = shards
-        params["ordering"] = ordering
-    return params
-
-
 def _fmt_bytes(n: int) -> str:
     for unit in ("B", "KiB", "MiB", "GiB"):
         if n < 1024 or unit == "GiB":
@@ -954,14 +937,15 @@ def _cmd_store(args: argparse.Namespace) -> int:
         print(f"cleared {n} entries from {args.cache_dir}")
         return 0
 
-    # prefetch: build the index and seed the store with it
+    # prefetch: seed the store with the index a same-config engine probes
     from .engine import IndexRegistry
+    from .engine.registry import index_params
 
     lines = _make_map(args.map, args.n, args.domain, args.seed)
     reg = IndexRegistry(capacity=1, store=store)
     fp = reg.register(lines, domain=args.domain)
-    params = _store_params(args.structure, args.capacity, args.min_fill,
-                           args.shards, args.ordering)
+    params = index_params(args.structure, args.capacity, args.min_fill,
+                          args.shards, args.ordering)
     t0 = _time.perf_counter()
     path = reg.persist(fp, args.structure, **params)
     dt = _time.perf_counter() - t0

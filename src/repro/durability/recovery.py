@@ -16,19 +16,21 @@ and activated without building indexes, so recovering a 10k-record
 journal costs hashes and vstacks, not 10k tree builds -- the head's
 index comes from the store's warm tier or one cold build afterwards.
 
-Idempotence: a record whose committed fingerprint is already active in
-the registry's chain is skipped, so calling recovery twice (or
-recovering a journal whose tail the caller already applied) cannot
-double-apply a batch.
+Idempotence is positional, like versions are: replay walks the journal
+in lockstep with the live chain.  The cursor starts at the earliest
+position of the checkpoint content from which the rest of the chain is
+a prefix of the journal; a record whose position the chain already
+holds is counted ``records_skipped`` (a second ``recover()``, or an
+attached journal), the rest are applied, and a chain that is no such
+prefix is a :class:`RecoveryError` -- never a guess by membership.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import Dict, List
-
-import numpy as np
 
 from ..errors import EngineError
 from .journal import MutationJournal
@@ -52,19 +54,13 @@ class RecoveryReport:
     checkpoint_fingerprint: str
     checkpoint_seq: int
     records_replayed: int
-    records_skipped: int          # already-active duplicates (idempotence)
+    records_skipped: int          # positions the live chain already held
     fingerprint: str              # recovered head's content fingerprint
     version: int                  # recovered head's chain position
     num_lines: int
 
     def as_dict(self) -> Dict[str, object]:
-        return {"root": self.root, "chain_root": self.chain_root,
-                "checkpoint_fingerprint": self.checkpoint_fingerprint,
-                "checkpoint_seq": self.checkpoint_seq,
-                "records_replayed": self.records_replayed,
-                "records_skipped": self.records_skipped,
-                "fingerprint": self.fingerprint, "version": self.version,
-                "num_lines": self.num_lines}
+        return asdict(self)
 
 
 def journal_roots(journal_dir: str) -> List[str]:
@@ -79,9 +75,10 @@ def replay_journal(journal: MutationJournal, registry,
                    root: str) -> RecoveryReport:
     """Re-apply one journal's committed records onto ``registry``.
 
-    Registers the checkpoint dataset, replays every later record
-    (delete-then-insert, exactly the live commit semantics), and
-    verifies each step by fingerprint identity.  Returns the
+    Registers the checkpoint dataset, stages every later record the
+    live chain does not already hold through the registry's one write
+    path (``stage_version``), and proves each step by fingerprint
+    identity before activating it.  Returns the
     :class:`RecoveryReport`; the caller (the engine) aliases the
     original handle onto the recovered chain and re-attaches the
     journal for new commits.
@@ -97,44 +94,43 @@ def replay_journal(journal: MutationJournal, registry,
         raise RecoveryError(
             f"checkpoint content hashes to {ck_fp}, manifest says "
             f"{meta['fingerprint']} -- snapshot corrupt")
-    cur_fp = registry.resolve(ck_fp).fingerprint
+    seq0, handle = int(meta["seq"]), registry.resolve(ck_fp).root
+    chain = registry.history(handle)
+    ahead = tuple(rec.fingerprint for rec in islice(
+        journal.records(after_seq=seq0), len(chain) - 1))
+    cursor = next((p for p, fp in enumerate(chain) if fp == ck_fp
+                   and chain[p + 1:] == ahead[:len(chain) - p - 1]), None)
+    if cursor is None:
+        raise RecoveryError(
+            f"live chain {handle} ({len(chain)} versions) is not a prefix "
+            f"of the journal after checkpoint {ck_fp} -- does not chain")
+    cur_fp = ck_fp
     replayed = skipped = 0
-    for rec in journal.records(after_seq=int(meta["seq"])):
-        if registry.version_of(rec.fingerprint) >= 0:
-            # already active (duplicate replay): just advance the cursor
-            skipped += 1
-            cur_fp = rec.fingerprint
-            continue
+    for rec in journal.records(after_seq=seq0):
         if rec.base != cur_fp:
             raise RecoveryError(
                 f"record seq {rec.seq} applies to {rec.base} but replay "
                 f"is at {cur_fp} -- journal does not chain")
-        old = registry.dataset(cur_fp)
-        if rec.delete_ids.size and (rec.delete_ids.min() < 0
-                                    or rec.delete_ids.max() >= old.shape[0]):
-            raise RecoveryError(
-                f"record seq {rec.seq} deletes ids out of range for "
-                f"{old.shape[0]} lines")
-        keep = np.ones(old.shape[0], dtype=bool)
-        keep[rec.delete_ids] = False
-        new_lines = np.vstack([old[keep], rec.insert_lines])
-        staged = registry.stage_version(cur_fp, new_lines,
-                                        delete_ids=rec.delete_ids,
-                                        n_inserted=rec.insert_lines.shape[0])
-        if staged.fingerprint != rec.fingerprint:
+        cur_fp, cursor = rec.fingerprint, cursor + 1
+        if cursor < len(chain):
+            skipped += 1    # lockstep: the live chain holds this position
+            continue
+        try:
+            cur, staged = registry.stage_version(
+                handle, rec.insert_lines, rec.delete_ids)
+        except IndexError as exc:
+            raise RecoveryError(f"record seq {rec.seq}: {exc}") from exc
+        if staged is cur or (staged.fingerprint, staged.num_lines) \
+                != (rec.fingerprint, int(rec.num_lines)):
             registry.abandon_version(staged.fingerprint)
             raise RecoveryError(
-                f"record seq {rec.seq} replayed to {staged.fingerprint}, "
-                f"journal committed {rec.fingerprint} -- fingerprint "
+                f"record seq {rec.seq} replayed to {staged.fingerprint} "
+                f"({staged.num_lines} lines), journal committed "
+                f"{rec.fingerprint} ({rec.num_lines} lines) -- fingerprint "
                 f"identity violated")
-        if int(rec.num_lines) != int(staged.num_lines):
-            raise RecoveryError(
-                f"record seq {rec.seq}: replay has {staged.num_lines} "
-                f"lines, journal recorded {rec.num_lines}")
         registry.activate_version(staged.fingerprint)
-        cur_fp = staged.fingerprint
         replayed += 1
-    head = registry.resolve(cur_fp)
+    head = registry.resolve(handle)
     return RecoveryReport(
         root=root, chain_root=head.root,
         checkpoint_fingerprint=str(meta["fingerprint"]),

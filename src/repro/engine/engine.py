@@ -66,7 +66,7 @@ from ..structures.io import structure_payload
 from .adaptive import AdaptiveController
 from .coalescer import Coalescer, Probe
 from .executor import BoundedExecutor, ProcessBackend, RejectedError
-from .registry import IndexKey, IndexRegistry
+from .registry import IndexKey, IndexRegistry, index_params
 from .stats import EXEC, TOP, WAL, EngineStats
 from .worker import (FAMILY, IndexRef, JobSpec, RegistryResolver,
                      WorkerResult, interpret)
@@ -235,7 +235,8 @@ class SpatialQueryEngine:
         self.registry = IndexRegistry(
             capacity=config.cache_capacity, store=self.store,
             injector=self.faults,
-            versions_retained=config.versions_retained)
+            versions_retained=config.versions_retained,
+            on_collect=self._on_collected)
         self._is_process = config.executor == "process"
         # incremental shard repair serves both backends: the commit
         # path makes every repaired payload worker-visible (store bytes
@@ -387,13 +388,11 @@ class SpatialQueryEngine:
         snapshot, which still spares the first real batch the cold
         build.
         """
-        key = self._index_key(self.registry.resolve(fingerprint).fingerprint,
-                              structure)
-        entry = self.registry.get(key.fingerprint, key.structure,
-                                  **dict(key.params))
+        info = self.registry.resolve(fingerprint)
+        key = self._index_key(info.fingerprint, structure, info.root)
+        self._serving_entry(key)
         if not self._is_process:
             return
-        self._share_index(key, entry)
         ref = self._index_ref(key)
         futs = []
         for _ in range(self.config.workers):
@@ -523,7 +522,8 @@ class SpatialQueryEngine:
         client handle is aliased onto the recovered chain so pre-crash
         fingerprints keep resolving, and the journal is re-attached for
         new commits.  Returns one :class:`RecoveryReport` per chain;
-        idempotent -- a second call skips already-active records.
+        idempotent -- replay walks in lockstep with the live chain, so
+        a second call finds every position held and applies nothing.
         """
         if self._journal_dir is None:
             return []
@@ -534,14 +534,8 @@ class SpatialQueryEngine:
             # than its directory name (a previous recover re-keyed it)
             attached = next((k for k, j in self._journals.items()
                              if j.directory == directory), None)
-            if attached is not None:
-                journal = self._journals[attached]
-            else:
-                journal = MutationJournal(
-                    directory,
-                    fsync=self.config.journal_fsync,
-                    segment_bytes=self.config.journal_segment_bytes,
-                    observer=self.stats.event)
+            journal = (self._journals[attached] if attached is not None
+                       else self._open_journal(directory))
             try:
                 report = replay_journal(journal, self.registry, name)
             except BaseException:
@@ -549,7 +543,7 @@ class SpatialQueryEngine:
                     journal.close()
                 raise
             if report.chain_root != name:
-                self.registry.adopt_root(name, report.fingerprint)
+                self.registry.adopt_root(name, report.chain_root)
             if attached is not None:
                 self._journals.pop(attached, None)
             self._journals[report.chain_root] = journal
@@ -641,7 +635,7 @@ class SpatialQueryEngine:
         with self._root_lock(root):
             started = time.monotonic()
             cur = self.registry.resolve(root)
-            old_key = self._index_key(cur.fingerprint, structure)
+            old_key = self._index_key(cur.fingerprint, structure, root)
             old_params = dict(old_key.params)
             old_k = int(old_params.get("shards", 1))
             old_ord = str(old_params.get("ordering", self.config.ordering))
@@ -681,11 +675,8 @@ class SpatialQueryEngine:
                 new_params.update(shards=K, ordering=ordn, gen=gen)
             # warm build off the read path: probes keep resolving the
             # old generation until the override flips below
-            entry = self.registry.get(cur.fingerprint, old_key.structure,
-                                      **new_params)
-            new_key = entry.key
-            if self._is_process and K > 1:
-                self._share_index(new_key, entry)
+            self._serving_entry(IndexKey.make(
+                cur.fingerprint, old_key.structure, **new_params))
             self._shard_overrides[root] = (K, ordn, gen)
             self.stats.inc(reshards=1)
             # the old decomposition's service EWMAs must not judge the
@@ -813,6 +804,12 @@ class SpatialQueryEngine:
         """One injected fault fired (the :class:`FaultInjector` observer)."""
         self.stats.inc(faults_injected={site: 1})
 
+    def _on_collected(self, fingerprint: str) -> None:
+        """The registry dropped a content (its ``on_collect`` observer):
+        the per-content serving state kept here goes with it."""
+        self.breakers.drop(fingerprint)
+        self.stats.drop_shard_service(fingerprint)
+
     def _on_executor_event(self, name: str, value=1) -> None:
         """Process-backend telemetry: every event but the structured
         ``worker_result`` is a row of the counter table."""
@@ -832,44 +829,29 @@ class SpatialQueryEngine:
             self._arena.reset_live_attachments()
         self.stats.event(name, value)
 
-    def _index_key(self, fingerprint: str, structure: Optional[str]) -> IndexKey:
+    def _index_key(self, fingerprint: str, structure: Optional[str],
+                   root: Optional[str] = None) -> IndexKey:
+        """The key ``fingerprint``'s index is served under.
+
+        The shard cut is the config's unless the chain has a live
+        (shards, ordering, gen) override: kept per *root* (the whole
+        chain reshapes together -- a mutation commit inherits the
+        current cut), set by the register-time probe and advanced by
+        :meth:`reshard`.  ``root`` names that chain when the caller
+        knows it (a staged content is not a handle of its chain yet).
+        """
         structure = structure or self.config.structure
         if structure not in FAMILY:
             raise ValueError(f"unknown structure {structure!r}")
-        if structure == "rtree":
-            params = {"min_fill": self.config.min_fill,
-                      "capacity": self.config.capacity}
-        elif structure == "pmr":
-            params = {"capacity": self.config.capacity}
-        else:
-            params = {}
-        shards, ordering, gen = (self.config.shards,
-                                 self.config.ordering, 0)
-        override = self._shard_override_for(fingerprint)
-        if override is not None:
-            shards, ordering, gen = override
-        if shards > 1:
-            params["shards"] = shards
-            params["ordering"] = ordering
-            if gen:
-                params["gen"] = gen
-        return IndexKey.make(fingerprint, structure, **params)
-
-    def _shard_override_for(
-            self, fingerprint: str) -> Optional[Tuple[int, str, int]]:
-        """The dataset's live (shards, ordering, gen) override, if any.
-
-        Overrides are kept per *root* (the whole chain reshapes
-        together -- a mutation commit inherits the current cut), set by
-        the register-time probe and advanced by :meth:`reshard`.
-        """
-        if not self._shard_overrides:
-            return None
-        try:
-            root = self.registry.resolve(fingerprint).root
-        except KeyError:
-            return None
-        return self._shard_overrides.get(root)
+        cut = (self.config.shards, self.config.ordering, 0)
+        if self._shard_overrides:
+            try:
+                root = root or self.registry.resolve(fingerprint).root
+            except KeyError:
+                root = None
+            cut = self._shard_overrides.get(root, cut)
+        return IndexKey.make(fingerprint, structure, **index_params(
+            structure, self.config.capacity, self.config.min_fill, *cut))
 
     def _submit(self, kind: str, fingerprint: str, payload: np.ndarray,
                 structure: Optional[str], exact: bool,
@@ -880,7 +862,8 @@ class SpatialQueryEngine:
         # content fingerprint, not the client's chain handle
         info = self.registry.resolve(fingerprint)
         fingerprint = info.fingerprint
-        key = (self._index_key(fingerprint, structure), kind, bool(exact))
+        key = (self._index_key(fingerprint, structure, info.root), kind,
+               bool(exact))
         self.stats.record_submitted(kind)
         if not self.breakers.allow(fingerprint):
             if self.config.brute_fallback:
@@ -1160,7 +1143,7 @@ class SpatialQueryEngine:
             tag, lines, meta={"fingerprint": ref.fingerprint,
                               "domain": str(int(domain))})
 
-    def _publish_index(self, key: IndexKey, tree=None) -> None:
+    def _publish_index(self, key: IndexKey, tree) -> None:
         """Publish one built index payload into the arena, best effort.
 
         Prefers mapping the store's ``.npz`` entries straight into the
@@ -1175,25 +1158,12 @@ class SpatialQueryEngine:
         tag = INDEX_PREFIX + store_key_id(key)
         if arena.handle(tag) is not None:
             return
-        arrays = None
-        if self.store is not None:
-            arrays = self.store.payload_arrays(key)
+        arrays = (self.store.payload_arrays(key)
+                  if self.store is not None else None)
         if arrays is None:
-            if tree is None:
-                return
             arrays = structure_payload(tree, dict(key.params))
         arena.publish_payload(tag, arrays,
                               meta={"fingerprint": key.fingerprint})
-
-    def _share_index(self, key: IndexKey, entry) -> None:
-        """Feed a built index to both worker warm tiers, best effort:
-        the store (durable bytes) and the arena (zero-copy pages)."""
-        if self.store is not None and not self.store.contains(key):
-            try:
-                self.registry._put(entry)
-            except (OSError, InjectedFault):
-                pass   # disk full: the arena may still carry it
-        self._publish_index(key, entry.tree)
 
     def _worker_visible(self, key: IndexKey) -> bool:
         """Can a pool worker warm-load this exact index (arena or store)?"""
@@ -1203,26 +1173,36 @@ class SpatialQueryEngine:
             return True
         return self.store is not None and self.store.contains(key)
 
-    def _share_commit(self, key: IndexKey, entry) -> object:
-        """Make a freshly committed index worker-visible (process backend).
+    def _serving_entry(self, key: IndexKey):
+        """The warm -> share step of :meth:`warm`, the commit and
+        :meth:`reshard`: build (or fetch) ``key``'s index and return
+        the entry that will serve.
 
-        Feeds both warm tiers (:meth:`_share_index`) so workers adopt
-        the parent's build instead of each paying a rebuild.  For an
-        incrementally
-        *repaired* entry visibility is a correctness requirement, not a
-        nicety: a worker that cannot load the repaired payload would
-        rebuild canonically and disagree with the parent's shard plan.
-        If neither tier took the payload, the repaired tree is retracted
-        and rebuilt canonically here (raising like any failed warm
-        build).  Returns the entry that will serve reads.
+        Under the process backend it is fed to both worker warm tiers,
+        best effort -- the store (durable bytes) and the arena
+        (zero-copy pages) -- so workers adopt the parent's build.  For
+        an incrementally *repaired* entry that is a correctness
+        requirement: a worker that cannot load the repaired payload
+        would rebuild canonically and disagree with the parent's shard
+        plan, so if neither tier took it the repaired tree is retracted
+        and rebuilt canonically here (raising like any failed build).
         """
-        self._share_index(key, entry)
+        get = partial(self.registry.get, key.fingerprint, key.structure,
+                      **dict(key.params))
+        entry = get()
+        if not self._is_process:
+            return entry
+        if self.store is not None and not self.store.contains(key):
+            try:
+                self.registry._put(entry)
+            except (OSError, InjectedFault):
+                pass   # disk full: the arena may still carry it
+        self._publish_index(key, entry.tree)
         if entry.repaired_from is None or self._worker_visible(key):
             return entry
         self.registry.discard(key)
         self.registry.drop_repair_hint(key.fingerprint)
-        return self.registry.get(key.fingerprint, key.structure,
-                                 **dict(key.params))
+        return get()
 
     # -- mutations -------------------------------------------------------
 
@@ -1233,29 +1213,34 @@ class SpatialQueryEngine:
                 lock = self._mutation_root_locks[root] = threading.Lock()
             return lock
 
+    def _open_journal(self, directory: str) -> MutationJournal:
+        return MutationJournal(
+            directory, fsync=self.config.journal_fsync,
+            segment_bytes=self.config.journal_segment_bytes,
+            observer=self.stats.event)
+
     def _journal_for(self, cur) -> MutationJournal:
         """The chain's journal, created (with its base checkpoint) lazily.
 
         Caller holds the chain's root lock.  A pre-existing journal
-        whose newest record the registry has never seen is *ahead* of
-        this process -- appending would fork its history, so the append
-        path refuses until :meth:`recover` has replayed it.
+        whose head (newest record, else its checkpoint) is not the
+        chain's head content is *ahead* of this process -- appending
+        would fork its history, so the append path refuses until
+        :meth:`recover` has replayed it.
         """
         journal = self._journals.get(cur.root)
         if journal is None:
-            journal = MutationJournal(
-                os.path.join(self._journal_dir, cur.root),
-                fsync=self.config.journal_fsync,
-                segment_bytes=self.config.journal_segment_bytes,
-                observer=self.stats.event)
+            journal = self._open_journal(
+                os.path.join(self._journal_dir, cur.root))
             try:
-                last_fp = journal.last_fingerprint
-                if last_fp is not None \
-                        and self.registry.version_of(last_fp) < 0:
+                meta = journal.read_checkpoint_meta()
+                head = journal.last_fingerprint \
+                    or (meta["fingerprint"] if meta is not None else None)
+                if head is not None and head != cur.fingerprint:
                     raise JournalError(
                         f"journal for {cur.root} holds unreplayed records "
-                        f"(head {last_fp}); run recover() before mutating")
-                if journal.read_checkpoint_meta() is None:
+                        f"(head {head}); run recover() before mutating")
+                if meta is None:
                     # base checkpoint: the chain head as of journal
                     # creation, so replay is anchored by the journal
                     # directory alone
@@ -1282,7 +1267,7 @@ class SpatialQueryEngine:
         if journal is None:
             raise JournalError(f"no journal attached for chain {root!r}")
         head = self.registry.resolve(root)
-        key = self._index_key(head.fingerprint, None)
+        key = self._index_key(head.fingerprint, None, root)
         if self.store is not None and not self.store.contains(key):
             self.registry.persist(key.fingerprint, key.structure,
                                   **dict(key.params))
@@ -1294,30 +1279,32 @@ class SpatialQueryEngine:
     def _run_mutation_batch(self, root: str, probes: List[Probe]) -> None:
         """Commit one coalesced mutation group as one new version.
 
-        Stage (register the post-batch content), warm (build the
-        default-structure index -- repairing from the parent's shards
-        on the thread backend), then flip reads to the new version and
-        let retention GC collect versions beyond the window.  A failed
-        warm build abandons the staged version: the readable snapshot
-        is untouched and the breakers are *not* fed -- a broken write
-        must not trip readers onto the fail-fast path.
+        Stage (the registry turns the batch into the post-batch
+        content), journal, warm (build the default-structure index --
+        repairing from the parent's shards when it can), then flip
+        reads to the new version and let retention collect what the
+        window pushed out.  A failed append or warm build abandons the
+        staged version: the readable snapshot is untouched and the
+        breakers are *not* fed -- a broken write must not trip readers
+        onto the fail-fast path.
         """
         with self._root_lock(root):
             started = time.monotonic()
             try:
-                cur = self.registry.resolve(root)
+                head = self.registry.resolve(root)
             except KeyError as exc:
                 self._fail_probes(probes, exc)
                 return
-            n = cur.num_lines
+            n = head.num_lines
             live, del_parts, ins_parts = [], [], []
             for p in probes:
                 op, payload = p.payload
                 if op == "delete" and payload.size and (
                         payload.min() < 0 or payload.max() >= n):
+                    # fails alone: the rest of its batch still commits
                     self._fail_probes([p], IndexError(
                         f"delete ids out of range for {n} lines "
-                        f"(version {cur.version})"))
+                        f"(version {head.version})"))
                     continue
                 (del_parts if op == "delete" else ins_parts).append(payload)
                 live.append(p)
@@ -1327,19 +1314,13 @@ class SpatialQueryEngine:
                        else np.zeros(0, dtype=np.int64))
             ins = (np.concatenate(ins_parts) if ins_parts
                    else np.zeros((0, 4)))
-            old = self.registry.dataset(cur.fingerprint)
-            keep = np.ones(n, dtype=bool)
-            keep[del_ids] = False
-            new_lines = np.vstack([old[keep], ins])
-            staged = self.registry.stage_version(
-                root, new_lines, delete_ids=del_ids,
-                n_inserted=ins.shape[0])
-            if staged.fingerprint == cur.fingerprint:
-                # no-op batch (empty, or it recreated the same content)
-                result = MutationResult(
-                    root=cur.root, fingerprint=cur.fingerprint,
-                    version=cur.version, num_lines=cur.num_lines,
-                    inserted=int(ins.shape[0]), deleted=int(del_ids.size))
+            cur, staged = self.registry.stage_version(root, ins, del_ids)
+            result = MutationResult(
+                root=staged.root, fingerprint=staged.fingerprint,
+                version=staged.version, num_lines=staged.num_lines,
+                inserted=int(ins.shape[0]), deleted=int(del_ids.size))
+            if staged is cur:
+                # the batch left the content as it was: no new version
                 self._settle_mutations(live, result)
                 return
             # write-ahead: the commit record must be durable *before*
@@ -1367,25 +1348,20 @@ class SpatialQueryEngine:
                     self._fail_probes(live, exc, wal_append_failures=1,
                                       mutation_failures=1)
                     return
-            key = self._index_key(staged.fingerprint, None)
+            key = self._index_key(staged.fingerprint, None, cur.root)
             try:
-                entry = self.registry.get(key.fingerprint, key.structure,
-                                          **dict(key.params))
-                if self._is_process:
-                    # worker visibility comes BEFORE the flip: the new
-                    # version's payload lands in the store and/or the
-                    # arena first, so the first post-flip worker batch
-                    # adopts the parent's build -- including an
-                    # incrementally *repaired* decomposition, whose
-                    # cuts a canonical worker rebuild would not match
-                    entry = self._share_commit(key, entry)
+                # worker visibility comes BEFORE the flip: under the
+                # process backend the new version's payload lands in
+                # the store and/or the arena first, so the first
+                # post-flip worker batch adopts the parent's build
+                entry = self._serving_entry(key)
             except Exception as exc:  # noqa: BLE001 - any failed warm build
                 if journal is not None:
                     journal.abandon_last(seq)
                 self.registry.abandon_version(staged.fingerprint)
                 self._fail_probes(live, exc, mutation_failures=1)
                 return
-            info = self.registry.activate_version(staged.fingerprint)
+            self.registry.activate_version(staged.fingerprint)
             repaired = bool(entry.repair
                             and not entry.repair.get("full_rebuild"))
             self.stats.inc(mutation_batches=1, mutations_applied=len(live),
@@ -1396,23 +1372,18 @@ class SpatialQueryEngine:
                                     entry.build_steps,
                                     entry.build_primitives,
                                     time.monotonic() - started)
-            result = MutationResult(
-                root=info.root, fingerprint=info.fingerprint,
-                version=info.version, num_lines=info.num_lines,
-                inserted=int(ins.shape[0]), deleted=int(del_ids.size),
-                repair=entry.repair)
             if journal is not None and self.config.checkpoint_every:
-                count = self._ckpt_counts.get(info.root, 0) + 1
+                count = self._ckpt_counts.get(cur.root, 0) + 1
                 if count >= self.config.checkpoint_every:
                     count = 0
                     try:
-                        self._checkpoint_locked(info.root)
+                        self._checkpoint_locked(cur.root)
                     except Exception:  # noqa: BLE001 - checkpoint is advisory
                         # the WAL keeps every record the checkpoint
                         # would have truncated, so durability holds
                         self.stats.inc(checkpoint_failures=1)
-                self._ckpt_counts[info.root] = count
-            self._settle_mutations(live, result)
+                self._ckpt_counts[cur.root] = count
+            self._settle_mutations(live, replace(result, repair=entry.repair))
 
     @staticmethod
     def _settle_mutations(probes: List[Probe],

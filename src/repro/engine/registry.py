@@ -22,26 +22,30 @@ a rebuild (the disk hit restores the original build accounting from
 the entry's manifest), and a corrupted store file is quarantined and
 rebuilt transparently.
 
-Dynamic updates are **versioned** (MVCC for indexes).  Every dataset
-fingerprint belongs to a *chain* anchored at its root (the fingerprint
-of version 0); :meth:`IndexRegistry.mutate` commits a delete-then-insert
-batch as a new chain entry whose content fingerprint is computed the
-usual way, so snapshot isolation falls out of content addressing: a
-reader that resolved the chain before the commit keeps querying the old
-content fingerprint and cannot observe the new version.  Any
-fingerprint in a chain :meth:`resolve`\\ s to the chain's *latest*
-version -- clients keep using the handle they first registered and
-always read their writes.
+Dynamic updates are **versioned** (MVCC for indexes): a built index is
+addressed by *content* (its dataset's fingerprint), a version by
+*position*.  Every dataset anchors a *chain* at its root (the
+fingerprint of version 0) and a commit appends one position to it
+whether or not that content was seen before -- insert X then delete X
+is version 2, holding version 0's content and sharing its cached index.
+:meth:`resolve` maps any handle to the chain's latest position, so
+clients keep the handle they first registered and read their writes; a
+reader that resolved before a commit keeps querying the content
+fingerprint it got and cannot observe the new version (snapshot
+isolation).
 
-Commits are **lazy**: no index is built and no cached tree is touched
-at mutation time.  The first read of the new version either *repairs*
-the previous version's sharded index (:func:`repair_sharded`, rebuilding
-only the curve ranges the mutation touched) when the parent tree is
-still in the memory tier, or pays one canonical build.  The last
-``versions_retained`` versions stay warm in both tiers; older versions
-are collected -- datasets, cached indexes, and store entries -- unless
-:meth:`pin`\\ ned by an in-flight read, in which case collection is
-deferred to the last :meth:`unpin`.
+The write path is :meth:`stage_version` (the batch becomes content:
+delete-then-insert over the head, the domain only grows, the lineage is
+remembered for shard repair) followed by :meth:`activate_version` (the
+flip); :meth:`mutate`, the engine's commit and journal replay are all
+that pair.  Commits are **lazy**: no index is built at mutation time.
+The first read of new content either *repairs* the parent content's
+sharded index (:func:`repair_sharded`, rebuilding only the curve ranges
+the batch touched) when that tree is still in the memory tier, or pays
+one canonical build.  Everything held about one content -- rows,
+domain, pins, lineage -- is one record; it is collected from both
+tiers once no position inside the last ``versions_retained`` of *any*
+chain, no staged commit and no :meth:`pin` names it.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ from ..structures import (build_bucket_pmr, build_pm1, build_rtree,
 from ..structures.io import payload_to_tree
 from ..structures.sharded import ShardedIndex, repair_sharded
 
-__all__ = ["dataset_fingerprint", "IndexKey", "BuiltIndex", "VersionInfo",
-           "IndexRegistry"]
+__all__ = ["dataset_fingerprint", "IndexKey", "index_params", "BuiltIndex",
+           "VersionInfo", "IndexRegistry"]
 
 
 def dataset_fingerprint(lines: np.ndarray) -> str:
@@ -92,6 +96,25 @@ class IndexKey:
     @classmethod
     def make(cls, fingerprint: str, structure: str, **params) -> "IndexKey":
         return cls(fingerprint, structure, tuple(sorted(params.items())))
+
+
+def index_params(structure: str, capacity: int, min_fill: int, shards: int,
+                 ordering: str, gen: int = 0) -> Dict[str, object]:
+    """The build parameters one served index is keyed by.
+
+    The engine's probes and ``repro store prefetch`` both call this, so
+    a seeded cache directory holds exactly the keys serving looks up.
+    """
+    params: Dict[str, object] = {}
+    if structure in ("pmr", "rtree"):
+        params["capacity"] = capacity
+    if structure == "rtree":
+        params["min_fill"] = min_fill
+    if shards > 1:
+        params.update(shards=shards, ordering=ordering)
+        if gen:
+            params["gen"] = gen
+    return params
 
 
 @dataclass
@@ -123,11 +146,33 @@ class VersionInfo:
     num_lines: int
 
 
-def _next_pow2(x: float) -> int:
-    n = 1
-    while n < x:
-        n *= 2
-    return n
+@dataclass
+class _Content:
+    """Everything the registry holds about one content fingerprint."""
+
+    lines: np.ndarray      # read-only canonical (n, 4) float64 rows
+    domain: int            # power-of-two space side it is indexed under
+    pins: int = 0          # in-flight reads holding it live
+    doomed: bool = False   # named by no window: goes with the last unpin
+    #: how a cached parent's shards repair into this content:
+    #: (parent fp, deleted parent row ids, inserted row count)
+    lineage: Optional[Tuple[str, np.ndarray, int]] = None
+
+
+def _covering_domain(lines: np.ndarray) -> int:
+    """Smallest power-of-two space side covering every coordinate."""
+    side, top = 1, float(lines.max()) if lines.size else 1.0
+    while side < top:
+        side *= 2
+    return side
+
+
+def _last_position(chain, fingerprint: str) -> int:
+    """Latest chain position holding ``fingerprint`` (-1: none)."""
+    for pos in range(len(chain) - 1, -1, -1):
+        if chain[pos] == fingerprint:
+            return pos
+    return -1
 
 
 class IndexRegistry:
@@ -153,7 +198,8 @@ class IndexRegistry:
     BUILDERS: Dict[str, Callable] = {}
 
     def __init__(self, capacity: int = 8, store=None, injector=None,
-                 versions_retained: int = 2):
+                 versions_retained: int = 2,
+                 on_collect: Optional[Callable[[str], None]] = None):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         if versions_retained < 1:
@@ -162,25 +208,25 @@ class IndexRegistry:
         self.store = store
         self.injector = injector
         self.versions_retained = versions_retained
+        #: observer called with each fingerprint whose content the
+        #: registry just dropped, so per-content state kept elsewhere
+        #: (the engine's breakers, shard timings) can go with it
+        self.on_collect = on_collect
         #: optional :class:`~repro.shm.ShmArena` -- when the engine
         #: attaches one, retiring a fingerprint also unlinks its
         #: published shared-memory blocks so workers cannot map stale
         #: datasets or index payloads
         self.arena = None
         self._lock = threading.RLock()
-        self._datasets: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self._domains: Dict[str, int] = {}
+        self._datasets: "OrderedDict[str, _Content]" = OrderedDict()
         self._cache: "OrderedDict[IndexKey, BuiltIndex]" = OrderedDict()
         #: id(array) -> (weakref, fingerprint): skips re-hashing when the
         #: same (now read-only) array object is registered repeatedly
         self._fp_cache: Dict[int, Tuple[weakref.ref, str]] = {}
         # -- version chains (MVCC) ----------------------------------------
-        self._roots: Dict[str, str] = {}          # any chain fp -> root fp
+        self._roots: Dict[str, str] = {}          # handle fp -> root fp
         self._chains: Dict[str, List[str]] = {}   # root -> fps, idx = version
-        self._pins: Dict[str, int] = {}           # fp -> in-flight readers
-        self._doomed: set = set()                 # retired fps awaiting unpin
-        #: child fp -> (parent fp, deleted old ids, inserted row count)
-        self._repair_hints: Dict[str, Tuple[str, np.ndarray, int]] = {}
+        self._staged: Dict[str, str] = {}         # root -> candidate next fp
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -230,27 +276,29 @@ class IndexRegistry:
                 with self._lock:
                     self._fp_cache[key] = (ref, fp)
         if domain is None:
-            top = float(arr.max()) if arr.size else 1.0
-            domain = _next_pow2(max(top, 1.0))
+            domain = _covering_domain(arr)
         with self._lock:
-            self._datasets[fp] = arr
-            self._domains[fp] = int(domain)
+            rec = self._datasets.setdefault(fp, _Content(arr, int(domain)))
+            rec.domain = int(domain)   # a re-registration may restate it
             if fp not in self._roots:
                 # a fresh dataset anchors its own version chain
                 self._roots[fp] = fp
                 self._chains[fp] = [fp]
         return fp
 
+    def _content(self, fingerprint: str) -> _Content:
+        try:
+            return self._datasets[fingerprint]
+        except KeyError:
+            raise KeyError(f"unknown dataset fingerprint {fingerprint!r}")
+
     def dataset(self, fingerprint: str) -> np.ndarray:
         with self._lock:
-            try:
-                return self._datasets[fingerprint]
-            except KeyError:
-                raise KeyError(f"unknown dataset fingerprint {fingerprint!r}")
+            return self._content(fingerprint).lines
 
     def domain(self, fingerprint: str) -> int:
         with self._lock:
-            return self._domains[fingerprint]
+            return self._content(fingerprint).domain
 
     def dataset_snapshot(self, fingerprint: str):
         """``(lines, domain)`` for shipping to a process-pool worker.
@@ -260,43 +308,37 @@ class IndexRegistry:
         parent-side build of the same key.
         """
         with self._lock:
-            try:
-                return self._datasets[fingerprint], self._domains[fingerprint]
-            except KeyError:
-                raise KeyError(f"unknown dataset fingerprint {fingerprint!r}")
+            rec = self._content(fingerprint)
+            return rec.lines, rec.domain
 
     def datasets_info(self):
         """Registration order, one row per dataset -- what a network
-        client needs to address probes (the ``datasets`` request kind)."""
+        client needs to address probes (the ``datasets`` request kind).
+        ``version`` is the latest chain position holding that content
+        (-1: staged, not yet committed)."""
         with self._lock:
             rows = []
-            for fp, arr in self._datasets.items():
+            for fp, rec in self._datasets.items():
                 root = self._roots.get(fp, fp)
-                chain = self._chains.get(root, [fp])
-                version = chain.index(fp) if fp in chain else -1
+                chain = self._chains.get(root, ())
                 rows.append({"fingerprint": fp,
-                             "num_lines": int(arr.shape[0]),
-                             "domain": int(self._domains[fp]),
-                             "root": root, "version": version,
-                             "latest": chain[-1] == fp})
+                             "num_lines": int(rec.lines.shape[0]),
+                             "domain": rec.domain, "root": root,
+                             "version": _last_position(chain, fp),
+                             "latest": bool(chain) and chain[-1] == fp})
             return rows
 
     def forget(self, fingerprint: str) -> None:
-        """Drop a dataset, every index built from it, and its chain slot."""
+        """Drop a dataset, every index built from it, and its chain slots."""
         with self._lock:
-            self._datasets.pop(fingerprint, None)
-            self._domains.pop(fingerprint, None)
-            self._repair_hints.pop(fingerprint, None)
             root = self._roots.pop(fingerprint, None)
-            chain = self._chains.get(root) if root is not None else None
+            chain = self._chains.get(root)
             if chain is not None:
-                if fingerprint in chain:
-                    chain.remove(fingerprint)
+                chain[:] = [fp for fp in chain if fp != fingerprint]
                 if not chain:
-                    self._chains.pop(root, None)
-        self.invalidate(fingerprint)
-        if self.arena is not None:
-            self.arena.release_fingerprint(fingerprint)
+                    del self._chains[root]
+            self.invalidate(fingerprint)   # counts the dropped indexes
+            self._collect(fingerprint, counted=False)
 
     # -- version chains (MVCC) -------------------------------------------
 
@@ -316,106 +358,118 @@ class IndexRegistry:
             chain = self._chains[root]
             cur = chain[-1]
             return VersionInfo(root, len(chain) - 1, cur,
-                               int(self._datasets[cur].shape[0]))
+                               int(self._datasets[cur].lines.shape[0]))
+
+    def history(self, fingerprint: str) -> Tuple[str, ...]:
+        """Content fingerprint at every position of the chain
+        ``fingerprint`` belongs to (index = version)."""
+        with self._lock:
+            return tuple(self._chains[self.resolve(fingerprint).root])
 
     def version_of(self, fingerprint: str) -> int:
-        """Chain position of this exact content fingerprint (-1: unknown)."""
+        """Latest position holding this content in the chain the
+        fingerprint is a handle of (-1: unknown, or staged only)."""
         with self._lock:
-            root = self._roots.get(fingerprint)
-            if root is None:
-                return -1
-            try:
-                return self._chains[root].index(fingerprint)
-            except ValueError:
-                return -1   # staged but never activated
+            chain = self._chains.get(self._roots.get(fingerprint), ())
+            return _last_position(chain, fingerprint)
 
     def pin(self, fingerprint: str) -> None:
         """Hold a version's data live for an in-flight read."""
         with self._lock:
-            self._pins[fingerprint] = self._pins.get(fingerprint, 0) + 1
+            self._content(fingerprint).pins += 1
 
     def unpin(self, fingerprint: str) -> None:
-        """Release one pin; collects the version if retirement waited."""
-        reap = False
+        """Release one pin; collects the content if retirement waited."""
         with self._lock:
-            n = self._pins.get(fingerprint, 0) - 1
-            if n > 0:
-                self._pins[fingerprint] = n
-            else:
-                self._pins.pop(fingerprint, None)
-                if fingerprint in self._doomed:
-                    self._doomed.discard(fingerprint)
-                    reap = True
-        if reap:
-            self._collect(fingerprint)
+            rec = self._datasets.get(fingerprint)
+            if rec is None:
+                return   # forgotten while the read was in flight
+            rec.pins = max(rec.pins - 1, 0)
+            if rec.doomed and not rec.pins:
+                self._retire((fingerprint,))
 
-    def stage_version(self, fingerprint: str, new_lines: np.ndarray,
-                      delete_ids=None, n_inserted: int = 0) -> VersionInfo:
-        """Register a mutated dataset as the chain's *candidate* next
-        version without flipping reads to it.
+    def stage_version(self, fingerprint: str, insert=None,
+                      delete_ids=None) -> Tuple[VersionInfo, VersionInfo]:
+        """Turn one delete-then-insert batch over the chain's head into
+        its *candidate* next version, without flipping reads to it.
 
-        The new content is registered (and its repair hint recorded)
-        but the chain is not extended: :meth:`resolve` keeps returning
-        the old version until :meth:`activate_version`, so the engine
-        can warm the new index first and a failed build leaves the
-        readable snapshot untouched (:meth:`abandon_version`).  Returns
-        the prospective :class:`VersionInfo`; a no-op mutation (content
-        unchanged) returns the current version instead.
+        The one place a batch becomes content: ``delete_ids`` name rows
+        of the current head (``IndexError`` when out of range) and go
+        first, ``insert`` rows are appended after the survivors, the
+        domain only grows, and the new content remembers its lineage so
+        the first read can repair the parent's shards.  :meth:`resolve`
+        keeps returning the old version until :meth:`activate_version`,
+        so the engine can journal and warm the new index first and a
+        failure leaves the readable snapshot untouched
+        (:meth:`abandon_version`).  Returns ``(current, staged)``; a
+        batch that leaves the content unchanged stages nothing and
+        returns the current version twice.
         """
         cur = self.resolve(fingerprint)
-        new_lines = np.ascontiguousarray(
-            np.asarray(new_lines, dtype=np.float64).reshape(-1, 4))
-        # the domain can only grow: an insert outside the old space
-        # re-covers it with the next power of two (triggering one full
-        # rebuild); staying put keeps decompositions comparable
-        old_dom = self.domain(cur.fingerprint)
-        top = float(new_lines.max()) if new_lines.size else 1.0
-        new_fp = self.register(new_lines,
-                               domain=max(old_dom, _next_pow2(max(top, 1.0))))
+        old, old_dom = self.dataset_snapshot(cur.fingerprint)
+        ids = np.unique(np.asarray(
+            () if delete_ids is None else delete_ids,
+            dtype=np.int64).reshape(-1))
+        if ids.size and (ids[0] < 0 or ids[-1] >= old.shape[0]):
+            raise IndexError(
+                f"delete ids out of range for {old.shape[0]} lines "
+                f"(version {cur.version})")
+        ins = np.asarray(() if insert is None else insert,
+                         dtype=np.float64).reshape(-1, 4)
+        keep = np.ones(old.shape[0], dtype=bool)
+        keep[ids] = False
+        new = np.vstack([old[keep], ins])
+        new.setflags(write=False)
+        fp = dataset_fingerprint(new)
+        if fp == cur.fingerprint:
+            return cur, cur
         with self._lock:
-            if new_fp == cur.fingerprint:
-                return cur
-            chain = self._chains[cur.root]
-            if self._roots.get(new_fp) == new_fp \
-                    and self._chains.get(new_fp) == [new_fp] \
-                    and new_fp not in chain:
-                # fresh content: re-anchor it from its own singleton
-                # chain onto this dataset's chain
-                self._chains.pop(new_fp)
-                self._roots[new_fp] = cur.root
-            del_ids = (np.unique(np.asarray(delete_ids,
-                                            dtype=np.int64).reshape(-1))
-                       if delete_ids is not None
-                       else np.zeros(0, dtype=np.int64))
-            self._repair_hints[new_fp] = (cur.fingerprint, del_ids,
-                                          int(n_inserted))
-            return VersionInfo(cur.root, cur.version + 1, new_fp,
-                               int(new_lines.shape[0]))
+            rec = self._datasets.get(fp)
+            if rec is None:
+                # an insert outside the old space re-covers it with the
+                # next power of two (one full rebuild); staying put
+                # keeps decompositions comparable.  Content already
+                # held (a revisit) keeps the domain its indexes have.
+                rec = self._datasets[fp] = _Content(
+                    new, max(old_dom, _covering_domain(new)))
+            rec.lineage = (cur.fingerprint, ids, int(ins.shape[0]))
+            replaced = self._staged.get(cur.root)
+            self._staged[cur.root] = fp
+            if replaced is not None:
+                self._retire((replaced,), counted=False)
+            return cur, VersionInfo(cur.root, cur.version + 1, fp,
+                                    int(new.shape[0]))
+
+    def _unstage(self, fingerprint: str) -> Optional[str]:
+        """Clear the staged slot holding ``fingerprint``; its root."""
+        for root, fp in self._staged.items():
+            if fp == fingerprint:
+                del self._staged[root]
+                return root
+        return None
 
     def activate_version(self, fingerprint: str) -> VersionInfo:
-        """Flip the chain's latest version to a staged fingerprint.
+        """Flip a chain to its staged version: one more position.
 
-        New :meth:`resolve` calls see the new version from here on.
-        Versions older than the retention window are collected from
-        both tiers -- deferred per-version while :meth:`pin`\\ s hold
-        them for in-flight reads.
+        The append is unconditional -- content the chain (or another
+        chain) held before is a new version like any other.  New
+        :meth:`resolve` calls see it from here on, and the position the
+        append pushed out of the retention window is retired.
         """
         with self._lock:
-            root = self._roots.get(fingerprint)
+            root = self._unstage(fingerprint)
             if root is None:
                 raise KeyError(f"unknown staged fingerprint {fingerprint!r}")
             chain = self._chains[root]
-            if fingerprint not in chain:
-                chain.append(fingerprint)
-                self.versions_committed += 1
-            retired = [fp for fp in chain[:-self.versions_retained]
-                       if fp in self._datasets]
-            pinned = [fp for fp in retired if self._pins.get(fp, 0) > 0]
-            self._doomed.update(pinned)
-        for fp in retired:
-            if fp not in pinned:
-                self._collect(fp)
-        return self.resolve(fingerprint)
+            chain.append(fingerprint)
+            # a handle stays with the chain that claimed it first
+            self._roots.setdefault(fingerprint, root)
+            self.versions_committed += 1
+            keep = self.versions_retained
+            self._retire(chain[-keep - 1:-keep])
+            return VersionInfo(
+                root, len(chain) - 1, fingerprint,
+                int(self._datasets[fingerprint].lines.shape[0]))
 
     def adopt_root(self, alias: str, fingerprint: str) -> None:
         """Point an old chain handle at another (recovered) chain.
@@ -444,70 +498,58 @@ class IndexRegistry:
             self._roots[alias] = root
 
     def abandon_version(self, fingerprint: str) -> None:
-        """Discard a staged version whose index build failed.
+        """Discard a staged version whose journal append or index build
+        failed.  Never touches an *activated* version: the chain is as
+        it was, and content a retention window names survives."""
+        with self._lock:
+            if self._unstage(fingerprint) is not None:
+                self._retire((fingerprint,), counted=False)
 
-        Never touches an *activated* version: the readable snapshot and
-        the chain stay exactly as they were before the staging.
+    def _retire(self, fingerprints, counted: bool = True) -> None:
+        """Collect each content nothing names any more.
+
+        A content is named by a position inside the retention window of
+        *any* chain, by a staged commit, or by a pin -- the last only
+        defers: the content is marked doomed and goes with its final
+        :meth:`unpin`.
         """
         with self._lock:
-            root = self._roots.get(fingerprint)
-            if root is None or fingerprint in self._chains.get(root, ()):
-                return
-            self._roots.pop(fingerprint, None)
-            self._repair_hints.pop(fingerprint, None)
-            self._datasets.pop(fingerprint, None)
-            self._domains.pop(fingerprint, None)
+            named = set(self._staged.values())
+            for chain in self._chains.values():
+                named.update(chain[-self.versions_retained:])
+            for fp in fingerprints:
+                rec = self._datasets.get(fp)
+                if rec is not None:
+                    rec.doomed = fp not in named and rec.pins > 0
+                    if fp not in named and not rec.pins:
+                        self._collect(fp, counted)
 
-    def _collect(self, fingerprint: str) -> None:
-        """Reclaim a retired version: dataset, cached indexes, store
-        entries, and any repair hint that names it as a parent."""
-        with self._lock:
-            self._datasets.pop(fingerprint, None)
-            self._domains.pop(fingerprint, None)
-            self._repair_hints.pop(fingerprint, None)
-            for child in [c for c, h in self._repair_hints.items()
-                          if h[0] == fingerprint]:
-                del self._repair_hints[child]
-            for key in [k for k in self._cache
-                        if k.fingerprint == fingerprint]:
-                del self._cache[key]
-            self.versions_collected += 1
+    def _collect(self, fingerprint: str, counted: bool) -> None:
+        """Reclaim one content: record, cached indexes, store entries,
+        arena blocks.  The caller holds the lock throughout, so a commit
+        staging the same content again cannot interleave with this."""
+        self._datasets.pop(fingerprint, None)
+        for key in [k for k in self._cache if k.fingerprint == fingerprint]:
+            del self._cache[key]
+        self.versions_collected += counted
         if self.store is not None:
             self.store.delete_fingerprint(fingerprint)
         if self.arena is not None:
             self.arena.release_fingerprint(fingerprint)
+        if self.on_collect is not None:
+            self.on_collect(fingerprint)
 
     def mutate(self, fingerprint: str, insert=None,
                delete_ids=None) -> VersionInfo:
         """Commit one delete-then-insert batch as the new active version.
 
-        Deletes name row ids of the *current* version and are applied
-        first; inserted rows are appended after the survivors.  Lazy:
-        no index is built here -- the first read pays a repair or one
+        :meth:`stage_version` then :meth:`activate_version`.  Lazy: no
+        index is built here -- the first read pays a repair or one
         canonical build -- and the previous version stays readable
         until the retention window pushes it out.
         """
-        cur = self.resolve(fingerprint)
-        old = self.dataset(cur.fingerprint)
-        del_ids = (np.unique(np.asarray(delete_ids,
-                                        dtype=np.int64).reshape(-1))
-                   if delete_ids is not None
-                   else np.zeros(0, dtype=np.int64))
-        if del_ids.size and (del_ids[0] < 0
-                             or del_ids[-1] >= old.shape[0]):
-            raise IndexError(
-                f"delete ids out of range for {old.shape[0]} lines")
-        ins = (np.asarray(insert, dtype=np.float64).reshape(-1, 4)
-               if insert is not None else np.zeros((0, 4)))
-        if not del_ids.size and not ins.shape[0]:
-            return cur
-        keep = np.ones(old.shape[0], dtype=bool)
-        keep[del_ids] = False
-        new_lines = np.vstack([old[keep], ins])
-        staged = self.stage_version(fingerprint, new_lines,
-                                    delete_ids=del_ids,
-                                    n_inserted=ins.shape[0])
-        if staged.fingerprint == cur.fingerprint:
+        cur, staged = self.stage_version(fingerprint, insert, delete_ids)
+        if staged is cur:
             return cur
         return self.activate_version(staged.fingerprint)
 
@@ -537,8 +579,7 @@ class IndexRegistry:
                 self.hits += 1
                 return entry
             self.misses += 1
-            lines = self.dataset(fingerprint)
-            dom = self._domains[fingerprint]
+            lines, dom = self.dataset_snapshot(fingerprint)
         # load / build outside the lock: builds are deterministic, so a
         # racing duplicate wastes work but never yields a wrong entry.
         # The arena tier comes first: for a *repaired* index published
@@ -582,17 +623,17 @@ class IndexRegistry:
         Applies only when this fingerprint is a committed mutation of a
         parent whose *same-key* sharded index is still in the memory
         tier -- then only the curve ranges the mutation touched are
-        rebuilt.  Any miss in that chain of conditions (no hint, parent
+        rebuilt.  Any miss in that chain of conditions (no lineage, parent
         evicted, unsharded key) returns ``None`` and the caller pays the
         canonical build.
         """
         if int(params.get("shards", 1)) <= 1:
             return None
         with self._lock:
-            hint = self._repair_hints.get(key.fingerprint)
-            if hint is None:
+            rec = self._datasets.get(key.fingerprint)
+            if rec is None or rec.lineage is None:
                 return None
-            parent_fp, del_ids, n_inserted = hint
+            parent_fp, del_ids, n_inserted = rec.lineage
             parent = self._cache.get(
                 IndexKey.make(parent_fp, key.structure, **params))
         if parent is None or not isinstance(parent.tree, ShardedIndex):
@@ -663,7 +704,8 @@ class IndexRegistry:
         """Forget a staged version's repair lineage so the next
         :meth:`get` pays the canonical build instead of a repair."""
         with self._lock:
-            self._repair_hints.pop(fingerprint, None)
+            if fingerprint in self._datasets:
+                self._datasets[fingerprint].lineage = None
 
     def _insert(self, entry: BuiltIndex) -> None:
         """Admit one entry to the memory tier, spilling any evictees.
@@ -793,7 +835,8 @@ class IndexRegistry:
                 "versions_committed": float(self.versions_committed),
                 "versions_collected": float(self.versions_collected),
                 "versions_retained": float(self.versions_retained),
-                "pinned_versions": float(len(self._pins)),
+                "pinned_versions": float(sum(
+                    1 for rec in self._datasets.values() if rec.pins)),
             }
         if self.store is not None:
             out["store"] = self.store.snapshot()

@@ -342,7 +342,7 @@ class SpatialServer:
         if kind == "insert":
             return self.engine.submit_insert(
                 req["fingerprint"],
-                np.asarray(req["lines"], dtype=np.int64).reshape(-1, 4))
+                np.asarray(req["lines"], dtype=np.float64).reshape(-1, 4))
         if kind == "delete":
             return self.engine.submit_delete(
                 req["fingerprint"], np.asarray(req["ids"], dtype=np.int64))

@@ -205,6 +205,11 @@ class BreakerBoard:
     def retry_after(self, key: str) -> float:
         return self.breaker(key).retry_after()
 
+    def drop(self, key: str) -> None:
+        """Forget ``key``'s breaker: its content was collected."""
+        with self._lock:
+            self._breakers.pop(key, None)
+
     def snapshot(self) -> Dict[str, Dict[str, object]]:
         with self._lock:
             items = list(self._breakers.items())

@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry.distance import points_rects_distance, points_rects_max_distance
+from ..geometry.distance import points_rects_distance
 from ..geometry.rect import overlaps, validate_rects
 from ..machine import Machine
 from ..resilience import PartialResult
@@ -58,7 +58,7 @@ from .quadblock import Quadtree
 from .rtree import RTree, build_rtree
 
 __all__ = ["Shard", "ShardedIndex", "build_sharded", "repair_sharded",
-           "reshard", "shard_keys", "sharded_join", "ORDERINGS"]
+           "shard_keys", "sharded_join", "ORDERINGS"]
 
 ORDERINGS = ("morton", "hilbert")
 
@@ -251,25 +251,6 @@ class ShardedIndex:
         flat_p = np.repeat(pts, K, axis=0)
         flat_r = np.tile(mbrs, (B, 1))
         return points_rects_distance(flat_p, flat_r).reshape(B, K).T
-
-    def plan_nearest(self, points: np.ndarray) -> np.ndarray:
-        """``(K, B)`` mask keeping shards that can beat the min-max bound.
-
-        Every shard is non-empty, so the max corner distance of each
-        shard MBR upper-bounds that shard's nearest answer; a shard
-        whose lower bound exceeds the minimum upper bound over all
-        shards cannot win for that query.
-        """
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        K, B = self.num_shards, pts.shape[0]
-        if K == 0 or B == 0:
-            return np.zeros((K, B), dtype=bool)
-        mbrs = self.shard_mbrs()
-        flat_p = np.repeat(pts, K, axis=0)
-        flat_r = np.tile(mbrs, (B, 1))
-        lb = points_rects_distance(flat_p, flat_r).reshape(B, K).T
-        ub = points_rects_max_distance(flat_p, flat_r).reshape(B, K).T
-        return lb <= ub.min(axis=0)[None, :]
 
     def query_shard_batch(self, k: int, kind: str, payloads: np.ndarray,
                           exact: bool = True,
@@ -506,57 +487,6 @@ def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
     return (ShardedIndex(lines=new_lines, domain=dom,
                          structure=index.structure, ordering=index.ordering,
                          shards=built), stats)
-
-
-def reshard(index: ShardedIndex, shards: Optional[int] = None,
-            ordering: Optional[str] = None, capacity: int = 8,
-            min_fill: int = 2, max_depth=None,
-            skew_factor: float = 1.5,
-            force: bool = False) -> Tuple[ShardedIndex, dict]:
-    """Online re-shard entry point: re-cut into balanced curve ranges.
-
-    The balance test is the one :func:`repair_sharded` uses for its
-    full-rebuild fallback (largest shard vs. ``skew_factor`` times the
-    balanced size), and the re-cut itself is the same equal-count
-    ``build_sharded`` pass that fallback pays -- this entry point just
-    makes the rebalance callable *without* a mutation, for the adaptive
-    controller's skew watchdog.
-
-    When the requested decomposition matches the current one and the
-    cut is already within ``skew_factor`` of balanced, the index is
-    returned unchanged with ``stats["resharded"] = False`` (a cheap
-    no-op, no tree is rebuilt).  ``force=True`` re-cuts regardless --
-    the caller is changing K or the ordering and needs the new
-    decomposition even if the old one happened to be balanced.
-
-    Returns ``(index, stats)`` where stats carries the before/after
-    skew (``max shard size / balanced size``) so callers can log what
-    the rebalance bought.
-    """
-    K = int(shards) if shards is not None else max(index.num_shards, 1)
-    if K < 1:
-        raise ValueError("shards must be >= 1")
-    ordn = ordering if ordering is not None else index.ordering
-    if ordn not in ORDERINGS:
-        raise ValueError(f"unknown ordering {ordn!r}; choose from {ORDERINGS}")
-    n = index.num_lines
-    balanced = max(-(-n // K), 1)
-    sizes = index.shard_sizes()
-    skew = float(sizes.max()) / balanced if sizes.size else 0.0
-    stats = {"resharded": False, "shards": K, "ordering": ordn,
-             "skew_before": skew, "skew_after": skew}
-    same = (K == index.num_shards and ordn == index.ordering)
-    if same and not force and skew <= skew_factor:
-        return index, stats
-    rebuilt = build_sharded(index.lines, index.domain,
-                            structure=index.structure, shards=K,
-                            ordering=ordn, capacity=capacity,
-                            min_fill=min_fill, max_depth=max_depth)
-    new_sizes = rebuilt.shard_sizes()
-    stats["resharded"] = True
-    stats["skew_after"] = (float(new_sizes.max()) / balanced
-                           if new_sizes.size else 0.0)
-    return rebuilt, stats
 
 
 # -- join -----------------------------------------------------------------

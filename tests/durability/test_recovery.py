@@ -243,3 +243,125 @@ class TestRecoveryRefusals:
             eng2.register(seeded_lines(), domain=DOMAIN)
             with pytest.raises(Exception, match="unreplayed"):
                 eng2.insert_lines(fp, [[1.0, 2.0, 3.0, 4.0]])
+
+
+def revisit_commits(eng, fp, flips=4):
+    """A->B->A->B->A: insert three rows, delete exactly them, and again.
+
+    Returns the shadow head array (after an even number of flips: the
+    registered rows themselves)."""
+    rows = random_segments(3, domain=DOMAIN, max_len=30, seed=91)
+    shadow = eng.registry.dataset(eng.registry.resolve(fp).fingerprint)
+    for flip in range(flips):
+        if flip % 2 == 0:
+            eng.insert_lines(fp, rows)
+            shadow = np.vstack([shadow, rows])
+        else:
+            n = shadow.shape[0]
+            eng.delete_lines(fp, np.arange(n - rows.shape[0], n))
+            shadow = shadow[:n - rows.shape[0]]
+    return shadow
+
+
+class TestRevisitedContent:
+    """Replay is positional: content the chain held before is a record
+    like any other, applied once -- live, restarted, and re-recovered."""
+
+    def test_revisited_history_replays_every_record(self, tmp_path):
+        lines = seeded_lines()
+        with make_engine(tmp_path) as eng:
+            fp = eng.register(lines, domain=DOMAIN)
+            shadow = revisit_commits(eng, fp)
+            assert eng.registry.resolve(fp).version == 4
+            # the live chain already holds every journal position
+            (live,) = eng.recover()
+            assert (live.records_replayed, live.records_skipped) == (0, 4)
+            assert eng.registry.resolve(fp).version == 4
+        with make_engine(tmp_path) as eng2:
+            (rep,) = eng2.recover()
+            assert (rep.records_replayed, rep.records_skipped) == (4, 0)
+            assert rep.version == 4
+            head = eng2.registry.resolve(fp)
+            assert np.array_equal(eng2.registry.dataset(head.fingerprint),
+                                  shadow)
+            got = sorted(eng2.window(fp, RECT).tolist())
+            assert got == sorted(brute_window_query(shadow, RECT).tolist())
+            (again,) = eng2.recover()
+            assert (again.records_replayed, again.records_skipped) == (0, 4)
+            assert eng2.registry.resolve(fp) == head
+
+    def test_checkpoint_content_equal_to_a_later_head(self, tmp_path):
+        """A checkpoint taken mid-history holds the content the head
+        returns to two commits later; the anchor must not mistake the
+        head for the checkpoint position."""
+        with make_engine(tmp_path) as eng:
+            fp = eng.register(seeded_lines(), domain=DOMAIN)
+            revisit_commits(eng, fp, flips=2)
+            meta = eng.checkpoint(fp)
+            shadow = revisit_commits(eng, fp, flips=2)
+            head_fp = eng.registry.resolve(fp).fingerprint
+            assert meta["fingerprint"] == head_fp      # same content
+            (live,) = eng.recover()
+            assert (live.records_replayed, live.records_skipped) == (0, 2)
+            assert eng.registry.resolve(fp).version == 4
+        with make_engine(tmp_path) as eng2:
+            (rep,) = eng2.recover()
+            assert (rep.records_replayed, rep.records_skipped) == (2, 0)
+            assert rep.fingerprint == head_fp
+            assert np.array_equal(eng2.registry.dataset(rep.fingerprint),
+                                  shadow)
+            (again,) = eng2.recover()
+            assert (again.records_replayed, again.records_skipped) == (0, 2)
+            assert again.version == rep.version == 2
+
+    def test_diverged_live_chain_is_an_error_not_a_skip(self, tmp_path):
+        """Membership is not evidence: a live chain that holds the
+        journal's fingerprints in another order must be refused."""
+        lines = seeded_lines(20)
+        n = lines.shape[0]
+        row_b = np.array([[1.0, 2.0, 3.0, 4.0]])
+        row_c = np.array([[5.0, 6.0, 7.0, 8.0]])
+        reg = IndexRegistry(capacity=4)
+        a = reg.register(lines, domain=DOMAIN)
+        b = reg.mutate(a, insert=row_b)                      # live: A -> B
+        c = reg.mutate(a, insert=row_c, delete_ids=[n])      #       B -> C
+        j = MutationJournal(str(tmp_path / "j"))
+        j.write_checkpoint(lines, fingerprint=a, version=0, domain=DOMAIN,
+                           seq=0)
+        none = np.zeros(0, dtype=np.int64)
+        j.append(base=a, fingerprint=c.fingerprint, version=1,   # A -> C
+                 num_lines=n + 1, domain=DOMAIN, delete_ids=none,
+                 insert_lines=row_c)
+        j.append(base=c.fingerprint, fingerprint=b.fingerprint,  # C -> B
+                 version=2, num_lines=n + 1, domain=DOMAIN,
+                 delete_ids=np.array([n]), insert_lines=row_b)
+        with pytest.raises(RecoveryError, match="chain"):
+            replay_journal(j, reg, "r")
+        assert reg.history(a) == (a, b.fingerprint, c.fingerprint)
+        j.close()
+
+
+class TestParentWrittenJournal:
+    def test_journal_written_by_the_parent_commit_recovers(self, tmp_path):
+        """``fixtures/journal_e10aae5`` was written by the commit before
+        versions became positions (``run_commits`` never revisits): the
+        record format and every fingerprint must read back unchanged."""
+        import json
+        import shutil
+        src = os.path.join(os.path.dirname(__file__), "fixtures",
+                           "journal_e10aae5")
+        want = json.load(open(os.path.join(src, "expected.json")))
+        # a copy: opening a journal may re-stamp or truncate its tail
+        shutil.copytree(os.path.join(src, "wal"), tmp_path / "wal")
+        with make_engine(tmp_path) as eng:
+            (rep,) = eng.recover()
+            assert rep.records_replayed == len(want["heads"])
+            assert (rep.fingerprint, rep.version, rep.num_lines) == (
+                want["heads"][-1], want["version"], want["num_lines"])
+            assert eng.registry.resolve(want["root"]).fingerprint \
+                == rep.fingerprint
+        # the same script run live under this code commits the same heads
+        with make_engine(tmp_path / "live") as eng:
+            fp = eng.register(seeded_lines(), domain=DOMAIN)
+            assert fp == want["root"]
+            assert run_commits(eng, fp, len(want["heads"])) == want["heads"]

@@ -16,6 +16,7 @@ import pytest
 
 from repro.engine import SpatialQueryEngine
 from repro.engine.executor import RejectedError
+from repro.engine.registry import dataset_fingerprint
 from repro.geometry import random_segments
 from repro.net import ServeClient, ServerThread
 from repro.net.client import ServeConnectionError
@@ -107,6 +108,33 @@ class TestDifferential:
             resp = c.window(fp, rect, structure="rtree")
             assert resp["result"] == eng.window(fp, rect,
                                                 structure="rtree").tolist()
+
+
+class TestMutationsOverWire:
+    def test_fractional_insert_is_stored_bit_for_bit(self, served):
+        """The wire keeps floats: the server must not truncate them."""
+        st, eng, fp, lines = served
+        rows = np.array([[1.5, 2.5, 3.75, 4.25], [10.125, 0.5, 11.0, 7.875]])
+        shadow = np.vstack([lines, rows])
+        with ServeClient(st.host, st.port) as c:
+            ack = c.insert(fp, rows.tolist())
+        assert ack["status"] == 200 and ack["version"] == 1
+        assert ack["result"]["fingerprint"] == dataset_fingerprint(shadow)
+        head = eng.registry.dataset(eng.registry.resolve(fp).fingerprint)
+        assert head[-2:].tobytes() == rows.tobytes()
+
+    def test_insert_then_delete_advances_two_versions(self, served):
+        st, eng, fp, lines = served
+        n = lines.shape[0]
+        with ServeClient(st.host, st.port) as c:
+            a = c.insert(fp, [[5.0, 5.0, 9.0, 9.0]])
+            b = c.delete(fp, [n])
+            (row,) = [r for r in c.datasets()["result"] if r["latest"]]
+            assert c.window(fp, [4, 4, 10, 10])["result"] == []
+        assert (a["version"], b["version"]) == (1, 2)
+        assert b["result"]["num_lines"] == n
+        assert (row["fingerprint"], row["version"], row["num_lines"]) \
+            == (fp, 2, n)
 
 
 class TestIntrospection:

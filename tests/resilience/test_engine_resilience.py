@@ -179,6 +179,36 @@ class TestCircuitBreaker:
             assert eng.breakers.state(fp_b) == "closed"
 
 
+    def test_collected_versions_take_their_breakers_along(self):
+        """One breaker (and shard-timing row) per *held* content, not
+        one per commit forever; an OPEN breaker of a version still
+        inside the retention window is left alone."""
+        lines = segments(seed=8)
+        with SpatialQueryEngine(workers=2, max_batch=4, shards=2,
+                                versions_retained=2, breaker_threshold=1,
+                                breaker_reset=60.0) as eng:
+            fp = eng.register(lines, domain=DOMAIN)
+            for i in range(50):
+                eng.insert_lines(fp, [[1.0 + i, 2.0, 30.0 + i, 40.0]])
+                eng.window(fp, FULL)   # mints the new head's breaker
+            held = {row["fingerprint"] for row in eng.datasets_info()}
+            assert len(held) == 2
+            assert set(eng.health()["breakers"]) <= held
+            assert set(eng.snapshot()["shard_service_ms"]) <= held
+            # trip the head's breaker, then push it back one position
+            tripped = eng.registry.resolve(fp).fingerprint
+            eng.breakers.record_failure(tripped)
+            eng.insert_lines(fp, [[7.0, 7.0, 70.0, 70.0]])
+            eng.window(fp, FULL)
+            health = eng.health()
+            assert health["breakers"][tripped]["state"] == "open"
+            assert len(health["breakers"]) <= 2 + 1
+            # one more commit collects that version, breaker and all
+            eng.insert_lines(fp, [[8.0, 8.0, 80.0, 80.0]])
+            assert tripped not in eng.health()["breakers"]
+            assert eng.health()["status"] == "ok"
+
+
 class TestBruteFallback:
     def test_open_breaker_serves_brute_force_answers(self):
         """With brute_fallback on, an open circuit degrades to a raw

@@ -154,6 +154,25 @@ class TestStore:
         _, out = run(capsys, "store", "ls", "--cache-dir", str(tmp_path))
         assert "1 entries" in out
 
+    def test_prefetch_writes_the_key_a_same_config_engine_probes(
+            self, capsys, tmp_path):
+        """One ``index_params`` behind both: the seeded entry is the
+        one the engine disk-hits, and serving adds no second entry."""
+        from repro.store import IndexStore
+
+        code, _ = self.prefetch(capsys, tmp_path, structure="rtree", shards=4)
+        assert code == 0
+        (seeded,) = IndexStore(tmp_path).entries()
+        code, out = run(capsys, "serve", "--demo", "--structure", "rtree",
+                        "--shards", "4", "--n", "150", "--domain", "256",
+                        "--probes", "60", "--clients", "1",
+                        "--cache-dir", str(tmp_path))
+        assert code == 0
+        lines = [ln for ln in out.splitlines() if "disk hits" in ln]
+        assert lines and lines[0].strip().endswith("1")
+        assert [e.key_id for e in IndexStore(tmp_path).entries()] \
+            == [seeded.key_id]
+
     def test_store_requires_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main(["store"])

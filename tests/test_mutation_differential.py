@@ -231,3 +231,78 @@ def test_engine_mutation_differential_large(family, shards, backend, seed):
     run_engine_mutation_differential(family, shards, "hilbert", backend,
                                      seed=seed, generations=8, probes=8,
                                      big=True)
+
+
+# -- revisited content: a version is a chain position ---------------------
+
+@pytest.mark.parametrize("backend", [
+    "thread", pytest.param("process", marks=pytest.mark.slow)])
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
+def test_revisited_content_commits_as_a_new_version(shards, backend):
+    """Insert k rows, delete exactly those rows, twice over (A->B->A->B->A).
+
+    Every commit returns the map to content the chain held before; each
+    must still be one new version that readers see, while a reader
+    admitted before the commit keeps the snapshot it was bound to.
+    """
+    from repro.engine import SpatialQueryEngine
+
+    shadow = np.unique(make_family("uniform", 71), axis=0)
+    rng = np.random.default_rng(771)
+    p = rng.uniform(100, DOMAIN * 0.8, (6, 2))
+    rows = np.hstack([p, p + rng.uniform(4, 60, (6, 2))]).round()
+    rects = np.vstack([probe_windows(rng, 4),
+                       [[90.0, 90.0, DOMAIN - 1.0, DOMAIN - 1.0]]])
+    with SpatialQueryEngine(structure="pmr", shards=shards, max_batch=64,
+                            max_wait=5.0, workers=2,
+                            executor=backend) as eng:
+        handle = eng.register(shadow, domain=DOMAIN)
+        version = eng.registry.resolve(handle).version
+        for step in range(4):
+            ctx = (shards, backend, step)
+            n = shadow.shape[0]
+            before = shadow
+            parked = [eng.submit_window(handle, r) for r in rects]
+            if step % 2 == 0:
+                ack = eng.submit_insert(handle, rows)
+                shadow = apply_shadow(shadow, rows, np.zeros(0, np.int64))
+            else:
+                ids = np.arange(n - rows.shape[0], n)
+                ack = eng.submit_delete(handle, ids)
+                shadow = apply_shadow(shadow, np.zeros((0, 4)), ids)
+            eng.flush()
+            res = ack.result(120)
+            version += 1
+            assert res.version == version, ctx
+            assert res.num_lines == shadow.shape[0], ctx
+            head = eng.registry.resolve(handle)
+            assert (head.version, head.fingerprint) \
+                == (version, res.fingerprint), ctx
+            assert np.array_equal(eng.registry.dataset(head.fingerprint),
+                                  shadow), ctx
+            for fut, rect in zip(parked, rects):
+                assert fut.version == version - 1, ctx
+                assert np.array_equal(fut.result(120),
+                                      brute_window_query(before, rect)), \
+                    ctx + ("pinned reader",)
+            mids = 0.5 * (rows[:, 0:2] + rows[:, 2:4])
+            pts = np.vstack([mids[:3], rng.uniform(0, DOMAIN, (3, 2))])
+            w = [eng.submit_window(handle, r) for r in rects]
+            s = [eng.submit_point(handle, pt) for pt in pts]
+            nn = [eng.submit_nearest(handle, pt) for pt in pts]
+            eng.flush()
+            for fut, rect in zip(w, rects):
+                assert fut.version == version, ctx
+                assert np.array_equal(fut.result(120),
+                                      brute_window_query(shadow, rect)), \
+                    ctx + ("window",)
+            for fs, fn, (px, py) in zip(s, nn, pts):
+                assert np.array_equal(fs.result(120),
+                                      brute_point_query(shadow, px, py)), \
+                    ctx + ("point",)
+                gid, d = fn.result(120)
+                bid, bd = brute_nearest(shadow, px, py)
+                assert (gid, d) == (bid, pytest.approx(bd)), \
+                    ctx + ("nearest",)
+        snap = eng.snapshot()
+        assert snap["mutation_failures"] == 0 and snap["failed"] == 0
