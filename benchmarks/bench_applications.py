@@ -12,7 +12,8 @@ import pytest
 from repro.analysis import format_table
 from repro.geometry import midpoints
 from repro.machine import Machine, use_machine
-from repro.structures import build_kdtree, connected_components, polygonize
+from repro.extras import connected_components, polygonize
+from repro.structures import build_kdtree
 
 from conftest import print_experiment
 

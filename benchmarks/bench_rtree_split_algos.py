@@ -11,7 +11,8 @@ import pytest
 
 from repro.analysis import average_query_visits, format_table, rtree_stats
 from repro.machine import Machine, use_machine
-from repro.structures import build_rtree, build_rtree_str
+from repro.extras import build_rtree_str
+from repro.structures import build_rtree
 
 from conftest import print_experiment
 

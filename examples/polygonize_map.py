@@ -12,14 +12,8 @@ Run:  python examples/polygonize_map.py
 
 import numpy as np
 
-from repro import (
-    Machine,
-    build_kdtree,
-    connected_components,
-    polygonize,
-    print_table,
-    use_machine,
-)
+from repro import Machine, build_kdtree, print_table, use_machine
+from repro.extras import connected_components, polygonize
 from repro.geometry import midpoints, road_map
 
 

@@ -83,7 +83,6 @@ from .structures import (
     BuildTrace,
     KDTree,
     LinearQuadtree,
-    MapTopology,
     PM1Quadtree,
     Quadtree,
     RTree,
@@ -95,14 +94,11 @@ from .structures import (
     build_pr_quadtree,
     build_region_quadtree,
     build_rtree,
-    build_rtree_str,
-    connected_components,
     delete_lines,
     insert_lines,
     load_structure,
     overlay_points,
     pm1_delete_lines,
-    polygonize,
     quadtree_join,
     quadtree_nearest,
     rtree_join,
@@ -123,13 +119,12 @@ __all__ = [
     "mean_split", "sweep_split",
     # structures
     "Quadtree", "PM1Quadtree", "BucketPMRQuadtree", "RTree", "BuildTrace",
-    "build_pm1", "build_bucket_pmr", "build_rtree", "build_rtree_str",
+    "build_pm1", "build_bucket_pmr", "build_rtree",
     "quadtree_join", "rtree_join", "brute_join", "overlay_points",
     "LinearQuadtree", "to_linear",
     "delete_lines", "insert_lines", "pm1_delete_lines",
     "save_structure", "load_structure",
     "brute_nearest", "quadtree_nearest", "rtree_nearest",
-    "connected_components", "polygonize", "MapTopology",
     "build_kdtree", "KDTree", "build_pr_quadtree", "build_region_quadtree",
     "batch_window_query_quadtree", "batch_window_query_rtree",
     "batch_point_query_quadtree", "batch_point_query_rtree",

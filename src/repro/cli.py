@@ -29,7 +29,8 @@ Nine subcommands cover the everyday entry points:
     Multi-process open-loop load generator against a running
     ``serve --listen`` server: drives a qps ramp, prints the overload
     curve (sustained qps, p50/p99, throttle/shed/error rates), and
-    writes ``BENCH_serving.json``.
+    writes the report as JSON to ``--out`` (an untracked scratch file;
+    performance claims come from ``benchmarks/spine/``).
 ``mutate``
     Send an insert/delete batch to a running ``serve --listen``
     server.  The engine commits it as a new dataset version (MVCC):
@@ -60,12 +61,14 @@ Everything is seeded and offline; see ``--help`` on each subcommand.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
 import numpy as np
 
 from .analysis import format_table, quadtree_stats, rtree_stats
+from .engine import EngineConfig, SpatialQueryEngine
 from .geometry import clustered_map, paper_dataset, random_segments, road_map
 from .machine import Machine, use_machine
 from .structures import (
@@ -82,6 +85,17 @@ __all__ = ["main"]
 
 MAPS = ("uniform", "clustered", "street", "paper")
 STRUCTURES = ("pmr", "pm1", "rtree", "kdtree")
+
+#: the :class:`EngineConfig` fields ``serve`` exposes, each as the flag
+#: of its name (``--backend`` / ``--fsync-policy`` are ``executor`` /
+#: ``journal_fsync``): ``_parser`` reads the flag's default from the
+#: field and ``_serve_engine`` passes the parsed value straight through
+_SERVE_ENGINE_FIELDS = (
+    "structure", "capacity", "workers", "executor", "max_batch", "max_wait",
+    "queue_depth", "shards", "ordering", "adaptive", "target_p95_ms",
+    "skew_threshold", "adaptive_interval", "cache_dir", "disk_budget_bytes",
+    "shm_budget_bytes", "versions_retained", "journal_dir", "journal_fsync",
+    "checkpoint_every")
 
 
 def _make_map(name: str, n: int, domain: int, seed: int) -> np.ndarray:
@@ -198,7 +212,7 @@ def _build_report_for(args: argparse.Namespace, lines: np.ndarray,
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    if getattr(args, "backend", "thread") == "process":
+    if args.backend == "process":
         import concurrent.futures as _cf
         import multiprocessing as _mp
 
@@ -207,7 +221,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         methods = _mp.get_all_start_methods()
         ctx = _mp.get_context("forkserver" if "forkserver" in methods
                               else "spawn")
-        budget = getattr(args, "shm_budget_bytes", None)
+        budget = args.shm_budget_bytes
         arena = None
         if budget is None or budget > 0:
             from .shm import DATASET_PREFIX, ShmArena
@@ -305,36 +319,10 @@ def _parse_hostport(spec: str) -> tuple:
         raise SystemExit(f"bad port in {spec!r}")
 
 
-def _serve_engine(args: argparse.Namespace):
-    from .engine import SpatialQueryEngine
-
-    return SpatialQueryEngine(structure=args.structure,
-                              capacity=args.capacity,
-                              max_batch=args.max_batch,
-                              max_wait=args.max_wait,
-                              workers=args.workers,
-                              queue_depth=args.queue_depth,
-                              executor=args.backend,
-                              shards=args.shards,
-                              ordering=args.ordering,
-                              cache_dir=args.cache_dir,
-                              disk_budget_bytes=args.disk_budget_bytes,
-                              shm_budget_bytes=getattr(
-                                  args, "shm_budget_bytes", None),
-                              versions_retained=getattr(
-                                  args, "versions_retained", 2),
-                              journal_dir=getattr(args, "journal_dir", None),
-                              journal_fsync=getattr(
-                                  args, "fsync_policy", "commit"),
-                              checkpoint_every=getattr(
-                                  args, "checkpoint_every", 0),
-                              adaptive=getattr(args, "adaptive", False),
-                              target_p95_ms=getattr(
-                                  args, "target_p95_ms", 25.0),
-                              skew_threshold=getattr(
-                                  args, "skew_threshold", 3.0),
-                              adaptive_interval=getattr(
-                                  args, "adaptive_interval", 0.25))
+def _serve_engine(args: argparse.Namespace) -> SpatialQueryEngine:
+    """The engine a parsed ``serve`` namespace describes."""
+    return SpatialQueryEngine(**{name: getattr(args, name)
+                                 for name in _SERVE_ENGINE_FIELDS})
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -386,7 +374,7 @@ def _serve_listen(args: argparse.Namespace) -> int:
         async def main() -> None:
             h, p = await server.start()
             print(f"serving {args.map} map ({lines.shape[0]} segments, "
-                  f"structure {args.structure}, backend {args.backend}) "
+                  f"structure {args.structure}, backend {args.executor}) "
                   f"on {h}:{p}", flush=True)
             if args.adaptive:
                 print(f"adaptive controller on: target p95 "
@@ -621,8 +609,7 @@ def _adaptive_rows(ad: dict) -> List[List[object]]:
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import time as _time
 
-    from .engine import (CircuitOpenError, PartialResult, RejectedError,
-                         SpatialQueryEngine)
+    from .engine import CircuitOpenError, PartialResult, RejectedError
     from .resilience import EXAMPLE_PLANS, FaultPlan, InjectedFault
 
     if args.plan in EXAMPLE_PLANS:
@@ -639,8 +626,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                                 max_batch=args.max_batch,
                                 max_wait=0.001,
                                 executor=args.backend,
-                                shm_budget_bytes=getattr(
-                                    args, "shm_budget_bytes", None),
+                                shm_budget_bytes=args.shm_budget_bytes,
                                 breaker_threshold=args.breaker_threshold,
                                 breaker_reset=args.breaker_reset,
                                 brute_fallback=args.brute_fallback,
@@ -1061,6 +1047,11 @@ def _parser() -> argparse.ArgumentParser:
                        help="serve the batched query engine: --demo "
                             "(in-process workload) or --listen HOST:PORT "
                             "(network server)")
+    # engine-bound flags carry no default= of their own: it is the
+    # EngineConfig field's (an explicit default= below would win)
+    s.set_defaults(**{f.name: f.default
+                      for f in dataclasses.fields(EngineConfig)
+                      if f.name in _SERVE_ENGINE_FIELDS})
     s.add_argument("--demo", action="store_true",
                    help="in-process demo: drive the engine with a synthetic "
                         "workload from client threads and print stats")
@@ -1080,63 +1071,64 @@ def _parser() -> argparse.ArgumentParser:
                    help="token-bucket burst (default: rate/4 + 1)")
     s.add_argument("--request-timeout", type=float, default=30.0,
                    help="server-side wall cap per request (seconds)")
-    s.add_argument("--structure", choices=("pmr", "pm1", "rtree"),
-                   default="pmr")
+    s.add_argument("--structure", choices=("pmr", "pm1", "rtree"))
     s.add_argument("--map", choices=MAPS, default="uniform")
     s.add_argument("--n", type=int, default=2000, help="segment count")
     s.add_argument("--domain", type=int, default=1024)
-    s.add_argument("--capacity", type=int, default=8)
+    s.add_argument("--capacity", type=int)
     s.add_argument("--probes", type=int, default=2000,
                    help="total probes across all clients")
     s.add_argument("--clients", type=int, default=4,
                    help="concurrent client threads")
-    s.add_argument("--workers", type=int, default=4,
+    s.add_argument("--workers", type=int,
                    help="engine workers (threads or processes)")
-    s.add_argument("--backend", choices=("thread", "process"),
-                   default="thread",
+    s.add_argument("--backend", dest="executor",
+                   choices=("thread", "process"),
                    help="executor backend: thread (in-process) or "
                         "process (multi-core fan-out)")
+    # the one default not EngineConfig's (64, sized for one in-process
+    # caller): serve fronts many clients, so it coalesces a larger wave
     s.add_argument("--max-batch", type=int, default=256,
                    help="coalescing count trigger")
-    s.add_argument("--max-wait", type=float, default=0.002,
+    s.add_argument("--max-wait", type=float,
                    help="coalescing deadline trigger (seconds)")
-    s.add_argument("--queue-depth", type=int, default=64)
-    s.add_argument("--shards", type=int, default=1,
+    s.add_argument("--queue-depth", type=int)
+    s.add_argument("--shards", type=int,
                    help="space-sorted shards per index (>1 fans batches out)")
     s.add_argument("--ordering", choices=("morton", "hilbert"),
-                   default="morton", help="shard cut order")
+                   help="shard cut order")
     s.add_argument("--adaptive", action="store_true",
                    help="self-tuning serving: AIMD-tune the coalescer "
                         "toward --target-p95-ms, re-shard hot datasets "
                         "online, and probe shard count/ordering for new "
                         "datasets (answers stay bit-identical)")
-    s.add_argument("--target-p95-ms", type=float, default=25.0,
+    s.add_argument("--target-p95-ms", type=float,
                    help="adaptive controller's p95 latency target (ms)")
-    s.add_argument("--skew-threshold", type=float, default=3.0,
+    s.add_argument("--skew-threshold", type=float,
                    help="shard size/service-time skew that triggers an "
                         "online re-shard (must be > 1)")
-    s.add_argument("--adaptive-interval", type=float, default=0.25,
+    s.add_argument("--adaptive-interval", type=float,
                    help="controller tick period (seconds)")
-    s.add_argument("--cache-dir", default=None,
+    s.add_argument("--cache-dir",
                    help="persistent index store directory (spill + warm start)")
-    s.add_argument("--disk-budget-bytes", type=int, default=None,
+    s.add_argument("--disk-budget-bytes", type=int,
                    help="store byte budget (requires --cache-dir)")
-    s.add_argument("--shm-budget-bytes", type=int, default=None,
+    s.add_argument("--shm-budget-bytes", type=int,
                    help="shared-memory arena budget for --backend process "
                         "(default: unbounded; 0 disables the arena)")
-    s.add_argument("--versions-retained", type=int, default=2,
+    s.add_argument("--versions-retained", type=int,
                    help="dataset versions kept warm for in-flight reads "
                         "after a mutation commits (MVCC)")
-    s.add_argument("--journal-dir", default=None,
+    s.add_argument("--journal-dir",
                    help="write-ahead mutation journal directory; commits "
                         "are journaled before reads flip, and startup "
                         "replays any journals found here (crash recovery)")
-    s.add_argument("--fsync-policy", choices=("commit", "none"),
-                   default="commit",
+    s.add_argument("--fsync-policy", dest="journal_fsync",
+                   choices=("commit", "none"),
                    help="WAL durability: commit fsyncs every append "
                         "(survives power loss), none only flushes to the "
                         "OS (survives a killed process)")
-    s.add_argument("--checkpoint-every", type=int, default=0,
+    s.add_argument("--checkpoint-every", type=int,
                    help="auto-checkpoint a chain every N commits, "
                         "truncating the WAL prefix (0: never)")
     s.add_argument("--drain-timeout", type=float, default=30.0,
@@ -1195,7 +1187,8 @@ def _parser() -> argparse.ArgumentParser:
                     help=">1 sends on/off pulses at burst x the mean "
                          "rate instead of steady arrivals")
     lg.add_argument("--out", default="BENCH_serving.json",
-                    help="JSON report path ('' to skip writing)")
+                    help="JSON report path, untracked scratch output "
+                         "('' to skip writing)")
     lg.add_argument("--seed", type=int, default=0)
     lg.set_defaults(fn=_cmd_loadgen)
 

@@ -78,6 +78,10 @@ EXECUTORS = ("thread", "process")
 
 KINDS = ("window", "point", "nearest")
 
+#: wall cap (seconds) of the blocking helpers when the caller passes no
+#: ``timeout``, and of each advisory ``warm()`` job
+_SYNC_TIMEOUT = 30.0
+
 
 def _resolve(fut: Future, value) -> None:
     """Set a result, tolerating a future cancelled by a timed-out waiter."""
@@ -132,7 +136,6 @@ class EngineConfig:
     #: beyond the budget are refused and fall back to pipe shipping.
     shm_budget_bytes: Optional[int] = None
     cache_capacity: int = 8       # LRU-cached built indexes
-    default_timeout: Optional[float] = 30.0  # sync helper timeout (seconds)
     shards: int = 1               # >1: space-sorted sharded indexes
     ordering: str = "morton"      # shard cut order: morton | hilbert
     # -- adaptive serving --------------------------------------------------
@@ -145,8 +148,6 @@ class EngineConfig:
     disk_budget_bytes: Optional[int] = None  # store byte budget (None: unbounded)
     # -- resilience -------------------------------------------------------
     retry_attempts: int = 3       # tries per retrying site (1: no retries)
-    retry_base_delay: float = 0.002   # first backoff (seconds)
-    retry_max_delay: float = 0.05     # backoff cap (seconds)
     breaker_threshold: int = 5    # consecutive failures tripping a breaker
     breaker_reset: float = 5.0    # open -> half-open probe delay (seconds)
     brute_fallback: bool = False  # serve brute-force while a breaker is open
@@ -190,8 +191,6 @@ class EngineConfig:
                 raise ValueError("disk_budget_bytes must be >= 0")
         if self.retry_attempts < 1:
             raise ValueError("retry_attempts must be >= 1")
-        if self.retry_base_delay < 0 or self.retry_max_delay < 0:
-            raise ValueError("retry delays must be >= 0")
         if self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be >= 1")
         if self.breaker_reset < 0:
@@ -221,9 +220,9 @@ class SpatialQueryEngine:
                                      observer=self._on_fault)
                        if config.fault_plan is not None
                        and config.fault_plan.specs else None)
-        self._retry = RetryPolicy(attempts=config.retry_attempts,
-                                  base_delay=config.retry_base_delay,
-                                  max_delay=config.retry_max_delay)
+        # backoff delays are RetryPolicy's own defaults (2 ms doubling to
+        # a 50 ms cap); only the try count is a knob
+        self._retry = RetryPolicy(attempts=config.retry_attempts)
         self._rng = random.Random(0xF417)  # deterministic backoff jitter
         self.store = None
         if config.cache_dir is not None:
@@ -403,7 +402,7 @@ class SpatialQueryEngine:
                 break   # pool busy: real traffic will warm it
         for fut in futs:
             try:
-                fut.result(self.config.default_timeout)
+                fut.result(_SYNC_TIMEOUT)
             except Exception:
                 pass    # warm-up is advisory, never fails the caller
 
@@ -935,7 +934,7 @@ class SpatialQueryEngine:
                 attempt += 1
 
     def _await(self, future: Future, timeout: Optional[float]):
-        timeout = self.config.default_timeout if timeout is None else timeout
+        timeout = _SYNC_TIMEOUT if timeout is None else timeout
         try:
             return future.result(timeout)
         except FutureTimeoutError:

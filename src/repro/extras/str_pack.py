@@ -22,7 +22,7 @@ import numpy as np
 from ..geometry import rect as _rect
 from ..geometry.segment import validate_segments
 from ..machine import Machine, get_machine
-from .rtree import RTree
+from ..structures.rtree import RTree
 
 __all__ = ["build_rtree_str"]
 

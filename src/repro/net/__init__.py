@@ -15,8 +15,7 @@ package is the edge that turns the engine into a *service*:
   embedding :class:`ServerThread`;
 * :mod:`~repro.net.client` -- a blocking call-and-response client;
 * :mod:`~repro.net.loadgen` -- the multi-process open-loop load
-  generator behind ``python -m repro loadgen`` and
-  ``BENCH_serving.json``.
+  generator behind ``python -m repro loadgen``.
 
 Entry points: ``python -m repro serve --listen HOST:PORT`` serves,
 ``python -m repro loadgen --connect HOST:PORT`` drives, ``python -m

@@ -15,11 +15,12 @@ driving ``conns`` pipelined connections on its own asyncio loop.  The
 offered rate of a stage is split evenly across workers; a ramp of
 stages (``--qps 100,200,400``) sweeps the overload curve in one run.
 
-:func:`run_loadgen` returns (and optionally writes, canonically to
-``BENCH_serving.json``) a report with per-stage sustained qps and
-latency percentiles, the detected **knee** (the last offered rate the
-server sustains), and the brownout behaviour past it -- the baseline
-future adaptive-serving work measures against.
+:func:`run_loadgen` returns (and optionally writes to ``out_path``) a
+report with per-stage sustained qps and latency percentiles, the
+detected **knee** (the last offered rate the server sustains), and the
+brownout behaviour past it.  It is an exploration tool: a single ramp
+carries no noise estimate, so the numbers a change is judged by come
+from the paired runs of ``benchmarks/spine/``, not from this report.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from .batch import (
 )
 from .bucket_pmr import BucketPMRQuadtree, build_bucket_pmr, occupancy_bound_ok
 from .build import BuildTrace, RoundStats, build_quadtree
-from .components import MapTopology, connected_components, polygonize
 from .dynamic import delete_lines, insert_lines, pm1_delete_lines
 from .kdtree import KDTree, build_kdtree
 from .io import (IntegrityError, inspect_structure, load_structure,
@@ -25,7 +24,6 @@ from .region import RegionQuadtree, build_region_quadtree
 from .rtree import RTree, build_rtree
 from .sharded import (Shard, ShardedIndex, build_sharded, repair_sharded,
                       shard_keys, sharded_join)
-from .str_pack import build_rtree_str
 
 __all__ = [
     "Quadtree",
@@ -42,7 +40,6 @@ __all__ = [
     "BucketPMRQuadtree",
     "occupancy_bound_ok",
     "build_rtree",
-    "build_rtree_str",
     "RTree",
     "brute_join",
     "quadtree_join",
@@ -56,9 +53,6 @@ __all__ = [
     "brute_nearest",
     "quadtree_nearest",
     "rtree_nearest",
-    "connected_components",
-    "polygonize",
-    "MapTopology",
     "build_kdtree",
     "KDTree",
     "build_pr_quadtree",

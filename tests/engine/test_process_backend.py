@@ -124,25 +124,31 @@ def test_join_identical_across_backends():
 
 @pytest.mark.slow
 def test_dataset_ships_once_per_worker():
+    """Which pool worker picks up a job -- including the resubmit that
+    carries the snapshot -- is the scheduler's choice, so only counts
+    that hold under every schedule are asserted: a lone worker is
+    shipped the dataset exactly once however many waves run; with two
+    workers a job ships at most once (the snapshot rides its resubmit),
+    and every ship is accounted at the dataset's exact byte size."""
     lines = np.unique(random_segments(100, DOMAIN, 64, seed=5), axis=0)
     rects = windows(12, 6)
-    # arena off: this cell is about the pipe-shipping path (with the
-    # arena on nothing ships and workers warm-load, never cold-build)
-    with make_engine("process", shm_budget_bytes=0) as eng:
-        fp = eng.register(lines, domain=DOMAIN)
-        eng.warm(fp)
-        first = [eng.submit_window(fp, r) for r in rects]
-        eng.flush()
-        for f in first:
-            f.result(120)
-        shipped_after_first = eng.health()["executor"]["datasets_shipped"]
-        assert shipped_after_first <= eng.config.workers
-        futs = [eng.submit_window(fp, r) for r in rects]
-        eng.flush()
-        for f in futs:
-            f.result(120)
-        ex = eng.health()["executor"]
-        assert ex["datasets_shipped"] == shipped_after_first
+    for workers in (1, 2):
+        # arena off: this cell is about the pipe-shipping path (with the
+        # arena on nothing ships and workers warm-load, never cold-build)
+        with make_engine("process", workers=workers,
+                         shm_budget_bytes=0) as eng:
+            fp = eng.register(lines, domain=DOMAIN)
+            eng.warm(fp)
+            for _ in range(3):
+                futs = [eng.submit_window(fp, r) for r in rects]
+                eng.flush()
+                for f in futs:
+                    f.result(120)
+            ex = eng.health()["executor"]
+        if workers == 1:
+            assert ex["datasets_shipped"] == 1
+        assert 1 <= ex["datasets_shipped"] <= ex["ipc_jobs"]
+        assert ex["dataset_ship_bytes"] == ex["datasets_shipped"] * lines.nbytes
         assert ex["worker_cold_builds"] >= 1
         assert ex["ipc_bytes_sent"] > 0 and ex["ipc_bytes_received"] > 0
 

@@ -67,7 +67,7 @@ class TestRequestSynthesis:
 class TestLiveRun:
     def test_short_ramp_produces_report_and_file(self, tmp_path):
         lines = np.unique(random_segments(300, DOMAIN, 48, seed=2), axis=0)
-        out = tmp_path / "BENCH_serving.json"
+        out = tmp_path / "report.json"
         with SpatialQueryEngine(workers=2, max_batch=32,
                                 max_wait=0.002) as eng:
             eng.register(lines, domain=DOMAIN)

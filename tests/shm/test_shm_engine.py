@@ -1,6 +1,7 @@
 """Shared-memory data plane through the real process pool (all slow).
 
-Four stories, one per ISSUE-8 acceptance axis:
+Five stories -- one per ISSUE-8 acceptance axis, plus the flatness
+count that axis 1 exists for:
 
 * zero-copy serving -- with the arena on, no dataset snapshot crosses
   the pool's pipe and answers stay bit-identical to the thread backend;
@@ -12,7 +13,10 @@ Four stories, one per ISSUE-8 acceptance axis:
   assert on);
 * honest IPC accounting -- crash resubmits land in ``ipc_bytes_resent``
   and never inflate ``ipc_jobs`` or the per-job ``ipc_bytes_sent``
-  gauge across a pool restart.
+  gauge across a pool restart;
+* flat IPC -- with the arena on, the bytes that cross the pipe per job
+  and from a cold start do not grow with the dataset (10k vs. 100k
+  segments), because handles are fixed-size.
 """
 
 import os
@@ -247,3 +251,50 @@ def test_crash_resubmits_do_not_double_count_ipc():
     # width, never by a whole resubmitted spec
     assert abs(crashed["ipc_bytes_sent"]
                - clean["ipc_bytes_sent"]) < 200
+
+
+def ipc_profile(n, **engine_kw):
+    """Pipe-byte counts of an ``n``-segment map served by the process
+    backend: (bytes from construction through the first resolved batch,
+    steady first-submit bytes per job, dataset bytes shipped)."""
+    domain, probes, seed = 4096, 256, 101
+    lines = random_segments(n, domain=domain, max_len=domain // 42,
+                            seed=seed + n)
+    rng = np.random.default_rng(seed + 41)
+    rects = np.zeros((probes, 4))
+    rects[:, :2] = rng.uniform(0, domain * 0.88, (probes, 2))
+    rects[:, 2:] = np.minimum(
+        rects[:, :2] + rng.uniform(16, domain * 0.12, (probes, 2)), domain)
+    with make_engine("process", shards=8, ordering="hilbert",
+                     max_batch=probes + 1, max_wait=0.5,
+                     **engine_kw) as eng:
+        fp = eng.register(lines, domain=domain)
+        eng.warm(fp)
+
+        def serve():
+            futs = [eng.submit_window(fp, r) for r in rects]
+            eng.flush()
+            for f in futs:
+                f.result(300)
+            return eng.health()["executor"]
+
+        ex = serve()
+        cold = (ex["ipc_bytes_sent"] + ex["ipc_bytes_resent"]
+                + ex["dataset_ship_bytes"])
+        for _ in range(3):
+            ex = serve()
+    return (cold, ex["ipc_bytes_sent"] / ex["ipc_jobs"],
+            ex["dataset_ship_bytes"])
+
+
+@pytest.mark.slow
+def test_ipc_bytes_flat_from_10k_to_100k_segments():
+    """The arena's reason to exist, as a count: a 10x larger dataset
+    costs at most 1.5x the pipe bytes, per job and from a cold start,
+    and none of them is the dataset.  (With ``shm_budget_bytes=0`` the
+    snapshots ship -- 0.64 and 6.4 MB -- and cold-start bytes grow 9.9x.)"""
+    cold_lo, per_job_lo, shipped_lo = ipc_profile(10_000)
+    cold_hi, per_job_hi, shipped_hi = ipc_profile(100_000)
+    assert shipped_lo == shipped_hi == 0
+    assert per_job_hi <= 1.5 * per_job_lo, (per_job_lo, per_job_hi)
+    assert cold_hi <= 1.5 * cold_lo, (cold_lo, cold_hi)

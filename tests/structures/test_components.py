@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.geometry import paper_dataset, random_segments, star_map
 from repro.machine import Machine
-from repro.structures import connected_components, polygonize
+from repro.extras import connected_components, polygonize
 
 
 def nx_components(topo):

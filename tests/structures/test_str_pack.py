@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import brute_window_query
 from repro.geometry import clustered_map, random_segments
 from repro.machine import Machine, use_machine
-from repro.structures import build_rtree, build_rtree_str
+from repro.extras import build_rtree_str
+from repro.structures import build_rtree
 
 
 class TestBuild:

@@ -1,8 +1,11 @@
 """CLI tests (``python -m repro``)."""
 
+import dataclasses
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _SERVE_ENGINE_FIELDS, _parser, _serve_engine, main
+from repro.engine import EngineConfig
 
 
 def run(capsys, *argv):
@@ -102,6 +105,39 @@ class TestServe:
                         "--domain", "256", "--probes", "60", "--clients", "1")
         assert code == 0
         assert "rtree" in out
+
+
+class TestServeEngineFlags:
+    """serve's engine-bound flags take their defaults from EngineConfig
+    and reach the engine as the field of their name."""
+
+    def test_bare_serve_is_engine_defaults_but_for_max_batch(self):
+        args = _parser().parse_args(["serve", "--listen", ":0"])
+        with _serve_engine(args) as eng:
+            assert eng.config == EngineConfig(max_batch=256)
+
+    def test_every_engine_flag_reaches_its_field(self, tmp_path):
+        want = {"structure": "rtree", "capacity": 5, "workers": 2,
+                "executor": "process", "max_batch": 17, "max_wait": 0.01,
+                "queue_depth": 9, "shards": 3, "ordering": "hilbert",
+                "adaptive": True, "target_p95_ms": 11.0,
+                "skew_threshold": 2.5, "adaptive_interval": 0.5,
+                "cache_dir": str(tmp_path / "c"), "disk_budget_bytes": 12345,
+                "shm_budget_bytes": 4096, "versions_retained": 3,
+                "journal_dir": str(tmp_path / "j"), "journal_fsync": "none",
+                "checkpoint_every": 4}
+        assert set(want) == set(_SERVE_ENGINE_FIELDS)
+        flag = {"executor": "--backend", "journal_fsync": "--fsync-policy"}
+        argv = ["serve", "--listen", ":0"]
+        for name, value in want.items():
+            argv.append(flag.get(name, "--" + name.replace("_", "-")))
+            if value is not True:
+                argv.append(str(value))
+        with _serve_engine(_parser().parse_args(argv)) as eng:
+            got = dataclasses.asdict(eng.config)
+        defaults = dataclasses.asdict(EngineConfig())
+        # every flag moved its field off the default, and nothing else moved
+        assert {f: v for f, v in got.items() if v != defaults[f]} == want
 
 
 class TestStore:
