@@ -69,13 +69,10 @@ def is_empty(rects: np.ndarray) -> np.ndarray:
 
 
 def validate_rects(rects: np.ndarray, name: str = "rects") -> np.ndarray:
-    """Coerce to ``(n, 4)`` float and reject malformed non-empty rows."""
+    """Coerce to ``(n, 4)`` float; any row is legal (min > max is *empty*)."""
     rects = np.atleast_2d(np.asarray(rects, dtype=float))
     if rects.ndim != 2 or rects.shape[1] != 4:
         raise ValueError(f"{name} must have shape (n, 4), got {rects.shape}")
-    bad = ~is_empty(rects) & ((rects[:, 0] > rects[:, 2]) | (rects[:, 1] > rects[:, 3]))
-    if np.any(bad):
-        raise ValueError(f"{name} row {int(np.argmax(bad))} is malformed")
     return rects
 
 

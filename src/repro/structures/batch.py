@@ -14,7 +14,11 @@ families:
 
 Results are identical to looping the scalar ``window_query`` (a test
 invariant) but the work is whole-array per tree level -- O(height)
-vector steps for any number of queries.
+vector steps for any number of queries, each over the frontier: child
+lists come from the tree's once-derived adjacency and the hit stream is
+packed by one sort (:mod:`.csr`), so nothing a call does is proportional
+to the map.  Each kernel has a CSR core returning ``(ids, ptr)``; the
+public ``batch_*`` functions split it into per-query views at the edge.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from ..geometry.distance import (
 )
 from ..geometry.rect import contains_point_halfopen, overlaps, validate_rects
 from ..machine import Machine, get_machine
+from .csr import gather_csr, pack_csr, run_heads
 from .quadblock import Quadtree
 from .rtree import RTree
 
@@ -43,73 +48,67 @@ __all__ = [
     "batch_nearest_rtree",
 ]
 
-
-def _pack_results(qid: np.ndarray, lid: np.ndarray, num_queries: int
-                  ) -> List[np.ndarray]:
-    """Group verified (query, line) pairs into per-query id arrays."""
-    out: List[np.ndarray] = []
-    order = np.lexsort((lid, qid))
-    qid = qid[order]
-    lid = lid[order]
-    bounds = np.searchsorted(qid, np.arange(num_queries + 1))
-    for q in range(num_queries):
-        ids = lid[bounds[q]:bounds[q + 1]]
-        out.append(np.unique(ids))
-    return out
+_NO_IDS = np.zeros(0, dtype=np.int64)
 
 
-def _expand_csr(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Flat indices ``[starts[i] .. starts[i]+counts[i])`` concatenated.
+def _views(ids: np.ndarray, ptr: np.ndarray) -> List[np.ndarray]:
+    """The public edge: per-query (read-only) views of a packed result."""
+    cuts = ptr.tolist()
+    return [ids[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
-    The gather pattern every frontier expansion shares: one output slot
-    per (pair, child) combination, computed with whole-array ops only.
-    """
-    reps = np.repeat(np.arange(counts.size), counts)
-    offsets = np.arange(reps.size) - np.repeat(
-        np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    return np.repeat(starts, counts) + offsets
+
+def _cat(parts: List[np.ndarray], empty: np.ndarray = _NO_IDS) -> np.ndarray:
+    return np.concatenate(parts) if parts else empty
 
 
 def _leaf_pairs(tree: Quadtree, leaf_q: np.ndarray, leaf_n: np.ndarray):
     """Candidate (query, line) pairs from the lines stored at each leaf."""
-    counts = tree.node_ptr[leaf_n + 1] - tree.node_ptr[leaf_n]
-    idx = _expand_csr(tree.node_ptr[leaf_n], counts)
-    return np.repeat(leaf_q, counts), tree.node_lines[idx]
+    counts, lines = gather_csr(tree.node_ptr, tree.node_lines, leaf_n)
+    return np.repeat(leaf_q, counts), lines
 
 
-def batch_window_query_quadtree(tree: Quadtree, rects, exact: bool = True,
-                                machine: Optional[Machine] = None
-                                ) -> List[np.ndarray]:
-    """All window queries against a quadtree in O(height) vector rounds."""
-    rects = validate_rects(np.asarray(rects, dtype=float).reshape(-1, 4))
+def _prune_window(m: Machine, rects, q_frontier, n_frontier, boxes):
+    """Drop the (query, node) pairs whose box misses the query window."""
+    m.record("elementwise", q_frontier.size)
+    alive = overlaps(boxes, rects[q_frontier])
+    return q_frontier[alive], n_frontier[alive]
+
+
+def _verify_and_pack(m: Machine, tree, rects, qid, lid, exact: bool):
+    """Exact-test the candidate pairs, then pack them per query.
+
+    ``exact=False`` keeps every candidate from the reached leaves,
+    matching the scalar ``window_query``'s filter-step semantics.
+    """
+    if exact and qid.size:
+        m.record("elementwise", qid.size)
+        keep = segments_intersect_rects(tree.lines[lid], rects[qid])
+        qid = qid[keep]
+        lid = lid[keep]
+    return pack_csr(qid, lid, rects.shape[0], tree.lines.shape[0])
+
+
+def _window_quadtree(tree: Quadtree, rects, exact: bool,
+                     machine: Optional[Machine]):
     m = machine or get_machine()
+    rects = validate_rects(np.asarray(rects, dtype=float).reshape(-1, 4))
     nq = rects.shape[0]
-
     q_frontier = np.arange(nq, dtype=np.int64)
     n_frontier = np.zeros(nq, dtype=np.int64)
     hit_q: List[np.ndarray] = []
     hit_l: List[np.ndarray] = []
     while q_frontier.size:
-        node_boxes = tree.boxes[n_frontier]
-        m.record("elementwise", q_frontier.size)
-        alive = overlaps(node_boxes, rects[q_frontier])
-        q_frontier = q_frontier[alive]
-        n_frontier = n_frontier[alive]
+        q_frontier, n_frontier = _prune_window(
+            m, rects, q_frontier, n_frontier, tree.boxes[n_frontier])
         if not q_frontier.size:
             break
         is_leaf = tree.children[n_frontier, 0] < 0
         # leaves: emit candidate (query, line) pairs
         leaf_q = q_frontier[is_leaf]
-        leaf_n = n_frontier[is_leaf]
         if leaf_q.size:
-            counts = (tree.node_ptr[leaf_n + 1] - tree.node_ptr[leaf_n])
-            reps = np.repeat(np.arange(leaf_q.size), counts)
-            starts = np.repeat(tree.node_ptr[leaf_n], counts)
-            offsets = np.arange(reps.size) - np.repeat(
-                np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-            lines = tree.node_lines[starts + offsets]
-            hit_q.append(leaf_q[reps])
-            hit_l.append(lines)
+            qid, lid = _leaf_pairs(tree, leaf_q, n_frontier[is_leaf])
+            hit_q.append(qid)
+            hit_l.append(lid)
         # internal: expand into all four children
         int_q = q_frontier[~is_leaf]
         int_n = n_frontier[~is_leaf]
@@ -117,83 +116,50 @@ def batch_window_query_quadtree(tree: Quadtree, rects, exact: bool = True,
         q_frontier = np.repeat(int_q, 4)
         n_frontier = tree.children[int_n].reshape(-1)
 
-    if not hit_q:
-        return [np.zeros(0, dtype=np.int64) for _ in range(nq)]
-    qid = np.concatenate(hit_q)
-    lid = np.concatenate(hit_l)
-    if exact and qid.size:
+    return _verify_and_pack(m, tree, rects, _cat(hit_q), _cat(hit_l), exact)
+
+
+def batch_window_query_quadtree(tree: Quadtree, rects, exact: bool = True,
+                                machine: Optional[Machine] = None
+                                ) -> List[np.ndarray]:
+    """All window queries against a quadtree in O(height) vector rounds."""
+    return _views(*_window_quadtree(tree, rects, exact, machine))
+
+
+def _window_rtree(tree: RTree, rects, exact: bool, machine: Optional[Machine]):
+    m = machine or get_machine()
+    rects = validate_rects(np.asarray(rects, dtype=float).reshape(-1, 4))
+    nq = rects.shape[0]
+    q_frontier = np.arange(nq, dtype=np.int64)
+    n_frontier = np.zeros(nq, dtype=np.int64)
+    for level in range(tree.height - 1, 0, -1):
+        q_frontier, n_frontier = _prune_window(
+            m, rects, q_frontier, n_frontier, tree.level_mbr[level][n_frontier])
+        if not q_frontier.size:
+            break
+        # expand to the children of every surviving node
+        counts, n_frontier = gather_csr(*tree.adjacency[level], n_frontier)
+        m.record("permute", n_frontier.size)
+        q_frontier = np.repeat(q_frontier, counts)
+    # leaf level: test the surviving (query, leaf) pairs, then entries
+    if q_frontier.size:
+        q_frontier, n_frontier = _prune_window(
+            m, rects, q_frontier, n_frontier, tree.level_mbr[0][n_frontier])
+    counts, lid = gather_csr(*tree.adjacency[0], n_frontier)
+    qid = np.repeat(q_frontier, counts)
+    if qid.size:
         m.record("elementwise", qid.size)
-        keep = segments_intersect_rects(tree.lines[lid], rects[qid])
+        keep = overlaps(tree.entry_bbox[lid], rects[qid])
         qid = qid[keep]
         lid = lid[keep]
-    # exact=False returns every candidate from the reached leaves,
-    # matching the scalar window_query's filter-step semantics.
-    return _pack_results(qid, lid, nq)
+    return _verify_and_pack(m, tree, rects, qid, lid, exact)
 
 
 def batch_window_query_rtree(tree: RTree, rects, exact: bool = True,
                              machine: Optional[Machine] = None
                              ) -> List[np.ndarray]:
     """All window queries against an R-tree in O(height) vector rounds."""
-    rects = validate_rects(np.asarray(rects, dtype=float).reshape(-1, 4))
-    m = machine or get_machine()
-    nq = rects.shape[0]
-    top = tree.height - 1
-
-    q_frontier = np.arange(nq, dtype=np.int64)
-    n_frontier = np.zeros(nq, dtype=np.int64)
-    for level in range(top, 0, -1):
-        m.record("elementwise", q_frontier.size)
-        alive = overlaps(tree.level_mbr[level][n_frontier], rects[q_frontier])
-        q_frontier = q_frontier[alive]
-        n_frontier = n_frontier[alive]
-        if not q_frontier.size:
-            break
-        # expand to the children of every surviving node
-        par = tree.level_parent[level - 1]
-        order = np.argsort(par, kind="stable")
-        sorted_par = par[order]
-        starts = np.searchsorted(sorted_par, n_frontier, side="left")
-        ends = np.searchsorted(sorted_par, n_frontier, side="right")
-        counts = ends - starts
-        m.record("permute", int(counts.sum()))
-        reps = np.repeat(np.arange(q_frontier.size), counts)
-        offsets = np.arange(reps.size) - np.repeat(
-            np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-        q_frontier = q_frontier[reps]
-        n_frontier = order[np.repeat(starts, counts) + offsets]
-
-    if not q_frontier.size:
-        return [np.zeros(0, dtype=np.int64) for _ in range(nq)]
-    # leaf level: test the surviving (query, leaf) pairs, then entries
-    m.record("elementwise", q_frontier.size)
-    alive = overlaps(tree.level_mbr[0][n_frontier], rects[q_frontier])
-    q_frontier = q_frontier[alive]
-    n_frontier = n_frontier[alive]
-    if not q_frontier.size:
-        return [np.zeros(0, dtype=np.int64) for _ in range(nq)]
-
-    leaf_order = np.argsort(tree.line_leaf, kind="stable")
-    sorted_leaf = tree.line_leaf[leaf_order]
-    starts = np.searchsorted(sorted_leaf, n_frontier, side="left")
-    ends = np.searchsorted(sorted_leaf, n_frontier, side="right")
-    counts = ends - starts
-    reps = np.repeat(np.arange(q_frontier.size), counts)
-    offsets = np.arange(reps.size) - np.repeat(
-        np.concatenate(([0], np.cumsum(counts)[:-1])), counts)
-    qid = q_frontier[reps]
-    lid = leaf_order[np.repeat(starts, counts) + offsets]
-    if qid.size:
-        m.record("elementwise", qid.size)
-        keep = overlaps(tree.entry_bbox[lid], rects[qid])
-        qid = qid[keep]
-        lid = lid[keep]
-    if exact and qid.size:
-        m.record("elementwise", qid.size)
-        keep = segments_intersect_rects(tree.lines[lid], rects[qid])
-        qid = qid[keep]
-        lid = lid[keep]
-    return _pack_results(qid, lid, nq)
+    return _views(*_window_rtree(tree, rects, exact, machine))
 
 
 # -- point probes ---------------------------------------------------------
@@ -244,9 +210,7 @@ def batch_point_query_quadtree(tree: Quadtree, points, strict: bool = True,
                                        tree.domain)
         q_frontier = cq[keep]
         n_frontier = cn[keep]
-    if not hit_q:
-        return [np.zeros(0, dtype=np.int64) for _ in range(nq)]
-    return _pack_results(np.concatenate(hit_q), np.concatenate(hit_l), nq)
+    return _views(*pack_csr(_cat(hit_q), _cat(hit_l), nq, tree.lines.shape[0]))
 
 
 def batch_point_query_rtree(tree: RTree, points, exact: bool = True,
@@ -268,58 +232,41 @@ def batch_point_query_rtree(tree: RTree, points, exact: bool = True,
 
 
 def _reduce_nearest(qid: np.ndarray, lid: np.ndarray, dist: np.ndarray,
-                    nq: int) -> List[Optional[tuple]]:
-    """Per-query ``(line id, distance)`` minimising distance then id."""
-    out: List[Optional[tuple]] = [None] * nq
-    if not qid.size:
-        return out
+                    nq: int, span: int):
+    """Per-query ``(line ids, distances)`` minimising distance then id:
+    the first entry of each query's run in the sorted fused key."""
     best = np.full(nq, np.inf)
     np.minimum.at(best, qid, dist)
     at_best = dist <= best[qid]
-    qid = qid[at_best]
-    lid = lid[at_best]
-    order = np.lexsort((lid, qid))
-    qid = qid[order]
-    lid = lid[order]
-    firsts = np.searchsorted(qid, np.arange(nq))
-    for q in range(nq):
-        if firsts[q] < qid.size and qid[firsts[q]] == q:
-            out[q] = (int(lid[firsts[q]]), float(best[q]))
-    return out
+    q, lids = np.divmod(np.sort(qid[at_best] * span + lid[at_best]), span)
+    lids = lids[run_heads(q)]
+    assert lids.size == nq, "non-empty tree must answer"
+    return lids, best
 
 
-def _subtree_counts(tree: Quadtree) -> np.ndarray:
-    """Number of q-edges stored in each node's subtree (levels upward)."""
-    counts = np.diff(tree.node_ptr).astype(np.int64)
-    if tree.num_nodes <= 1:
-        return counts
-    for lev in range(int(tree.level.max()), 0, -1):
-        sel = np.flatnonzero(tree.level == lev)
-        np.add.at(counts, tree.parent[sel], counts[sel])
-    return counts
+def _pairs(lids: np.ndarray, dists: np.ndarray) -> List[tuple]:
+    return list(zip(lids.tolist(), dists.tolist()))
 
 
-def batch_nearest_quadtree(tree: Quadtree, points,
-                           machine: Optional[Machine] = None) -> List[tuple]:
-    """All nearest-line queries against a quadtree, level-synchronously.
+def _prune_nearest(m: Machine, pts, bound, q_frontier, n_frontier, boxes):
+    """Tighten each query's bound by its boxes' farthest corners, then
+    drop the (query, node) pairs whose box lies beyond the bound."""
+    m.record("elementwise", q_frontier.size)
+    lb = points_rects_distance(pts[q_frontier], boxes)
+    ub = points_rects_max_distance(pts[q_frontier], boxes)
+    m.record("scan", q_frontier.size)
+    np.minimum.at(bound, q_frontier, ub)
+    alive = lb <= bound[q_frontier]
+    return q_frontier[alive], n_frontier[alive]
 
-    The batched branch-and-bound analogue of
-    :func:`repro.structures.nearest.quadtree_nearest`: the frontier is a
-    vector of (query, node) pairs; each round prunes pairs whose block
-    lies farther than the query's current upper bound (min-max corner
-    distance over non-empty subtrees, tightened by exact distances at
-    reached leaves) and expands survivors into their non-empty children.
-    Returns ``(line id, distance)`` per query -- identical, ties
-    included, to the scalar search.
-    """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+
+def _nearest_quadtree(tree: Quadtree, points, machine: Optional[Machine]):
     m = machine or get_machine()
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
     nq = pts.shape[0]
-    if nq == 0:
-        return []
-    if tree.lines.shape[0] == 0:
+    if nq and tree.lines.shape[0] == 0:
         raise ValueError("empty tree has no nearest line")
-    occupancy = _subtree_counts(tree)
+    occupancy = tree.occupancy
     bound = np.full(nq, np.inf)
     hit_q: List[np.ndarray] = []
     hit_l: List[np.ndarray] = []
@@ -328,14 +275,8 @@ def batch_nearest_quadtree(tree: Quadtree, points,
     n_frontier = np.zeros(nq, dtype=np.int64)
     while q_frontier.size:
         # prune: a block farther than the query's bound cannot help
-        m.record("elementwise", q_frontier.size)
-        lb = points_rects_distance(pts[q_frontier], tree.boxes[n_frontier])
-        ub = points_rects_max_distance(pts[q_frontier], tree.boxes[n_frontier])
-        m.record("scan", q_frontier.size)
-        np.minimum.at(bound, q_frontier, ub)
-        alive = lb <= bound[q_frontier]
-        q_frontier = q_frontier[alive]
-        n_frontier = n_frontier[alive]
+        q_frontier, n_frontier = _prune_nearest(
+            m, pts, bound, q_frontier, n_frontier, tree.boxes[n_frontier])
         if not q_frontier.size:
             break
         is_leaf = tree.children[n_frontier, 0] < 0
@@ -361,12 +302,55 @@ def batch_nearest_quadtree(tree: Quadtree, points,
         nonempty = occupancy[cn] > 0
         q_frontier = cq[nonempty]
         n_frontier = cn[nonempty]
-    qid = np.concatenate(hit_q) if hit_q else np.zeros(0, dtype=np.int64)
-    lid = np.concatenate(hit_l) if hit_l else np.zeros(0, dtype=np.int64)
-    dist = np.concatenate(hit_d) if hit_d else np.zeros(0)
-    out = _reduce_nearest(qid, lid, dist, nq)
-    assert all(r is not None for r in out), "non-empty tree must answer"
-    return out  # type: ignore[return-value]
+    return _reduce_nearest(_cat(hit_q), _cat(hit_l), _cat(hit_d, np.zeros(0)),
+                           nq, tree.lines.shape[0])
+
+
+def batch_nearest_quadtree(tree: Quadtree, points,
+                           machine: Optional[Machine] = None) -> List[tuple]:
+    """All nearest-line queries against a quadtree, level-synchronously.
+
+    The batched branch-and-bound analogue of
+    :func:`repro.structures.nearest.quadtree_nearest`: the frontier is a
+    vector of (query, node) pairs; each round prunes pairs whose block
+    lies farther than the query's current upper bound (min-max corner
+    distance over non-empty subtrees, tightened by exact distances at
+    reached leaves) and expands survivors into their non-empty children.
+    Returns ``(line id, distance)`` per query -- identical, ties
+    included, to the scalar search.
+    """
+    return _pairs(*_nearest_quadtree(tree, points, machine))
+
+
+def _nearest_rtree(tree: RTree, points, machine: Optional[Machine]):
+    m = machine or get_machine()
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    nq = pts.shape[0]
+    if nq == 0:
+        return _NO_IDS, np.zeros(0)
+    if tree.lines.shape[0] == 0:
+        raise ValueError("empty tree has no nearest line")
+    bound = np.full(nq, np.inf)
+    q_frontier = np.arange(nq, dtype=np.int64)
+    n_frontier = np.zeros(nq, dtype=np.int64)
+    # prune nodes level by level down to the leaves, then their entries;
+    # whatever gives a query its bound survives it, so nothing empties
+    for level in range(tree.height - 1, -1, -1):
+        q_frontier, n_frontier = _prune_nearest(
+            m, pts, bound, q_frontier, n_frontier,
+            tree.level_mbr[level][n_frontier])
+        counts, n_frontier = gather_csr(*tree.adjacency[level], n_frontier)
+        q_frontier = np.repeat(q_frontier, counts)
+        if level:
+            m.record("permute", n_frontier.size)
+    qid, lid = q_frontier, n_frontier
+    m.record("elementwise", qid.size)
+    keep = points_rects_distance(pts[qid], tree.entry_bbox[lid]) <= bound[qid]
+    qid = qid[keep]
+    lid = lid[keep]
+    m.record("elementwise", qid.size)
+    dist = points_segments_distance(pts[qid], tree.lines[lid])
+    return _reduce_nearest(qid, lid, dist, nq, tree.lines.shape[0])
 
 
 def batch_nearest_rtree(tree: RTree, points,
@@ -378,66 +362,4 @@ def batch_nearest_rtree(tree: RTree, points,
     each visited rectangle is always a valid upper bound.  Returns
     ``(line id, distance)`` per query, identical to the scalar search.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    m = machine or get_machine()
-    nq = pts.shape[0]
-    if nq == 0:
-        return []
-    if tree.lines.shape[0] == 0:
-        raise ValueError("empty tree has no nearest line")
-    top = tree.height - 1
-    bound = np.full(nq, np.inf)
-    q_frontier = np.arange(nq, dtype=np.int64)
-    n_frontier = np.zeros(nq, dtype=np.int64)
-    for level in range(top, 0, -1):
-        boxes = tree.level_mbr[level][n_frontier]
-        m.record("elementwise", q_frontier.size)
-        lb = points_rects_distance(pts[q_frontier], boxes)
-        ub = points_rects_max_distance(pts[q_frontier], boxes)
-        m.record("scan", q_frontier.size)
-        np.minimum.at(bound, q_frontier, ub)
-        alive = lb <= bound[q_frontier]
-        q_frontier = q_frontier[alive]
-        n_frontier = n_frontier[alive]
-        if not q_frontier.size:
-            break
-        par = tree.level_parent[level - 1]
-        order = np.argsort(par, kind="stable")
-        starts = np.searchsorted(par[order], n_frontier, side="left")
-        counts = np.searchsorted(par[order], n_frontier, side="right") - starts
-        m.record("permute", int(counts.sum()))
-        q_frontier = np.repeat(q_frontier, counts)
-        n_frontier = order[_expand_csr(starts, counts)]
-    if not q_frontier.size:  # pragma: no cover - non-empty trees always reach leaves
-        raise ValueError("tree holds no lines")
-    # leaf level: prune leaves, then their entries, then exact distances
-    m.record("elementwise", q_frontier.size)
-    boxes = tree.level_mbr[0][n_frontier]
-    lb = points_rects_distance(pts[q_frontier], boxes)
-    ub = points_rects_max_distance(pts[q_frontier], boxes)
-    m.record("scan", q_frontier.size)
-    np.minimum.at(bound, q_frontier, ub)
-    alive = lb <= bound[q_frontier]
-    q_frontier = q_frontier[alive]
-    n_frontier = n_frontier[alive]
-
-    leaf_order = np.argsort(tree.line_leaf, kind="stable")
-    sorted_leaf = tree.line_leaf[leaf_order]
-    starts = np.searchsorted(sorted_leaf, n_frontier, side="left")
-    counts = np.searchsorted(sorted_leaf, n_frontier, side="right") - starts
-    qid = np.repeat(q_frontier, counts)
-    lid = leaf_order[_expand_csr(starts, counts)]
-    if qid.size:
-        m.record("elementwise", qid.size)
-        entry_lb = points_rects_distance(pts[qid], tree.entry_bbox[lid])
-        keep = entry_lb <= bound[qid]
-        qid = qid[keep]
-        lid = lid[keep]
-    if qid.size:
-        m.record("elementwise", qid.size)
-        dist = points_segments_distance(pts[qid], tree.lines[lid])
-    else:  # pragma: no cover - some entry always survives its own bound
-        dist = np.zeros(0)
-    out = _reduce_nearest(qid, lid, dist, nq)
-    assert all(r is not None for r in out), "non-empty tree must answer"
-    return out  # type: ignore[return-value]
+    return _pairs(*_nearest_rtree(tree, points, machine))

@@ -119,12 +119,6 @@ def rtree_join(ta: RTree, tb: RTree) -> np.ndarray:
     if ta.lines.size == 0 or tb.lines.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
 
-    # per-tree: map each node (level, idx) to child list; leaves map to lines
-    def children(tree: RTree, lvl: int, idx: int) -> np.ndarray:
-        if lvl == 0:
-            return tree.lines_in_leaf(idx)
-        return np.flatnonzero(tree.level_parent[lvl - 1] == idx)
-
     pairs_i: List[np.ndarray] = []
     pairs_j: List[np.ndarray] = []
     stack = [(ta.height - 1, 0, tb.height - 1, 0)]
@@ -144,10 +138,10 @@ def rtree_join(ta: RTree, tb: RTree) -> np.ndarray:
                 pairs_i.append(ii)
                 pairs_j.append(jj)
         elif la == 0 or (lb != 0 and lb >= la):
-            for c in children(tb, lb, nb):
+            for c in tb.entries(lb, nb):
                 stack.append((la, na, lb - 1, int(c)))
         else:
-            for c in children(ta, la, na):
+            for c in ta.entries(la, na):
                 stack.append((la - 1, int(c), lb, nb))
     ii = np.concatenate(pairs_i) if pairs_i else np.zeros(0, dtype=np.int64)
     jj = np.concatenate(pairs_j) if pairs_j else np.zeros(0, dtype=np.int64)

@@ -97,7 +97,7 @@ def rtree_nearest(tree: RTree, px: float, py: float) -> Tuple[int, float]:
                 if b <= best_d:
                     heapq.heappush(heap, (float(b), -1, int(lid)))
         else:
-            kids = np.flatnonzero(tree.level_parent[level - 1] == node)
+            kids = tree.entries(level, node)
             bounds = point_rect_distance(px, py, tree.level_mbr[level - 1][kids])
             for c, b in zip(kids, bounds):
                 if b <= best_d:

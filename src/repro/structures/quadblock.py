@@ -15,6 +15,7 @@ out at 1x1 blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -170,6 +171,21 @@ class Quadtree:
 
     def lines_in_node(self, node: int) -> np.ndarray:
         return self.node_lines[self.node_ptr[node]:self.node_ptr[node + 1]]
+
+    @cached_property
+    def occupancy(self) -> np.ndarray:
+        """Number of q-edges stored in each node's subtree.
+
+        Derived from ``node_ptr`` / ``parent`` level by level on first
+        use and kept on the object (not a dataclass field: io/store/shm
+        never ship it; recomputing it yields the same array).
+        """
+        counts = np.diff(self.node_ptr).astype(np.int64)
+        for lev in range(self.height, 0, -1):
+            sel = np.flatnonzero(self.level == lev)
+            np.add.at(counts, self.parent[sel], counts[sel])
+        counts.flags.writeable = False
+        return counts
 
     def leaf_items(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(leaf_id, line_ids)`` pairs."""

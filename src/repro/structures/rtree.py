@@ -26,6 +26,7 @@ enclosing its members.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Literal, Optional
 
 import numpy as np
@@ -38,6 +39,7 @@ from ..machine.broadcast import seg_broadcast, seg_reduce
 from ..machine.sort import seg_rank
 from ..primitives.rtree_split import mean_split, sweep_split
 from .build import BuildTrace, RoundStats
+from .csr import gather_csr, group_csr
 
 __all__ = ["RTree", "build_rtree"]
 
@@ -79,8 +81,28 @@ class RTree:
     def root_mbr(self) -> np.ndarray:
         return self.level_mbr[-1][0]
 
+    @cached_property
+    def adjacency(self) -> List[tuple[np.ndarray, np.ndarray]]:
+        """Child lists as CSR, one ``(ptr, ids)`` per level.
+
+        ``ids[ptr[j]:ptr[j + 1]]`` are, ascending, the lines of leaf
+        ``j`` (level 0) or the level ``l - 1`` children of node ``j`` at
+        level ``l``.  Derived from ``line_leaf`` / ``level_parent`` by
+        one stable sort each on first use and kept on the object: not a
+        dataclass field, so io/store/shm never ship it, and a first-touch
+        race between threads recomputes the same arrays.
+        """
+        owners = [self.line_leaf] + list(self.level_parent)
+        return [group_csr(own, mbr.shape[0])
+                for own, mbr in zip(owners, self.level_mbr)]
+
+    def entries(self, level: int, node: int) -> np.ndarray:
+        """Lines (level 0) or child nodes of one node, ascending."""
+        ptr, ids = self.adjacency[level]
+        return ids[ptr[node]:ptr[node + 1]]
+
     def lines_in_leaf(self, leaf: int) -> np.ndarray:
-        return np.flatnonzero(self.line_leaf == leaf)
+        return self.entries(0, leaf)
 
     # -- queries ---------------------------------------------------------
 
@@ -96,19 +118,14 @@ class RTree:
         rect = _rect.validate_rects(np.asarray(rect, dtype=float).reshape(1, 4))[0]
         visits = 1
         top = self.height - 1
-        if not _rect.overlaps(self.level_mbr[top][0][None, :], rect[None, :])[0]:
-            empty = np.zeros(0, dtype=np.int64)
-            return (empty, visits) if count_visits else empty
-        frontier = np.array([0], dtype=np.int64)
-        for lvl in range(top - 1, -1, -1):
-            mask = np.isin(self.level_parent[lvl], frontier)
-            cand = np.flatnonzero(mask)
-            hit = _rect.overlaps(self.level_mbr[lvl][cand],
+        frontier = np.flatnonzero(_rect.overlaps(self.level_mbr[top], rect[None, :]))
+        for lvl in range(top, 0, -1):
+            cand = gather_csr(*self.adjacency[lvl], frontier)[1]
+            hit = _rect.overlaps(self.level_mbr[lvl - 1][cand],
                                  np.tile(rect, (cand.size, 1)))
             frontier = cand[hit]
             visits += int(cand.size)
-        leaf_mask = np.isin(self.line_leaf, frontier)
-        ids = np.flatnonzero(leaf_mask)
+        ids = np.sort(gather_csr(*self.adjacency[0], frontier)[1])
         if ids.size:
             hit = _rect.overlaps(self.entry_bbox[ids], np.tile(rect, (ids.size, 1)))
             ids = ids[hit]

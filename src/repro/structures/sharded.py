@@ -44,12 +44,8 @@ from ..geometry.rect import overlaps, validate_rects
 from ..machine import Machine
 from ..resilience import PartialResult
 from ..machine.ordering import hilbert_encode, morton_encode
-from .batch import (
-    batch_nearest_quadtree,
-    batch_nearest_rtree,
-    batch_window_query_quadtree,
-    batch_window_query_rtree,
-)
+from .batch import (_nearest_quadtree, _nearest_rtree, _views,
+                    _window_quadtree, _window_rtree)
 from .bucket_pmr import build_bucket_pmr
 from .join import quadtree_join, rtree_join
 from .nearest import quadtree_nearest, rtree_nearest
@@ -268,35 +264,25 @@ class ShardedIndex:
         """
         s = self.shards[k]
         if kind == "nearest":
-            batch_nearest = (batch_nearest_quadtree if self.family == "quadtree"
-                             else batch_nearest_rtree)
-            results = batch_nearest(s.tree, payloads, machine=machine)
-            n = len(results)
-            lids = np.fromiter((r[0] for r in results), dtype=np.int64,
-                               count=n)
-            dists = np.fromiter((r[1] for r in results), dtype=float, count=n)
+            nearest = (_nearest_quadtree if self.family == "quadtree"
+                       else _nearest_rtree)
+            lids, dists = nearest(s.tree, payloads, machine)
             return s.ids[lids], dists
         if kind == "point":
             pts = np.asarray(payloads, dtype=float).reshape(-1, 2)
-            payloads = np.column_stack([pts[:, 0], pts[:, 1],
-                                        pts[:, 0], pts[:, 1]])
+            payloads = np.hstack([pts, pts])
             exact = True  # exact degenerate windows (see module docstring)
         elif kind != "window":
             raise ValueError(f"unknown probe kind {kind!r}")
-        batch_window = (batch_window_query_quadtree if self.family == "quadtree"
-                        else batch_window_query_rtree)
-        results = batch_window(s.tree, payloads, exact=exact, machine=machine)
-        # one global-id gather over the concatenation beats a fancy
-        # index per (typically tiny) per-query result array
-        counts = np.fromiter((r.size for r in results), dtype=np.int64,
-                             count=len(results))
-        merged = (s.ids[np.concatenate(results)] if results
-                  else np.zeros(0, dtype=np.int64))
+        window = (_window_quadtree if self.family == "quadtree"
+                  else _window_rtree)
+        # the kernel's packed result: one global-id gather, no per-query
+        # arrays until a caller asks for them
+        ids, ptr = window(s.tree, payloads, exact, machine)
+        merged = s.ids[ids]
         if flat:
-            return merged, counts
-        if not results:
-            return []
-        return np.split(merged, np.cumsum(counts)[:-1])
+            return merged, np.diff(ptr)
+        return _views(merged, ptr)
 
     # -- validation ------------------------------------------------------
 

@@ -64,6 +64,20 @@ class TestBasics:
         with pytest.raises(ValueError):
             validate_rects(np.zeros((2, 3)))
 
+    def test_validate_accepts_every_four_column_row(self):
+        # min > max on an axis *is* the empty encoding, so no row of the
+        # right shape is malformed: shape is all there is to check
+        rows = np.array([[0, 0, 1, 1], [5, 0, 1, 9], [0, 7, 3, 2],
+                         [np.inf, np.inf, -np.inf, -np.inf],
+                         [np.nan, 0, 1, 1]], float)
+        out = validate_rects(rows)
+        assert out is rows                      # no copy, no per-row pass
+        assert validate_rects([1, 2, 3, 4]).shape == (1, 4)
+        assert validate_rects(np.zeros((0, 4))).shape == (0, 4)
+        for bad in (np.zeros(3), np.zeros((2, 5)), np.zeros((2, 2, 4))):
+            with pytest.raises(ValueError):
+                validate_rects(bad)
+
 
 class TestSetOperations:
     def test_union_encloses_both(self):
