@@ -1486,6 +1486,11 @@ class _ShardedMerge:
     fires ``_complete(partial=True)``: probes resolve to
     :class:`PartialResult` wrapping the merge of the shards that
     reported in time, and late shard deliveries are dropped.
+
+    The object holds no reference to itself (the round-end step is a
+    plain function, not a bound method), and drops the version's index
+    and the batch's data once it settles: a retired version's index is
+    freed by reference counting, never left for the cyclic collector.
     """
 
     def __init__(self, engine: SpatialQueryEngine, sharded: ShardedIndex,
@@ -1513,7 +1518,7 @@ class _ShardedMerge:
         # per-shard (probe selection, global ids, per-probe counts)
         self.chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.probed: set = set()        # distinct shards touched, all rounds
-        self.on_round_end = self._finalize
+        self.on_round_end = _ShardedMerge._finalize
         self.timer: Optional[threading.Timer] = None
         if deadline is not None:
             self.timer = threading.Timer(max(deadline - time.monotonic(), 0.0),
@@ -1525,11 +1530,13 @@ class _ShardedMerge:
 
     def start_ids(self, mask: np.ndarray) -> None:
         """Window/point: one round over the MBR-culled shard mask."""
+        sharded = self.sharded
+        if sharded is None:
+            return   # the deadline settled the batch first
         jobs = [(k, np.flatnonzero(mask[k]))
-                for k in range(self.sharded.num_shards) if mask[k].any()]
+                for k in range(sharded.num_shards) if mask[k].any()]
         self.probed.update(k for k, _ in jobs)
-        self.engine.stats.record_shard_batch(self.sharded.num_shards,
-                                             len(jobs))
+        self.engine.stats.record_shard_batch(sharded.num_shards, len(jobs))
         if not jobs:
             self._finalize()
             return
@@ -1544,17 +1551,20 @@ class _ShardedMerge:
         the contained shards into round one keeps the second round down
         to the rare probes whose best hit lies across a shard boundary.
         """
-        self.lb = self.sharded.nearest_bounds(self.payloads)   # (K, B)
-        B = len(self.probes)
+        sharded = self.sharded
+        if sharded is None:
+            return   # the deadline settled the batch first
+        self.lb = sharded.nearest_bounds(self.payloads)   # (K, B)
+        B = len(self.payloads)
         self.best_d = np.full(B, np.inf)
         self.best_g = np.full(B, -1, dtype=np.int64)
         self.round1 = self.lb == 0.0
         self.round1[np.argmin(self.lb, axis=0), np.arange(B)] = True
         jobs = [(k, np.flatnonzero(self.round1[k]))
-                for k in range(self.sharded.num_shards)
+                for k in range(sharded.num_shards)
                 if self.round1[k].any()]
         self.probed.update(k for k, _ in jobs)
-        self.on_round_end = self._start_phase2
+        self.on_round_end = _ShardedMerge._start_phase2
         self._submit(jobs)
 
     def _start_phase2(self) -> None:
@@ -1565,16 +1575,19 @@ class _ShardedMerge:
         segment with a lower global id may live in another shard and
         must win the tie.
         """
+        sharded = self.sharded
+        if sharded is None:
+            return   # the deadline settled the batch first
         mask = (self.lb <= self.best_d[None, :]) & ~self.round1
         jobs = [(k, np.flatnonzero(mask[k]))
-                for k in range(self.sharded.num_shards) if mask[k].any()]
+                for k in range(sharded.num_shards) if mask[k].any()]
         self.probed.update(k for k, _ in jobs)
-        self.engine.stats.record_shard_batch(self.sharded.num_shards,
+        self.engine.stats.record_shard_batch(sharded.num_shards,
                                              len(self.probed))
         if not jobs:
             self._finalize()
             return
-        self.on_round_end = self._finalize
+        self.on_round_end = _ShardedMerge._finalize
         self._submit(jobs)
 
     # -- plumbing --------------------------------------------------------
@@ -1582,15 +1595,18 @@ class _ShardedMerge:
     def _submit(self, jobs: List[Tuple[int, np.ndarray]]) -> None:
         with self.lock:
             self.remaining += len(jobs)   # count before any job can finish
+            held = self.held   # a job failing mid-loop releases it
+        if held is None:
+            return
         for k, sel in jobs:
             work = self.engine._bind(
                 replace(self.spec, payloads=self.payloads[sel], shard=k),
-                self.held)
+                held)
             t0 = time.monotonic()
             try:
                 fut = self.engine._submit_job_with_retry(work)
             except RejectedError as exc:
-                self.engine.stats.inc(rejected={exc.reason: len(self.probes)})
+                self.engine.stats.inc(rejected={exc.reason: len(self.payloads)})
                 self._fail(RejectedError(str(exc), reason=exc.reason))
                 return
             # the probe selection rides in the callback, not the result;
@@ -1631,7 +1647,7 @@ class _ShardedMerge:
             self.remaining -= 1
             last = self.remaining == 0
         if last:
-            self.on_round_end()
+            self.on_round_end(self)
 
     def _fail(self, exc: BaseException) -> None:
         with self.lock:
@@ -1642,6 +1658,7 @@ class _ShardedMerge:
             self.timer.cancel()
         # breaker feed, brute re-issue and ``failed`` counting exist once
         self.engine._group_failed(exc, self.spec, self.probes, self.started)
+        self._release()
 
     def _on_deadline(self) -> None:
         self._complete(partial=True)
@@ -1716,3 +1733,10 @@ class _ShardedMerge:
         self.engine.stats.record_batch(self.name, len(self.probes),
                                        self.steps, self.primitives,
                                        time.monotonic() - self.started)
+        self._release()
+
+    def _release(self) -> None:
+        """Drop the index and the batch's data once the batch settled; a
+        late shard job keeps only this husk alive."""
+        self.sharded = self.held = self.probes = self.chunks = None
+        self.timer = None

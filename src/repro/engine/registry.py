@@ -65,7 +65,9 @@ from ..shm import INDEX_PREFIX, attach_payload
 from ..store import store_key_id
 from ..structures import (build_bucket_pmr, build_pm1, build_rtree,
                           build_sharded)
+from ..structures.dynamic import apply_batch
 from ..structures.io import payload_to_tree
+from ..structures.quadblock import Quadtree
 from ..structures.sharded import ShardedIndex, repair_sharded
 
 __all__ = ["dataset_fingerprint", "IndexKey", "index_params", "BuiltIndex",
@@ -618,16 +620,19 @@ class IndexRegistry:
 
     def _repair_from_parent(self, key: IndexKey, lines: np.ndarray,
                             dom: int, params: Dict) -> Optional[BuiltIndex]:
-        """Incremental build from the parent version's cached shards.
+        """Incremental build from the parent version's cached index.
 
         Applies only when this fingerprint is a committed mutation of a
-        parent whose *same-key* sharded index is still in the memory
-        tier -- then only the curve ranges the mutation touched are
-        rebuilt.  Any miss in that chain of conditions (no lineage, parent
-        evicted, unsharded key) returns ``None`` and the caller pays the
-        canonical build.
+        parent whose *same-key* index is still in the memory tier.  A
+        sharded index re-derives only the curve ranges the mutation
+        touched (:func:`repair_sharded`); an unsharded PMR / PM1 tree
+        warm-starts from the parent's (:func:`apply_batch`).  Any miss
+        in that chain of conditions (no lineage, parent evicted, an
+        unsharded R-tree, a grown domain) returns ``None`` and the
+        caller pays the canonical build.
         """
-        if int(params.get("shards", 1)) <= 1:
+        sharded = int(params.get("shards", 1)) > 1
+        if not sharded and key.structure == "rtree":
             return None
         with self._lock:
             rec = self._datasets.get(key.fingerprint)
@@ -636,18 +641,31 @@ class IndexRegistry:
             parent_fp, del_ids, n_inserted = rec.lineage
             parent = self._cache.get(
                 IndexKey.make(parent_fp, key.structure, **params))
-        if parent is None or not isinstance(parent.tree, ShardedIndex):
+        if parent is None or not isinstance(
+                parent.tree, ShardedIndex if sharded else Quadtree):
+            return None
+        if not sharded and parent.tree.domain != float(dom):
             return None
         machine = Machine()
         try:
             with use_machine(machine):
-                tree, rstats = repair_sharded(
-                    parent.tree, lines, del_ids, n_inserted,
-                    shards=int(params["shards"]),
-                    capacity=int(params.get("capacity", 8)),
-                    min_fill=int(params.get("min_fill", 2)),
-                    max_depth=params.get("max_depth"),
-                    domain=float(dom))
+                if sharded:
+                    tree, rstats = repair_sharded(
+                        parent.tree, lines, del_ids, n_inserted,
+                        shards=int(params["shards"]),
+                        capacity=int(params.get("capacity", 8)),
+                        min_fill=int(params.get("min_fill", 2)),
+                        max_depth=params.get("max_depth"),
+                        domain=float(dom))
+                else:
+                    keep = np.ones(parent.tree.lines.shape[0], dtype=bool)
+                    keep[del_ids] = False
+                    tree = apply_batch(parent.tree, key.structure, keep,
+                                       lines[lines.shape[0] - n_inserted:],
+                                       int(params.get("capacity", 8)))
+                    rstats = {"full_rebuild": False, "shards_reused": 0,
+                              "shards_rebuilt": 1, "deleted": int(del_ids.size),
+                              "inserted": int(n_inserted)}
         except Exception:
             return None   # any surprise falls back to the canonical build
         with self._lock:

@@ -21,10 +21,10 @@ import numpy as np
 
 from ..machine import Machine, Segments
 from ..primitives.capacity import overflowing_nodes
-from .build import BuildTrace, build_quadtree
+from .build import BuildTrace, SplitRule, build_quadtree
 from .quadblock import Quadtree
 
-__all__ = ["build_bucket_pmr", "BucketPMRQuadtree", "occupancy_bound_ok"]
+__all__ = ["build_bucket_pmr", "BucketPMRQuadtree", "occupancy_bound_ok", "pmr_rule"]
 
 BucketPMRQuadtree = Quadtree  # the bucket PMR result type is the generic quadtree
 
@@ -47,14 +47,20 @@ def build_bucket_pmr(lines: np.ndarray, domain: int, capacity: int,
         The quadtree's maximal height (Figure 4 uses 3 on the 8x8
         space); defaults to the 1x1-block resolution.
     """
+    return build_quadtree(lines, domain, pmr_rule(capacity), max_depth=max_depth,
+                          machine=machine)
+
+
+def pmr_rule(capacity: int) -> SplitRule:
+    """The bucket split rule: a node splits while it holds more than
+    ``capacity`` lines (the Section 4.4 capacity check)."""
     if capacity < 1:
         raise ValueError("bucket capacity must be at least 1")
 
     def rule(segs_xy: np.ndarray, segments: Segments, node_boxes: np.ndarray,
              node_levels: np.ndarray, m: Machine) -> np.ndarray:
         return overflowing_nodes(segments, capacity, machine=m)
-
-    return build_quadtree(lines, domain, rule, max_depth=max_depth, machine=machine)
+    return rule
 
 
 def occupancy_bound_ok(tree: Quadtree, capacity: int) -> bool:

@@ -27,7 +27,7 @@ from ..machine import Machine, Segments, get_machine
 from ..primitives.quad_split import split_quad_nodes
 from .quadblock import NodeTable, Quadtree
 
-__all__ = ["BuildTrace", "RoundStats", "build_quadtree"]
+__all__ = ["BuildTrace", "RoundStats", "build_quadtree", "split_rounds"]
 
 # A splitting rule maps the current build state to one verdict per node
 # segment: (segs_xy, segments, node_boxes, node_levels, machine) -> bool[nseg]
@@ -97,15 +97,37 @@ def build_quadtree(lines: np.ndarray, domain: int, rule: SplitRule,
     m = machine or get_machine()
     table = NodeTable(domain)
     n = lines.shape[0]
-
-    segs_xy = lines.copy()
-    lid = np.arange(n, dtype=np.int64)
-    segments = Segments.single(n)
-    seg_node = np.zeros(segments.nseg, dtype=np.int64)  # segment index -> node id
-
     trace = BuildTrace()
+    # a fresh build is the seeded loop started from the lone root
+    seg_node, lid, segments = split_rounds(
+        table, lines, np.arange(n, dtype=np.int64), Segments.single(n),
+        np.zeros(1 if n else 0, dtype=np.int64), rule, depth_cap, m, trace)
+
+    # assemble the CSR line assignment over the full node table
+    node_ptr, node_lines = table.assign(seg_node, segments.lengths, lid)
+    tree = Quadtree(lines, *table.freeze(), node_ptr, node_lines, float(domain), depth_cap)
+    return tree, trace
+
+
+def split_rounds(table: NodeTable, lines: np.ndarray, lid: np.ndarray,
+                 segments: Segments, seg_node: np.ndarray, rule: SplitRule,
+                 depth_cap: int, m: Machine,
+                 trace: Optional[BuildTrace] = None
+                 ) -> tuple[np.ndarray, np.ndarray, Segments]:
+    """The round loop -- rule, simultaneous split, node-table descent --
+    from any seeded state.
+
+    ``lid`` lists line ids grouped by ``segments``; group ``s`` belongs
+    to leaf ``seg_node[s]`` of ``table``.  Rounds run until the rule
+    (cut off at ``depth_cap``) splits nothing; returns the final
+    ``(seg_node, lid, segments)``.  A fresh build seeds the lone root
+    with every line; a warm start (:mod:`repro.structures.dynamic`)
+    seeds only the leaves a batch made overflow.
+    """
+    trace = trace if trace is not None else BuildTrace()
+    segs_xy = lines[lid]
     round_index = 0
-    while n:        # an empty map keeps the lone root and asks the rule nothing
+    while segments.n:   # an empty map keeps the lone root and asks the rule nothing
         node_boxes = table.boxes[seg_node]
         node_levels = table.level[seg_node]
 
@@ -134,8 +156,4 @@ def build_quadtree(lines: np.ndarray, domain: int, rule: SplitRule,
         round_index += 1
         if round_index > depth_cap + 1:
             raise RuntimeError("build failed to terminate within the depth cap")
-
-    # assemble the CSR line assignment over the full node table
-    node_ptr, node_lines = table.assign(seg_node, segments.lengths, lid)
-    tree = Quadtree(lines, *table.freeze(), node_ptr, node_lines, float(domain), depth_cap)
-    return tree, trace
+    return seg_node, lid, segments

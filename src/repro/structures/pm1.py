@@ -24,10 +24,10 @@ import numpy as np
 from ..machine import Machine, Segments
 from ..machine.broadcast import seg_broadcast
 from ..primitives.pm1_split import pm1_should_split
-from .build import BuildTrace, build_quadtree
+from .build import BuildTrace, SplitRule, build_quadtree
 from .quadblock import Quadtree
 
-__all__ = ["build_pm1", "PM1Quadtree"]
+__all__ = ["build_pm1", "check_pm1_lines", "pm1_judge", "pm1_rule", "PM1Quadtree"]
 
 PM1Quadtree = Quadtree  # the PM1 result type is the generic quadtree
 
@@ -40,6 +40,13 @@ def build_pm1(lines: np.ndarray, domain: int, max_depth: Optional[int] = None,
     decomposition is unique (independent of input order); duplicate
     lines are rejected because no PM1 leaf could ever separate them.
     """
+    check_pm1_lines(lines)
+    return build_quadtree(lines, domain, pm1_rule(domain), max_depth=max_depth,
+                          machine=machine)
+
+
+def check_pm1_lines(lines: np.ndarray) -> None:
+    """Reject what no PM1 leaf can separate: duplicate or zero-length lines."""
     lines = np.asarray(lines, dtype=float)
     if lines.size:
         canon = np.where((lines[:, 0:2] > lines[:, 2:4]).any(axis=1)[:, None],
@@ -51,11 +58,26 @@ def build_pm1(lines: np.ndarray, domain: int, max_depth: Optional[int] = None,
         if degenerate.any():
             raise ValueError("degenerate (zero-length) segments are not PM1 input")
 
-    def rule(segs_xy: np.ndarray, segments: Segments, node_boxes: np.ndarray,
-             node_levels: np.ndarray, m: Machine) -> np.ndarray:
+
+def pm1_judge(domain: float):
+    """The Section 4.5 rule as ``(split, settled)`` verdicts per node group.
+
+    ``settled`` marks a split every enclosing block must share: a group
+    with a vertex inside that still breaks the leaf criteria breaks them
+    in any larger block too.  Only a vertex-free group (two lines
+    passing through) can need a split inside a block that needs none --
+    unlike a capacity count, the PM1 rule is not nested.
+    """
+    def judge(segs_xy: np.ndarray, segments: Segments, node_boxes: np.ndarray,
+              node_levels: np.ndarray, m: Machine) -> tuple[np.ndarray, np.ndarray]:
         line_boxes = seg_broadcast(node_boxes, segments, machine=m)
         decision = pm1_should_split(segs_xy, line_boxes, segments,
                                     domain=float(domain), machine=m)
-        return decision.must_split
+        return decision.must_split, decision.must_split & (decision.max_eps > 0)
+    return judge
 
-    return build_quadtree(lines, domain, rule, max_depth=max_depth, machine=machine)
+
+def pm1_rule(domain: float) -> SplitRule:
+    """The Section 4.5 splitting rule (the ``split`` half of :func:`pm1_judge`)."""
+    judge = pm1_judge(domain)
+    return lambda *state: judge(*state)[0]

@@ -54,6 +54,14 @@ class NodeTable:
         self.parent = np.full(1, -1, dtype=np.int64)
         self.children = np.full((1, 4), -1, dtype=np.int64)
 
+    @classmethod
+    def of(cls, tree: "Quadtree") -> "NodeTable":
+        """A growable table holding a finished tree's blocks."""
+        table = cls(tree.domain)
+        table.boxes, table.level, table.parent = tree.boxes, tree.level, tree.parent
+        table.children = tree.children.copy()   # the one array edited in place
+        return table
+
     def __len__(self) -> int:
         return int(self.boxes.shape[0])
 

@@ -47,6 +47,7 @@ from ..machine.ordering import hilbert_encode, morton_encode
 from .batch import (_nearest_quadtree, _nearest_rtree, _views,
                     _window_quadtree, _window_rtree)
 from .bucket_pmr import build_bucket_pmr
+from .dynamic import apply_batch
 from .join import quadtree_join, rtree_join
 from .nearest import quadtree_nearest, rtree_nearest
 from .pm1 import build_pm1
@@ -380,11 +381,13 @@ def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
     old index and only the global-id array is remapped (the survivor
     remap is monotone, so ids stay ascending and the nearest tie-break
     invariant holds).  Shards with deletions, plus the shards whose
-    curve range receives an inserted segment, are rebuilt from their
-    surviving and incoming segments.  Answers are decomposition-
-    independent (the PR-2 differential invariant), so a repaired index
-    answers bit-identically to ``build_sharded`` on ``new_lines`` even
-    though its cut points may differ.
+    curve range receives an inserted segment, are re-derived from their
+    surviving and incoming segments: a quadtree shard warm-starts from
+    its old tree (:func:`~repro.structures.dynamic.apply_batch`, array-
+    equal to a fresh build), an R-tree shard is rebuilt.  Answers are
+    decomposition-independent (the differential invariant), so a
+    repaired index answers bit-identically to ``build_sharded`` on
+    ``new_lines`` even though its cut points may differ.
 
     Falls back to one full :func:`build_sharded` -- returned with
     ``stats["full_rebuild"] = True`` -- when the repair cannot stay
@@ -433,6 +436,7 @@ def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
     # its key; shard ranges are contiguous and ascending along the
     # curve, so the per-shard max key is a sorted routing table
     routed: List[List[int]] = [[] for _ in range(index.num_shards)]
+    ins_keys = target = np.zeros(0, dtype=np.int64)
     if n_inserted:
         max_keys = index.shard_max_keys()
         ins_keys = shard_keys(new_lines[n_new - n_inserted:], dom,
@@ -455,15 +459,22 @@ def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
                                max_key=s.max_key))
             stats["shards_reused"] += 1
             continue
-        ids = np.sort(np.concatenate([
-            remap[s.ids][keep[s.ids]],
-            np.asarray(routed[k], dtype=np.int64)]))
+        # survivors keep their order and precede every inserted row
+        kept = keep[s.ids]
+        incoming = np.asarray(routed[k], dtype=np.int64)
+        ids = np.concatenate([remap[s.ids][kept], incoming])
         if ids.size == 0:
             continue   # fully emptied range: drop, never materialise
         segs = new_lines[ids]
-        tree = _build_shard_tree(segs, dom, index.structure,
-                                 capacity, min_fill, max_depth)
-        built.append(Shard(ids=ids, mbr=_segment_mbr(segs), tree=tree))
+        if index.family == "quadtree":
+            tree = apply_batch(s.tree, index.structure, kept,
+                               new_lines[incoming], capacity)
+        else:
+            tree = _build_shard_tree(segs, dom, index.structure,
+                                     capacity, min_fill, max_depth)
+        built.append(Shard(ids=ids, mbr=_segment_mbr(segs), tree=tree,
+                           max_key=_repaired_max_key(
+                               index, s, ~kept, ins_keys[target == k], segs)))
         stats["shards_rebuilt"] += 1
     if not built:
         return full()
@@ -473,6 +484,22 @@ def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
     return (ShardedIndex(lines=new_lines, domain=dom,
                          structure=index.structure, ordering=index.ordering,
                          shards=built), stats)
+
+
+def _repaired_max_key(index: ShardedIndex, shard: Shard, gone: np.ndarray,
+                      ins_keys: np.ndarray, segs: np.ndarray) -> Optional[int]:
+    """A repaired shard's largest curve key, encoding only the batch.
+
+    The old maximum survives unless a deleted row held it; only then
+    are the shard's rows re-encoded.  An old shard that never had its
+    key computed stays lazy.
+    """
+    if shard.max_key is None:
+        return None
+    if gone.any() and int(shard_keys(index.lines[shard.ids[gone]], index.domain,
+                                     index.ordering).max()) == shard.max_key:
+        return int(shard_keys(segs, index.domain, index.ordering).max())
+    return max(shard.max_key, int(ins_keys.max(initial=shard.max_key)))
 
 
 # -- join -----------------------------------------------------------------

@@ -8,6 +8,8 @@ from repro.geometry import random_segments
 from repro.store import IndexStore
 from repro.structures import build_bucket_pmr, insert_lines
 
+from ..structures.test_build_identity import assert_same_tree
+
 DOMAIN = 512
 
 
@@ -203,6 +205,33 @@ class TestInvalidation:
         fp = reg.register(segs(1), domain=DOMAIN)
         with pytest.raises(ValueError):
             reg.dataset(fp)[0, 0] = -1.0
+
+
+class TestUnshardedWarmStart:
+    """An unsharded PMR / PM1 commit warm-starts from the cached parent
+    tree; the entry is the cold build of its fingerprint, array for array."""
+
+    @pytest.mark.parametrize("structure,params",
+                             [("pmr", {"capacity": 8}), ("pm1", {})])
+    def test_commit_is_a_repair_equal_to_the_cold_build(self, structure, params):
+        reg = IndexRegistry(capacity=8)
+        fp = reg.register(np.unique(segs(12), axis=0), domain=DOMAIN)
+        reg.get(fp, structure, **params)
+        info = reg.mutate(fp, insert=[[3.0, 4.0, 50.0, 61.0]], delete_ids=[1, 4])
+        entry = reg.get(info.fingerprint, structure, **params)
+        assert reg.repairs == 1 and entry.repaired_from == fp
+        cold = IndexRegistry.BUILDERS[structure](
+            reg.dataset(info.fingerprint), reg.domain(info.fingerprint), **params)
+        assert_same_tree(entry.tree, cold)
+
+    def test_rtree_stays_on_the_canonical_build(self):
+        reg = IndexRegistry(capacity=8)
+        fp = reg.register(segs(13), domain=DOMAIN)
+        reg.get(fp, "rtree", min_fill=2, capacity=8)
+        info = reg.mutate(fp, delete_ids=[0])
+        assert reg.get(info.fingerprint, "rtree", min_fill=2,
+                       capacity=8).repaired_from is None
+        assert reg.repairs == 0
 
 
 class TestStoreTier:

@@ -112,20 +112,37 @@ class TestShardMaxKeys:
         assert [s.max_key for s in idx.shards] == self.recomputed(idx)
         assert idx.shard_max_keys().tolist() == sorted(self.recomputed(idx))
 
-    def test_repair_carries_reused_shards_and_fills_rebuilt_ones_lazily(self):
+    def test_repair_carries_reused_and_sets_repaired_keys(self):
         idx = build_sharded(lines_of(22, 400), DOMAIN, shards=4, ordering="hilbert")
         victim = idx.shards[1].ids[:3]
         new_rows = idx.lines[idx.shards[1].ids[3:6]] + 1.0      # lands in or near shard 1
         new_lines = np.vstack([np.delete(idx.lines, victim, axis=0), new_rows])
         repaired, stats = repair_sharded(idx, new_lines, victim, new_rows.shape[0])
         assert not stats["full_rebuild"] and stats["shards_reused"] >= 2
-        carried = [s.max_key for s in repaired.shards]
-        assert carried.count(None) == stats["shards_rebuilt"]
+        assert None not in [s.max_key for s in repaired.shards]
         for old, new in zip(idx.shards, repaired.shards):
             if new.tree is old.tree:
                 assert new.max_key == old.max_key
         assert repaired.shard_max_keys().tolist() == self.recomputed(repaired)
-        assert None not in [s.max_key for s in repaired.shards]
+
+    @pytest.mark.parametrize("ordering", ["morton", "hilbert"])
+    def test_repair_keeps_the_table_equal_to_a_full_re_encode(self, ordering):
+        """Set at repair time from the batch's own keys -- including
+        commits that delete a shard's maximum-key row."""
+        rng = np.random.default_rng(24)
+        idx = build_sharded(lines_of(24, 400), DOMAIN, shards=8, ordering=ordering)
+        for step in range(12):
+            keys = shard_keys(idx.lines, idx.domain, ordering)
+            shard = idx.shards[step % idx.num_shards]
+            top = shard.ids[np.argmax(keys[shard.ids])]
+            victims = np.unique(np.append(rng.choice(shard.ids, 2, replace=False),
+                                          top if step % 2 else []).astype(np.int64))
+            new_rows = np.clip(idx.lines[rng.choice(shard.ids, 2)] + 0.25, 0, DOMAIN)
+            new_lines = np.vstack([np.delete(idx.lines, victims, axis=0), new_rows])
+            idx, stats = repair_sharded(idx, new_lines, victims, 2)
+            assert not stats["full_rebuild"]
+            carried = [s.max_key for s in idx.shards]
+            assert carried == self.recomputed(idx), (step, stats)
 
     def test_a_loaded_index_computes_its_table_on_first_use(self, tmp_path):
         idx = build_sharded(lines_of(23, 200), DOMAIN, shards=3)
