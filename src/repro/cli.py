@@ -92,8 +92,7 @@ STRUCTURES = ("pmr", "pm1", "rtree", "kdtree")
 #: field and ``_serve_engine`` passes the parsed value straight through
 _SERVE_ENGINE_FIELDS = (
     "structure", "capacity", "workers", "executor", "max_batch", "max_wait",
-    "queue_depth", "shards", "ordering", "adaptive", "target_p95_ms",
-    "skew_threshold", "adaptive_interval", "cache_dir", "disk_budget_bytes",
+    "queue_depth", "shards", "ordering", "cache_dir", "disk_budget_bytes",
     "shm_budget_bytes", "versions_retained", "journal_dir", "journal_fsync",
     "checkpoint_every")
 
@@ -376,11 +375,6 @@ def _serve_listen(args: argparse.Namespace) -> int:
             print(f"serving {args.map} map ({lines.shape[0]} segments, "
                   f"structure {args.structure}, backend {args.executor}) "
                   f"on {h}:{p}", flush=True)
-            if args.adaptive:
-                print(f"adaptive controller on: target p95 "
-                      f"{args.target_p95_ms:g} ms, skew threshold "
-                      f"{args.skew_threshold:g}, tick "
-                      f"{args.adaptive_interval:g}s", flush=True)
             print(f"dataset fingerprint {fp}", flush=True)
             print(f"try: python -m repro loadgen --connect {h}:{p}   "
                   f"(ctrl-c or SIGTERM drains and stops the server)",
@@ -436,12 +430,6 @@ def _serve_listen(args: argparse.Namespace) -> int:
               f"{_fmt_bytes(srv['bytes_in'])} / "
               f"{_fmt_bytes(srv['bytes_out'])}"]],
             title="server stats"))
-        if args.adaptive:
-            print()
-            print(format_table(
-                ["metric", "value"],
-                _adaptive_rows(engine.health()["adaptive"]),
-                title="adaptive controller"))
     return 0
 
 
@@ -561,49 +549,7 @@ def _serve_demo(args: argparse.Namespace) -> int:
              ["partial results", health["partial_results"]],
              ["brute-force fallbacks", health["fallbacks"]]],
             title="engine health"))
-        ad = health["adaptive"]
-        if ad.get("enabled"):
-            print()
-            print(format_table(
-                ["metric", "value"],
-                _adaptive_rows(ad),
-                title="adaptive controller"))
     return 0
-
-
-def _adaptive_rows(ad: dict) -> List[List[object]]:
-    """Table rows for an engine-health ``adaptive`` snapshot."""
-    decisions = ad.get("decisions", {})
-    reshards = ad.get("reshards", [])
-    rows: List[List[object]] = [
-        ["target p95 (ms)", f"{ad['target_p95_ms']:.1f}"],
-        ["max batch (tuned)", ad["max_batch"]],
-        ["max wait (tuned, ms)", f"{ad['max_wait_ms']:.2f}"],
-        ["controller ticks", ad["ticks"]],
-        ["controller errors", ad["errors"]],
-        ["decisions",
-         ", ".join(f"{k}:{v}" for k, v in sorted(decisions.items()))
-         or "none"],
-        ["skew threshold", f"{ad['skew_threshold']:.1f}"],
-        ["re-shards", len(reshards)],
-    ]
-    for rep in reshards[-3:]:
-        if "error" in rep:
-            rows.append([f"re-shard {rep.get('root', '?')[:12]}",
-                         f"failed: {rep['error']}"])
-        else:
-            skew = "->".join("?" if s is None else f"{s:.2f}"
-                             for s in (rep["skew_before"],
-                                       rep["skew_after"]))
-            rows.append([f"re-shard {rep['root'][:12]}",
-                         f"K {rep['shards'][0]}->{rep['shards'][1]}, "
-                         f"{rep['ordering'][0]}->{rep['ordering'][1]}, "
-                         f"skew {skew}, "
-                         f"{rep['build_ms']:.0f} ms build"])
-    for root, choice in sorted(ad.get("initial_choices", {}).items()):
-        rows.append([f"probed {root}",
-                     f"K={choice['shards']} {choice['ordering']}"])
-    return rows
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -754,11 +700,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
          ["queue depth", eng["queue_depth"]],
          ["pending probes", eng["pending_probes"]]],
         title="engine health"))
-    ad = eng.get("adaptive", {})
-    if ad.get("enabled"):
-        print()
-        print(format_table(["metric", "value"], _adaptive_rows(ad),
-                           title="adaptive controller"))
     return 0
 
 
@@ -854,10 +795,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         report = run_loadgen(host, port, stages, duration=args.duration,
                              procs=args.procs, conns=args.conns, mix=mix,
                              deadline_ms=args.deadline_ms, grace=args.grace,
-                             seed=args.seed, out_path=args.out,
-                             hotspot=args.hotspot,
-                             hotspot_span=args.hotspot_span,
-                             burst=args.burst)
+                             seed=args.seed, out_path=args.out)
     except (ServeConnectionError, RuntimeError) as exc:
         raise SystemExit(f"loadgen: {exc}")
     rows = [[s["offered_qps"], s["achieved_qps"], s["p50_ms"], s["p95_ms"],
@@ -1097,18 +1035,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="space-sorted shards per index (>1 fans batches out)")
     s.add_argument("--ordering", choices=("morton", "hilbert"),
                    help="shard cut order")
-    s.add_argument("--adaptive", action="store_true",
-                   help="self-tuning serving: AIMD-tune the coalescer "
-                        "toward --target-p95-ms, re-shard hot datasets "
-                        "online, and probe shard count/ordering for new "
-                        "datasets (answers stay bit-identical)")
-    s.add_argument("--target-p95-ms", type=float,
-                   help="adaptive controller's p95 latency target (ms)")
-    s.add_argument("--skew-threshold", type=float,
-                   help="shard size/service-time skew that triggers an "
-                        "online re-shard (must be > 1)")
-    s.add_argument("--adaptive-interval", type=float,
-                   help="controller tick period (seconds)")
     s.add_argument("--cache-dir",
                    help="persistent index store directory (spill + warm start)")
     s.add_argument("--disk-budget-bytes", type=int,
@@ -1178,14 +1104,6 @@ def _parser() -> argparse.ArgumentParser:
                          "fan-outs degrade to 206)")
     lg.add_argument("--grace", type=float, default=2.0,
                     help="post-stage wait for in-flight responses (seconds)")
-    lg.add_argument("--hotspot", type=float, default=0.0,
-                    help="fraction of requests aimed at a small corner "
-                         "region (skewed workload; 0 disables)")
-    lg.add_argument("--hotspot-span", type=float, default=0.1,
-                    help="hotspot side length as a fraction of the domain")
-    lg.add_argument("--burst", type=float, default=1.0,
-                    help=">1 sends on/off pulses at burst x the mean "
-                         "rate instead of steady arrivals")
     lg.add_argument("--out", default="BENCH_serving.json",
                     help="JSON report path, untracked scratch output "
                          "('' to skip writing)")

@@ -12,8 +12,6 @@ from ..resilience import (CircuitBreaker, CircuitOpenError, FaultInjector,
                           FaultPlan, FaultSpec, InjectedCorruption,
                           InjectedFault, InjectedWorkerCrash, PartialResult,
                           RetryPolicy)
-from .adaptive import (AdaptiveController, CoalescerTuner, SkewWatch,
-                       probe_shard_params)
 from .coalescer import Coalescer, Probe
 from .engine import EngineConfig, SpatialQueryEngine
 from .executor import (BoundedExecutor, ExecutorBackend, JobTimeoutError,
@@ -31,10 +29,6 @@ __all__ = [
     "dataset_fingerprint",
     "Coalescer",
     "Probe",
-    "AdaptiveController",
-    "CoalescerTuner",
-    "SkewWatch",
-    "probe_shard_params",
     "BoundedExecutor",
     "ProcessBackend",
     "ExecutorBackend",

@@ -13,12 +13,8 @@ whichever comes first.  This is the classic throughput/latency knob of
 batched serving: larger windows amortise the per-round vector work over
 more queries, smaller ones bound the queueing delay.
 
-Both triggers are **runtime-retunable** (:meth:`Coalescer.retune`): the
-adaptive controller (:mod:`repro.engine.adaptive`) moves ``max_batch``
-and ``max_wait`` while traffic is in flight.  To honour a retune on the
-very next timer tick, the watcher stores each group's *head timestamp*
-(when its oldest probe arrived) and recomputes the deadline as
-``head + max_wait`` at wait time -- never a deadline frozen at enqueue.
+The deadline watcher keeps each group's *head timestamp* (when its
+oldest probe arrived) and sleeps until the soonest ``head + max_wait``.
 ``max_wait = 0`` degenerates to immediate dispatch: every submit
 flushes its group synchronously, the zero-latency end of the knob.
 """
@@ -67,9 +63,7 @@ class Coalescer:
         self.max_wait = max_wait
         self._cv = threading.Condition()
         self._groups: Dict[Hashable, List[Probe]] = {}
-        # group key -> the oldest probe's submit timestamp; the actual
-        # deadline is derived as head + max_wait *at wait time*, so a
-        # retuned window applies to groups already in flight
+        # group key -> the oldest probe's submit timestamp
         self._heads: Dict[Hashable, float] = {}
         self._closed = False
         self._timer = threading.Thread(target=self._run, daemon=True,
@@ -92,26 +86,6 @@ class Coalescer:
         if ready is not None:
             self._flush_fn(key, ready)
 
-    def retune(self, max_batch: Optional[int] = None,
-               max_wait: Optional[float] = None) -> None:
-        """Move the triggers while serving; takes effect on the next tick.
-
-        The deadline watcher recomputes every group's deadline from the
-        *current* ``max_wait``, so shrinking the window releases groups
-        that are already past the new deadline immediately, and
-        ``max_wait = 0`` drains pending groups on this very call.
-        """
-        with self._cv:
-            if max_batch is not None:
-                if max_batch < 1:
-                    raise ValueError("max_batch must be >= 1")
-                self.max_batch = int(max_batch)
-            if max_wait is not None:
-                if max_wait < 0:
-                    raise ValueError("max_wait must be >= 0")
-                self.max_wait = float(max_wait)
-            self._cv.notify()
-
     def _take(self, key: Hashable) -> List[Probe]:
         self._heads.pop(key, None)
         return self._groups.pop(key)
@@ -131,12 +105,8 @@ class Coalescer:
                     if soonest > now:
                         self._cv.wait(soonest - now)
                     now = time.monotonic()
-                    # re-read max_wait after the wait: a retune during
-                    # the nap moves every in-flight group's deadline
-                    wait = self.max_wait
                     due = [k for k, h in self._heads.items()
-                           if h + wait <= now
-                           or len(self._groups[k]) >= self.max_batch]
+                           if h + self.max_wait <= now]
                     batches = [(k, self._take(k)) for k in due]
             for key, probes in batches:
                 self._flush_fn(key, probes)

@@ -63,7 +63,6 @@ from ..structures.sharded import ORDERINGS, ShardedIndex
 from ..shm import DATASET_PREFIX, INDEX_PREFIX, ShmArena
 from ..store import store_key_id
 from ..structures.io import structure_payload
-from .adaptive import AdaptiveController
 from .coalescer import Coalescer, Probe
 from .executor import BoundedExecutor, ProcessBackend, RejectedError
 from .registry import IndexKey, IndexRegistry, index_params
@@ -138,11 +137,6 @@ class EngineConfig:
     cache_capacity: int = 8       # LRU-cached built indexes
     shards: int = 1               # >1: space-sorted sharded indexes
     ordering: str = "morton"      # shard cut order: morton | hilbert
-    # -- adaptive serving --------------------------------------------------
-    adaptive: bool = False        # self-tuning controller (engine/adaptive.py)
-    target_p95_ms: float = 25.0   # latency target the coalescer tuner chases
-    skew_threshold: float = 3.0   # shard imbalance triggering online re-shard
-    adaptive_interval: float = 0.25   # controller tick period (seconds)
     versions_retained: int = 2    # dataset versions kept warm (MVCC)
     cache_dir: Optional[str] = None   # persistent index store directory
     disk_budget_bytes: Optional[int] = None  # store byte budget (None: unbounded)
@@ -176,12 +170,6 @@ class EngineConfig:
         if self.ordering not in ORDERINGS:
             raise ValueError(f"unknown ordering {self.ordering!r}; "
                              f"choose from {ORDERINGS}")
-        if self.target_p95_ms <= 0:
-            raise ValueError("target_p95_ms must be > 0")
-        if self.skew_threshold <= 1:
-            raise ValueError("skew_threshold must be > 1")
-        if self.adaptive_interval <= 0:
-            raise ValueError("adaptive_interval must be > 0")
         if self.versions_retained < 1:
             raise ValueError("versions_retained must be >= 1")
         if self.disk_budget_bytes is not None:
@@ -283,42 +271,13 @@ class SpatialQueryEngine:
         self._coalescer = Coalescer(self._dispatch,
                                     max_batch=config.max_batch,
                                     max_wait=config.max_wait)
-        # online re-shard overrides: root -> (shards, ordering, gen).
-        # The generation feeds the index *key*, so a rebalance mints
-        # fresh cache/store/arena entries and worker tree caches (keyed
-        # by store key id) can never serve a stale decomposition
-        self._shard_overrides: Dict[str, Tuple[int, str, int]] = {}
-        self.adaptive: Optional[AdaptiveController] = None
-        if config.adaptive:
-            self.adaptive = AdaptiveController(
-                self, target_p95_ms=config.target_p95_ms,
-                skew_threshold=config.skew_threshold,
-                interval=config.adaptive_interval)
-            self.adaptive.start()
         self._closed = False
 
     # -- datasets --------------------------------------------------------
 
     def register(self, lines: np.ndarray, domain: Optional[int] = None) -> str:
-        """Register a segment map; returns the fingerprint probes use.
-
-        With the adaptive controller enabled, a *new* dataset's shard
-        count and curve ordering are chosen by a cheap measured probe
-        (:func:`~repro.engine.adaptive.probe_shard_params`) instead of
-        the static config defaults; the choice shows up in the
-        ``adaptive`` health block and can later be revised by an online
-        re-shard.
-        """
-        fp = self.registry.register(lines, domain=domain)
-        if self.adaptive is not None \
-                and fp not in self.adaptive.initial_choices \
-                and self.registry.resolve(fp).root == fp:
-            k, ordn = self.adaptive.choose_initial(
-                fp, self.registry.dataset(fp),
-                float(self.registry.domain(fp)))
-            if (k, ordn) != (self.config.shards, self.config.ordering):
-                self._shard_overrides[fp] = (k, ordn, 0)
-        return fp
+        """Register a segment map; returns the fingerprint probes use."""
+        return self.registry.register(lines, domain=domain)
 
     def submit_insert(self, fingerprint: str, new_lines) -> Future:
         """Asynchronously append segments to a registered map.
@@ -388,7 +347,7 @@ class SpatialQueryEngine:
         build.
         """
         info = self.registry.resolve(fingerprint)
-        key = self._index_key(info.fingerprint, structure, info.root)
+        key = self._index_key(info.fingerprint, structure)
         self._serving_entry(key)
         if not self._is_process:
             return
@@ -563,134 +522,6 @@ class SpatialQueryEngine:
         with self._root_lock(info.root):
             return self._checkpoint_locked(info.root)
 
-    # -- adaptive serving ------------------------------------------------
-
-    def _shard_skew_parts(
-            self, fingerprint: str
-    ) -> Tuple[Optional[float], Optional[float], int]:
-        """``(size_skew, time_skew, shards)`` of a live decomposition.
-
-        **Size** skew is the largest shard over the balanced share --
-        the ratio repair drift grows.  **Service-time** skew is the
-        slowest shard EWMA over the median -- which catches a traffic
-        hotspot even when the cut is numerically balanced.  ``(None,
-        None, 0)`` when the index is unsharded or not in the memory
-        tier: a decomposition nobody keeps warm is not worth
-        rebalancing.
-        """
-        try:
-            key = self._index_key(fingerprint, None)
-        except (KeyError, ValueError):
-            return None, None, 0
-        if int(dict(key.params).get("shards", 1)) <= 1:
-            return None, None, 0
-        entry = self.registry.peek(key)
-        if entry is None or not isinstance(entry.tree, ShardedIndex):
-            return None, None, 0
-        tree: ShardedIndex = entry.tree
-        K = tree.num_shards
-        if K <= 1:
-            return None, None, K
-        sizes = tree.shard_sizes()
-        n = int(sizes.sum())
-        size_skew = float(sizes.max()) / max(-(-n // K), 1) if n else 0.0
-        time_skew = None
-        ewmas = sorted(
-            self.stats.shard_service_snapshot(fingerprint).values())
-        if len(ewmas) >= 2:
-            med = ewmas[len(ewmas) // 2]
-            if med > 0:
-                time_skew = ewmas[-1] / med
-        return size_skew, time_skew, K
-
-    def _shard_skew(self, fingerprint: str) -> Tuple[Optional[float], int]:
-        """``(skew, shards)``: the worse of the two skew components."""
-        size_skew, time_skew, K = self._shard_skew_parts(fingerprint)
-        parts = [s for s in (size_skew, time_skew) if s is not None]
-        return (max(parts) if parts else None), K
-
-    def reshard(self, fingerprint: str, shards: Optional[int] = None,
-                ordering: Optional[str] = None,
-                structure: Optional[str] = None,
-                force: bool = False) -> Optional[Dict[str, object]]:
-        """Rebalance a dataset's shard decomposition online.
-
-        Runs through the same stage -> warm -> flip discipline as a
-        mutation commit, under the chain's root lock: the rebalanced
-        index is built (and, under the process backend, published to
-        the store/arena) against a **fresh generation key** before the
-        per-root override flips new probes onto it -- readers never
-        block, and batches already in flight finish against the
-        decomposition they resolved.  With neither ``shards`` nor
-        ``ordering`` given, the current cut is kept and the re-shard
-        only fires when :meth:`_shard_skew` exceeds
-        ``config.skew_threshold`` (``force=True`` overrides); returns
-        the re-shard report, or ``None`` when balance was fine.  The
-        old generation's entries are left for version-retirement GC --
-        in-flight fan-outs may still hold their pages.
-        """
-        info = self.registry.resolve(fingerprint)
-        root = info.root
-        with self._root_lock(root):
-            started = time.monotonic()
-            cur = self.registry.resolve(root)
-            old_key = self._index_key(cur.fingerprint, structure, root)
-            old_params = dict(old_key.params)
-            old_k = int(old_params.get("shards", 1))
-            old_ord = str(old_params.get("ordering", self.config.ordering))
-            K = int(shards) if shards is not None else old_k
-            ordn = str(ordering) if ordering is not None else old_ord
-            if K < 1:
-                raise ValueError("shards must be >= 1")
-            if ordn not in ORDERINGS:
-                raise ValueError(f"unknown ordering {ordn!r}; "
-                                 f"choose from {ORDERINGS}")
-            if K <= 1 and old_k <= 1:
-                return None   # nothing is or would become sharded
-            size_skew, time_skew, _ = self._shard_skew_parts(
-                cur.fingerprint)
-            parts = [s for s in (size_skew, time_skew) if s is not None]
-            skew_before = max(parts) if parts else None
-            if shards is None and ordering is None and not force \
-                    and skew_before is not None \
-                    and skew_before > self.config.skew_threshold \
-                    and (size_skew is None
-                         or size_skew <= self.config.skew_threshold):
-                # the cut is numerically balanced but a traffic hotspot
-                # drags one shard's service time: re-cutting at the
-                # same K reproduces the same decomposition, so refine
-                # instead -- double K (capped) to spread the hot region
-                # across more shards
-                K = min(old_k * 2, 32)
-            if (K, ordn) == (old_k, old_ord) and not force \
-                    and (skew_before is None
-                         or skew_before <= self.config.skew_threshold):
-                return None   # same cut requested and balance is fine
-            ov = self._shard_overrides.get(root)
-            gen = (ov[2] if ov is not None else 0) + 1
-            new_params = {k: v for k, v in old_params.items()
-                          if k not in ("shards", "ordering", "gen")}
-            if K > 1:
-                new_params.update(shards=K, ordering=ordn, gen=gen)
-            # warm build off the read path: probes keep resolving the
-            # old generation until the override flips below
-            self._serving_entry(IndexKey.make(
-                cur.fingerprint, old_key.structure, **new_params))
-            self._shard_overrides[root] = (K, ordn, gen)
-            self.stats.inc(reshards=1)
-            # the old decomposition's service EWMAs must not judge the
-            # new one
-            self.stats.drop_shard_service(cur.fingerprint)
-            skew_after, _ = self._shard_skew(cur.fingerprint)
-            return {"root": root, "fingerprint": cur.fingerprint,
-                    "version": cur.version, "gen": gen,
-                    "shards": [old_k, K], "ordering": [old_ord, ordn],
-                    "skew_before": (round(skew_before, 3)
-                                    if skew_before is not None else None),
-                    "skew_after": (round(skew_after, 3)
-                                   if skew_after is not None else None),
-                    "build_ms": round((time.monotonic() - started) * 1e3, 3)}
-
     # -- lifecycle / introspection ---------------------------------------
 
     def flush(self) -> None:
@@ -753,9 +584,6 @@ class SpatialQueryEngine:
                 "journals": {root: j.snapshot()
                              for root, j in self._journals.items()},
             },
-            "adaptive": (self.adaptive.snapshot()
-                         if self.adaptive is not None
-                         else {"enabled": False}),
             "versions_committed": self.registry.versions_committed,
             "versions_collected": self.registry.versions_collected,
             "queue_depth": self._executor.queue_depth,
@@ -768,10 +596,6 @@ class SpatialQueryEngine:
         if self._closed:
             return
         self._closed = True
-        # the controller first: a tick racing the teardown could submit
-        # a re-shard build against a closing registry
-        if self.adaptive is not None:
-            self.adaptive.close()
         self._coalescer.close()
         with self._mutation_lock:
             pending = list(self._mutation_threads)
@@ -807,7 +631,6 @@ class SpatialQueryEngine:
         """The registry dropped a content (its ``on_collect`` observer):
         the per-content serving state kept here goes with it."""
         self.breakers.drop(fingerprint)
-        self.stats.drop_shard_service(fingerprint)
 
     def _on_executor_event(self, name: str, value=1) -> None:
         """Process-backend telemetry: every event but the structured
@@ -828,29 +651,15 @@ class SpatialQueryEngine:
             self._arena.reset_live_attachments()
         self.stats.event(name, value)
 
-    def _index_key(self, fingerprint: str, structure: Optional[str],
-                   root: Optional[str] = None) -> IndexKey:
-        """The key ``fingerprint``'s index is served under.
-
-        The shard cut is the config's unless the chain has a live
-        (shards, ordering, gen) override: kept per *root* (the whole
-        chain reshapes together -- a mutation commit inherits the
-        current cut), set by the register-time probe and advanced by
-        :meth:`reshard`.  ``root`` names that chain when the caller
-        knows it (a staged content is not a handle of its chain yet).
-        """
+    def _index_key(self, fingerprint: str,
+                   structure: Optional[str]) -> IndexKey:
+        """The key ``fingerprint``'s index is served under."""
         structure = structure or self.config.structure
         if structure not in FAMILY:
             raise ValueError(f"unknown structure {structure!r}")
-        cut = (self.config.shards, self.config.ordering, 0)
-        if self._shard_overrides:
-            try:
-                root = root or self.registry.resolve(fingerprint).root
-            except KeyError:
-                root = None
-            cut = self._shard_overrides.get(root, cut)
         return IndexKey.make(fingerprint, structure, **index_params(
-            structure, self.config.capacity, self.config.min_fill, *cut))
+            structure, self.config.capacity, self.config.min_fill,
+            self.config.shards, self.config.ordering))
 
     def _submit(self, kind: str, fingerprint: str, payload: np.ndarray,
                 structure: Optional[str], exact: bool,
@@ -861,7 +670,7 @@ class SpatialQueryEngine:
         # content fingerprint, not the client's chain handle
         info = self.registry.resolve(fingerprint)
         fingerprint = info.fingerprint
-        key = (self._index_key(fingerprint, structure, info.root), kind,
+        key = (self._index_key(fingerprint, structure), kind,
                bool(exact))
         self.stats.record_submitted(kind)
         if not self.breakers.allow(fingerprint):
@@ -1173,9 +982,8 @@ class SpatialQueryEngine:
         return self.store is not None and self.store.contains(key)
 
     def _serving_entry(self, key: IndexKey):
-        """The warm -> share step of :meth:`warm`, the commit and
-        :meth:`reshard`: build (or fetch) ``key``'s index and return
-        the entry that will serve.
+        """The warm -> share step of :meth:`warm` and the commit: build
+        (or fetch) ``key``'s index and return the entry that will serve.
 
         Under the process backend it is fed to both worker warm tiers,
         best effort -- the store (durable bytes) and the arena
@@ -1266,7 +1074,7 @@ class SpatialQueryEngine:
         if journal is None:
             raise JournalError(f"no journal attached for chain {root!r}")
         head = self.registry.resolve(root)
-        key = self._index_key(head.fingerprint, None, root)
+        key = self._index_key(head.fingerprint, None)
         if self.store is not None and not self.store.contains(key):
             self.registry.persist(key.fingerprint, key.structure,
                                   **dict(key.params))
@@ -1347,7 +1155,7 @@ class SpatialQueryEngine:
                     self._fail_probes(live, exc, wal_append_failures=1,
                                       mutation_failures=1)
                     return
-            key = self._index_key(staged.fingerprint, None, cur.root)
+            key = self._index_key(staged.fingerprint, None)
             try:
                 # worker visibility comes BEFORE the flip: under the
                 # process backend the new version's payload lands in
@@ -1602,28 +1410,20 @@ class _ShardedMerge:
             work = self.engine._bind(
                 replace(self.spec, payloads=self.payloads[sel], shard=k),
                 held)
-            t0 = time.monotonic()
             try:
                 fut = self.engine._submit_job_with_retry(work)
             except RejectedError as exc:
                 self.engine.stats.inc(rejected={exc.reason: len(self.payloads)})
                 self._fail(RejectedError(str(exc), reason=exc.reason))
                 return
-            # the probe selection rides in the callback, not the result;
-            # the shard id and submit time feed the per-shard service
-            # EWMAs the balance watchdog reads
-            fut.add_done_callback(
-                lambda done, s=sel, k=k, t0=t0: self._deliver(done, s, k, t0))
+            # the probe selection rides in the callback, not the result
+            fut.add_done_callback(lambda done, s=sel: self._deliver(done, s))
 
-    def _deliver(self, done: Future, sel: np.ndarray, shard: int,
-                 submitted: float) -> None:
+    def _deliver(self, done: Future, sel: np.ndarray) -> None:
         exc = done.exception()
         if exc is not None:
             self._fail(exc)
             return
-        # queue + kernel time, what a probe actually waits on
-        self.engine.stats.record_shard_service(
-            self.fingerprint, shard, time.monotonic() - submitted)
         res: WorkerResult = done.result()
         results = res.values
         with self.lock:

@@ -101,7 +101,7 @@ class IndexKey:
 
 
 def index_params(structure: str, capacity: int, min_fill: int, shards: int,
-                 ordering: str, gen: int = 0) -> Dict[str, object]:
+                 ordering: str) -> Dict[str, object]:
     """The build parameters one served index is keyed by.
 
     The engine's probes and ``repro store prefetch`` both call this, so
@@ -114,8 +114,6 @@ def index_params(structure: str, capacity: int, min_fill: int, shards: int,
         params["min_fill"] = min_fill
     if shards > 1:
         params.update(shards=shards, ordering=ordering)
-        if gen:
-            params["gen"] = gen
     return params
 
 
@@ -704,8 +702,7 @@ class IndexRegistry:
 
     def peek(self, key: IndexKey) -> Optional[BuiltIndex]:
         """Memory-tier lookup without miss accounting, LRU touch, or
-        build -- what the adaptive controller's balance watchdog reads
-        (an index nobody keeps warm is not worth rebalancing)."""
+        build."""
         with self._lock:
             return self._cache.get(key)
 
@@ -866,14 +863,8 @@ class IndexRegistry:
             return list(self._cache)
 
 
-# ``gen`` is the online re-shard generation: it never changes what is
-# built (the canonical cut of (data, shards, ordering) is unique), only
-# the cache/store/arena *key*, so a rebalance mints fresh entries in
-# every tier instead of colliding with the old decomposition
-
-
 def _build_pmr(lines, domain, capacity: int = 8, max_depth=None,
-               shards: int = 1, ordering: str = "morton", gen: int = 0):
+               shards: int = 1, ordering: str = "morton"):
     if int(shards) > 1:
         return build_sharded(lines, domain, structure="pmr", shards=shards,
                              ordering=ordering, capacity=capacity,
@@ -883,7 +874,7 @@ def _build_pmr(lines, domain, capacity: int = 8, max_depth=None,
 
 
 def _build_pm1(lines, domain, max_depth=None,
-               shards: int = 1, ordering: str = "morton", gen: int = 0):
+               shards: int = 1, ordering: str = "morton"):
     if int(shards) > 1:
         return build_sharded(lines, domain, structure="pm1", shards=shards,
                              ordering=ordering, max_depth=max_depth)
@@ -892,7 +883,7 @@ def _build_pm1(lines, domain, max_depth=None,
 
 
 def _build_rtree(lines, domain, min_fill: int = 2, capacity: int = 8,
-                 shards: int = 1, ordering: str = "morton", gen: int = 0):
+                 shards: int = 1, ordering: str = "morton"):
     # domain is irrelevant to the R-tree itself but keys the shard cut
     if int(shards) > 1:
         return build_sharded(lines, domain, structure="rtree", shards=shards,

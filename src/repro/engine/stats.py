@@ -18,7 +18,6 @@ into the serving layer.
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict, deque
 from typing import Dict, Optional
 
 import numpy as np
@@ -68,11 +67,10 @@ COUNTERS = (
     Counter("steps"),              # scan-model steps of those batches
     Counter("primitives"),         # ... and their primitive invocations
     Counter("per_kind", labels={}),    # probe kind -> submitted
-    # -- sharded fan-out / adaptive serving --------------------------------
+    # -- sharded fan-out ---------------------------------------------------
     Counter("shard_batches"),      # sharded batches planned
     Counter("shards_probed"),      # shard jobs those batches fanned out to
     Counter("shards_skipped"),     # shards MBR-culled from a batch
-    Counter("reshards"),           # online re-shards committed
     # -- persistent store (the IndexStore observer) ------------------------
     Counter("disk_hits", event="disk_hit"),
     Counter("disk_misses", event="disk_miss"),
@@ -139,7 +137,7 @@ COUNTERS = (
 
 class EngineStats(Counters):
     """Thread-safe counters for the serving stack (:data:`COUNTERS`) plus
-    the non-counter readings: latency, per-index rows, shard EWMAs."""
+    the non-counter readings: latency and per-index rows."""
 
     ROWS = COUNTERS
 
@@ -147,14 +145,7 @@ class EngineStats(Counters):
         super().__init__()
         self.steps = 0.0   # the one float-valued counter
         self._max_batch = 0
-        #: sizes of the last 64 batches (all ``recent_batch_mean`` reads):
-        #: the full history is never kept
-        self._recent_batches: "deque[int]" = deque(maxlen=64)
         self.per_index: Dict[str, Dict[str, float]] = {}
-        #: fingerprint -> shard id -> EWMA of shard-job service seconds
-        #: (queue + kernel, what a probe actually waits on); the balance
-        #: watchdog reads the spread to decide an online re-shard
-        self.shard_service: "OrderedDict[str, Dict[int, float]]" = OrderedDict()
         #: pid -> that worker's latest self-reported totals
         self.workers: Dict[int, Dict[str, int]] = {}
         self.latency = LatencyReservoir(reservoir_size)
@@ -175,7 +166,6 @@ class EngineStats(Counters):
             self.completed += size
             self.steps += steps
             self.primitives += primitives
-            self._recent_batches.append(size)
             self._max_batch = max(self._max_batch, size)
             per = self.per_index.setdefault(
                 index_name, {"batches": 0.0, "queries": 0.0, "steps": 0.0,
@@ -214,46 +204,6 @@ class EngineStats(Counters):
             row["shm_attaches"] += attaches
             row.update(jobs=wr.jobs, cached_trees=wr.cached_trees)
 
-    def record_shard_service(self, fingerprint: str, shard: int,
-                             seconds: float) -> None:
-        """One shard job's service time folded into its EWMA.
-
-        Keyed by content fingerprint so a mutation commit naturally
-        starts a fresh row; rows beyond the 64 most recently touched
-        fingerprints age out (dead versions stop being recorded).
-        """
-        with self._lock:
-            per = self.shard_service.setdefault(fingerprint, {})
-            self.shard_service.move_to_end(fingerprint)
-            prev = per.get(shard)
-            a = 0.3   # weight of the newest sample
-            per[shard] = (seconds if prev is None
-                          else (1.0 - a) * prev + a * seconds)
-            while len(self.shard_service) > 64:
-                self.shard_service.popitem(last=False)
-
-    def shard_service_snapshot(self, fingerprint: str) -> Dict[int, float]:
-        """Copy of one fingerprint's per-shard EWMAs (seconds)."""
-        with self._lock:
-            return dict(self.shard_service.get(fingerprint, {}))
-
-    def drop_shard_service(self, fingerprint: str) -> None:
-        """Forget a fingerprint's shard EWMAs (after an online re-shard:
-        the old decomposition's timings must not judge the new cut)."""
-        with self._lock:
-            self.shard_service.pop(fingerprint, None)
-
-    def recent_batch_mean(self) -> float:
-        """Mean size of the last 64 dispatched batches (0.0: none).
-
-        The coalescer tuner reads this as the *fill ratio* signal:
-        batches near ``max_batch`` are count-triggered (the window is
-        not binding), small ones were released by the deadline.
-        """
-        with self._lock:
-            tail = self._recent_batches
-            return sum(tail) / len(tail) if tail else 0.0
-
     # -- readout ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
@@ -274,9 +224,6 @@ class EngineStats(Counters):
                 per_index={k: dict(v) for k, v in self.per_index.items()},
                 workers={pid: dict(row)
                          for pid, row in self.workers.items()},
-                shard_service_ms={
-                    fp: {int(k): round(v * 1e3, 3) for k, v in per.items()}
-                    for fp, per in self.shard_service.items()},
                 latency_p50_ms=self.latency.percentile(50) * 1e3,
                 latency_p95_ms=self.latency.percentile(95) * 1e3)
             return out

@@ -117,8 +117,8 @@ def batch_kernel(structure: str, kind: str, exact: bool):
     if kind == "point":
         # point probes serve the decomposition-independent stabbing
         # contract (segments through the point, as degenerate exact
-        # windows): an online re-shard -- or any other shard-layout
-        # difference -- must never change an answer.  ``exact=False``
+        # windows): a shard-layout difference must never change an
+        # answer.  ``exact=False``
         # keeps the structure-native candidate semantics reachable
         # (quadtree: the leaf's residents, via batch_point_query_*).
         if family == "quadtree":

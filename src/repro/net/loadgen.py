@@ -44,35 +44,20 @@ DEFAULT_MIX = {"window": 0.6, "point": 0.2, "nearest": 0.2}
 #: per-worker cap on retained latency samples (memory guard)
 MAX_SAMPLES = 50_000
 
-#: on/off pulse period (seconds) used when ``burst > 1`` squeezes each
-#: period's departures into its first ``period / burst`` seconds
-BURST_PERIOD = 0.5
-
 
 def _make_request(rng: np.random.Generator, req_id: int, fingerprint: str,
                   domain: float, mix_kinds: List[str],
                   mix_probs: List[float],
-                  deadline_ms: Optional[float],
-                  hotspot: float = 0.0, hotspot_span: float = 0.1) -> dict:
+                  deadline_ms: Optional[float]) -> dict:
     kind = mix_kinds[rng.choice(len(mix_kinds), p=mix_probs)]
     req: Dict[str, object] = {"id": req_id, "kind": kind,
                               "fingerprint": fingerprint}
-    # A hotspot-biased draw lands in the [0, span*domain]^2 corner, which
-    # maps to a handful of shards -- the skew the adaptive controller
-    # must detect and re-shard away.
-    hot = hotspot > 0.0 and rng.random() < hotspot
-    span = max(min(hotspot_span, 1.0), 1e-3) * domain
     if kind == "window":
-        if hot:
-            x, y = rng.uniform(0, span * 0.9, 2)
-            w, h = rng.uniform(span * 0.05, span * 0.3, 2)
-        else:
-            x, y = rng.uniform(0, domain * 0.9, 2)
-            w, h = rng.uniform(domain * 0.01, domain * 0.1, 2)
+        x, y = rng.uniform(0, domain * 0.9, 2)
+        w, h = rng.uniform(domain * 0.01, domain * 0.1, 2)
         req["rect"] = [x, y, min(x + w, domain), min(y + h, domain)]
     else:
-        lo_hi = span if hot else domain
-        req["point"] = rng.uniform(0, lo_hi, 2).tolist()
+        req["point"] = rng.uniform(0, domain, 2).tolist()
     if deadline_ms is not None:
         req["deadline_ms"] = deadline_ms
     return req
@@ -129,17 +114,9 @@ async def _drive(cfg: dict) -> dict:
     qps = cfg["qps"]
     total = max(int(qps * cfg["duration"]), 1)
     interval = 1.0 / qps
-    burst = float(cfg.get("burst", 1.0))
     start = loop.time()
     for k in range(total):
-        offset = k * interval
-        if burst > 1.0:
-            # on/off pulses: every BURST_PERIOD's worth of departures is
-            # compressed into its first 1/burst fraction, so the offered
-            # rate alternates between qps*burst and zero at the same mean
-            phase = offset % BURST_PERIOD
-            offset = (offset - phase) + phase / burst
-        target = start + offset
+        target = start + k * interval
         now = loop.time()
         if target > now:
             await asyncio.sleep(target - now)
@@ -150,9 +127,7 @@ async def _drive(cfg: dict) -> dict:
                 break
             i = live[k % len(live)]
         req = _make_request(rng, k, cfg["fingerprint"], cfg["domain"],
-                            mix_kinds, mix_probs, cfg["deadline_ms"],
-                            float(cfg.get("hotspot", 0.0)),
-                            float(cfg.get("hotspot_span", 0.1)))
+                            mix_kinds, mix_probs, cfg["deadline_ms"])
         w = conns[i][1]
         pending[k] = loop.time()
         try:
@@ -206,8 +181,7 @@ def _mp_context():
 def _run_stage(host: str, port: int, qps: float, duration: float,
                procs: int, conns: int, fingerprint: str, domain: float,
                mix: Dict[str, float], deadline_ms: Optional[float],
-               grace: float, seed: int, hotspot: float = 0.0,
-               hotspot_span: float = 0.1, burst: float = 1.0) -> dict:
+               grace: float, seed: int) -> dict:
     ctx = _mp_context()
     workers = []
     for w in range(procs):
@@ -216,8 +190,7 @@ def _run_stage(host: str, port: int, qps: float, duration: float,
                "duration": duration, "conns": conns,
                "fingerprint": fingerprint, "domain": domain, "mix": mix,
                "deadline_ms": deadline_ms, "grace": grace,
-               "seed": seed * 1000 + w, "hotspot": hotspot,
-               "hotspot_span": hotspot_span, "burst": burst}
+               "seed": seed * 1000 + w}
         proc = ctx.Process(target=_worker_main, args=(cfg, child),
                            daemon=True)
         proc.start()
@@ -288,16 +261,11 @@ def run_loadgen(host: str, port: int, qps_stages: List[float],
                 mix: Optional[Dict[str, float]] = None,
                 deadline_ms: Optional[float] = None,
                 grace: float = 2.0, seed: int = 0,
-                out_path: Optional[str] = None, hotspot: float = 0.0,
-                hotspot_span: float = 0.1, burst: float = 1.0) -> dict:
+                out_path: Optional[str] = None) -> dict:
     """Drive a qps ramp against a running server; return the report.
 
     The target dataset is discovered over the wire (the ``datasets``
     request kind), so the only coupling to the server is the address.
-    ``hotspot`` aims that fraction of requests at the
-    ``[0, hotspot_span * domain]^2`` corner (a skewed workload);
-    ``burst > 1`` turns the steady arrival process into on/off pulses
-    at ``burst`` times the mean rate (a bursty one).
     """
     mix = dict(mix or DEFAULT_MIX)
     total = sum(mix.values())
@@ -310,8 +278,7 @@ def run_loadgen(host: str, port: int, qps_stages: List[float],
         health = probe.health()["result"]
     stages = [_run_stage(host, port, qps, duration, procs, conns,
                          target["fingerprint"], float(target["domain"]),
-                         mix, deadline_ms, grace, seed + i,
-                         hotspot, hotspot_span, burst)
+                         mix, deadline_ms, grace, seed + i)
               for i, qps in enumerate(qps_stages)]
     knee = _find_knee(stages)
     overload = None
@@ -327,8 +294,7 @@ def run_loadgen(host: str, port: int, qps_stages: List[float],
         "config": {"procs": procs, "conns_per_proc": conns,
                    "duration_s": duration, "mix": mix,
                    "deadline_ms": deadline_ms, "seed": seed,
-                   "hotspot": hotspot, "hotspot_span": hotspot_span,
-                   "burst": burst, "open_loop": True},
+                   "open_loop": True},
         "stages": stages,
         "knee": ({"offered_qps": knee["offered_qps"],
                   "achieved_qps": knee["achieved_qps"],

@@ -17,6 +17,11 @@ count that axis 1 exists for:
 * flat IPC -- with the arena on, the bytes that cross the pipe per job
   and from a cold start do not grow with the dataset (10k vs. 100k
   segments), because handles are fixed-size.
+
+Two more cells cover the arena's part in commits and eviction: a
+repaired sharded index reaches the workers through the arena before
+reads flip, and an evicted memory-tier entry rehydrates from its
+published pages instead of rebuilding.
 """
 
 import os
@@ -29,6 +34,7 @@ import pytest
 from multiprocessing import shared_memory
 
 import repro
+from repro.baselines.brute import brute_window_query
 from repro.engine import SpatialQueryEngine
 from repro.geometry import random_segments
 from repro.resilience import FaultPlan, FaultSpec
@@ -298,3 +304,45 @@ def test_ipc_bytes_flat_from_10k_to_100k_segments():
     assert shipped_lo == shipped_hi == 0
     assert per_job_hi <= 1.5 * per_job_lo, (per_job_lo, per_job_hi)
     assert cold_hi <= 1.5 * cold_lo, (cold_lo, cold_hi)
+
+
+@pytest.mark.slow
+def test_process_backend_adopts_repaired_payload_via_arena():
+    """A repaired sharded index is published through the arena before
+    the flip, so process workers execute the *same* decomposition the
+    parent planned against -- never a divergent canonical rebuild."""
+    lines = np.unique(random_segments(3000, DOMAIN, 48, seed=21), axis=0)
+    rects = windows(8, 22)
+    with SpatialQueryEngine(executor="process", workers=2, shards=2,
+                            max_batch=8, max_wait=0.0) as eng:
+        fp = eng.register(lines, domain=DOMAIN)
+        eng.warm(fp)
+        extra = random_segments(60, DOMAIN, 32, seed=23)
+        fp2 = eng.insert_lines(fp, extra)
+        assert eng.registry.repairs >= 1
+        key = eng._index_key(fp2, None)
+        assert eng._worker_visible(key)
+        merged = np.vstack([lines, np.asarray(extra,
+                                              dtype=np.float64).reshape(-1, 4)])
+        for r in rects:
+            got = np.sort(np.asarray(eng.window(fp2, r)))
+            assert np.array_equal(got, np.sort(brute_window_query(merged, r)))
+
+
+@pytest.mark.slow
+def test_arena_rehydration_restores_published_pages():
+    lines = np.unique(random_segments(2000, DOMAIN, 48, seed=31), axis=0)
+    rects = windows(6, 32)
+    with SpatialQueryEngine(executor="process", workers=2, shards=2,
+                            max_batch=8, max_wait=0.0) as eng:
+        fp = eng.register(lines, domain=DOMAIN)
+        eng.warm(fp)
+        key = eng._index_key(fp, None)
+        assert eng.registry.discard(key)        # evict the memory tier
+        entry = eng.registry.get(key.fingerprint, key.structure,
+                                 **dict(key.params))
+        assert eng.registry.shm_rehydrations == 1
+        assert entry.build_steps == 0           # attached, not rebuilt
+        for r in rects:
+            got = np.sort(np.asarray(eng.window(fp, r)))
+            assert np.array_equal(got, np.sort(brute_window_query(lines, r)))

@@ -120,8 +120,6 @@ class TestServeEngineFlags:
         want = {"structure": "rtree", "capacity": 5, "workers": 2,
                 "executor": "process", "max_batch": 17, "max_wait": 0.01,
                 "queue_depth": 9, "shards": 3, "ordering": "hilbert",
-                "adaptive": True, "target_p95_ms": 11.0,
-                "skew_threshold": 2.5, "adaptive_interval": 0.5,
                 "cache_dir": str(tmp_path / "c"), "disk_budget_bytes": 12345,
                 "shm_budget_bytes": 4096, "versions_retained": 3,
                 "journal_dir": str(tmp_path / "j"), "journal_fsync": "none",
@@ -130,9 +128,7 @@ class TestServeEngineFlags:
         flag = {"executor": "--backend", "journal_fsync": "--fsync-policy"}
         argv = ["serve", "--listen", ":0"]
         for name, value in want.items():
-            argv.append(flag.get(name, "--" + name.replace("_", "-")))
-            if value is not True:
-                argv.append(str(value))
+            argv += [flag.get(name, "--" + name.replace("_", "-")), str(value)]
         with _serve_engine(_parser().parse_args(argv)) as eng:
             got = dataclasses.asdict(eng.config)
         defaults = dataclasses.asdict(EngineConfig())
