@@ -23,8 +23,7 @@ Nine subcommands cover the everyday entry points:
     the persistent index store so evicted indexes spill to disk and
     later runs warm-start from it.  ``--backend process`` swaps the
     thread pool for a process pool: shared-nothing workers sidestep
-    the GIL for true multi-core fan-out (also on ``build`` and
-    ``chaos``).
+    the GIL for true multi-core fan-out (also on ``chaos``).
 ``loadgen``
     Multi-process open-loop load generator against a running
     ``serve --listen`` server: drives a qps ramp, prints the overload
@@ -114,33 +113,9 @@ def _make_map(name: str, n: int, domain: int, seed: int) -> np.ndarray:
 
 
 def _build_report(args: argparse.Namespace) -> str:
-    """Run one build and return the report text.
-
-    A module-level function of a picklable namespace so ``--backend
-    process`` can ship it to a worker process whole: the build (the
-    CPU-bound part) runs off the GIL and only the formatted text comes
-    back over the pipe.
-    """
+    """Run one build and return the report text."""
     domain = 8 if args.map == "paper" else args.domain
     lines = _make_map(args.map, args.n, domain, args.seed)
-    return _build_report_for(args, lines, domain)
-
-
-def _build_report_from_handle(args: argparse.Namespace, handle) -> str:
-    """Worker side of the zero-copy build: map the parent's published
-    segment array (no pipe bytes, no regeneration) and build from it."""
-    from .shm import attach_array
-
-    att = attach_array(handle)
-    try:
-        return _build_report_for(args, att.value,
-                                 int(float(handle.meta_dict()["domain"])))
-    finally:
-        att.close()
-
-
-def _build_report_for(args: argparse.Namespace, lines: np.ndarray,
-                      domain: int) -> str:
     m = Machine(cost_model=args.cost_model, processors=args.processors)
     out: List[str] = []
     with use_machine(m):
@@ -211,44 +186,7 @@ def _build_report_for(args: argparse.Namespace, lines: np.ndarray,
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    if args.backend == "process":
-        import concurrent.futures as _cf
-        import multiprocessing as _mp
-
-        # same pick as ProcessBackend: forkserver where available,
-        # spawn otherwise, never fork
-        methods = _mp.get_all_start_methods()
-        ctx = _mp.get_context("forkserver" if "forkserver" in methods
-                              else "spawn")
-        budget = args.shm_budget_bytes
-        arena = None
-        if budget is None or budget > 0:
-            from .shm import DATASET_PREFIX, ShmArena
-            try:
-                arena = ShmArena(budget_bytes=budget)
-            except Exception:   # no usable shm: ship args, build remotely
-                arena = None
-        try:
-            task = None
-            if arena is not None:
-                # publish the generated map once; the worker maps the
-                # same pages instead of regenerating or unpickling it
-                domain = 8 if args.map == "paper" else args.domain
-                lines = _make_map(args.map, args.n, domain, args.seed)
-                handle = arena.publish_array(DATASET_PREFIX + "build", lines,
-                                             meta={"domain": str(domain)})
-                if handle is not None:
-                    task = (_build_report_from_handle, args, handle)
-            if task is None:
-                task = (_build_report, args)
-            with _cf.ProcessPoolExecutor(max_workers=1,
-                                         mp_context=ctx) as pool:
-                print(pool.submit(*task).result())
-        finally:
-            if arena is not None:
-                arena.close()
-    else:
-        print(_build_report(args))
+    print(_build_report(args))
     return 0
 
 
@@ -958,12 +896,6 @@ def _parser() -> argparse.ArgumentParser:
     b.add_argument("--processors", type=int, default=32)
     b.add_argument("--render", action="store_true",
                    help="print the leaf decomposition (quadtrees)")
-    b.add_argument("--backend", choices=("thread", "process"),
-                   default="thread",
-                   help="process: run the build in a worker process")
-    b.add_argument("--shm-budget-bytes", type=int, default=None,
-                   help="shared-memory arena budget for --backend process "
-                        "(default: unbounded; 0 disables the arena)")
     b.set_defaults(fn=_cmd_build)
 
     f = sub.add_parser("figures", help="replay the paper's worked examples")

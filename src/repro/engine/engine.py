@@ -59,16 +59,18 @@ from ..durability import (FSYNC_POLICIES, JournalError, MutationJournal,
                           RecoveryReport, journal_roots, replay_journal)
 from ..resilience import (OPEN, BreakerBoard, CircuitOpenError, FaultInjector,
                           FaultPlan, InjectedFault, PartialResult, RetryPolicy)
-from ..structures.sharded import ORDERINGS, ShardedIndex
 from ..shm import DATASET_PREFIX, INDEX_PREFIX, ShmArena
 from ..store import store_key_id
+from ..structures.batch import FAMILY, _cat, _views
+from ..structures.csr import pack_csr
 from ..structures.io import structure_payload
+from ..structures.sharded import ORDERINGS, ShardedIndex
 from .coalescer import Coalescer, Probe
 from .executor import BoundedExecutor, ProcessBackend, RejectedError
 from .registry import IndexKey, IndexRegistry, index_params
 from .stats import EXEC, TOP, WAL, EngineStats
-from .worker import (FAMILY, IndexRef, JobSpec, RegistryResolver,
-                     WorkerResult, interpret)
+from .worker import (IndexRef, JobSpec, RegistryResolver, WorkerResult,
+                     interpret)
 
 __all__ = ["EngineConfig", "MutationResult", "SpatialQueryEngine"]
 
@@ -1290,6 +1292,12 @@ class _ShardedMerge:
     expiry (first writer wins via the ``done`` flag) or by the first
     ``_fail`` on any shard error or executor rejection.
 
+    A window/point shard job delivers its kernel core's ``(gids, ptr)``
+    pair; the merge concatenates the pairs and packs them once with
+    :func:`~repro.structures.csr.pack_csr`, the same step that packs an
+    unsharded batch.  A nearest job's ``(gids, dists)`` folds into a
+    running best per probe, ties to the lower id.
+
     With a ``deadline`` (absolute monotonic seconds) a daemon timer
     fires ``_complete(partial=True)``: probes resolve to
     :class:`PartialResult` wrapping the merge of the shards that
@@ -1323,7 +1331,7 @@ class _ShardedMerge:
         self.completed_jobs = 0
         self.steps = 0.0
         self.primitives = 0
-        # per-shard (probe selection, global ids, per-probe counts)
+        # per-shard (probe selection, global ids, CSR ptr)
         self.chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.probed: set = set()        # distinct shards touched, all rounds
         self.on_round_end = _ShardedMerge._finalize
@@ -1439,8 +1447,8 @@ class _ShardedMerge:
                 self.best_d[sel] = np.where(upd, dists, cur_d)
                 self.best_g[sel] = np.where(upd, gids, cur_g)
             else:
-                gids, counts = results
-                self.chunks.append((sel, gids, counts))
+                gids, ptr = results
+                self.chunks.append((sel, gids, ptr))
             self.steps += res.steps
             self.primitives += res.primitives
             self.completed_jobs += 1
@@ -1470,39 +1478,18 @@ class _ShardedMerge:
         """Per-probe answers from the chunks delivered so far.
 
         For nearest, the running best per probe.  For window/point the
-        chunk merge avoids sorting the hit stream: each chunk lists its
-        probes in ascending order with per-probe hit runs already
-        sorted, so every run can be scattered straight to its probe's
-        write cursor.  Only probes fed by two or more shards need a
-        final per-probe sort to interleave the runs -- shards partition
-        the segments, so it is never a dedup.
+        shards' ``(gids, ptr)`` pairs are concatenated as one (probe,
+        global id) stream and packed by one :func:`pack_csr`: ascending
+        ids per probe, read-only views like an unsharded batch's.
+        Shards partition the segments, so its dedupe never fires.
         """
         if self.kind == "nearest":
             return [(int(g), float(d))
                     for g, d in zip(self.best_g, self.best_d)]
-        B = len(self.probes)
-        if not self.chunks:
-            empty = np.zeros(0, dtype=np.int64)
-            return [empty] * B
-        counts_pp = np.zeros(B, dtype=np.int64)
-        nshards = np.zeros(B, dtype=np.int64)
-        for sel, _, counts in self.chunks:
-            counts_pp[sel] += counts
-            nshards[sel] += counts > 0
-        offsets = np.zeros(B + 1, dtype=np.int64)
-        np.cumsum(counts_pp, out=offsets[1:])
-        out = np.empty(offsets[-1], dtype=np.int64)
-        cursor = offsets[:-1].copy()
-        for sel, vals, counts in self.chunks:
-            run0 = np.concatenate(([0], np.cumsum(counts[:-1])))
-            pos = (np.repeat(cursor[sel] - run0, counts)
-                   + np.arange(vals.size))
-            out[pos] = vals
-            cursor[sel] += counts
-        pieces = np.split(out, offsets[1:-1])
-        for i in np.flatnonzero(nshards > 1).tolist():
-            pieces[i].sort()   # views into ``out``: sorts in place
-        return pieces
+        qid = [np.repeat(sel, np.diff(ptr)) for sel, _, ptr in self.chunks]
+        gid = [gids for _, gids, _ in self.chunks]
+        return _views(*pack_csr(_cat(qid), _cat(gid), len(self.probes),
+                                self.sharded.num_lines))
 
     def _complete(self, partial: bool) -> None:
         with self.lock:

@@ -55,6 +55,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -63,12 +64,11 @@ from ..machine import Machine, use_machine
 from ..resilience.faults import InjectedFault
 from ..shm import INDEX_PREFIX, attach_payload
 from ..store import store_key_id
-from ..structures import (build_bucket_pmr, build_pm1, build_rtree,
-                          build_sharded)
+from ..structures.batch import FAMILY
 from ..structures.dynamic import apply_batch
 from ..structures.io import payload_to_tree
 from ..structures.quadblock import Quadtree
-from ..structures.sharded import ShardedIndex, repair_sharded
+from ..structures.sharded import ShardedIndex, build_index, repair_sharded
 
 __all__ = ["dataset_fingerprint", "IndexKey", "index_params", "BuiltIndex",
            "VersionInfo", "IndexRegistry"]
@@ -194,8 +194,11 @@ class IndexRegistry:
         simulate failing builds and wedged loaders.
     """
 
-    #: structure name -> builder(lines, domain, **params) -> tree
-    BUILDERS: Dict[str, Callable] = {}
+    #: structure name -> builder(lines, domain, **params) -> tree: the
+    #: shared :func:`build_index`, one entry per structure so a test can
+    #: wrap one structure's builds
+    BUILDERS: Dict[str, Callable] = {
+        name: partial(build_index, structure=name) for name in FAMILY}
 
     def __init__(self, capacity: int = 8, store=None, injector=None,
                  versions_retained: int = 2,
@@ -862,39 +865,3 @@ class IndexRegistry:
         with self._lock:
             return list(self._cache)
 
-
-def _build_pmr(lines, domain, capacity: int = 8, max_depth=None,
-               shards: int = 1, ordering: str = "morton"):
-    if int(shards) > 1:
-        return build_sharded(lines, domain, structure="pmr", shards=shards,
-                             ordering=ordering, capacity=capacity,
-                             max_depth=max_depth)
-    tree, _ = build_bucket_pmr(lines, domain, capacity, max_depth=max_depth)
-    return tree
-
-
-def _build_pm1(lines, domain, max_depth=None,
-               shards: int = 1, ordering: str = "morton"):
-    if int(shards) > 1:
-        return build_sharded(lines, domain, structure="pm1", shards=shards,
-                             ordering=ordering, max_depth=max_depth)
-    tree, _ = build_pm1(lines, domain, max_depth=max_depth)
-    return tree
-
-
-def _build_rtree(lines, domain, min_fill: int = 2, capacity: int = 8,
-                 shards: int = 1, ordering: str = "morton"):
-    # domain is irrelevant to the R-tree itself but keys the shard cut
-    if int(shards) > 1:
-        return build_sharded(lines, domain, structure="rtree", shards=shards,
-                             ordering=ordering, capacity=capacity,
-                             min_fill=min_fill)
-    tree, _ = build_rtree(lines, min_fill, capacity)
-    return tree
-
-
-IndexRegistry.BUILDERS = {
-    "pmr": _build_pmr,
-    "pm1": _build_pm1,
-    "rtree": _build_rtree,
-}

@@ -1,11 +1,11 @@
 """The job vocabulary: :class:`JobSpec`, its interpreter, and the pool worker.
 
 A :class:`JobSpec` is the **only** unit of work the engine hands an
-executor, and :data:`_OPS` the only place a kernel is chosen.  Five ops
-(``batch``, ``shard``, ``join``, ``brute``, ``warm``) are interpreted by
-:func:`interpret` against a two-method *resolver* -- ``tree(ref)`` and
-``lines(ref)`` -- so the backends differ only in how a job reaches its
-index:
+executor, and :data:`_OPS` the only place an op is implemented.  Five
+ops (``batch``, ``shard``, ``join``, ``brute``, ``warm``) are
+interpreted by :func:`interpret` against a two-method *resolver* --
+``tree(ref)`` and ``lines(ref)`` -- so the backends differ only in how a
+job reaches its index:
 
 * thread backend: :class:`RegistryResolver` over the parent's registry
   (the engine binds a spec to :func:`interpret` directly);
@@ -14,6 +14,14 @@ index:
 
 Both yield a :class:`WorkerResult` (``values``, ``steps``,
 ``primitives``), so the engine settles and accounts a job once.
+
+No op picks a kernel or a builder of its own.  ``batch`` and ``shard``
+look their CSR core up in the structure table
+(:func:`~repro.structures.batch.batch_core`): ``batch`` cuts it into
+one answer per probe, ``shard`` hands the ``(ids, ptr)`` pair to the
+fan-out merge.  ``join`` always calls
+:func:`~repro.structures.sharded.sharded_join`, which takes plain trees
+too, and every build is :func:`~repro.structures.sharded.build_index`.
 
 The process backend never ships a built tree across the process
 boundary.  A job crosses as a :class:`JobSpec` -- fingerprint-addressed
@@ -65,7 +73,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -76,63 +84,29 @@ from ..shm import (DATASET_PREFIX, INDEX_PREFIX, Attachment, ShmHandle,
                    attach_array, attach_payload)
 from ..store import IndexStore, store_key_id
 from ..structures.io import payload_to_tree
-from ..structures.batch import (
-    batch_nearest_quadtree,
-    batch_nearest_rtree,
-    batch_point_query_quadtree,
-    batch_point_query_rtree,
-    batch_window_query_quadtree,
-    batch_window_query_rtree,
-)
-from ..structures.join import brute_join, quadtree_join, rtree_join
+from ..structures.batch import FAMILY, _pairs, _views, batch_core
+from ..structures.join import brute_join
 from ..structures.nearest import brute_nearest
-from ..structures.sharded import ShardedIndex, sharded_join
-from .registry import IndexRegistry
+from ..structures.sharded import ShardedIndex, build_index, sharded_join
 
-__all__ = ["FAMILY", "IndexRef", "JobSpec", "WorkerResult", "NeedDataset",
+if TYPE_CHECKING:
+    from .registry import IndexRegistry
+
+__all__ = ["IndexRef", "JobSpec", "WorkerResult", "NeedDataset",
            "RegistryResolver", "batch_kernel", "interpret", "run_job"]
-
-#: structure name -> tree family used to pick the batch kernels
-FAMILY = {"pmr": "quadtree", "pm1": "quadtree", "rtree": "rtree"}
 
 #: fault kinds evaluated in the worker (the parent fires the rest)
 WORKER_FAULT_KINDS = ("latency", "stall")
 
 
-def _degenerate_rects(points) -> np.ndarray:
-    """Zero-area windows ``[px, py, px, py]`` for a point batch."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    return np.column_stack([pts[:, 0], pts[:, 1], pts[:, 0], pts[:, 1]])
-
-
 def batch_kernel(structure: str, kind: str, exact: bool):
-    """The vectorized batch kernel for one (structure, kind) pair."""
-    family = FAMILY[structure]
-    if kind == "window":
-        if family == "quadtree":
-            return lambda tree, v, m: batch_window_query_quadtree(
-                tree, v, exact=exact, machine=m)
-        return lambda tree, v, m: batch_window_query_rtree(
-            tree, v, exact=exact, machine=m)
-    if kind == "point":
-        # point probes serve the decomposition-independent stabbing
-        # contract (segments through the point, as degenerate exact
-        # windows): a shard-layout difference must never change an
-        # answer.  ``exact=False``
-        # keeps the structure-native candidate semantics reachable
-        # (quadtree: the leaf's residents, via batch_point_query_*).
-        if family == "quadtree":
-            if not exact:
-                # out-of-domain points were rejected at submit time
-                return lambda tree, v, m: batch_point_query_quadtree(
-                    tree, v, strict=False, machine=m)
-            return lambda tree, v, m: batch_window_query_quadtree(
-                tree, _degenerate_rects(v), exact=True, machine=m)
-        return lambda tree, v, m: batch_point_query_rtree(
-            tree, v, exact=exact, machine=m)
-    if family == "quadtree":
-        return lambda tree, v, m: batch_nearest_quadtree(tree, v, machine=m)
-    return lambda tree, v, m: batch_nearest_rtree(tree, v, machine=m)
+    """The batch kernel for one (structure, kind, exact) triple: the
+    structure table's CSR core, cut at the edge into one answer per
+    probe -- an id array (window/point) or an ``(id, distance)`` pair
+    (nearest)."""
+    core = batch_core(FAMILY[structure], kind, exact)
+    edge = _pairs if kind == "nearest" else _views
+    return lambda tree, v, m: edge(*core(tree, v, m))
 
 
 @dataclass(frozen=True)
@@ -274,10 +248,10 @@ class _WorkerState:
             self.job_warm += 1
         else:
             lines, domain = self._snapshot(ref)
-            builder = IndexRegistry.BUILDERS[ref.structure]
             # like ``registry.get``: a machine of its own pays the build
             with use_machine(Machine()):
-                tree = builder(lines, domain, **dict(ref.params))
+                tree = build_index(lines, domain, ref.structure,
+                                   **dict(ref.params))
             self.job_cold += 1
         self.trees[key_id] = tree
         return tree
@@ -418,9 +392,8 @@ def _op_batch(resolver, spec: JobSpec, machine: Machine):
 
 def _op_shard(resolver, spec: JobSpec, machine: Machine):
     sharded: ShardedIndex = resolver.tree(spec.index)
-    return sharded.query_shard_batch(
-        spec.shard, spec.kind, spec.payloads, exact=spec.exact,
-        machine=machine, flat=spec.kind != "nearest")
+    return sharded.query_shard_batch(spec.shard, spec.kind, spec.payloads,
+                                     exact=spec.exact, machine=machine)
 
 
 def _op_join(resolver, spec: JobSpec, machine: Machine):
@@ -437,14 +410,8 @@ def _op_join(resolver, spec: JobSpec, machine: Machine):
                 pairs = brute_join(resolver.lines(ref_a),
                                    resolver.lines(ref_b))
             else:
-                ta = resolver.tree(ref_a)
-                tb = resolver.tree(ref_b)
-                if isinstance(ta, ShardedIndex) or isinstance(tb, ShardedIndex):
-                    pairs = sharded_join(ta, tb)
-                else:
-                    join = (rtree_join if FAMILY[ref_a.structure] == "rtree"
-                            else quadtree_join)
-                    pairs = join(ta, tb)
+                pairs = sharded_join(resolver.tree(ref_a),
+                                     resolver.tree(ref_b))
         except NeedDataset:
             raise
         except Exception as exc:  # noqa: BLE001 - outcome, not control flow

@@ -19,6 +19,11 @@ lists come from the tree's once-derived adjacency and the hit stream is
 packed by one sort (:mod:`.csr`), so nothing a call does is proportional
 to the map.  Each kernel has a CSR core returning ``(ids, ptr)``; the
 public ``batch_*`` functions split it into per-query views at the edge.
+
+:data:`FAMILY` and :func:`batch_core` are the structure table: the one
+place that says which core serves a (structure family, probe kind,
+exactness) triple.  The engine's batch jobs and its shard fan-out both
+look their kernel up there.
 """
 
 from __future__ import annotations
@@ -165,22 +170,19 @@ def batch_window_query_rtree(tree: RTree, rects, exact: bool = True,
 # -- point probes ---------------------------------------------------------
 
 
-def batch_point_query_quadtree(tree: Quadtree, points, strict: bool = True,
-                               machine: Optional[Machine] = None
-                               ) -> List[np.ndarray]:
-    """All point queries against a quadtree in O(height) vector rounds.
+def _degenerate_rects(points) -> np.ndarray:
+    """Zero-area windows ``[px, py, px, py]`` for a point batch."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    return np.hstack([pts, pts])
 
-    Each query descends to the unique leaf containing its point
-    (half-open block membership, as in :meth:`Quadtree.find_leaf`) and
-    returns the ids of the lines stored there.  With ``strict`` a point
-    outside the domain raises :class:`ValueError` like the scalar query;
-    otherwise it yields an empty result.
-    """
+
+def _point_quadtree(tree: Quadtree, points, strict: bool,
+                    machine: Optional[Machine]):
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     m = machine or get_machine()
     nq = pts.shape[0]
     if nq == 0:
-        return []
+        return _NO_IDS, np.zeros(1, dtype=np.int64)
     m.record("elementwise", nq)
     inside = contains_point_halfopen(np.broadcast_to(tree.boxes[0], (nq, 4)),
                                      pts[:, 0], pts[:, 1], tree.domain)
@@ -210,7 +212,21 @@ def batch_point_query_quadtree(tree: Quadtree, points, strict: bool = True,
                                        tree.domain)
         q_frontier = cq[keep]
         n_frontier = cn[keep]
-    return _views(*pack_csr(_cat(hit_q), _cat(hit_l), nq, tree.lines.shape[0]))
+    return pack_csr(_cat(hit_q), _cat(hit_l), nq, tree.lines.shape[0])
+
+
+def batch_point_query_quadtree(tree: Quadtree, points, strict: bool = True,
+                               machine: Optional[Machine] = None
+                               ) -> List[np.ndarray]:
+    """All point queries against a quadtree in O(height) vector rounds.
+
+    Each query descends to the unique leaf containing its point
+    (half-open block membership, as in :meth:`Quadtree.find_leaf`) and
+    returns the ids of the lines stored there.  With ``strict`` a point
+    outside the domain raises :class:`ValueError` like the scalar query;
+    otherwise it yields an empty result.
+    """
+    return _views(*_point_quadtree(tree, points, strict, machine))
 
 
 def batch_point_query_rtree(tree: RTree, points, exact: bool = True,
@@ -221,10 +237,9 @@ def batch_point_query_rtree(tree: RTree, points, exact: bool = True,
     Mirrors :meth:`RTree.point_query`, which delegates to
     ``window_query`` on the rectangle ``[px, py, px, py]``.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if pts.shape[0] == 0:
+    rects = _degenerate_rects(points)
+    if rects.shape[0] == 0:
         return []
-    rects = np.column_stack([pts[:, 0], pts[:, 1], pts[:, 0], pts[:, 1]])
     return batch_window_query_rtree(tree, rects, exact=exact, machine=machine)
 
 
@@ -363,3 +378,34 @@ def batch_nearest_rtree(tree: RTree, points,
     ``(line id, distance)`` per query, identical to the scalar search.
     """
     return _pairs(*_nearest_rtree(tree, points, machine))
+
+
+# -- the structure table ----------------------------------------------------
+
+#: structure name -> tree family; the family picks every kernel
+FAMILY = {"pmr": "quadtree", "pm1": "quadtree", "rtree": "rtree"}
+
+
+def batch_core(family: str, kind: str, exact: bool):
+    """The CSR core serving ``kind`` probes on a ``family`` tree.
+
+    Returns ``core(tree, payloads, machine)``: ``(ids, ptr)`` for window
+    and point probes, ``(ids, dists)`` for nearest.  A point probe is the
+    degenerate window ``[px, py, px, py]``, so an exact point answer --
+    the segments through the point -- never depends on a tree's (or a
+    shard's) decomposition.  ``exact=False`` keeps each family's native
+    candidate set: a quadtree's leaf residents, an R-tree's unrefined
+    window filter.
+    """
+    quadtree = family == "quadtree"
+    if kind == "nearest":
+        return _nearest_quadtree if quadtree else _nearest_rtree
+    window = _window_quadtree if quadtree else _window_rtree
+    if kind == "window":
+        return lambda tree, rects, m: window(tree, rects, exact, m)
+    if kind != "point":
+        raise ValueError(f"unknown probe kind {kind!r}")
+    if quadtree and not exact:
+        # out-of-domain points were rejected at submit time
+        return lambda tree, pts, m: _point_quadtree(tree, pts, False, m)
+    return lambda tree, pts, m: window(tree, _degenerate_rects(pts), exact, m)

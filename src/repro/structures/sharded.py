@@ -29,6 +29,13 @@ Query semantics (the invariants the differential harness checks):
   distance found so far (scalar path) or the min-max corner bound over
   all shards (batch planning path);
 * ``K = 1`` degenerates to the unsharded tree wrapped in one shard.
+
+The engine's fan-out unit is :meth:`ShardedIndex.query_shard_batch`: it
+takes its kernel from the structure table
+(:func:`~repro.structures.batch.batch_core`) and returns that core's CSR
+pair with ids lifted to global ones, which the engine merges with one
+:func:`~repro.structures.csr.pack_csr`.  :func:`build_index` is the one
+builder of a servable index, plain or sharded.
 """
 
 from __future__ import annotations
@@ -44,8 +51,7 @@ from ..geometry.rect import overlaps, validate_rects
 from ..machine import Machine
 from ..resilience import PartialResult
 from ..machine.ordering import hilbert_encode, morton_encode
-from .batch import (_nearest_quadtree, _nearest_rtree, _views,
-                    _window_quadtree, _window_rtree)
+from .batch import FAMILY, _degenerate_rects, batch_core
 from .bucket_pmr import build_bucket_pmr
 from .dynamic import apply_batch
 from .join import quadtree_join, rtree_join
@@ -54,13 +60,10 @@ from .pm1 import build_pm1
 from .quadblock import Quadtree
 from .rtree import RTree, build_rtree
 
-__all__ = ["Shard", "ShardedIndex", "build_sharded", "repair_sharded",
-           "shard_keys", "sharded_join", "ORDERINGS"]
+__all__ = ["Shard", "ShardedIndex", "build_index", "build_sharded",
+           "repair_sharded", "shard_keys", "sharded_join", "ORDERINGS"]
 
 ORDERINGS = ("morton", "hilbert")
-
-#: structure name -> tree family (mirrors repro.engine's table)
-_FAMILY = {"pmr": "quadtree", "pm1": "quadtree", "rtree": "rtree"}
 
 _KEY_BITS = 16
 
@@ -109,7 +112,7 @@ class ShardedIndex:
 
     @property
     def family(self) -> str:
-        return _FAMILY[self.structure]
+        return FAMILY[self.structure]
 
     @property
     def num_lines(self) -> int:
@@ -234,9 +237,7 @@ class ShardedIndex:
 
     def plan_points(self, points: np.ndarray) -> np.ndarray:
         """``(K, B)`` mask: shard k's MBR contains point b (closed)."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        rects = np.column_stack([pts[:, 0], pts[:, 1], pts[:, 0], pts[:, 1]])
-        return self.plan_windows(rects)
+        return self.plan_windows(_degenerate_rects(points))
 
     def nearest_bounds(self, points: np.ndarray) -> np.ndarray:
         """``(K, B)`` point-to-shard-MBR lower bounds (0 when inside)."""
@@ -251,39 +252,20 @@ class ShardedIndex:
 
     def query_shard_batch(self, k: int, kind: str, payloads: np.ndarray,
                           exact: bool = True,
-                          machine: Optional[Machine] = None,
-                          flat: bool = False):
-        """One shard's answers (in global ids) for a probe sub-batch.
+                          machine: Optional[Machine] = None):
+        """One shard's answers, in global ids, for a probe sub-batch.
 
-        ``kind`` is ``"window"`` / ``"point"`` / ``"nearest"``; window
-        and point results are per-query global id arrays, nearest
-        results are a ``(global ids, distances)`` array pair over the
-        whole sub-batch.  With ``flat`` the window/point answers come
-        back as one ``(global ids, per-query counts)`` pair instead of
-        a list of per-query arrays -- the merge-friendly layout the
-        engine's fan-out uses.
+        ``kind`` is ``"window"`` / ``"point"`` / ``"nearest"``.  Returns
+        the kernel core's pair with the shard's local ids lifted to
+        global ones: ``(gids, ptr)`` for window and point probes (probe
+        ``j``'s ascending hits are ``gids[ptr[j]:ptr[j + 1]]``) and
+        ``(gids, dists)`` for nearest.  Point probes are always exact
+        (see the module docstring).
         """
         s = self.shards[k]
-        if kind == "nearest":
-            nearest = (_nearest_quadtree if self.family == "quadtree"
-                       else _nearest_rtree)
-            lids, dists = nearest(s.tree, payloads, machine)
-            return s.ids[lids], dists
-        if kind == "point":
-            pts = np.asarray(payloads, dtype=float).reshape(-1, 2)
-            payloads = np.hstack([pts, pts])
-            exact = True  # exact degenerate windows (see module docstring)
-        elif kind != "window":
-            raise ValueError(f"unknown probe kind {kind!r}")
-        window = (_window_quadtree if self.family == "quadtree"
-                  else _window_rtree)
-        # the kernel's packed result: one global-id gather, no per-query
-        # arrays until a caller asks for them
-        ids, ptr = window(s.tree, payloads, exact, machine)
-        merged = s.ids[ids]
-        if flat:
-            return merged, np.diff(ptr)
-        return _views(merged, ptr)
+        core = batch_core(self.family, kind, exact or kind == "point")
+        ids, second = core(s.tree, payloads, machine)
+        return s.ids[ids], second
 
     # -- validation ------------------------------------------------------
 
@@ -322,9 +304,9 @@ def build_sharded(lines: np.ndarray, domain: float, structure: str = "pmr",
     a request for more shards than segments yields one shard per
     segment (empty ranges are never materialised).
     """
-    if structure not in _FAMILY:
+    if structure not in FAMILY:
         raise ValueError(f"unknown structure {structure!r}; "
-                         f"available: {sorted(_FAMILY)}")
+                         f"available: {sorted(FAMILY)}")
     if ordering not in ORDERINGS:
         raise ValueError(f"unknown ordering {ordering!r}; choose from {ORDERINGS}")
     shards = int(shards)
@@ -342,23 +324,41 @@ def build_sharded(lines: np.ndarray, domain: float, structure: str = "pmr",
                 continue
             ids = np.sort(order[lo:hi])  # ascending global ids (tie-break!)
             segs = lines[ids]
-            tree = _build_shard_tree(segs, domain, structure,
-                                     capacity, min_fill, max_depth)
+            tree = _build_tree(segs, domain, structure,
+                               capacity, min_fill, max_depth)
             built.append(Shard(ids=ids, mbr=_segment_mbr(segs), tree=tree,
                                max_key=int(keys[order[hi - 1]])))
     return ShardedIndex(lines=lines, domain=float(domain), structure=structure,
                         ordering=ordering, shards=built)
 
 
-def _build_shard_tree(segs: np.ndarray, domain: float, structure: str,
-                      capacity: int, min_fill: int, max_depth):
+def _build_tree(segs: np.ndarray, domain: float, structure: str,
+                capacity: int, min_fill: int, max_depth):
+    """One structure's scan-model build: the only per-structure switch."""
     if structure == "pmr":
-        tree, _ = build_bucket_pmr(segs, domain, capacity, max_depth=max_depth)
-    elif structure == "pm1":
-        tree, _ = build_pm1(segs, domain, max_depth=max_depth)
-    else:
-        tree, _ = build_rtree(segs, min_fill, capacity)
-    return tree
+        return build_bucket_pmr(segs, domain, capacity, max_depth=max_depth)[0]
+    if structure == "pm1":
+        return build_pm1(segs, domain, max_depth=max_depth)[0]
+    if structure == "rtree":
+        return build_rtree(segs, min_fill, capacity)[0]
+    raise ValueError(f"unknown structure {structure!r}; "
+                     f"available: {sorted(FAMILY)}")
+
+
+def build_index(lines: np.ndarray, domain: float, structure: str,
+                shards: int = 1, ordering: str = "morton", capacity: int = 8,
+                min_fill: int = 2, max_depth=None):
+    """Build one servable index: the structure's tree, or with
+    ``shards > 1`` a :class:`ShardedIndex` of them.
+
+    The one builder the engine's registry and its pool workers share.
+    ``domain`` is ignored by an unsharded R-tree but keys a shard cut.
+    """
+    if int(shards) > 1:
+        return build_sharded(lines, domain, structure, shards, ordering,
+                             capacity, min_fill, max_depth)
+    return _build_tree(lines, domain, structure, capacity, min_fill,
+                       max_depth)
 
 
 def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
@@ -470,8 +470,8 @@ def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
             tree = apply_batch(s.tree, index.structure, kept,
                                new_lines[incoming], capacity)
         else:
-            tree = _build_shard_tree(segs, dom, index.structure,
-                                     capacity, min_fill, max_depth)
+            tree = _build_tree(segs, dom, index.structure,
+                               capacity, min_fill, max_depth)
         built.append(Shard(ids=ids, mbr=_segment_mbr(segs), tree=tree,
                            max_key=_repaired_max_key(
                                index, s, ~kept, ins_keys[target == k], segs)))

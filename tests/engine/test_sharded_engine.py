@@ -15,7 +15,7 @@ import pytest
 from repro.baselines.brute import brute_point_query, brute_window_query
 from repro.engine import SpatialQueryEngine
 from repro.geometry import random_segments
-from repro.structures import brute_nearest
+from repro.structures import brute_nearest, build_sharded
 
 DOMAIN = 512
 
@@ -49,9 +49,9 @@ def sharded_engine(structure, shards, ordering="hilbert", **kw):
 
 @pytest.mark.parametrize("ordering", ["morton", "hilbert"])
 @pytest.mark.parametrize("shards", [2, 7])
-@pytest.mark.parametrize("structure", ["pmr", "rtree"])
+@pytest.mark.parametrize("structure", ["pmr", "pm1", "rtree"])
 def test_sharded_serving_matches_brute(structure, shards, ordering):
-    lines = make_lines(1)
+    lines = np.unique(make_lines(1), axis=0)   # PM1 rejects duplicates
     rects = make_windows(12, 2)
     pts = make_points(12, 3, lines)
     with sharded_engine(structure, shards, ordering) as eng:
@@ -71,6 +71,31 @@ def test_sharded_serving_matches_brute(structure, shards, ordering):
             gid, d = f.result(30)
             bid, bd = brute_nearest(lines, px, py)
             assert gid == bid and d == pytest.approx(bd)
+
+
+@pytest.mark.parametrize("structure", ["pmr", "pm1", "rtree"])
+def test_merge_of_0_1_and_many_shards_matches_unsharded(structure):
+    """One coalesced window batch whose probes reach no shard, one shard
+    and several: the merged answers equal the unsharded engine's, id
+    order included, and are read-only like them."""
+    lines = np.unique(make_lines(11, n=200), axis=0)
+    rects = np.vstack([[[-20.0, -20.0, -10.0, -10.0]], make_windows(11, 12)])
+    reach = build_sharded(lines, DOMAIN, structure, shards=4,
+                          ordering="hilbert").plan_windows(rects).sum(axis=0)
+    assert {0, 1} <= set(reach.tolist()) and reach.max() >= 2
+    answers = []
+    for shards in (4, 1):
+        with sharded_engine(structure, shards) as eng:
+            fp = eng.register(lines, domain=DOMAIN)
+            eng.warm(fp)
+            futs = [eng.submit_window(fp, r) for r in rects]
+            eng.flush()
+            answers.append([f.result(30) for f in futs])
+            if shards > 1:
+                assert eng.snapshot()["shard_batches"] == 1
+    for got, want in zip(*answers):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+        assert not got.flags.writeable
 
 
 def test_shard_probe_accounting_invariant():

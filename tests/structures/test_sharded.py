@@ -24,6 +24,7 @@ from repro.structures import (
     shard_keys,
     sharded_join,
 )
+from repro.structures.batch import _views
 
 DOMAIN = 512
 
@@ -207,7 +208,8 @@ class TestPlans:
 
 
 class TestShardBatch:
-    """query_shard_batch is the engine's fan-out unit: global ids out."""
+    """query_shard_batch is the engine's fan-out unit: the kernel core's
+    CSR pair with ids lifted to global ones."""
 
     @pytest.mark.parametrize("structure", ["pmr", "rtree"])
     def test_window_batch_matches_scalar(self, structure):
@@ -216,23 +218,26 @@ class TestShardBatch:
         rects = np.array([[0, 0, 256, 256], [100, 50, 400, 460],
                           [480, 480, 500, 500]], float)
         for k, s in enumerate(idx.shards):
-            per_query = idx.query_shard_batch(k, "window", rects)
-            for rect, got in zip(rects, per_query):
+            gids, ptr = idx.query_shard_batch(k, "window", rects)
+            for rect, got in zip(rects, _views(gids, ptr)):
                 want = np.intersect1d(brute_window_query(segs, rect), s.ids)
                 assert np.array_equal(got, want)
 
     def test_flat_layout_round_trips(self):
         segs = lines_of(14)
         idx = build_sharded(segs, DOMAIN, "pmr", shards=3)
-        rects = np.array([[0, 0, 200, 200], [300, 300, 512, 512]], float)
-        for k in range(idx.num_shards):
-            per_query = idx.query_shard_batch(k, "window", rects)
-            merged, counts = idx.query_shard_batch(k, "window", rects,
-                                                   flat=True)
-            assert counts.sum() == merged.size
-            rebuilt = np.split(merged, np.cumsum(counts)[:-1])
-            for a, b in zip(per_query, rebuilt):
-                assert np.array_equal(a, b)
+        rects = np.array([[0, 0, 200, 200], [300, 300, 512, 512],
+                          [600, 600, 700, 700]], float)
+        for k, s in enumerate(idx.shards):
+            gids, ptr = idx.query_shard_batch(k, "window", rects)
+            assert gids.dtype == ptr.dtype == np.int64
+            assert ptr.shape == (len(rects) + 1,)
+            assert ptr[0] == 0 and ptr[-1] == gids.size
+            assert np.all(np.diff(ptr) >= 0)
+            assert np.isin(gids, s.ids).all()
+            for rect, got in zip(rects, _views(gids, ptr)):
+                want = np.intersect1d(brute_window_query(segs, rect), s.ids)
+                assert np.array_equal(got, want)
 
     def test_nearest_batch_is_an_array_pair(self):
         segs = lines_of(15)
@@ -256,7 +261,8 @@ class TestShardBatch:
                        float)
         got = [np.zeros(0, np.int64)] * len(pts)
         for k in range(idx.num_shards):
-            for i, res in enumerate(idx.query_shard_batch(k, "point", pts)):
+            gids, ptr = idx.query_shard_batch(k, "point", pts)
+            for i, res in enumerate(_views(gids, ptr)):
                 got[i] = np.union1d(got[i], res)
         for i, (px, py) in enumerate(pts):
             assert np.array_equal(got[i], brute_point_query(segs, px, py))
