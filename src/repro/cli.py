@@ -24,12 +24,6 @@ Nine subcommands cover the everyday entry points:
     later runs warm-start from it.  ``--backend process`` swaps the
     thread pool for a process pool: shared-nothing workers sidestep
     the GIL for true multi-core fan-out (also on ``chaos``).
-``loadgen``
-    Multi-process open-loop load generator against a running
-    ``serve --listen`` server: drives a qps ramp, prints the overload
-    curve (sustained qps, p50/p99, throttle/shed/error rates), and
-    writes the report as JSON to ``--out`` (an untracked scratch file;
-    performance claims come from ``benchmarks/spine/``).
 ``mutate``
     Send an insert/delete batch to a running ``serve --listen``
     server.  The engine commits it as a new dataset version (MVCC):
@@ -53,6 +47,12 @@ Nine subcommands cover the everyday entry points:
     per-probe outcomes (ok / partial / circuit-open / ...), the
     breaker life cycle, and the fault-injection accounting.
     ``--plan`` names a built-in example plan or a JSON file.
+``journal``
+    Inspect a write-ahead mutation journal directory offline
+    (:mod:`repro.durability`): ``ls`` the journals with their
+    segments, sequence numbers and checkpoint, or ``verify`` --
+    replay each into a scratch registry and prove its head by
+    fingerprint identity.
 
 Everything is seeded and offline; see ``--help`` on each subcommand.
 """
@@ -314,7 +314,7 @@ def _serve_listen(args: argparse.Namespace) -> int:
                   f"structure {args.structure}, backend {args.executor}) "
                   f"on {h}:{p}", flush=True)
             print(f"dataset fingerprint {fp}", flush=True)
-            print(f"try: python -m repro loadgen --connect {h}:{p}   "
+            print(f"try: python -m repro health --connect {h}:{p}   "
                   f"(ctrl-c or SIGTERM drains and stops the server)",
                   flush=True)
             loop = asyncio.get_running_loop()
@@ -709,49 +709,6 @@ def _cmd_mutate(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _cmd_loadgen(args: argparse.Namespace) -> int:
-    from .net.loadgen import DEFAULT_MIX, run_loadgen
-
-    host, port = _parse_hostport(args.connect)
-    try:
-        stages = [float(q) for q in args.qps.split(",") if q.strip()]
-    except ValueError:
-        raise SystemExit(f"--qps must be a comma list of rates, "
-                         f"got {args.qps!r}")
-    if not stages:
-        raise SystemExit("--qps must name at least one stage")
-    mix = DEFAULT_MIX
-    if args.mix:
-        mix = {}
-        for part in args.mix.split(","):
-            kind, _, weight = part.partition(":")
-            if kind not in ("window", "point", "nearest") or not weight:
-                raise SystemExit(f"bad --mix entry {part!r}")
-            mix[kind] = float(weight)
-    from .net.client import ServeConnectionError
-    try:
-        report = run_loadgen(host, port, stages, duration=args.duration,
-                             procs=args.procs, conns=args.conns, mix=mix,
-                             deadline_ms=args.deadline_ms, grace=args.grace,
-                             seed=args.seed, out_path=args.out)
-    except (ServeConnectionError, RuntimeError) as exc:
-        raise SystemExit(f"loadgen: {exc}")
-    rows = [[s["offered_qps"], s["achieved_qps"], s["p50_ms"], s["p95_ms"],
-             s["p99_ms"], s["ok"], s["partial"], s["throttled_429"],
-             s["shed_503"], s["errors"]]
-            for s in report["stages"]]
-    print(format_table(
-        ["offered", "achieved", "p50 ms", "p95 ms", "p99 ms", "200", "206",
-         "429", "503", "err"],
-        rows, title=f"open-loop ramp against {host}:{port} "
-                    f"({args.procs} procs x {args.conns} conns)"))
-    print()
-    print(f"notes: {report['notes']}")
-    if args.out:
-        print(f"report written to {args.out}")
-    return 0
-
-
 def _fmt_bytes(n: int) -> str:
     for unit in ("B", "KiB", "MiB", "GiB"):
         if n < 1024 or unit == "GiB":
@@ -1015,32 +972,6 @@ def _parser() -> argparse.ArgumentParser:
     m.add_argument("--timeout", type=float, default=30.0,
                    help="per-request timeout (seconds)")
     m.set_defaults(fn=_cmd_mutate)
-
-    lg = sub.add_parser("loadgen",
-                        help="open-loop multi-process load generator "
-                             "against a serve --listen server")
-    lg.add_argument("--connect", metavar="HOST:PORT", required=True,
-                    help="server address")
-    lg.add_argument("--qps", default="100,200,400,800",
-                    help="comma list of offered rates (one stage each)")
-    lg.add_argument("--duration", type=float, default=2.0,
-                    help="seconds per stage")
-    lg.add_argument("--procs", type=int, default=2,
-                    help="load-generator worker processes")
-    lg.add_argument("--conns", type=int, default=4,
-                    help="pipelined connections per worker")
-    lg.add_argument("--mix", default=None,
-                    help="probe mix, e.g. window:0.6,point:0.2,nearest:0.2")
-    lg.add_argument("--deadline-ms", type=float, default=None,
-                    help="per-request deadline budget (expired sharded "
-                         "fan-outs degrade to 206)")
-    lg.add_argument("--grace", type=float, default=2.0,
-                    help="post-stage wait for in-flight responses (seconds)")
-    lg.add_argument("--out", default="BENCH_serving.json",
-                    help="JSON report path, untracked scratch output "
-                         "('' to skip writing)")
-    lg.add_argument("--seed", type=int, default=0)
-    lg.set_defaults(fn=_cmd_loadgen)
 
     h = sub.add_parser("health",
                        help="scrape a running server's health document")

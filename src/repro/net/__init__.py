@@ -13,18 +13,15 @@ package is the edge that turns the engine into a *service*:
   engine's request coalescer, so concurrent network clients share
   vectorized batches; plus :class:`ServerStats` and the threaded
   embedding :class:`ServerThread`;
-* :mod:`~repro.net.client` -- a blocking call-and-response client;
-* :mod:`~repro.net.loadgen` -- the multi-process open-loop load
-  generator behind ``python -m repro loadgen``.
+* :mod:`~repro.net.client` -- a blocking call-and-response client.
 
 Entry points: ``python -m repro serve --listen HOST:PORT`` serves,
-``python -m repro loadgen --connect HOST:PORT`` drives, ``python -m
-repro health --connect HOST:PORT --json`` scrapes.
+``python -m repro mutate --connect HOST:PORT`` commits a batch,
+``python -m repro health --connect HOST:PORT --json`` scrapes.
 """
 
 from .admission import Admission, AdmissionController, TokenBucket
 from .client import ServeClient, ServeConnectionError, connect_with_retry
-from .loadgen import DEFAULT_MIX, run_loadgen
 from .protocol import (BAD_REQUEST, INTERNAL, MAX_FRAME, NOT_FOUND, OK,
                        PARTIAL, PROBE_KINDS, REQUEST_KINDS, RETRY_AFTER,
                        SHED, ProtocolError, encode_frame, jsonable,
@@ -34,7 +31,6 @@ from .server import ServerStats, ServerThread, SpatialServer
 __all__ = [
     "Admission", "AdmissionController", "TokenBucket",
     "ServeClient", "ServeConnectionError", "connect_with_retry",
-    "DEFAULT_MIX", "run_loadgen",
     "BAD_REQUEST", "INTERNAL", "MAX_FRAME", "NOT_FOUND", "OK", "PARTIAL",
     "PROBE_KINDS", "REQUEST_KINDS", "RETRY_AFTER", "SHED",
     "ProtocolError", "encode_frame", "jsonable", "parse_request",

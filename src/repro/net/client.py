@@ -4,12 +4,9 @@
 server: one TCP connection, one request at a time, the full response
 dict back (``status``, ``result``, ``reason``, ...).  It deliberately
 does **not** raise on non-200 statuses -- 429/206/503 are normal
-vocabulary of an admission-controlled server and callers (the load
-generator, the CLI, the tests) branch on them; only transport-level
-failures raise :class:`ServeConnectionError`.
-
-The load generator uses its own pipelined asyncio path; this client is
-for everything that wants simple call-and-response semantics::
+vocabulary of an admission-controlled server and callers (the CLI,
+the examples, the tests) branch on them; only transport-level failures
+raise :class:`ServeConnectionError`::
 
     with ServeClient("127.0.0.1", 8723) as c:
         fp = c.datasets()["result"][0]["fingerprint"]

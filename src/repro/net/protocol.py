@@ -194,7 +194,7 @@ async def write_frame(writer: asyncio.StreamWriter, obj: dict) -> int:
     return len(data)
 
 
-# -- synchronous framing (the blocking client, the load generator) -------
+# -- synchronous framing (the blocking client) ---------------------------
 
 def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
     buf = bytearray()

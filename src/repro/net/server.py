@@ -221,6 +221,11 @@ class SpatialServer:
         task = asyncio.ensure_future(self._serve_conn(reader, writer))
         self._conn_tasks.add(task)
         task.add_done_callback(self._conn_tasks.discard)
+        # the transport closes when the task ends, however it ends: a
+        # task cancelled before its first step (close() right after the
+        # accept) never runs _serve_conn's finally, and its socket would
+        # stay open -- the client hanging on it -- until the loop is gone
+        task.add_done_callback(lambda _task: writer.close())
 
     async def _serve_conn(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:

@@ -148,6 +148,22 @@ class TestClientReconnect:
         assert time.monotonic() - t0 >= 0.01
         client.close()
 
+    def test_stop_closes_accepted_connections(self, engine):
+        # connections the listener accepted but never served are closed
+        # by stop(): each client fails at once instead of waiting out
+        # its read timeout
+        fp = engine.register(segments(), domain=DOMAIN)
+        st = ServerThread(engine)
+        clients = [ServeClient(st.host, st.port, timeout=2,
+                               reconnect_attempts=0) for _ in range(8)]
+        st.stop()
+        t0 = time.monotonic()
+        for client in clients:
+            with pytest.raises(ServeConnectionError):
+                client.window(fp, [0, 0, 50, 50])
+            client.close()
+        assert time.monotonic() - t0 < 1.0
+
     def test_request_after_server_side_close_reconnects(self, engine):
         fp = engine.register(segments(), domain=DOMAIN)
         with ServerThread(engine, max_connections=1) as st:
@@ -165,7 +181,10 @@ class TestClientReconnect:
             # free the next request finds a dead socket, redials, and
             # resends transparently
             hog.close()
-            time.sleep(0.05)
+            deadline = time.monotonic() + 5.0
+            while st.server.stats.snapshot()["connections_open"] != 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
             resp = client.window(fp, [0, 0, 50, 50])
             assert resp["status"] == 200
             assert client.reconnects >= 1

@@ -1,9 +1,12 @@
 """CLI tests (``python -m repro``)."""
 
+import argparse
 import dataclasses
+import re
 
 import pytest
 
+from repro import cli
 from repro.cli import _SERVE_ENGINE_FIELDS, _parser, _serve_engine, main
 from repro.engine import EngineConfig
 
@@ -218,3 +221,11 @@ class TestArgErrors:
     def test_missing_command_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestDocstring:
+    def test_docstring_lists_every_subcommand(self):
+        sub = next(a for a in _parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        listed = re.findall(r"^``(\w+)``$", cli.__doc__, re.MULTILINE)
+        assert set(listed) == set(sub.choices)
