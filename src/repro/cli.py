@@ -23,7 +23,8 @@ Nine subcommands cover the everyday entry points:
     the persistent index store so evicted indexes spill to disk and
     later runs warm-start from it.  ``--backend process`` swaps the
     thread pool for a process pool: shared-nothing workers sidestep
-    the GIL for true multi-core fan-out (also on ``chaos``).
+    the GIL, so concurrent batches run on several cores (also on
+    ``chaos``).
 ``mutate``
     Send an insert/delete batch to a running ``serve --listen``
     server.  The engine commits it as a new dataset version (MVCC):
@@ -912,7 +913,7 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--backend", dest="executor",
                    choices=("thread", "process"),
                    help="executor backend: thread (in-process) or "
-                        "process (multi-core fan-out)")
+                        "process (multi-core)")
     # the one default not EngineConfig's (64, sized for one in-process
     # caller): serve fronts many clients, so it coalesces a larger wave
     s.add_argument("--max-batch", type=int, default=256,
@@ -921,7 +922,8 @@ def _parser() -> argparse.ArgumentParser:
                    help="coalescing deadline trigger (seconds)")
     s.add_argument("--queue-depth", type=int)
     s.add_argument("--shards", type=int,
-                   help="space-sorted shards per index (>1 fans batches out)")
+                   help="space-sorted shards per index (>1: one tree per "
+                        "curve range, culled per probe)")
     s.add_argument("--ordering", choices=("morton", "hilbert"),
                    help="shard cut order")
     s.add_argument("--cache-dir",

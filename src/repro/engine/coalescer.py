@@ -39,8 +39,9 @@ class Probe:
 
     ``deadline_at`` (absolute ``time.monotonic`` seconds, ``None`` for
     no deadline) rides along through coalescing: a batch inherits the
-    *earliest* deadline of its probes, and a sharded fan-out that blows
-    it resolves with a partial result instead of timing out.
+    *earliest* deadline of its probes, and a sharded wave that passes
+    it before its last planned shard resolves with a partial result
+    instead of timing out.
     """
 
     payload: object

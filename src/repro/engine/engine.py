@@ -12,9 +12,10 @@
   deadline window;
 * an executor backend (threads, or a process pool) running each batch
   as **one** vectorized ``structures.batch`` frontier pass over the
-  read-only index, with backpressure when saturated -- every group
-  reaches it as a :class:`~repro.engine.worker.JobSpec` through one
-  submit/settle pipeline (``_run_group``; DESIGN.md section 7);
+  read-only index, with backpressure when saturated -- every group,
+  sharded or not, reaches it as **one**
+  :class:`~repro.engine.worker.JobSpec` through one submit/settle
+  pipeline (``_run_group``; DESIGN.md section 7);
 * an :class:`~repro.engine.stats.EngineStats` layer aggregating batch
   sizes, queue depth, cache hit rate, latency percentiles, and the
   scan-model step accounting per batch;
@@ -22,7 +23,7 @@
   (fail fast with :class:`CircuitOpenError`, or degrade to a
   brute-force scan with ``brute_fallback=True``), retry with backoff
   on transient executor rejections and store loads, deadline
-  propagation into sharded fan-outs (an expired deadline yields a
+  propagation into sharded waves (an expired deadline yields a
   :class:`~repro.resilience.PartialResult`, not a timeout), and an
   optional :class:`~repro.resilience.FaultInjector` driven by
   ``fault_plan`` for chaos testing.  :meth:`SpatialQueryEngine.health`
@@ -48,7 +49,7 @@ import random
 import threading
 import time
 from concurrent.futures import (Future, InvalidStateError,
-                                TimeoutError as FutureTimeoutError)
+                                TimeoutError as FutureTimeoutError, wait)
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -61,10 +62,9 @@ from ..resilience import (OPEN, BreakerBoard, CircuitOpenError, FaultInjector,
                           FaultPlan, InjectedFault, PartialResult, RetryPolicy)
 from ..shm import DATASET_PREFIX, INDEX_PREFIX, ShmArena
 from ..store import store_key_id
-from ..structures.batch import FAMILY, _cat, _views
-from ..structures.csr import pack_csr
+from ..structures.batch import FAMILY
 from ..structures.io import structure_payload
-from ..structures.sharded import ORDERINGS, ShardedIndex
+from ..structures.sharded import ORDERINGS
 from .coalescer import Coalescer, Probe
 from .executor import BoundedExecutor, ProcessBackend, RejectedError
 from .registry import IndexKey, IndexRegistry, index_params
@@ -273,6 +273,10 @@ class SpatialQueryEngine:
         self._coalescer = Coalescer(self._dispatch,
                                     max_batch=config.max_batch,
                                     max_wait=config.max_wait)
+        # the last probe future of every read group in flight, which
+        # flush() waits on: a group records its counters, then resolves
+        # its probes in order
+        self._unsettled: set = set()
         self._closed = False
 
     # -- datasets --------------------------------------------------------
@@ -442,8 +446,9 @@ class SpatialQueryEngine:
                deadline: Optional[float] = None) -> np.ndarray:
         """Blocking window query; raises TimeoutError past ``timeout``.
 
-        With a ``deadline`` (seconds) on a sharded index, an expired
-        fan-out returns a :class:`PartialResult` instead of raising.
+        With a ``deadline`` (seconds) on a sharded index, a wave that
+        passes it before its last planned shard returns a
+        :class:`PartialResult` instead of raising.
         """
         return self._await(self.submit_window(fingerprint, rect, structure,
                                               exact, deadline), timeout)
@@ -528,8 +533,10 @@ class SpatialQueryEngine:
 
     def flush(self) -> None:
         """Dispatch all pending probes now (deterministic batching in
-        tests) and wait for in-flight mutation commits to settle."""
+        tests) and wait for the read groups and mutation commits in
+        flight to settle, so their counters are recorded on return."""
         self._coalescer.flush()
+        wait(list(self._unsettled))
         while True:
             with self._mutation_lock:
                 alive = [t for t in self._mutation_threads if t.is_alive()]
@@ -759,18 +766,17 @@ class SpatialQueryEngine:
 
     # -- the job pipeline --------------------------------------------------
 
-    def _bind(self, spec: JobSpec, held=None):
+    def _bind(self, spec: JobSpec):
         """The single spec -> executor-work binding (DESIGN.md section 7).
 
         Thread backend: the shared interpreter over the parent's
-        registry (``held`` short-circuits refs the caller already
-        resolved).  Process backend: the spec itself crosses; the worker
+        registry.  Process backend: the spec itself crosses; the worker
         resolves its index without the parent registry, so the
         ``registry.get`` fault site a thread batch arrives at inside
         ``registry.get`` is fired here for chaos parity.
         """
         if not self._is_process:
-            return partial(interpret, RegistryResolver(self.registry, held),
+            return partial(interpret, RegistryResolver(self.registry),
                            spec, injector=self.faults)
         if self.faults is not None and spec.op == "batch":
             self.faults.fire("registry.get",
@@ -788,10 +794,15 @@ class SpatialQueryEngine:
         records its batch row and resolves each probe exactly once.
         A ``brute`` spec (or ``join`` with ``brute=True``) is the
         degraded service: it leaves the breakers alone and counts as a
-        fallback.
+        fallback.  A sharded wave's ``shards`` counts land here too: its
+        shard row, and -- when the deadline dropped planned shards --
+        a :class:`PartialResult` per probe, which feeds no breaker.
         """
         if started is None:
             started = min(p.submitted_at for p in probes)
+        tail = probes[-1].future
+        self._unsettled.add(tail)
+        tail.add_done_callback(self._unsettled.discard)
         try:
             fut = self._submit_job_with_retry(self._bind(spec))
         except RejectedError as exc:
@@ -813,8 +824,19 @@ class SpatialQueryEngine:
             return
         res: WorkerResult = done.result()
         degraded = spec.degraded
+        values = res.values
+        dropped = 0
+        if res.shards:
+            total, probed, dropped, completed = res.shards
+            self.stats.record_shard_batch(total, probed)
         if degraded:
             self.stats.inc(fallbacks=len(probes))
+        elif dropped:
+            self.stats.inc(partial_batches=1, partial_results=len(probes),
+                           shards_dropped=dropped)
+            values = [PartialResult(val, shards_dropped=dropped,
+                                    shards_completed=completed)
+                      for val in values]
         elif spec.op != "join":
             self.breakers.record_success(spec.index.fingerprint)
         served_by = "brute" if degraded else spec.refs[0].structure
@@ -822,7 +844,7 @@ class SpatialQueryEngine:
         self.stats.record_batch(f"{served_by}:{kind}", len(probes), res.steps,
                                 res.primitives, time.monotonic() - started)
         if spec.op != "join":
-            for p, val in zip(probes, res.values):
+            for p, val in zip(probes, values):
                 _resolve(p.future, val)
             return
         # per-pair outcomes: one bad pair fails (and feeds the breakers
@@ -870,7 +892,7 @@ class SpatialQueryEngine:
             _reject(p.future, exc)
 
     def _dispatch(self, group_key, probes: List[Probe]) -> None:
-        """Flush callback: turn one coalesced group into its job(s)."""
+        """Flush callback: turn one coalesced group into its one job."""
         if group_key[0] == "join":
             self._dispatch_join(group_key[1], probes)
             return
@@ -887,9 +909,6 @@ class SpatialQueryEngine:
             t.start()
             return
         index_key, kind, exact = group_key
-        if int(dict(index_key.params).get("shards", 1)) > 1:
-            self._dispatch_sharded(index_key, kind, exact, probes)
-            return
         # np.array, not np.stack: one C pass over the equal-shape rows;
         # this runs on the submitting thread, where stack's per-row
         # Python overhead (4x) would stretch the wave past max_wait
@@ -897,6 +916,9 @@ class SpatialQueryEngine:
             JobSpec(op="batch", kind=kind, index=self._index_ref(index_key),
                     payloads=np.array([p.payload for p in probes]),
                     exact=exact,
+                    deadline_at=min((p.deadline_at for p in probes
+                                     if p.deadline_at is not None),
+                                    default=None),
                     version=self.registry.version_of(index_key.fingerprint)),
             probes)
 
@@ -991,10 +1013,13 @@ class SpatialQueryEngine:
         best effort -- the store (durable bytes) and the arena
         (zero-copy pages) -- so workers adopt the parent's build.  For
         an incrementally *repaired* entry that is a correctness
-        requirement: a worker that cannot load the repaired payload
-        would rebuild canonically and disagree with the parent's shard
-        plan, so if neither tier took it the repaired tree is retracted
-        and rebuilt canonically here (raising like any failed build).
+        requirement: a repair may cut the shards differently from a
+        canonical build, and ``exact=False`` candidate sets depend on
+        the cuts -- a worker that cannot load the repaired payload would
+        rebuild canonically and answer them differently from the
+        parent's index.  So if neither tier took it the repaired tree is
+        retracted and rebuilt canonically here (raising like any failed
+        build).
         """
         get = partial(self.registry.get, key.fingerprint, key.structure,
                       **dict(key.params))
@@ -1220,310 +1245,3 @@ class SpatialQueryEngine:
         if live:
             self._run_group(JobSpec(op="join", pairs=tuple(pairs),
                                     brute=brute), live)
-
-    def _dispatch_sharded(self, index_key: IndexKey, kind: str, exact: bool,
-                          probes: List[Probe]) -> None:
-        """Fan one group out as per-shard sub-batches and merge per probe.
-
-        The shard plan (which probes touch which shards, by MBR
-        culling) is computed on the dispatching thread; each probed
-        shard becomes one executor job so shards run concurrently, and
-        a shared merge state resolves every probe future once its last
-        shard reports.  Nearest probes run in two rounds: round one
-        queries only each probe's closest shard (by MBR lower bound),
-        round two fans out to just the shards whose lower bound beats
-        the round-one distance -- the batched analogue of the scalar
-        best-so-far pruning.  ``warm()`` prebuilds the sharded index so
-        the first dispatch does not pay the build on this thread.
-
-        The group inherits the **earliest deadline** of its probes;
-        when it expires with shards unreported the merge resolves every
-        probe with a :class:`PartialResult` over the shards that did
-        report (``shards_dropped`` counts the rest) instead of raising.
-        """
-        started = min(p.submitted_at for p in probes)
-        name = f"{index_key.structure}:{kind}"
-        payloads = np.stack([p.payload for p in probes])
-        # the template every shard job of this fan-out is cut from
-        spec = JobSpec(op="shard", kind=kind,
-                       index=self._index_ref(index_key), payloads=payloads,
-                       exact=exact,
-                       version=self.registry.version_of(index_key.fingerprint))
-        try:
-            entry = self.registry.get(index_key.fingerprint,
-                                      index_key.structure,
-                                      **dict(index_key.params))
-        except Exception as exc:  # unknown structure, build failure, ...
-            self._group_failed(exc, spec, probes, started)
-            return
-        sharded: ShardedIndex = entry.tree
-
-        if sharded.num_shards == 0:
-            # empty dataset: empty id sets, or the scalar nearest error
-            if kind == "nearest":
-                self._fail_probes(
-                    probes, ValueError("empty tree has no nearest line"))
-            else:
-                self.stats.record_shard_batch(0, 0)
-                for p in probes:
-                    _resolve(p.future, np.zeros(0, dtype=np.int64))
-                self.stats.record_batch(name, len(probes), 0.0, 0,
-                                        time.monotonic() - started)
-            return
-
-        deadlines = [p.deadline_at for p in probes if p.deadline_at is not None]
-        merge = _ShardedMerge(self, sharded, spec, probes, started, name,
-                              deadline=min(deadlines) if deadlines else None)
-        if kind == "nearest":
-            merge.start_nearest()
-        else:
-            mask = (sharded.plan_windows(payloads) if kind == "window"
-                    else sharded.plan_points(payloads))
-            merge.start_ids(mask)
-
-class _ShardedMerge:
-    """Merge state for one sharded fan-out batch.
-
-    Per-shard sub-batches run as independent executor jobs; the last
-    job of a round (tracked by a ``remaining`` counter under ``lock``)
-    triggers the round-end hook from its completion callback, so no
-    thread ever blocks waiting on shard results.  Every probe future is
-    resolved exactly once -- by ``_complete`` on success or deadline
-    expiry (first writer wins via the ``done`` flag) or by the first
-    ``_fail`` on any shard error or executor rejection.
-
-    A window/point shard job delivers its kernel core's ``(gids, ptr)``
-    pair; the merge concatenates the pairs and packs them once with
-    :func:`~repro.structures.csr.pack_csr`, the same step that packs an
-    unsharded batch.  A nearest job's ``(gids, dists)`` folds into a
-    running best per probe, ties to the lower id.
-
-    With a ``deadline`` (absolute monotonic seconds) a daemon timer
-    fires ``_complete(partial=True)``: probes resolve to
-    :class:`PartialResult` wrapping the merge of the shards that
-    reported in time, and late shard deliveries are dropped.
-
-    The object holds no reference to itself (the round-end step is a
-    plain function, not a bound method), and drops the version's index
-    and the batch's data once it settles: a retired version's index is
-    freed by reference counting, never left for the cyclic collector.
-    """
-
-    def __init__(self, engine: SpatialQueryEngine, sharded: ShardedIndex,
-                 spec: JobSpec, probes: List[Probe], started: float,
-                 name: str, deadline: Optional[float] = None) -> None:
-        self.engine = engine
-        self.sharded = sharded
-        self.spec = spec      # template: whole-group payloads, no shard yet
-        # the planner already resolved the index: shard jobs on the
-        # thread backend query it without a second registry lookup
-        self.held = {spec.index: sharded}
-        self.kind = spec.kind
-        self.probes = probes
-        self.payloads = spec.payloads
-        self.started = started
-        self.name = name
-        self.fingerprint = spec.index.fingerprint
-        self.lock = threading.Lock()
-        self.failed = False
-        self.done = False
-        self.remaining = 0
-        self.completed_jobs = 0
-        self.steps = 0.0
-        self.primitives = 0
-        # per-shard (probe selection, global ids, CSR ptr)
-        self.chunks: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.probed: set = set()        # distinct shards touched, all rounds
-        self.on_round_end = _ShardedMerge._finalize
-        self.timer: Optional[threading.Timer] = None
-        if deadline is not None:
-            self.timer = threading.Timer(max(deadline - time.monotonic(), 0.0),
-                                         self._on_deadline)
-            self.timer.daemon = True
-            self.timer.start()
-
-    # -- rounds ----------------------------------------------------------
-
-    def start_ids(self, mask: np.ndarray) -> None:
-        """Window/point: one round over the MBR-culled shard mask."""
-        sharded = self.sharded
-        if sharded is None:
-            return   # the deadline settled the batch first
-        jobs = [(k, np.flatnonzero(mask[k]))
-                for k in range(sharded.num_shards) if mask[k].any()]
-        self.probed.update(k for k, _ in jobs)
-        self.engine.stats.record_shard_batch(sharded.num_shards, len(jobs))
-        if not jobs:
-            self._finalize()
-            return
-        self._submit(jobs)
-
-    def start_nearest(self) -> None:
-        """Nearest round one: every zero-lower-bound shard per probe.
-
-        A probe goes to each shard whose MBR contains it (lower bound
-        zero -- those shards can never be pruned) plus its argmin-bound
-        shard as a fallback when no MBR contains the point.  Folding
-        the contained shards into round one keeps the second round down
-        to the rare probes whose best hit lies across a shard boundary.
-        """
-        sharded = self.sharded
-        if sharded is None:
-            return   # the deadline settled the batch first
-        self.lb = sharded.nearest_bounds(self.payloads)   # (K, B)
-        B = len(self.payloads)
-        self.best_d = np.full(B, np.inf)
-        self.best_g = np.full(B, -1, dtype=np.int64)
-        self.round1 = self.lb == 0.0
-        self.round1[np.argmin(self.lb, axis=0), np.arange(B)] = True
-        jobs = [(k, np.flatnonzero(self.round1[k]))
-                for k in range(sharded.num_shards)
-                if self.round1[k].any()]
-        self.probed.update(k for k, _ in jobs)
-        self.on_round_end = _ShardedMerge._start_phase2
-        self._submit(jobs)
-
-    def _start_phase2(self) -> None:
-        """Nearest round two: shards whose bound beats the round-one hit.
-
-        Runs in the completion callback of the last round-one job.  The
-        comparison is inclusive (``lb <= best``) because an equidistant
-        segment with a lower global id may live in another shard and
-        must win the tie.
-        """
-        sharded = self.sharded
-        if sharded is None:
-            return   # the deadline settled the batch first
-        mask = (self.lb <= self.best_d[None, :]) & ~self.round1
-        jobs = [(k, np.flatnonzero(mask[k]))
-                for k in range(sharded.num_shards) if mask[k].any()]
-        self.probed.update(k for k, _ in jobs)
-        self.engine.stats.record_shard_batch(sharded.num_shards,
-                                             len(self.probed))
-        if not jobs:
-            self._finalize()
-            return
-        self.on_round_end = _ShardedMerge._finalize
-        self._submit(jobs)
-
-    # -- plumbing --------------------------------------------------------
-
-    def _submit(self, jobs: List[Tuple[int, np.ndarray]]) -> None:
-        with self.lock:
-            self.remaining += len(jobs)   # count before any job can finish
-            held = self.held   # a job failing mid-loop releases it
-        if held is None:
-            return
-        for k, sel in jobs:
-            work = self.engine._bind(
-                replace(self.spec, payloads=self.payloads[sel], shard=k),
-                held)
-            try:
-                fut = self.engine._submit_job_with_retry(work)
-            except RejectedError as exc:
-                self.engine.stats.inc(rejected={exc.reason: len(self.payloads)})
-                self._fail(RejectedError(str(exc), reason=exc.reason))
-                return
-            # the probe selection rides in the callback, not the result
-            fut.add_done_callback(lambda done, s=sel: self._deliver(done, s))
-
-    def _deliver(self, done: Future, sel: np.ndarray) -> None:
-        exc = done.exception()
-        if exc is not None:
-            self._fail(exc)
-            return
-        res: WorkerResult = done.result()
-        results = res.values
-        with self.lock:
-            if self.failed or self.done:
-                return   # the batch already failed or went partial
-            if self.kind == "nearest":
-                # fold the shard's (ids, distances) into the running
-                # best, breaking distance ties toward the lower id
-                gids, dists = results
-                cur_d = self.best_d[sel]
-                cur_g = self.best_g[sel]
-                upd = (dists < cur_d) | ((dists == cur_d) & (gids < cur_g))
-                self.best_d[sel] = np.where(upd, dists, cur_d)
-                self.best_g[sel] = np.where(upd, gids, cur_g)
-            else:
-                gids, ptr = results
-                self.chunks.append((sel, gids, ptr))
-            self.steps += res.steps
-            self.primitives += res.primitives
-            self.completed_jobs += 1
-            self.remaining -= 1
-            last = self.remaining == 0
-        if last:
-            self.on_round_end(self)
-
-    def _fail(self, exc: BaseException) -> None:
-        with self.lock:
-            if self.failed or self.done:
-                return
-            self.failed = True
-        if self.timer is not None:
-            self.timer.cancel()
-        # breaker feed, brute re-issue and ``failed`` counting exist once
-        self.engine._group_failed(exc, self.spec, self.probes, self.started)
-        self._release()
-
-    def _on_deadline(self) -> None:
-        self._complete(partial=True)
-
-    def _finalize(self) -> None:
-        self._complete(partial=False)
-
-    def _merged_values(self) -> List[object]:
-        """Per-probe answers from the chunks delivered so far.
-
-        For nearest, the running best per probe.  For window/point the
-        shards' ``(gids, ptr)`` pairs are concatenated as one (probe,
-        global id) stream and packed by one :func:`pack_csr`: ascending
-        ids per probe, read-only views like an unsharded batch's.
-        Shards partition the segments, so its dedupe never fires.
-        """
-        if self.kind == "nearest":
-            return [(int(g), float(d))
-                    for g, d in zip(self.best_g, self.best_d)]
-        qid = [np.repeat(sel, np.diff(ptr)) for sel, _, ptr in self.chunks]
-        gid = [gids for _, gids, _ in self.chunks]
-        return _views(*pack_csr(_cat(qid), _cat(gid), len(self.probes),
-                                self.sharded.num_lines))
-
-    def _complete(self, partial: bool) -> None:
-        with self.lock:
-            if self.failed or self.done:
-                return
-            self.done = True
-            dropped = self.remaining if partial else 0
-            completed = self.completed_jobs
-            if partial and dropped == 0 and completed == 0:
-                # the deadline beat the fan-out itself: no job was even
-                # dispatched, so every shard's contribution was dropped
-                dropped = self.sharded.num_shards
-        if self.timer is not None:
-            self.timer.cancel()
-        values = self._merged_values()
-        if partial:
-            self.engine.stats.inc(partial_batches=1,
-                                  partial_results=len(self.probes),
-                                  shards_dropped=dropped)
-            for p, val in zip(self.probes, values):
-                _resolve(p.future,
-                         PartialResult(val, shards_dropped=dropped,
-                                       shards_completed=completed))
-        else:
-            self.engine.breakers.record_success(self.fingerprint)
-            for p, val in zip(self.probes, values):
-                _resolve(p.future, val)
-        self.engine.stats.record_batch(self.name, len(self.probes),
-                                       self.steps, self.primitives,
-                                       time.monotonic() - self.started)
-        self._release()
-
-    def _release(self) -> None:
-        """Drop the index and the batch's data once the batch settled; a
-        late shard job keeps only this husk alive."""
-        self.sharded = self.held = self.probes = self.chunks = None
-        self.timer = None

@@ -46,10 +46,12 @@ On top of the raw pool it adds what serving needs:
   into ``dataset_ship_bytes``), so per-job pipe-byte gauges are not
   double-counted across pool restarts or bounded resubmits;
 * **fault-site parity** -- ``error``/``crash``/``corrupt`` specs of the
-  fault plan are evaluated here at submit time (one global,
+  ``executor.job`` site are evaluated here at submit time (one global,
   deterministic schedule; a ``crash`` marks the spec so its worker
   ``os._exit``\\ s), while ``latency``/``stall`` specs ship to the
-  workers so a stalled shard delays only itself;
+  workers, which also arrive at ``shard.query`` once per shard a
+  sharded wave runs (the only site a worker evaluates besides
+  ``executor.job``; there, too, only ``latency``/``stall``);
 * **timeouts** -- an optional per-job wall-clock cap fails the future
   with :class:`JobTimeoutError` (the worker process is left to finish
   and its late result is dropped).
@@ -364,12 +366,9 @@ class ProcessBackend(ExecutorBackend):
         if self._injector is not None:
             # parent-side evaluation keeps error/crash schedules global
             # and deterministic across workers and pool restarts
-            site = "shard.query" if spec.op == "shard" else "executor.job"
-            ctx = ({"shard": spec.shard, "kind": spec.kind}
-                   if spec.op == "shard" else {})
             try:
-                self._injector.fire(site, only_kinds=PARENT_FAULT_KINDS,
-                                    **ctx)
+                self._injector.fire("executor.job",
+                                    only_kinds=PARENT_FAULT_KINDS)
             except InjectedWorkerCrash:
                 run = replace(run, crash=True)
             except InjectedFault as exc:

@@ -588,8 +588,8 @@ class IndexRegistry:
         # The arena tier comes first: for a *repaired* index published
         # by a mutation commit it holds the exact pages the workers
         # map, so an evicted parent entry reloads the same cuts the
-        # fan-out plan must agree with -- a rebuild here could not
-        # guarantee that
+        # workers answer with -- a rebuild here could not guarantee
+        # that
         if self.arena is not None:
             entry = self._rehydrate_from_arena(key, lines)
             if entry is not None:

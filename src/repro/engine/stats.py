@@ -67,9 +67,9 @@ COUNTERS = (
     Counter("steps"),              # scan-model steps of those batches
     Counter("primitives"),         # ... and their primitive invocations
     Counter("per_kind", labels={}),    # probe kind -> submitted
-    # -- sharded fan-out ---------------------------------------------------
+    # -- sharded waves ----------------------------------------------------
     Counter("shard_batches"),      # sharded batches planned
-    Counter("shards_probed"),      # shard jobs those batches fanned out to
+    Counter("shards_probed"),      # shards those batches' plans selected
     Counter("shards_skipped"),     # shards MBR-culled from a batch
     # -- persistent store (the IndexStore observer) ------------------------
     Counter("disk_hits", event="disk_hit"),
@@ -87,9 +87,9 @@ COUNTERS = (
     Counter("breaker_half_opens", TOP, "half_open"),
     Counter("breaker_closes", TOP, "close"),
     Counter("breaker_fast_fails", TOP),   # probes refused by an open breaker
-    Counter("partial_batches", TOP),   # fan-outs resolved at their deadline
+    Counter("partial_batches", TOP),   # sharded waves cut by their deadline
     Counter("partial_results", TOP),   # probes resolved partially
-    Counter("shards_dropped", TOP),    # shard jobs unreported at deadline
+    Counter("shards_dropped", TOP),    # planned shards a deadline cut
     Counter("fallbacks", TOP),     # probes served by brute force
     Counter("cancels", TOP),       # timed-out futures cancelled in time
     Counter("cancel_failures"),    # ... that had already started
@@ -178,7 +178,7 @@ class EngineStats(Counters):
             self.latency.add(latency_s)
 
     def record_shard_batch(self, total_shards: int, probed: int) -> None:
-        """One sharded batch's fan-out: shards probed vs. MBR-culled."""
+        """One sharded batch's plan: shards probed vs. MBR-culled."""
         with self._lock:
             self.shard_batches += 1
             self.shards_probed += probed

@@ -1,11 +1,11 @@
 """The job vocabulary: :class:`JobSpec`, its interpreter, and the pool worker.
 
 A :class:`JobSpec` is the **only** unit of work the engine hands an
-executor, and :data:`_OPS` the only place an op is implemented.  Five
-ops (``batch``, ``shard``, ``join``, ``brute``, ``warm``) are
-interpreted by :func:`interpret` against a two-method *resolver* --
-``tree(ref)`` and ``lines(ref)`` -- so the backends differ only in how a
-job reaches its index:
+executor, and :data:`_OPS` the only place an op is implemented.  Four
+ops (``batch``, ``join``, ``brute``, ``warm``) are interpreted by
+:func:`interpret` against a two-method *resolver* -- ``tree(ref)`` and
+``lines(ref)`` -- so the backends differ only in how a job reaches its
+index:
 
 * thread backend: :class:`RegistryResolver` over the parent's registry
   (the engine binds a spec to :func:`interpret` directly);
@@ -13,13 +13,16 @@ job reaches its index:
   (:func:`run_job` is what crosses into the pool).
 
 Both yield a :class:`WorkerResult` (``values``, ``steps``,
-``primitives``), so the engine settles and accounts a job once.
+``primitives``, and ``shards`` for a sharded wave), so the engine
+settles and accounts a job once.
 
-No op picks a kernel or a builder of its own.  ``batch`` and ``shard``
-look their CSR core up in the structure table
-(:func:`~repro.structures.batch.batch_core`): ``batch`` cuts it into
-one answer per probe, ``shard`` hands the ``(ids, ptr)`` pair to the
-fan-out merge.  ``join`` always calls
+No op picks a kernel or a builder of its own.  ``batch`` looks its CSR
+core up in the structure table
+(:func:`~repro.structures.batch.batch_core`) and cuts it into one
+answer per probe; on a sharded index it is the one place that instead
+runs :meth:`~repro.structures.sharded.ShardedIndex.query_wave` -- every
+planned shard's core under the group's ``deadline_at``, packed once --
+so a sharded group is one job like any other.  ``join`` always calls
 :func:`~repro.structures.sharded.sharded_join`, which takes plain trees
 too, and every build is :func:`~repro.structures.sharded.build_index`.
 
@@ -52,13 +55,15 @@ parent's and results cannot depend on which path materialised it.
 
 Fault sites: ``executor.job`` is fired by whoever runs the job (the
 thread pool's worker loop; for the process backend the parent at
-submit time plus :func:`run_job`), ``shard.query`` by :func:`interpret`
-for ``shard`` specs, ``registry.get`` inside the registry (thread) or by
+submit time plus :func:`run_job`), ``shard.query`` once per shard a
+sharded wave runs, ``registry.get`` inside the registry (thread) or by
 the engine's binding (process parity).  The process backend splits
-each site by kind: the parent evaluates ``error``/``crash``/``corrupt``
-specs at submit time (one global, deterministic schedule regardless of
-which worker runs the job); ``latency``/``stall`` specs are evaluated
-here, inside the worker, so a stalled shard delays only itself.  A spec
+``executor.job`` by kind: the parent evaluates ``error``/``crash``/
+``corrupt`` specs at submit time (one global, deterministic schedule
+regardless of which worker runs the job); ``latency``/``stall`` specs
+are evaluated here, inside the worker.  ``shard.query`` fires only in
+the job, so under the process backend it evaluates only
+``latency``/``stall``; the thread backend evaluates every kind.  A spec
 with ``crash=True`` makes the worker ``os._exit`` before touching the
 job -- a real dead process, indistinguishable from a SIGKILL, which the
 parent observes as ``BrokenProcessPool`` and handles with a pool
@@ -126,12 +131,16 @@ class IndexRef:
 class JobSpec:
     """One unit of work: what the engine submits, on either backend.
 
-    ``op`` selects the kernel: ``batch`` (one vectorized pass),
-    ``shard`` (one per-shard sub-batch of a fan-out), ``join`` (a batch
-    of dataset-pair joins; ``brute=True`` for the degraded scan),
+    ``op`` selects the kernel: ``batch`` (one vectorized pass; over
+    every planned shard of a sharded index), ``join`` (a batch of
+    dataset-pair joins; ``brute=True`` for the degraded scan),
     ``brute`` (degraded window/point/nearest batch), ``warm``
-    (materialise only).  ``datasets`` carries ``(fingerprint, lines,
-    domain)`` snapshots attached by the parent after a
+    (materialise only).  ``deadline_at`` is the group's earliest probe
+    deadline (absolute ``time.monotonic`` seconds, which every process
+    on one host shares): a sharded wave past it drops the rest of its
+    plan (:meth:`~repro.structures.sharded.ShardedIndex.query_wave`).
+    ``datasets`` carries ``(fingerprint, lines, domain)`` snapshots
+    attached by the parent after a
     :class:`NeedDataset` round trip; ``handles`` carries the arena's
     shared-memory handles (``ds:`` dataset arrays and ``ix:`` index
     payloads -- a few hundred bytes each, mapped zero-copy in the
@@ -145,7 +154,7 @@ class JobSpec:
     pairs: Tuple[Tuple[IndexRef, IndexRef], ...] = ()
     payloads: Optional[np.ndarray] = None
     exact: bool = True
-    shard: int = -1
+    deadline_at: Optional[float] = None
     datasets: Tuple[Tuple[str, np.ndarray, int], ...] = ()
     handles: Tuple[ShmHandle, ...] = ()
     crash: bool = False
@@ -177,7 +186,10 @@ class WorkerResult:
     *for this job*; ``shm_attached`` names the arena tags this job
     newly mapped (the parent folds them into per-block attach counts);
     ``jobs``/``cached_trees`` are the worker's running totals, keyed
-    by ``pid`` in the parent's per-worker map.
+    by ``pid`` in the parent's per-worker map.  A sharded wave reports
+    ``shards = (total, probed, dropped, completed)``: the index's shard
+    count, the shards its plan selected, the planned shard queries the
+    deadline dropped and the ones run (empty for every other job).
     """
 
     values: object
@@ -190,6 +202,7 @@ class WorkerResult:
     jobs: int = 0
     cached_trees: int = 0
     shm_attached: Tuple[str, ...] = ()
+    shards: Tuple[int, ...] = ()
 
 
 class NeedDataset(Exception):
@@ -272,23 +285,14 @@ class RegistryResolver:
     Trees come through ``registry.get`` -- memory cache, arena and store
     tiers, build on a miss, and the ``registry.get`` fault site all
     apply per lookup -- and raw segments through ``registry.dataset``.
-    ``held`` maps refs the caller has already resolved to their trees:
-    the sharded planner holds the :class:`ShardedIndex` its shard jobs
-    query, and a second lookup per shard job would be a second
-    fault-site arrival and a second cache hit.
     """
 
-    def __init__(self, registry: IndexRegistry,
-                 held: Optional[Dict[IndexRef, object]] = None):
+    def __init__(self, registry: IndexRegistry):
         self.registry = registry
-        self.held = held or {}
 
     def tree(self, ref: IndexRef):
-        tree = self.held.get(ref)
-        if tree is None:
-            tree = self.registry.get(ref.fingerprint, ref.structure,
-                                     **dict(ref.params)).tree
-        return tree
+        return self.registry.get(ref.fingerprint, ref.structure,
+                                 **dict(ref.params)).tree
 
     def lines(self, ref: IndexRef) -> np.ndarray:
         return self.registry.dataset(ref.fingerprint)
@@ -384,19 +388,21 @@ def _preflight(state: _WorkerState, spec: JobSpec) -> None:
         raise NeedDataset(missing)
 
 
-def _op_batch(resolver, spec: JobSpec, machine: Machine):
+def _op_batch(resolver, spec: JobSpec, machine: Machine, on_shard):
+    """One wave: the plain tree's kernel, or a sharded index's
+    :meth:`~repro.structures.sharded.ShardedIndex.query_wave` -- the one
+    place that picks between them."""
     tree = resolver.tree(spec.index)
-    fn = batch_kernel(spec.index.structure, spec.kind, spec.exact)
-    return fn(tree, spec.payloads, machine)
+    if not isinstance(tree, ShardedIndex):
+        fn = batch_kernel(spec.index.structure, spec.kind, spec.exact)
+        return fn(tree, spec.payloads, machine), ()
+    pair, shards = tree.query_wave(spec.kind, spec.payloads, spec.exact,
+                                   machine, spec.deadline_at, on_shard)
+    edge = _pairs if spec.kind == "nearest" else _views
+    return edge(*pair), shards
 
 
-def _op_shard(resolver, spec: JobSpec, machine: Machine):
-    sharded: ShardedIndex = resolver.tree(spec.index)
-    return sharded.query_shard_batch(spec.shard, spec.kind, spec.payloads,
-                                     exact=spec.exact, machine=machine)
-
-
-def _op_join(resolver, spec: JobSpec, machine: Machine):
+def _op_join(resolver, spec: JobSpec, machine: Machine, on_shard):
     """A batch of joins: per-pair ``("ok", pairs)`` / ``("err", exc)``.
 
     Per-pair outcomes (not one shared exception) so one failing pair
@@ -418,28 +424,29 @@ def _op_join(resolver, spec: JobSpec, machine: Machine):
             out.append(("err", exc))
         else:
             out.append(("ok", pairs))
-    return out
+    return out, ()
 
 
-def _op_brute(resolver, spec: JobSpec, machine: Machine):
+def _op_brute(resolver, spec: JobSpec, machine: Machine, on_shard):
     lines = resolver.lines(spec.index)
     if spec.kind == "window":
-        return [brute_window_query(lines, r) for r in spec.payloads]
+        return [brute_window_query(lines, r) for r in spec.payloads], ()
     if spec.kind == "point":
         return [brute_point_query(lines, float(p[0]), float(p[1]))
-                for p in spec.payloads]
+                for p in spec.payloads], ()
     return [brute_nearest(lines, float(p[0]), float(p[1]))
-            for p in spec.payloads]
+            for p in spec.payloads], ()
 
 
-def _op_warm(resolver, spec: JobSpec, machine: Machine):
+def _op_warm(resolver, spec: JobSpec, machine: Machine, on_shard):
     resolver.tree(spec.index)
-    return None
+    return None, ()
 
 
-#: the op table: every ``JobSpec.op`` has exactly this one implementation
-_OPS = {"batch": _op_batch, "shard": _op_shard, "join": _op_join,
-        "brute": _op_brute, "warm": _op_warm}
+#: the op table: every ``JobSpec.op`` has exactly this one implementation,
+#: returning ``(values, shards)`` (see :class:`WorkerResult`)
+_OPS = {"batch": _op_batch, "join": _op_join, "brute": _op_brute,
+        "warm": _op_warm}
 
 
 def interpret(resolver, spec: JobSpec, machine: Machine,
@@ -448,19 +455,21 @@ def interpret(resolver, spec: JobSpec, machine: Machine,
     """Run one spec against a resolver: the interpreter of both backends.
 
     The caller has installed ``machine`` (:func:`use_machine`) and
-    fired ``executor.job``; the per-shard ``shard.query`` site fires
-    here so both backends arrive at it once per shard job.  The thread
+    fired ``executor.job``; the ``shard.query`` site fires here, once
+    per shard a sharded wave runs, on both backends.  The thread
     backend runs ``partial(interpret, RegistryResolver(...), spec,
     injector=...)`` as the ``fn(machine)`` of a
     :class:`~repro.engine.executor.BoundedExecutor`; :func:`run_job`
     calls it on the worker's state and adds the worker-side accounting.
     """
-    if injector is not None and spec.op == "shard":
-        injector.fire("shard.query", only_kinds=only_kinds,
-                      shard=spec.shard, kind=spec.kind)
-    values = _OPS[spec.op](resolver, spec, machine)
+    on_shard = None
+    if injector is not None:
+        def on_shard(k: int) -> None:
+            injector.fire("shard.query", only_kinds=only_kinds, shard=k,
+                          kind=spec.kind)
+    values, shards = _OPS[spec.op](resolver, spec, machine, on_shard)
     return WorkerResult(values, machine.steps, machine.total_primitives,
-                        os.getpid())
+                        os.getpid(), shards=shards)
 
 
 def run_job(spec: JobSpec) -> WorkerResult:

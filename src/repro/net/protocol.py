@@ -26,8 +26,8 @@ Request::
 
 Probe kinds accept optional ``structure`` (``pmr``/``pm1``/``rtree``),
 ``exact`` (window/point, default true) and ``deadline_ms`` (a relative
-per-request budget; on a sharded index an expired deadline degrades to
-a partial answer instead of failing).
+per-request budget; on a sharded index a wave that passes it degrades
+to a partial answer over the shards it ran instead of failing).
 
 Mutation kinds (:data:`MUTATION_KINDS`) address a dataset by any
 fingerprint in its version chain; the engine applies the batch to the

@@ -12,7 +12,7 @@ degraded mode (see README's "Resilience" section for the tour):
   closed/open/half-open :class:`CircuitBreaker` state machines behind a
   :class:`BreakerBoard`, failing fast with :class:`CircuitOpenError`;
 * :mod:`~repro.resilience.partial` -- :class:`PartialResult`, the
-  best-effort answer of a deadline-expired shard fan-out.
+  best-effort answer of a sharded wave its deadline cut short.
 
 This package never imports :mod:`repro.engine` (only the shared
 :class:`repro.errors.EngineError` base), so either can be imported

@@ -26,9 +26,11 @@ Sites (see the module docstrings of the instrumented components):
     cannot be killed -- it degrades to an :class:`InjectedWorkerCrash`
     error.
 ``shard.query``
-    One per-shard sub-batch of a sharded fan-out (context key
-    ``shard``) -- ``stall`` holds a single shard past the batch
-    deadline to force a partial result.
+    One shard of a sharded wave, fired inside the wave's job before
+    the shard runs (context keys ``shard`` and ``kind``) -- ``stall``
+    holds a shard past the batch deadline, so the wave drops the rest
+    of its plan and answers partially.  The process backend evaluates
+    only ``latency``/``stall`` here, in the worker.
 ``wal.append``
     The write-ahead journal append inside a mutation commit -- an
     ``error`` simulates a full or failing journal disk, exercising the

@@ -22,8 +22,8 @@ public ``batch_*`` functions split it into per-query views at the edge.
 
 :data:`FAMILY` and :func:`batch_core` are the structure table: the one
 place that says which core serves a (structure family, probe kind,
-exactness) triple.  The engine's batch jobs and its shard fan-out both
-look their kernel up there.
+exactness) triple.  The engine's batch jobs look their kernel up
+there, on a plain tree and on each shard of a sharded wave alike.
 """
 
 from __future__ import annotations

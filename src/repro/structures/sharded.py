@@ -30,19 +30,21 @@ Query semantics (the invariants the differential harness checks):
   all shards (batch planning path);
 * ``K = 1`` degenerates to the unsharded tree wrapped in one shard.
 
-The engine's fan-out unit is :meth:`ShardedIndex.query_shard_batch`: it
-takes its kernel from the structure table
-(:func:`~repro.structures.batch.batch_core`) and returns that core's CSR
-pair with ids lifted to global ones, which the engine merges with one
-:func:`~repro.structures.csr.pack_csr`.  :func:`build_index` is the one
-builder of a servable index, plain or sharded.
+The engine answers a wave of probes on a sharded index with
+:meth:`ShardedIndex.query_wave`, inside one job: the K shards are K
+groups of one wave, not K jobs.  It plans the wave by MBR culling, runs
+:meth:`ShardedIndex.query_shard_batch` -- the structure table's kernel
+(:func:`~repro.structures.batch.batch_core`) on one shard, ids lifted
+to global ones -- per planned shard, and packs the wave's answer with
+one :func:`~repro.structures.csr.pack_csr`.  :func:`build_index` is the
+one builder of a servable index, plain or sharded.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,8 +53,9 @@ from ..geometry.rect import overlaps, validate_rects
 from ..machine import Machine
 from ..resilience import PartialResult
 from ..machine.ordering import hilbert_encode, morton_encode
-from .batch import FAMILY, _degenerate_rects, batch_core
+from .batch import FAMILY, _cat, _degenerate_rects, batch_core
 from .bucket_pmr import build_bucket_pmr
+from .csr import pack_csr
 from .dynamic import apply_batch
 from .join import quadtree_join, rtree_join
 from .nearest import quadtree_nearest, rtree_nearest
@@ -98,7 +101,7 @@ class Shard:
 
 @dataclass
 class ShardedIndex:
-    """K per-range trees answering queries by fan-out and merge."""
+    """K per-range trees answering queries shard by shard, merged."""
 
     lines: np.ndarray
     domain: float
@@ -150,13 +153,13 @@ class ShardedIndex:
         the unsharded tree and to brute force; without it each shard
         contributes its own candidate set (decomposition-dependent).
 
-        With a ``deadline`` (relative seconds) the fan-out degrades
+        With a ``deadline`` (relative seconds) the query degrades
         gracefully: when the budget runs out with overlapping shards
         still unqueried, the merge of the shards visited so far comes
         back wrapped in a :class:`~repro.resilience.PartialResult`
         (``shards_dropped`` counts the rest) instead of raising.  The
-        engine's sharded dispatch applies the same semantics to
-        batched fan-outs.
+        engine's batched waves (:meth:`query_wave`) follow the same
+        rule.
         """
         rect = validate_rects(np.asarray(rect, dtype=float).reshape(1, 4))[0]
         expires = (time.monotonic() + deadline
@@ -224,7 +227,7 @@ class ShardedIndex:
         """Spatial join against another (sharded or plain) index."""
         return sharded_join(self, other)
 
-    # -- batch planning (the engine's fan-out step) ----------------------
+    # -- batch waves (the engine's sharded core) --------------------------
 
     def plan_windows(self, rects: np.ndarray) -> np.ndarray:
         """``(K, B)`` mask: shard k can hold hits of window b (MBR cull)."""
@@ -266,6 +269,91 @@ class ShardedIndex:
         core = batch_core(self.family, kind, exact or kind == "point")
         ids, second = core(s.tree, payloads, machine)
         return s.ids[ids], second
+
+    def query_wave(self, kind: str, payloads: np.ndarray, exact: bool = True,
+                   machine: Optional[Machine] = None,
+                   deadline_at: Optional[float] = None,
+                   on_shard: Optional[Callable[[int], None]] = None):
+        """One wave of probes over the planned shards, in one call.
+
+        Window and point probes run one round over the MBR-culled
+        shards and pack the per-shard ``(gids, ptr)`` pairs with one
+        :func:`pack_csr`: ascending ids per probe, read-only, like an
+        unsharded batch (shards partition the segments, so its dedupe
+        never fires).  Nearest probes run two rounds: each shard whose
+        MBR contains the probe plus its argmin-bound shard, then only
+        the shards whose lower bound reaches the round-one distance
+        (``lb <= best``: an equidistant segment with a lower global id
+        in another shard must win the tie).
+
+        ``deadline_at`` (absolute ``time.monotonic`` seconds) is checked
+        before every planned shard after the first -- like the scalar
+        :meth:`window_query`, a wave always queries one shard.  Once it
+        has passed, the rest of the plan is dropped and the answer is
+        the merge of the shards run.  ``on_shard(k)`` is called before
+        shard ``k`` runs (the engine's ``shard.query`` fault site).
+
+        Returns ``(pair, counts)``: the kernel core's ``(ids, ptr)`` or
+        ``(ids, dists)`` over the whole wave, and ``(total, probed,
+        dropped, completed)`` -- the index's shard count, the distinct
+        shards the plan selected, the planned shard queries the
+        deadline dropped, and the shard queries run (a nearest shard
+        counts once per round it is queried in).
+        """
+        payloads = np.asarray(payloads, dtype=float)
+        B, K = len(payloads), self.num_shards
+        ran = 0
+
+        def run(mask):
+            """Query each shard of ``mask`` in turn until the deadline."""
+            nonlocal ran
+            plan = [(k, np.flatnonzero(mask[k])) for k in range(K)
+                    if mask[k].any()]
+            out = []
+            for i, (k, sel) in enumerate(plan):
+                if ran and deadline_at is not None \
+                        and time.monotonic() >= deadline_at:
+                    return plan, out, len(plan) - i
+                if on_shard is not None:
+                    on_shard(k)
+                out.append((sel,) + self.query_shard_batch(
+                    k, kind, payloads[sel], exact, machine))
+                ran += 1
+            return plan, out, 0
+
+        if kind != "nearest":
+            mask = (self.plan_windows(payloads) if kind == "window"
+                    else self.plan_points(payloads))
+            plan, out, dropped = run(mask)
+            qid = [np.repeat(sel, np.diff(ptr)) for sel, _, ptr in out]
+            pair = pack_csr(_cat(qid), _cat([g for _, g, _ in out]), B,
+                            self.num_lines)
+            return pair, (K, len(plan), dropped, ran)
+        if K == 0:
+            raise ValueError("empty index has no nearest line")
+        lb = self.nearest_bounds(payloads)   # (K, B)
+        best_d = np.full(B, np.inf)
+        best_g = np.full(B, -1, dtype=np.int64)
+
+        def fold(out):
+            """Fold shard answers into the running best, ties to the
+            lower id."""
+            for sel, gids, dists in out:
+                cur_d, cur_g = best_d[sel], best_g[sel]
+                upd = (dists < cur_d) | ((dists == cur_d) & (gids < cur_g))
+                best_d[sel] = np.where(upd, dists, cur_d)
+                best_g[sel] = np.where(upd, gids, cur_g)
+
+        round1 = lb == 0.0
+        round1[np.argmin(lb, axis=0), np.arange(B)] = True
+        plan, out, dropped = run(round1)
+        fold(out)
+        probed = {k for k, _ in plan}
+        if not dropped:
+            plan, out, dropped = run((lb <= best_d[None, :]) & ~round1)
+            fold(out)
+            probed.update(k for k, _ in plan)
+        return (best_g, best_d), (K, len(probed), dropped, ran)
 
     # -- validation ------------------------------------------------------
 
@@ -395,7 +483,7 @@ def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
     coordinates outside the old power-of-two space), a majority of
     shards touched, or post-repair skew (largest shard exceeding
     ``skew_factor`` times the balanced size) that would erode the
-    fan-out's balance.
+    shards' balance.
 
     Returns ``(repaired ShardedIndex, stats dict)``.
     """

@@ -32,15 +32,21 @@ FULL = [0.0, 0.0, float(DOMAIN), float(DOMAIN)]
 
 
 class TestPartialResults:
-    def test_stalled_shard_yields_partial_not_exception(self):
+    @pytest.mark.parametrize("backend", [
+        "thread", pytest.param("process", marks=pytest.mark.slow)])
+    def test_stalled_shard_yields_partial_not_exception(self, backend):
         """Acceptance: a stalled shard under a deadline resolves every
-        probe with a PartialResult (shards_dropped >= 1), not an error."""
+        probe with a PartialResult (shards_dropped >= 1), not an error.
+        On the process backend the group's ``deadline_at`` crosses with
+        the job and the stall fires inside the worker."""
         plan = FaultPlan(specs=(
             FaultSpec(site="shard.query", kind="stall", delay=0.5,
                       match=(("shard", 0),)),))
         lines = segments(seed=1)
-        with SpatialQueryEngine(shards=4, workers=4, max_batch=8,
-                                fault_plan=plan) as eng:
+        with SpatialQueryEngine(shards=4, max_batch=8, fault_plan=plan,
+                                executor=backend,
+                                workers=4 if backend == "thread" else 2
+                                ) as eng:
             fp = eng.register(lines, domain=DOMAIN)
             eng.warm(fp)
             futs = [eng.submit_window(fp, FULL, deadline=0.08)
@@ -61,6 +67,32 @@ class TestPartialResults:
             assert snap["shards_dropped"] >= 1
             health = eng.health()
             assert health["partial_results"] >= len(results)
+
+    def test_deadline_before_dispatch_still_queries_one_planned_shard(self):
+        """A deadline already spent when the wave starts: the wave runs
+        its first planned shard and drops the rest of the plan, so
+        completed + dropped is the number of shards the MBR plan
+        selected -- not the index's shard count."""
+        plan = FaultPlan(specs=(
+            FaultSpec(site="shard.query", kind="stall", delay=0.2),))
+        lines = segments(seed=1)
+        idx = build_sharded(lines, DOMAIN, "pmr", shards=4)
+        mbrs = idx.shard_mbrs()
+        # a window spanning the gap between the first two shards' MBR
+        # centres overlaps exactly those two
+        lo = np.minimum(mbrs[0, :2] + mbrs[0, 2:], mbrs[1, :2] + mbrs[1, 2:])
+        hi = np.maximum(mbrs[0, :2] + mbrs[0, 2:], mbrs[1, :2] + mbrs[1, 2:])
+        rect = np.concatenate([lo, hi]) / 2.0
+        assert idx.plan_windows(rect).ravel().sum() == 2
+        with SpatialQueryEngine(shards=4, workers=1, max_batch=8,
+                                fault_plan=plan) as eng:
+            fp = eng.register(lines, domain=DOMAIN)
+            eng.warm(fp)
+            res = eng.window(fp, rect, deadline=1e-6)
+        assert isinstance(res, PartialResult)
+        assert res.shards_completed == 1
+        assert res.shards_dropped == 1
+        assert np.isin(res.value, brute_window_query(lines, rect)).all()
 
     def test_deadline_with_headroom_returns_exact_plain_result(self):
         """A generous deadline never changes the answer or its type."""
