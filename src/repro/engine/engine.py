@@ -103,9 +103,9 @@ def _reject(fut: Future, exc: BaseException) -> None:
 class MutationResult:
     """Outcome of one committed mutation batch (a future's value).
 
-    ``repair`` carries the shard-repair stats of the warm build when
-    the new version was repaired incrementally from its parent
-    (``None``: the index was built canonically).
+    ``repair`` carries the repair stats of the warm build when the new
+    version was repaired incrementally from its parent (``None``: the
+    index was built canonically).
     """
 
     root: str            # version-0 fingerprint: the stable client handle
@@ -1196,8 +1196,7 @@ class SpatialQueryEngine:
                 self._fail_probes(live, exc, mutation_failures=1)
                 return
             self.registry.activate_version(staged.fingerprint)
-            repaired = bool(entry.repair
-                            and not entry.repair.get("full_rebuild"))
+            repaired = entry.repair is not None
             self.stats.inc(mutation_batches=1, mutations_applied=len(live),
                            lines_deleted=int(del_ids.size),
                            lines_inserted=int(ins.shape[0]),

@@ -40,12 +40,15 @@ remembered for shard repair) followed by :meth:`activate_version` (the
 flip); :meth:`mutate`, the engine's commit and journal replay are all
 that pair.  Commits are **lazy**: no index is built at mutation time.
 The first read of new content either *repairs* the parent content's
-sharded index (:func:`repair_sharded`, rebuilding only the curve ranges
-the batch touched) when that tree is still in the memory tier, or pays
-one canonical build.  Everything held about one content -- rows,
-domain, pins, lineage -- is one record; it is collected from both
-tiers once no position inside the last ``versions_retained`` of *any*
-chain, no staged commit and no :meth:`pin` names it.
+index when that tree is still in the memory tier -- through
+:func:`~repro.structures.sharded.repair_index`, the one commit path: a
+sharded index re-derives only the curve ranges the batch touched, a
+plain PMR / PM1 tree warm-starts -- or pays one canonical build, the
+only full rebuild a commit ever gets.  Everything held about one
+content -- rows, domain, pins, lineage -- is one record; it is
+collected from both tiers once no position inside the last
+``versions_retained`` of *any* chain, no staged commit and no
+:meth:`pin` names it.
 """
 
 from __future__ import annotations
@@ -65,10 +68,8 @@ from ..resilience.faults import InjectedFault
 from ..shm import INDEX_PREFIX, attach_payload
 from ..store import store_key_id
 from ..structures.batch import FAMILY
-from ..structures.dynamic import apply_batch
 from ..structures.io import payload_to_tree
-from ..structures.quadblock import Quadtree
-from ..structures.sharded import ShardedIndex, build_index, repair_sharded
+from ..structures.sharded import build_index, repair_index
 
 __all__ = ["dataset_fingerprint", "IndexKey", "index_params", "BuiltIndex",
            "VersionInfo", "IndexRegistry"]
@@ -122,9 +123,9 @@ class BuiltIndex:
     """A cached immutable index plus its build accounting.
 
     ``repaired_from``/``repair`` record provenance when the tree came
-    from an incremental shard repair of the named parent version rather
-    than a canonical build (answers are identical either way -- the
-    differential invariant).
+    from an incremental repair of the named parent version; both stay
+    ``None`` for a canonical build (answers are identical either way --
+    the differential invariant).
     """
 
     key: IndexKey
@@ -624,17 +625,12 @@ class IndexRegistry:
         """Incremental build from the parent version's cached index.
 
         Applies only when this fingerprint is a committed mutation of a
-        parent whose *same-key* index is still in the memory tier.  A
-        sharded index re-derives only the curve ranges the mutation
-        touched (:func:`repair_sharded`); an unsharded PMR / PM1 tree
-        warm-starts from the parent's (:func:`apply_batch`).  Any miss
-        in that chain of conditions (no lineage, parent evicted, an
-        unsharded R-tree, a grown domain) returns ``None`` and the
-        caller pays the canonical build.
+        parent whose *same-key* index is still in the memory tier; the
+        repair itself is :func:`repair_index`'s.  ``None`` -- no
+        lineage, parent evicted, or a repair declined (counted in
+        ``repair_full_rebuilds``) -- and the caller pays the canonical
+        build.
         """
-        sharded = int(params.get("shards", 1)) > 1
-        if not sharded and key.structure == "rtree":
-            return None
         with self._lock:
             rec = self._datasets.get(key.fingerprint)
             if rec is None or rec.lineage is None:
@@ -642,40 +638,23 @@ class IndexRegistry:
             parent_fp, del_ids, n_inserted = rec.lineage
             parent = self._cache.get(
                 IndexKey.make(parent_fp, key.structure, **params))
-        if parent is None or not isinstance(
-                parent.tree, ShardedIndex if sharded else Quadtree):
-            return None
-        if not sharded and parent.tree.domain != float(dom):
+        if parent is None:
             return None
         machine = Machine()
         try:
             with use_machine(machine):
-                if sharded:
-                    tree, rstats = repair_sharded(
-                        parent.tree, lines, del_ids, n_inserted,
-                        shards=int(params["shards"]),
-                        capacity=int(params.get("capacity", 8)),
-                        min_fill=int(params.get("min_fill", 2)),
-                        max_depth=params.get("max_depth"),
-                        domain=float(dom))
-                else:
-                    keep = np.ones(parent.tree.lines.shape[0], dtype=bool)
-                    keep[del_ids] = False
-                    tree = apply_batch(parent.tree, key.structure, keep,
-                                       lines[lines.shape[0] - n_inserted:],
-                                       int(params.get("capacity", 8)))
-                    rstats = {"full_rebuild": False, "shards_reused": 0,
-                              "shards_rebuilt": 1, "deleted": int(del_ids.size),
-                              "inserted": int(n_inserted)}
+                out = repair_index(parent.tree, lines, del_ids, n_inserted,
+                                   dom, key.structure, **params)
         except Exception:
-            return None   # any surprise falls back to the canonical build
+            out = None   # any surprise falls back to the canonical build
         with self._lock:
-            self.repairs += 1
-            if rstats["full_rebuild"]:
+            if out is None:
                 self.repair_full_rebuilds += 1
-        return BuiltIndex(key, tree, machine.steps,
+                return None
+            self.repairs += 1
+        return BuiltIndex(key, out[0], machine.steps,
                           machine.total_primitives, int(lines.shape[0]),
-                          repaired_from=parent_fp, repair=rstats)
+                          repaired_from=parent_fp, repair=out[1])
 
     def _rehydrate_from_arena(self, key: IndexKey,
                               lines: np.ndarray) -> Optional[BuiltIndex]:

@@ -99,7 +99,7 @@ COUNTERS = (
     Counter("mutations_applied"),  # insert/delete probes committed
     Counter("lines_inserted"),
     Counter("lines_deleted"),
-    Counter("repaired_builds"),    # warm builds served by shard repair
+    Counter("repaired_builds"),    # warm builds an incremental repair served
     # -- durability (the MutationJournal observer, recover()) --------------
     Counter("wal_appends", WAL, "wal_append"),   # records durably journaled
     Counter("wal_append_failures", WAL),   # commits aborted at the append

@@ -22,8 +22,8 @@ from .pr_quadtree import PRQuadtree, build_pr_quadtree
 from .quadblock import CHILD_NAMES, NodeTable, Quadtree, child_box, child_boxes
 from .region import RegionQuadtree, build_region_quadtree
 from .rtree import RTree, build_rtree
-from .sharded import (Shard, ShardedIndex, build_sharded, repair_sharded,
-                      shard_keys, sharded_join)
+from .sharded import (Shard, ShardedIndex, build_sharded, repair_index,
+                      repair_sharded, shard_keys, sharded_join)
 
 __all__ = [
     "Quadtree",
@@ -73,6 +73,7 @@ __all__ = [
     "Shard",
     "ShardedIndex",
     "build_sharded",
+    "repair_index",
     "repair_sharded",
     "shard_keys",
     "sharded_join",

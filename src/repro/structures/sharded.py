@@ -13,9 +13,9 @@ Query semantics (the invariants the differential harness checks):
 
 * every segment belongs to **exactly one** shard -- segments are
   assigned whole by their midpoint's curve position, never clipped --
-  so fan-out/merge cannot manufacture cross-shard duplicates; merged
-  id sets are still passed through ``np.unique`` because a single
-  shard's quadtree may hold several q-edges of one segment;
+  so the merge cannot manufacture cross-shard duplicates; a shard's
+  own answers are still deduplicated because its quadtree may hold
+  several q-edges of one segment;
 * within a shard, segments are reordered by **ascending global id**,
   so the per-shard nearest tie-break (lowest local id) coincides with
   the global tie-break (lowest global id) and the merged nearest
@@ -25,9 +25,9 @@ Query semantics (the invariants the differential harness checks):
   unsharded tree's, so the leaf-content ("candidate") semantics of
   :meth:`Quadtree.point_query` are not decomposition-independent --
   the exact refinement is, and matches ``brute_point_query``;
-* ``nearest`` prunes shards whose MBR lower bound exceeds the best
-  distance found so far (scalar path) or the min-max corner bound over
-  all shards (batch planning path);
+* ``nearest`` runs two rounds: the shards whose MBR contains the
+  probe plus its nearest-MBR shard, then only the shards whose MBR
+  lower bound reaches the round-one distance;
 * ``K = 1`` degenerates to the unsharded tree wrapped in one shard.
 
 The engine answers a wave of probes on a sharded index with
@@ -36,8 +36,10 @@ groups of one wave, not K jobs.  It plans the wave by MBR culling, runs
 :meth:`ShardedIndex.query_shard_batch` -- the structure table's kernel
 (:func:`~repro.structures.batch.batch_core`) on one shard, ids lifted
 to global ones -- per planned shard, and packs the wave's answer with
-one :func:`~repro.structures.csr.pack_csr`.  :func:`build_index` is the
-one builder of a servable index, plain or sharded.
+one :func:`~repro.structures.csr.pack_csr`; the scalar queries are
+one-probe waves.  :func:`build_index` is the one builder of a servable
+index, plain or sharded, and :func:`repair_index` the one commit path
+from a parent's index to its child's.
 """
 
 from __future__ import annotations
@@ -58,13 +60,13 @@ from .bucket_pmr import build_bucket_pmr
 from .csr import pack_csr
 from .dynamic import apply_batch
 from .join import quadtree_join, rtree_join
-from .nearest import quadtree_nearest, rtree_nearest
 from .pm1 import build_pm1
 from .quadblock import Quadtree
 from .rtree import RTree, build_rtree
 
 __all__ = ["Shard", "ShardedIndex", "build_index", "build_sharded",
-           "repair_sharded", "shard_keys", "sharded_join", "ORDERINGS"]
+           "repair_index", "repair_sharded", "shard_keys", "sharded_join",
+           "ORDERINGS"]
 
 ORDERINGS = ("morton", "hilbert")
 
@@ -142,86 +144,45 @@ class ShardedIndex:
                                            self.ordering).max())
         return np.array([s.max_key for s in self.shards])
 
-    # -- scalar queries --------------------------------------------------
+    # -- scalar queries: one-probe waves ---------------------------------
 
     def window_query(self, rect, exact: bool = True,
                      deadline: Optional[float] = None) -> np.ndarray:
         """Global ids of lines intersecting the closed rectangle.
 
-        Fans out to shards whose MBR overlaps the window and merges the
-        per-shard hits.  With ``exact`` the answer is set-identical to
-        the unsharded tree and to brute force; without it each shard
-        contributes its own candidate set (decomposition-dependent).
+        A one-probe :meth:`query_wave`.  With ``exact`` the answer is
+        set-identical to the unsharded tree and to brute force; without
+        it each shard contributes its own candidate set
+        (decomposition-dependent).
 
         With a ``deadline`` (relative seconds) the query degrades
-        gracefully: when the budget runs out with overlapping shards
-        still unqueried, the merge of the shards visited so far comes
-        back wrapped in a :class:`~repro.resilience.PartialResult`
-        (``shards_dropped`` counts the rest) instead of raising.  The
-        engine's batched waves (:meth:`query_wave`) follow the same
-        rule.
+        gracefully by the wave's rule: when the budget runs out with
+        planned shards still unqueried, the merge of the shards visited
+        so far comes back wrapped in a
+        :class:`~repro.resilience.PartialResult` (``shards_dropped``
+        counts the rest) instead of raising.
         """
-        rect = validate_rects(np.asarray(rect, dtype=float).reshape(1, 4))[0]
-        expires = (time.monotonic() + deadline
-                   if deadline is not None else None)
-        hit = [s for s in self.shards
-               if overlaps(s.mbr[None, :], rect[None, :])[0]]
-        parts: List[np.ndarray] = []
-        completed = 0
-        for i, s in enumerate(hit):
-            if expires is not None and time.monotonic() >= expires and i:
-                # budget spent: merge what we have, report the rest
-                return PartialResult(
-                    self._merge_parts(parts),
-                    shards_dropped=len(hit) - completed,
-                    shards_completed=completed)
-            local = s.tree.window_query(rect, exact=exact)
-            if local.size:
-                parts.append(s.ids[local])
-            completed += 1
-        value = self._merge_parts(parts)
-        if expires is not None and completed < len(hit):  # pragma: no cover
-            return PartialResult(value, shards_dropped=len(hit) - completed,
-                                 shards_completed=completed)
-        return value
-
-    @staticmethod
-    def _merge_parts(parts: List[np.ndarray]) -> np.ndarray:
-        if not parts:
-            return np.zeros(0, dtype=np.int64)
-        return np.unique(np.concatenate(parts))
+        rect = validate_rects(np.asarray(rect, dtype=float).reshape(1, 4))
+        deadline_at = (time.monotonic() + deadline
+                       if deadline is not None else None)
+        (ids, _), (_, _, dropped, ran) = self.query_wave(
+            "window", rect, exact, deadline_at=deadline_at)
+        if dropped:
+            return PartialResult(ids, shards_dropped=dropped,
+                                 shards_completed=ran)
+        return ids
 
     def point_query(self, px: float, py: float) -> np.ndarray:
         """Global ids of lines passing through the point (always exact)."""
-        return self.window_query([px, py, px, py], exact=True)
+        (ids, _), _ = self.query_wave("point",
+                                      np.array([[px, py]], dtype=float))
+        return ids
 
     def nearest(self, px: float, py: float) -> Tuple[int, float]:
-        """Closest line to the point; ties broken by lowest global id.
-
-        Shards are visited in order of increasing MBR lower bound and a
-        shard is skipped once its lower bound exceeds the best distance
-        found so far -- the cross-shard analogue of the branch-and-bound
-        pruning inside each tree.
-        """
-        if not self.shards:
-            raise ValueError("empty index has no nearest line")
-        mbrs = self.shard_mbrs()
-        pts = np.tile(np.array([[px, py]], dtype=float), (self.num_shards, 1))
-        lb = points_rects_distance(pts, mbrs)
-        scalar_nearest = (quadtree_nearest if self.family == "quadtree"
-                          else rtree_nearest)
-        best_d = np.inf
-        best_id = -1
-        for k in np.argsort(lb, kind="stable"):
-            if lb[k] > best_d:
-                break
-            s = self.shards[int(k)]
-            local, d = scalar_nearest(s.tree, px, py)
-            gid = int(s.ids[local])
-            if d < best_d or (d == best_d and gid < best_id):
-                best_d = float(d)
-                best_id = gid
-        return best_id, best_d
+        """Closest line to the point; ties broken by lowest global id."""
+        (gid, d), _ = self.query_wave("nearest",
+                                      np.array([[px, py]], dtype=float))
+        return int(gid[0]), float(d[0])
 
     def join(self, other) -> np.ndarray:
         """Spatial join against another (sharded or plain) index."""
@@ -449,13 +410,56 @@ def build_index(lines: np.ndarray, domain: float, structure: str,
                        max_depth)
 
 
+def repair_index(parent, new_lines: np.ndarray, delete_ids,
+                 n_inserted: int, domain: float, structure: str,
+                 **params):
+    """Turn a cached parent index into its child's after one commit.
+
+    The one commit path beside :func:`build_index`, the one builder:
+    ``parent`` is what ``build_index(..., structure, **params)`` built
+    for the parent content, and ``new_lines`` is the child's rows in the
+    registry's delete-then-insert layout (see :func:`repair_sharded`).
+    A sharded parent repairs its touched shards (:func:`repair_sharded`);
+    a plain PMR / PM1 tree warm-starts from the parent's
+    (:func:`~repro.structures.dynamic.apply_batch`, array-equal to a
+    fresh build).  ``None`` means "build canonically": a plain R-tree
+    (§5.3 has no local block to re-split), a grown domain, and every
+    decline of :func:`repair_sharded`.
+
+    Returns ``(index, stats)`` or ``None``; ``stats`` counts
+    ``shards_reused`` / ``shards_rebuilt`` and the batch's ``deleted``
+    / ``inserted`` rows.
+    """
+    capacity = int(params.get("capacity", 8))
+    if isinstance(parent, ShardedIndex):
+        return repair_sharded(parent, new_lines, delete_ids, n_inserted,
+                              capacity=capacity,
+                              min_fill=int(params.get("min_fill", 2)),
+                              max_depth=params.get("max_depth"),
+                              domain=domain)
+    if structure == "rtree" or parent.domain != float(domain):
+        return None
+    del_ids = np.unique(np.asarray(delete_ids, dtype=np.int64).reshape(-1))
+    keep = np.ones(parent.lines.shape[0], dtype=bool)
+    keep[del_ids] = False
+    new_lines = np.asarray(new_lines, dtype=np.float64).reshape(-1, 4)
+    tree = apply_batch(parent, structure, keep,
+                       new_lines[new_lines.shape[0] - int(n_inserted):],
+                       capacity)
+    return tree, {"shards_reused": 0, "shards_rebuilt": 1,
+                  "deleted": int(del_ids.size), "inserted": int(n_inserted)}
+
+
+#: a repair whose largest shard outgrows this many balanced shares
+#: declines, so the canonical build re-cuts the curve
+SKEW_BOUND = 4.0
+
+
 def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
                    delete_ids, n_inserted: int,
-                   shards: Optional[int] = None,
                    capacity: int = 8, min_fill: int = 2,
-                   max_depth=None, domain: Optional[float] = None,
-                   skew_factor: float = 4.0
-                   ) -> Tuple[ShardedIndex, dict]:
+                   max_depth=None, domain: Optional[float] = None
+                   ) -> Optional[Tuple[ShardedIndex, dict]]:
     """Incrementally rebuild a sharded index after a mutation batch.
 
     ``new_lines`` must be the post-mutation segment array laid out as
@@ -468,24 +472,21 @@ def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
     curve range) are *reused*: the per-shard tree is shared with the
     old index and only the global-id array is remapped (the survivor
     remap is monotone, so ids stay ascending and the nearest tie-break
-    invariant holds).  Shards with deletions, plus the shards whose
-    curve range receives an inserted segment, are re-derived from their
-    surviving and incoming segments: a quadtree shard warm-starts from
-    its old tree (:func:`~repro.structures.dynamic.apply_batch`, array-
-    equal to a fresh build), an R-tree shard is rebuilt.  Answers are
+    invariant holds).  Every touched shard -- however many the batch
+    touches -- is re-derived from its surviving and incoming segments:
+    a quadtree shard warm-starts from its old tree
+    (:func:`~repro.structures.dynamic.apply_batch`, array-equal to a
+    fresh build), an R-tree shard is rebuilt alone.  Answers are
     decomposition-independent (the differential invariant), so a
     repaired index answers bit-identically to ``build_sharded`` on
     ``new_lines`` even though its cut points may differ.
 
-    Falls back to one full :func:`build_sharded` -- returned with
-    ``stats["full_rebuild"] = True`` -- when the repair cannot stay
+    Returns ``(repaired ShardedIndex, stats dict)``, or ``None`` -- the
+    caller builds canonically -- when the repair cannot stay
     incremental: an empty old or new index, a domain change (inserted
-    coordinates outside the old power-of-two space), a majority of
-    shards touched, or post-repair skew (largest shard exceeding
-    ``skew_factor`` times the balanced size) that would erode the
-    shards' balance.
-
-    Returns ``(repaired ShardedIndex, stats dict)``.
+    coordinates outside the old power-of-two space), or post-repair
+    skew (largest shard exceeding :data:`SKEW_BOUND` times the balanced
+    size).
     """
     new_lines = np.asarray(new_lines, dtype=np.float64).reshape(-1, 4)
     n_old = index.num_lines
@@ -498,21 +499,12 @@ def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
         raise ValueError(
             f"new_lines has {n_new} rows; expected "
             f"{n_old} - {del_ids.size} deleted + {n_inserted} inserted")
-    K = int(shards) if shards is not None else max(index.num_shards, 1)
+    K = index.num_shards
     dom = float(domain) if domain is not None else index.domain
-    stats = {"full_rebuild": False, "shards_reused": 0, "shards_rebuilt": 0,
+    if K == 0 or n_new == 0 or dom != index.domain:
+        return None
+    stats = {"shards_reused": 0, "shards_rebuilt": 0,
              "deleted": int(del_ids.size), "inserted": n_inserted}
-
-    def full() -> Tuple[ShardedIndex, dict]:
-        stats.update(full_rebuild=True, shards_reused=0, shards_rebuilt=0)
-        rebuilt = build_sharded(new_lines, dom, structure=index.structure,
-                                shards=K, ordering=index.ordering,
-                                capacity=capacity, min_fill=min_fill,
-                                max_depth=max_depth)
-        return rebuilt, stats
-
-    if index.num_shards == 0 or n_new == 0 or dom != index.domain:
-        return full()
 
     # monotone survivor remap: old global id -> new global id (-1: deleted)
     keep = np.ones(n_old, dtype=bool)
@@ -523,32 +515,26 @@ def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
     # route each inserted segment to the shard whose curve range holds
     # its key; shard ranges are contiguous and ascending along the
     # curve, so the per-shard max key is a sorted routing table
-    routed: List[List[int]] = [[] for _ in range(index.num_shards)]
+    routed: List[List[int]] = [[] for _ in range(K)]
     ins_keys = target = np.zeros(0, dtype=np.int64)
     if n_inserted:
         max_keys = index.shard_max_keys()
         ins_keys = shard_keys(new_lines[n_new - n_inserted:], dom,
                               index.ordering)
         target = np.minimum(np.searchsorted(max_keys, ins_keys, side="left"),
-                            index.num_shards - 1)
+                            K - 1)
         for j, k in enumerate(target):
             routed[int(k)].append(n_new - n_inserted + j)
 
-    touched = [bool(np.any(~keep[s.ids])) or bool(routed[k])
-               for k, s in enumerate(index.shards)]
-    if sum(touched) > max(index.num_shards // 2, 1) \
-            and index.num_shards > 1:
-        return full()
-
     built: List[Shard] = []
     for k, s in enumerate(index.shards):
-        if not touched[k]:
+        kept = keep[s.ids]
+        if kept.all() and not routed[k]:
             built.append(Shard(ids=remap[s.ids], mbr=s.mbr, tree=s.tree,
                                max_key=s.max_key))
             stats["shards_reused"] += 1
             continue
         # survivors keep their order and precede every inserted row
-        kept = keep[s.ids]
         incoming = np.asarray(routed[k], dtype=np.int64)
         ids = np.concatenate([remap[s.ids][kept], incoming])
         if ids.size == 0:
@@ -564,11 +550,9 @@ def repair_sharded(index: ShardedIndex, new_lines: np.ndarray,
                            max_key=_repaired_max_key(
                                index, s, ~kept, ins_keys[target == k], segs)))
         stats["shards_rebuilt"] += 1
-    if not built:
-        return full()
-    balanced = max(-(-n_new // K), 1)
-    if n_new > K and max(s.ids.size for s in built) > skew_factor * balanced:
-        return full()
+    if n_new > K and max(s.ids.size for s in built) \
+            > SKEW_BOUND * -(-n_new // K):
+        return None
     return (ShardedIndex(lines=new_lines, domain=dom,
                          structure=index.structure, ordering=index.ordering,
                          shards=built), stats)

@@ -15,13 +15,15 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.baselines.brute import brute_window_query
 from repro.engine import (CircuitOpenError, EngineConfig, EngineError,
                           IndexRef, JobSpec, NeedDataset, SpatialQueryEngine,
                           WorkerCrashError)
 from repro.geometry import random_segments
 from repro.resilience import FaultInjector, FaultPlan, FaultSpec
 from repro.store import IndexStore
-from repro.structures import brute_join, brute_nearest, build_bucket_pmr
+from repro.structures import (brute_join, brute_nearest, build_bucket_pmr,
+                              sharded)
 
 DOMAIN = 512
 
@@ -184,6 +186,39 @@ def test_warm_start_from_store_and_spill_once(tmp_path):
         assert ex["datasets_shipped"] == 0
         assert ex["worker_cold_builds"] == 0
     assert len(IndexStore(tmp_path).entries()) == 1
+
+
+@pytest.mark.slow
+def test_declined_sharded_commit_builds_once(monkeypatch):
+    """An insert that grows the domain declines the shard repair.  With
+    no worker-visible tier (arena off, no store) the commit still pays
+    exactly one canonical build, served untagged, and its workers
+    answer it like the brute oracle."""
+    lines = np.unique(random_segments(160, DOMAIN, 64, seed=15), axis=0)
+    row = np.array([[10.0, 10.0, 900.0, 40.0]])
+    new_lines = np.vstack([lines, row])
+    rects = windows(8, 16)
+    with make_engine("process", shards=4, shm_budget_bytes=0) as eng:
+        fp = eng.register(lines, domain=DOMAIN)
+        eng.warm(fp)
+        builds = []
+        real = sharded.build_sharded
+        monkeypatch.setattr(sharded, "build_sharded",
+                            lambda *a, **k: builds.append(1) or real(*a, **k))
+        fut = eng.submit_insert(fp, row)
+        eng.flush()
+        result = fut.result(120)
+        assert len(builds) == 1 and result.repair is None
+        entry = eng.registry.peek(eng._index_key(result.fingerprint, None))
+        assert entry.repaired_from is None
+        snap = eng.snapshot()
+        assert snap["cache"]["repair_full_rebuilds"] == 1
+        assert snap["cache"]["repairs"] == 0 and snap["repaired_builds"] == 0
+        futs = [eng.submit_window(fp, r) for r in rects]
+        eng.flush()
+        for f, r in zip(futs, rects):
+            assert np.array_equal(f.result(120),
+                                  brute_window_query(new_lines, r))
 
 
 @pytest.mark.slow

@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro.baselines.brute import brute_point_query, brute_window_query
+from repro.engine import IndexRegistry
 from repro.geometry import random_segments
+from repro.machine import Machine, use_machine
 from repro.structures import (
     ShardedIndex,
     brute_join,
@@ -19,12 +21,18 @@ from repro.structures import (
     build_rtree,
     build_sharded,
     load_structure,
+    payload_checksum,
+    repair_index,
     repair_sharded,
     save_structure,
     shard_keys,
     sharded_join,
 )
 from repro.structures.batch import _views
+from repro.structures.io import structure_payload
+from repro.structures.sharded import build_index
+
+from .test_warm_start_identity import _clean
 
 DOMAIN = 512
 
@@ -118,8 +126,10 @@ class TestShardMaxKeys:
         victim = idx.shards[1].ids[:3]
         new_rows = idx.lines[idx.shards[1].ids[3:6]] + 1.0      # lands in or near shard 1
         new_lines = np.vstack([np.delete(idx.lines, victim, axis=0), new_rows])
-        repaired, stats = repair_sharded(idx, new_lines, victim, new_rows.shape[0])
-        assert not stats["full_rebuild"] and stats["shards_reused"] >= 2
+        out = repair_sharded(idx, new_lines, victim, new_rows.shape[0])
+        assert out is not None                       # did not decline
+        repaired, stats = out
+        assert stats["shards_reused"] >= 2
         assert None not in [s.max_key for s in repaired.shards]
         for old, new in zip(idx.shards, repaired.shards):
             if new.tree is old.tree:
@@ -140,8 +150,9 @@ class TestShardMaxKeys:
                                           top if step % 2 else []).astype(np.int64))
             new_rows = np.clip(idx.lines[rng.choice(shard.ids, 2)] + 0.25, 0, DOMAIN)
             new_lines = np.vstack([np.delete(idx.lines, victims, axis=0), new_rows])
-            idx, stats = repair_sharded(idx, new_lines, victims, 2)
-            assert not stats["full_rebuild"]
+            out = repair_sharded(idx, new_lines, victims, 2)
+            assert out is not None                   # did not decline
+            idx, stats = out
             carried = [s.max_key for s in idx.shards]
             assert carried == self.recomputed(idx), (step, stats)
 
@@ -151,6 +162,98 @@ class TestShardMaxKeys:
         loaded = load_structure(tmp_path / "idx.npz")
         assert [s.max_key for s in loaded.shards] == [None] * 3     # not in the layout
         assert loaded.shard_max_keys().tolist() == idx.shard_max_keys().tolist()
+
+
+class TestRepairIndex:
+    """``repair_index`` is the one commit path: every touched shard
+    warm-starts however many a batch touches, and a decline (``None``)
+    leaves the canonical build to the registry."""
+
+    K = 4
+
+    def scattered(self, structure, ordering, rows=8):
+        """A K-shard map and ``rows`` new segments spread over its shards."""
+        lines = _clean(lines_of(30, 600))
+        params = dict(capacity=8, shards=self.K, ordering=ordering)
+        idx = build_index(lines, DOMAIN, structure, **params)
+        pool = _clean(np.vstack([lines, lines_of(31, 400)]))[lines.shape[0]:]
+        target = np.minimum(np.searchsorted(
+            idx.shard_max_keys(), shard_keys(pool, DOMAIN, ordering)),
+            idx.num_shards - 1)
+        picks = [np.flatnonzero(target == k)[:rows // self.K]
+                 for k in range(self.K)]
+        new_rows = pool[np.sort(np.concatenate(picks))]
+        assert new_rows.shape[0] == rows
+        return idx, lines, new_rows, params
+
+    @pytest.mark.parametrize("ordering", ["morton", "hilbert"])
+    @pytest.mark.parametrize("structure", ["pmr", "pm1"])
+    def test_scattered_commit_warm_starts_every_touched_shard(
+            self, structure, ordering):
+        idx, lines, new_rows, params = self.scattered(structure, ordering)
+        new_lines = np.vstack([lines, new_rows])
+        m4 = Machine()
+        with use_machine(m4):
+            out = repair_index(idx, new_lines, [], new_rows.shape[0],
+                               DOMAIN, structure, **params)
+        assert out is not None                        # did not decline
+        repaired, stats = out
+        repaired.check()
+        assert stats["shards_rebuilt"] >= 3
+        fresh = build_sharded(new_lines, DOMAIN, structure, shards=self.K,
+                              ordering=ordering)
+        rng = np.random.default_rng(32)
+        lo = rng.uniform(0, DOMAIN * 0.8, (10, 2))
+        rects = np.hstack([lo, np.minimum(lo + rng.uniform(8, 160, (10, 2)),
+                                          DOMAIN)])
+        for rect in rects:
+            want = brute_window_query(new_lines, rect)
+            assert np.array_equal(repaired.window_query(rect), want)
+            assert np.array_equal(fresh.window_query(rect), want)
+        mids = 0.5 * (new_rows[:, 0:2] + new_rows[:, 2:4])
+        for px, py in np.vstack([mids, rng.uniform(0, DOMAIN, (8, 2))]):
+            want = brute_point_query(new_lines, px, py)
+            assert np.array_equal(repaired.point_query(px, py), want)
+            assert np.array_equal(fresh.point_query(px, py), want)
+            gid, d = repaired.nearest(px, py)
+            assert (gid, d) == fresh.nearest(px, py)
+            bid, bd = brute_nearest(new_lines, px, py)
+            assert gid == bid and d == pytest.approx(bd)
+        # every touched shard pays one warm start at most as deep as the
+        # unsharded tree's: K of them bound the scattered repair
+        plain = build_index(lines, DOMAIN, structure, capacity=8)
+        m1 = Machine()
+        with use_machine(m1):
+            assert repair_index(plain, new_lines, [], new_rows.shape[0],
+                                DOMAIN, structure, capacity=8) is not None
+        assert m4.steps <= self.K * m1.steps
+
+    @pytest.mark.parametrize("case", ["grown_domain", "emptied", "plain_rtree"])
+    def test_decline_leaves_the_canonical_build(self, case):
+        structure, params = "pmr", dict(capacity=8, shards=self.K,
+                                        ordering="morton")
+        batch = {"insert": [[10.0, 10.0, 900.0, 40.0]]}
+        if case == "emptied":
+            batch = {"delete_ids": np.arange(120)}
+        elif case == "plain_rtree":
+            structure, params = "rtree", dict(capacity=8, min_fill=2)
+            batch = {"delete_ids": [0, 7]}
+        reg = IndexRegistry(capacity=8)
+        fp = reg.register(lines_of(33, 120), domain=DOMAIN)
+        parent = reg.get(fp, structure, **params).tree
+        info = reg.mutate(fp, **batch)
+        lines = reg.dataset(info.fingerprint)
+        dom = reg.domain(info.fingerprint)
+        assert dom == (2 * DOMAIN if case == "grown_domain" else DOMAIN)
+        assert repair_index(parent, lines, batch.get("delete_ids", []),
+                            len(batch.get("insert", [])), dom, structure,
+                            **params) is None
+        entry = reg.get(info.fingerprint, structure, **params)
+        assert entry.repaired_from is None and entry.repair is None
+        assert (reg.repairs, reg.repair_full_rebuilds) == (0, 1)
+        canonical = build_index(lines, dom, structure, **params)
+        assert payload_checksum(structure_payload(entry.tree)) \
+            == payload_checksum(structure_payload(canonical))
 
 
 class TestScalarQueries:

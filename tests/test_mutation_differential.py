@@ -14,8 +14,9 @@ Two layers are driven:
   evolves a :class:`ShardedIndex` generation by generation; each
   generation is checked (``idx.check()``) and probed against a fresh
   :func:`build_sharded` of the shadow array and against brute force.
-  This pins the survivor remap, the insert routing, and every
-  full-rebuild fallback.
+  A declined repair (``None``) is replaced by the fresh build, as the
+  registry does.  This pins the survivor remap, the insert routing,
+  and every touched shard's warm start.
 * **engine level** -- seeded interleavings of ``insert_lines`` /
   ``delete_lines`` with window/point/nearest/join probes through
   :class:`SpatialQueryEngine`, on both executor backends.  A shadow
@@ -102,17 +103,20 @@ def run_repair_differential(family, structure, shards, ordering, seed,
     idx = build_sharded(shadow, DOMAIN, structure, shards=shards,
                         ordering=ordering)
     rng = np.random.default_rng(seed + 500)
-    repaired = rebuilt = 0
+    repaired = declined = 0
     for gen in range(generations):
         ins, dels = mutation_batch(rng, family, shadow.shape[0])
         shadow = apply_shadow(shadow, ins, dels)
-        idx, stats = repair_sharded(idx, shadow, dels, ins.shape[0],
-                                    shards=shards)
-        repaired += stats["shards_reused"]
-        rebuilt += int(stats["full_rebuild"])
-        idx.check()
         fresh = build_sharded(shadow, DOMAIN, structure, shards=shards,
                               ordering=ordering)
+        out = repair_sharded(idx, shadow, dels, ins.shape[0])
+        if out is None:          # declined: the caller builds canonically
+            declined += 1
+            idx = fresh
+        else:
+            idx, stats = out
+            repaired += stats["shards_reused"]
+        idx.check()
         ctx = (family, structure, shards, ordering, seed, gen)
         for rect in probe_windows(rng, probes):
             want = brute_window_query(shadow, rect)
@@ -137,7 +141,8 @@ def run_repair_differential(family, structure, shards, ordering, seed,
                                   brute_join(shadow, shadow)), ctx + ("join",)
     # the sweep must exercise the incremental path, not only fallbacks
     if shards > 1:
-        assert repaired > 0, (family, structure, shards, ordering, seed)
+        assert repaired > 0, (family, structure, shards, ordering, seed,
+                              declined)
 
 
 @pytest.mark.parametrize("ordering", ORDERINGS)
