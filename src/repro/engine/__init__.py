@@ -14,8 +14,8 @@ from ..resilience import (CircuitBreaker, CircuitOpenError, FaultInjector,
                           RetryPolicy)
 from .coalescer import Coalescer, Probe
 from .engine import EngineConfig, SpatialQueryEngine
-from .executor import (BoundedExecutor, ExecutorBackend, JobTimeoutError,
-                       ProcessBackend, RejectedError, WorkerCrashError)
+from .executor import (BoundedExecutor, ExecutorBackend, ProcessBackend,
+                       RejectedError, WorkerCrashError)
 from .registry import BuiltIndex, IndexKey, IndexRegistry, dataset_fingerprint
 from .stats import EngineStats, LatencyReservoir
 from .worker import IndexRef, JobSpec, NeedDataset, WorkerResult
@@ -39,7 +39,6 @@ __all__ = [
     "EngineError",
     "RejectedError",
     "WorkerCrashError",
-    "JobTimeoutError",
     "InjectedWorkerCrash",
     "CircuitBreaker",
     "CircuitOpenError",

@@ -129,8 +129,6 @@ class EngineConfig:
     executor: str = "thread"      # "thread" (GIL-shared) | "process" (multi-core)
     workers: int = 4              # executor threads / worker processes
     queue_depth: int = 64         # bounded executor queue
-    mp_start: Optional[str] = None    # process start method (None: auto)
-    job_timeout: Optional[float] = None  # per-job wall cap, process backend
     #: shared-memory arena byte budget for the process backend.
     #: ``None`` (default): arena enabled, unbounded; ``0``: arena
     #: disabled (every dataset ships over the pipe); ``> 0``: publishes
@@ -160,11 +158,6 @@ class EngineConfig:
         if self.executor not in EXECUTORS:
             raise ValueError(f"unknown executor {self.executor!r}; "
                              f"choose from {EXECUTORS}")
-        if self.mp_start is not None \
-                and self.mp_start not in ("fork", "forkserver", "spawn"):
-            raise ValueError(f"unknown mp_start {self.mp_start!r}")
-        if self.job_timeout is not None and self.job_timeout <= 0:
-            raise ValueError("job_timeout must be > 0")
         if self.shm_budget_bytes is not None and self.shm_budget_bytes < 0:
             raise ValueError("shm_budget_bytes must be >= 0")
         if self.shards < 1:
@@ -260,8 +253,7 @@ class SpatialQueryEngine:
                 dataset_provider=self.registry.dataset_snapshot,
                 handle_provider=(self._job_handles
                                  if self._arena is not None else None),
-                on_event=self._on_executor_event, retry=self._retry,
-                mp_start=config.mp_start, job_timeout=config.job_timeout)
+                on_event=self._on_executor_event, retry=self._retry)
         else:
             self._executor = BoundedExecutor(workers=config.workers,
                                              queue_depth=config.queue_depth,
@@ -918,8 +910,7 @@ class SpatialQueryEngine:
                     exact=exact,
                     deadline_at=min((p.deadline_at for p in probes
                                      if p.deadline_at is not None),
-                                    default=None),
-                    version=self.registry.version_of(index_key.fingerprint)),
+                                    default=None)),
             probes)
 
     def _index_ref(self, key: IndexKey) -> IndexRef:
@@ -971,18 +962,15 @@ class SpatialQueryEngine:
             lines, domain = self.registry.dataset_snapshot(ref.fingerprint)
         except KeyError:
             return None
-        return arena.publish_array(
-            tag, lines, meta={"fingerprint": ref.fingerprint,
-                              "domain": str(int(domain))})
+        return arena.publish_payload(
+            tag, {"lines": lines}, meta={"fingerprint": ref.fingerprint,
+                                         "domain": str(int(domain))})
 
     def _publish_index(self, key: IndexKey, tree) -> None:
-        """Publish one built index payload into the arena, best effort.
-
-        Prefers mapping the store's ``.npz`` entries straight into the
-        block (:meth:`~repro.store.IndexStore.payload_arrays` -- the
-        disk warm path feeds the shared pages directly); falls back to
-        flattening the in-memory ``tree``.  Idempotent per store key,
-        silent on budget refusal.
+        """Publish the payload of the ``tree`` in hand into the arena,
+        best effort (:func:`~repro.structures.io.structure_payload`:
+        the entries its store archive holds, without reading the archive
+        back).  Idempotent per store key, silent on budget refusal.
         """
         arena = self._arena
         if arena is None:
@@ -990,11 +978,7 @@ class SpatialQueryEngine:
         tag = INDEX_PREFIX + store_key_id(key)
         if arena.handle(tag) is not None:
             return
-        arrays = (self.store.payload_arrays(key)
-                  if self.store is not None else None)
-        if arrays is None:
-            arrays = structure_payload(tree, dict(key.params))
-        arena.publish_payload(tag, arrays,
+        arena.publish_payload(tag, structure_payload(tree, dict(key.params)),
                               meta={"fingerprint": key.fingerprint})
 
     def _worker_visible(self, key: IndexKey) -> bool:

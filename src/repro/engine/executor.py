@@ -51,10 +51,7 @@ On top of the raw pool it adds what serving needs:
   ``os._exit``\\ s), while ``latency``/``stall`` specs ship to the
   workers, which also arrive at ``shard.query`` once per shard a
   sharded wave runs (the only site a worker evaluates besides
-  ``executor.job``; there, too, only ``latency``/``stall``);
-* **timeouts** -- an optional per-job wall-clock cap fails the future
-  with :class:`JobTimeoutError` (the worker process is left to finish
-  and its late result is dropped).
+  ``executor.job``; there, too, only ``latency``/``stall``).
 
 Every thread-backend job runs under a **fresh scan-model**
 :class:`Machine` installed with :func:`use_machine`; process workers do
@@ -79,8 +76,8 @@ from ..machine import Machine, use_machine
 from ..resilience import InjectedFault, InjectedWorkerCrash
 from .worker import JobSpec, NeedDataset, _init_worker, run_job
 
-__all__ = ["RejectedError", "WorkerCrashError", "JobTimeoutError",
-           "ExecutorBackend", "BoundedExecutor", "ProcessBackend"]
+__all__ = ["RejectedError", "WorkerCrashError", "ExecutorBackend",
+           "BoundedExecutor", "ProcessBackend"]
 
 #: fault kinds the process backend evaluates parent-side at submit
 PARENT_FAULT_KINDS = ("error", "crash", "corrupt")
@@ -107,14 +104,8 @@ class WorkerCrashError(EngineError):
     reason = "worker_crash"
 
 
-class JobTimeoutError(EngineError):
-    """A process-backend job that blew its per-job wall-clock cap."""
-
-    reason = "job_timeout"
-
-
 def _set_result(fut: Future, value) -> None:
-    """Resolve, tolerating a future already cancelled/timed out."""
+    """Resolve, tolerating a future already cancelled."""
     try:
         fut.set_result(value)
     except InvalidStateError:
@@ -249,10 +240,9 @@ class ProcessBackend(ExecutorBackend):
     ``crash_retry``, ``dataset_shipped``, ``dataset_ship_bytes``,
     ``ipc_sent``, ``ipc_resent``, ``ipc_received``: the count to add;
     ``worker_result``: the result itself) to the engine's counter table;
-    ``retry`` budgets crash resubmissions; ``mp_start`` picks the
-    multiprocessing start method (default: ``forkserver`` where
-    available, else ``spawn`` -- never ``fork``, the parent runs
-    coalescer/timer threads); ``job_timeout`` caps one job's wall clock.
+    ``retry`` budgets crash resubmissions.  Workers start by
+    ``forkserver`` where available, else ``spawn`` -- never ``fork``,
+    the parent runs coalescer/timer threads.
     """
 
     kind = "process"
@@ -261,14 +251,11 @@ class ProcessBackend(ExecutorBackend):
                  injector=None, cache_dir: Optional[str] = None,
                  fault_plan=None, dataset_provider=None,
                  handle_provider=None, on_event=None,
-                 retry=None, mp_start: Optional[str] = None,
-                 job_timeout: Optional[float] = None):
+                 retry=None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
-        if job_timeout is not None and job_timeout <= 0:
-            raise ValueError("job_timeout must be > 0")
         self._workers = workers
         self._capacity = workers + queue_depth
         self._injector = injector
@@ -279,16 +266,14 @@ class ProcessBackend(ExecutorBackend):
         self._on_event = on_event
         self._retry = retry
         self._rng = random.Random(0xC3A5)  # deterministic crash backoff
-        self._job_timeout = job_timeout
         self._lock = threading.Lock()
         self._inflight = 0
         self._shutdown = False
         self._generation = 0
-        if mp_start is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_start = "forkserver" if "forkserver" in methods else "spawn"
-        self.start_method = mp_start
-        self._ctx = multiprocessing.get_context(mp_start)
+        self.start_method = ("forkserver" if "forkserver"
+                             in multiprocessing.get_all_start_methods()
+                             else "spawn")
+        self._ctx = multiprocessing.get_context(self.start_method)
         self._pool = self._new_pool()
 
     def _new_pool(self) -> ProcessPoolExecutor:
@@ -326,14 +311,6 @@ class ProcessBackend(ExecutorBackend):
             self._inflight += 1
         outer: Future = Future()
         outer.add_done_callback(self._release)
-        if self._job_timeout is not None:
-            timer = threading.Timer(
-                self._job_timeout, _set_exception,
-                args=(outer, JobTimeoutError(
-                    f"job exceeded {self._job_timeout:g}s")))
-            timer.daemon = True
-            timer.start()
-            outer.add_done_callback(lambda _f: timer.cancel())
         self._launch(spec, outer, attempt=0)
         return outer
 
@@ -351,7 +328,7 @@ class ProcessBackend(ExecutorBackend):
         count into ``ipc_resent`` instead, so the per-job
         ``ipc_sent / jobs`` gauge is not inflated by retries.
         """
-        if outer.done():   # timed out / cancelled while backing off
+        if outer.done():   # cancelled while backing off
             return
         run = spec
         if self._handle_provider is not None:

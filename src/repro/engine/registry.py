@@ -65,10 +65,10 @@ import numpy as np
 
 from ..machine import Machine, use_machine
 from ..resilience.faults import InjectedFault
-from ..shm import INDEX_PREFIX, attach_payload
+from ..shm import INDEX_PREFIX
 from ..store import store_key_id
 from ..structures.batch import FAMILY
-from ..structures.io import payload_to_tree
+from ..structures.io import attach_tree
 from ..structures.sharded import build_index, repair_index
 
 __all__ = ["dataset_fingerprint", "IndexKey", "index_params", "BuiltIndex",
@@ -658,26 +658,19 @@ class IndexRegistry:
 
     def _rehydrate_from_arena(self, key: IndexKey,
                               lines: np.ndarray) -> Optional[BuiltIndex]:
-        """Reload an evicted index from its own published arena payload.
-
-        The rebuilt tree's arrays alias the mapped shared pages, so the
-        attachment is pinned on the tree object to keep the mapping
-        alive for the tree's lifetime.  Any failure (block gone, bad
-        checksum) returns ``None`` and the caller falls through to the
-        store / build tiers.
+        """Reload an evicted index from its own published arena payload
+        (:func:`~repro.structures.io.attach_tree`: the tree's arrays
+        alias the mapped pages).  Any failure (block gone, bad checksum)
+        returns ``None`` and the caller falls through to the store /
+        build tiers.
         """
         handle = self.arena.handle(INDEX_PREFIX + store_key_id(key))
         if handle is None:
             return None
         try:
-            att = attach_payload(handle)
-            tree = payload_to_tree(att.value)
+            tree = attach_tree(handle)
         except Exception:  # noqa: BLE001 - degrade to store/build
             return None
-        try:
-            tree._shm_attachment = att
-        except AttributeError:
-            return None   # slotted tree type: cannot pin, do not risk it
         with self._lock:
             self.shm_rehydrations += 1
         return BuiltIndex(key, tree, 0.0, 0, int(lines.shape[0]))

@@ -41,7 +41,7 @@ shared-memory data plane enabled) a tuple of picklable
 3. the persistent :class:`~repro.store.IndexStore` opened *read-only*
    (the warm path: the parent engine spilled or prefetched the index),
 4. a deterministic rebuild from the dataset -- preferentially the
-   zero-copy array mapped from a ``ds:`` handle (attached once per
+   zero-copy segments mapped from a ``ds:`` handle (attached once per
    worker, shared pages, no pipe bytes), else a shipped snapshot; if
    the worker has neither it raises :class:`NeedDataset`, the parent
    attaches ``(fingerprint, lines, domain)`` to the spec and resubmits,
@@ -86,9 +86,9 @@ from ..baselines.brute import brute_point_query, brute_window_query
 from ..machine import Machine, use_machine
 from ..resilience import FaultInjector, FaultPlan
 from ..shm import (DATASET_PREFIX, INDEX_PREFIX, Attachment, ShmHandle,
-                   attach_array, attach_payload)
+                   attach_payload)
 from ..store import IndexStore, store_key_id
-from ..structures.io import payload_to_tree
+from ..structures.io import attach_tree
 from ..structures.batch import FAMILY, _pairs, _views, batch_core
 from ..structures.join import brute_join
 from ..structures.nearest import brute_nearest
@@ -142,7 +142,7 @@ class JobSpec:
     ``datasets`` carries ``(fingerprint, lines, domain)`` snapshots
     attached by the parent after a
     :class:`NeedDataset` round trip; ``handles`` carries the arena's
-    shared-memory handles (``ds:`` dataset arrays and ``ix:`` index
+    shared-memory handles (``ds:`` dataset segments and ``ix:`` index
     payloads -- a few hundred bytes each, mapped zero-copy in the
     worker); ``crash=True`` is the injected worker-kill used by chaos
     tests.
@@ -159,10 +159,6 @@ class JobSpec:
     handles: Tuple[ShmHandle, ...] = ()
     crash: bool = False
     brute: bool = False
-    #: dataset chain version the job's index fingerprint was resolved
-    #: at -- pinned so a worker's accounting and any future
-    #: version-aware materialisation can name the snapshot it served
-    version: int = -1
 
     @property
     def refs(self) -> Tuple[IndexRef, ...]:
@@ -232,8 +228,9 @@ class _WorkerState:
     injector: Optional[FaultInjector]
     trees: Dict[str, object] = field(default_factory=dict)
     datasets: Dict[str, Tuple[np.ndarray, int]] = field(default_factory=dict)
-    #: live shared-memory mappings by arena tag -- held for the worker's
-    #: lifetime so the views handed to kernels stay valid
+    #: live ``ds:`` mappings by arena tag -- held for the worker's
+    #: lifetime so the segment views handed to kernels stay valid (an
+    #: ``ix:`` mapping is pinned on its tree by :func:`attach_tree`)
     attachments: Dict[str, Attachment] = field(default_factory=dict)
     #: index payload handles seen on specs, by store key id
     payload_handles: Dict[str, ShmHandle] = field(default_factory=dict)
@@ -252,7 +249,12 @@ class _WorkerState:
             return tree
         handle = self.payload_handles.get(key_id)
         if handle is not None:
-            tree = _attach_tree(self, key_id, handle)
+            try:
+                tree = attach_tree(handle)
+            except Exception:  # noqa: BLE001 - degrade to store/rebuild
+                del self.payload_handles[key_id]
+            else:
+                self.job_attached.append(handle.tag)
         if tree is None and self.store is not None:
             probe = self.store.get(ref)
             if probe is not None:
@@ -324,7 +326,7 @@ def _init_worker(cache_dir: Optional[str],
 def _register_handle(state: _WorkerState, handle: ShmHandle) -> None:
     """Note one arena handle: map ``ds:`` blocks now, ``ix:`` lazily.
 
-    Dataset arrays are attached eagerly (one mapping per worker, reused
+    Dataset blocks are attached eagerly (one mapping per worker, reused
     by every later job); index payloads are only recorded here and
     mapped on first use in :meth:`_WorkerState.tree`.  Any attach failure --
     the parent released the block between pickling the spec and the
@@ -336,35 +338,16 @@ def _register_handle(state: _WorkerState, handle: ShmHandle) -> None:
         if fingerprint in state.datasets:
             return
         try:
-            att = attach_array(handle)
+            att = attach_payload(handle)
         except Exception:  # noqa: BLE001 - degrade to the ship path
             return
         state.attachments[handle.tag] = att
         domain = int(float(handle.meta_dict().get("domain", "0")))
-        state.datasets[fingerprint] = (att.value, domain)
+        state.datasets[fingerprint] = (att.value["lines"], domain)
         state.job_attached.append(handle.tag)
     elif handle.tag.startswith(INDEX_PREFIX):
         state.payload_handles.setdefault(
             handle.tag[len(INDEX_PREFIX):], handle)
-
-
-def _attach_tree(state: _WorkerState, key_id: str,
-                 handle: ShmHandle):
-    """Map an ``ix:`` payload block and rebuild its tree in place.
-
-    The tree's arrays alias the shared pages -- a warm load with zero
-    copies and zero pipe bytes.  Returns ``None`` (and forgets the
-    handle) if the block is gone or fails verification.
-    """
-    try:
-        att = attach_payload(handle)
-        tree = payload_to_tree(att.value)
-    except Exception:  # noqa: BLE001 - degrade to store/rebuild
-        state.payload_handles.pop(key_id, None)
-        return None
-    state.attachments[handle.tag] = att
-    state.job_attached.append(handle.tag)
-    return tree
 
 
 def _preflight(state: _WorkerState, spec: JobSpec) -> None:

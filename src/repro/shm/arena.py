@@ -5,20 +5,17 @@ receives its own pickled copy of a dataset snapshot over the pool's
 pipe (~2.2 MB × workers for a 10k-segment map, linear in dataset
 size).  The arena replaces those copies with **one** OS-level
 ``multiprocessing.shared_memory`` block per published object; jobs then
-carry only a :class:`ShmHandle` -- ``(name, shape, dtype, checksum)``
-plus a tag -- and every worker maps the same physical pages read-only.
+carry only a :class:`ShmHandle` -- ``(name, tag, nbytes, checksum,
+meta)`` -- and every worker maps the same physical pages read-only.
 
-Two block kinds:
-
-* ``array`` -- a single C-contiguous ndarray (the canonical segment
-  array of one dataset fingerprint).  :func:`attach_array` returns a
-  zero-copy read-only view.
-* ``payload`` -- a packed multi-array archive (the store's prebuilt
-  index payload: the same entries io format v3 would write, laid out
-  uncompressed at 64-byte-aligned offsets behind a JSON header).
-  :func:`attach_payload` returns a dict of zero-copy views, from which
-  :func:`repro.structures.io.payload_to_tree` rebuilds the tree *in
-  place* -- the tree's arrays alias the shared pages.
+Every block has one layout, the *payload*: a set of named arrays laid
+out uncompressed at 64-byte-aligned offsets behind a JSON header.  A
+prebuilt index (``ix:`` tag) is the entries io format v3 would write
+(:func:`repro.structures.io.structure_payload`); a dataset (``ds:``
+tag) is the one entry ``{"lines": segments}``.  :func:`attach_payload`
+returns a dict of zero-copy read-only views, from which
+:func:`repro.structures.io.attach_tree` rebuilds an index *in place*
+-- the tree's arrays alias the shared pages.
 
 Lifecycle and crash safety:
 
@@ -62,7 +59,7 @@ from multiprocessing import resource_tracker, shared_memory
 
 __all__ = ["DATASET_PREFIX", "INDEX_PREFIX", "ShmHandle", "ShmArena",
            "Attachment", "ShmIntegrityError", "attach_untracked",
-           "attach_array", "attach_payload", "reconcile_stale_sessions"]
+           "attach_payload", "reconcile_stale_sessions"]
 
 #: arena tag prefixes: one namespace per published object class
 DATASET_PREFIX = "ds:"     # + dataset fingerprint
@@ -106,18 +103,14 @@ class ShmHandle:
     by); ``tag`` is the arena key (``ds:<fingerprint>`` or
     ``ix:<key_id>``); ``checksum`` covers the first ``nbytes`` of the
     block so an attacher can verify it maps the bytes the publisher
-    wrote.  ``shape``/``dtype`` describe ``array`` blocks; ``payload``
-    blocks carry their layout in an embedded header instead.  ``meta``
-    is a small string-pair tuple (e.g. a dataset's domain).
+    wrote; the block carries its own layout in an embedded header.
+    ``meta`` is a small string-pair tuple (e.g. a dataset's domain).
     """
 
     name: str
     tag: str
-    kind: str                      # "array" | "payload"
     nbytes: int
     checksum: str
-    shape: Tuple[int, ...] = ()
-    dtype: str = ""
     meta: Tuple[Tuple[str, str], ...] = ()
 
     def meta_dict(self) -> Dict[str, str]:
@@ -154,7 +147,7 @@ class Attachment:
 
     handle: ShmHandle
     shm: shared_memory.SharedMemory
-    value: object                  # ndarray (array) | dict of ndarrays
+    value: Optional[Dict[str, np.ndarray]]   # key -> zero-copy view
 
     def close(self) -> None:
         """Drop this process's mapping (never unlinks -- parent owns)."""
@@ -174,23 +167,8 @@ def _verify(shm: shared_memory.SharedMemory, handle: ShmHandle) -> None:
             f"published {handle.checksum}, mapped {got}")
 
 
-def attach_array(handle: ShmHandle, verify: bool = True) -> Attachment:
-    """Map an ``array`` block as a read-only zero-copy ndarray."""
-    if handle.kind != "array":
-        raise ValueError(f"handle {handle.tag!r} is not an array block")
-    shm = attach_untracked(handle.name)
-    if verify:
-        _verify(shm, handle)
-    arr = np.ndarray(handle.shape, dtype=np.dtype(handle.dtype),
-                     buffer=shm.buf)
-    arr.setflags(write=False)
-    return Attachment(handle=handle, shm=shm, value=arr)
-
-
 def attach_payload(handle: ShmHandle, verify: bool = True) -> Attachment:
-    """Map a ``payload`` block as a dict of read-only zero-copy views."""
-    if handle.kind != "payload":
-        raise ValueError(f"handle {handle.tag!r} is not a payload block")
+    """Map a block as a dict of read-only zero-copy views."""
     shm = attach_untracked(handle.name)
     if verify:
         _verify(shm, handle)
@@ -204,13 +182,6 @@ def attach_payload(handle: ShmHandle, verify: bool = True) -> Attachment:
         arr.setflags(write=False)
         out[ent["key"]] = arr
     return Attachment(handle=handle, shm=shm, value=out)
-
-
-def attach(handle: ShmHandle, verify: bool = True) -> Attachment:
-    """Kind-dispatching attach (array or payload)."""
-    if handle.kind == "array":
-        return attach_array(handle, verify=verify)
-    return attach_payload(handle, verify=verify)
 
 
 # -- payload packing -------------------------------------------------------
@@ -385,42 +356,16 @@ class ShmArena:
             block = self._blocks.get(tag)
             return block.handle if block is not None else None
 
-    def publish_array(self, tag: str, arr: np.ndarray,
-                      meta: Optional[Mapping[str, str]] = None
-                      ) -> Optional[ShmHandle]:
-        """Publish one ndarray under ``tag`` (idempotent per tag).
-
-        Returns the handle, or ``None`` when the byte budget refuses
-        the block (callers fall back to pipe shipping).
-        """
-        arr = _canon(arr)
-        with self._lock:
-            block = self._blocks.get(tag)
-            if block is not None:
-                return block.handle
-            shm = self._create_locked(arr.nbytes)
-            if shm is None:
-                return None
-            if arr.nbytes:
-                view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-                view[...] = arr
-            handle = ShmHandle(
-                name=shm.name, tag=tag, kind="array", nbytes=arr.nbytes,
-                checksum=_checksum(shm.buf[:arr.nbytes]),
-                shape=tuple(int(s) for s in arr.shape), dtype=arr.dtype.str,
-                meta=tuple(sorted((str(k), str(v))
-                           for k, v in (meta or {}).items())))
-            self._admit_locked(tag, handle, shm)
-            return handle
-
     def publish_payload(self, tag: str, arrays: Mapping[str, np.ndarray],
                         meta: Optional[Mapping[str, str]] = None
                         ) -> Optional[ShmHandle]:
-        """Publish a multi-array payload (a prebuilt index) under ``tag``.
+        """Publish named arrays under ``tag`` (idempotent per tag).
 
         The entries are laid out uncompressed behind a JSON header so
         :func:`attach_payload` can hand back zero-copy views -- the
         in-memory analogue of an io-v3 archive, minus the compression.
+        Returns the handle, or ``None`` when the byte budget refuses
+        the block (callers fall back to pipe shipping).
         """
         canon, entries, header, total = _pack_layout(arrays)
         with self._lock:
@@ -440,7 +385,7 @@ class ShmArena:
                                   offset=ent["offset"])
                 view[...] = arr
             handle = ShmHandle(
-                name=shm.name, tag=tag, kind="payload", nbytes=total,
+                name=shm.name, tag=tag, nbytes=total,
                 checksum=_checksum(shm.buf[:total]),
                 meta=tuple(sorted((str(k), str(v))
                            for k, v in (meta or {}).items())))
@@ -572,7 +517,6 @@ class ShmArena:
                 "releases": self.releases,
                 "attach_total": self.attach_total,
                 "tags": {tag: {"nbytes": b.handle.nbytes,
-                               "kind": b.handle.kind,
                                "live_attached": b.live_attached,
                                "attach_total": b.attach_total}
                          for tag, b in self._blocks.items()},

@@ -54,9 +54,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from ..structures.io import load_structure, payload_checksum, save_structure
+from ..structures.io import load_structure, save_structure
 
 __all__ = ["IndexStore", "StoreEntry", "store_key_id"]
 
@@ -227,39 +225,6 @@ class IndexStore:
                     return tree, manifest
         self._notify(event)
         return None
-
-    def payload_arrays(self, key) -> Optional[Dict[str, object]]:
-        """The raw archive entries of one entry, verified; ``None`` on miss.
-
-        The shared-memory warm path: the engine maps an entry's ``.npz``
-        payload straight into an arena block (one decompress, zero tree
-        constructions, zero pickles) so every worker can warm-load the
-        index in place.  Any read or checksum failure is reported as a
-        miss -- the caller falls back to publishing from the built tree
-        or to the ordinary per-worker store load.
-        """
-        key_id = store_key_id(key)
-        path = os.path.join(self.cache_dir, key_id + ".npz")
-        with self._lock:
-            if not os.path.exists(path):
-                return None
-            try:
-                with np.load(path, allow_pickle=False) as data:
-                    payload = {k: np.asarray(data[k]) for k in data.files}
-                stored = payload.get("checksum")
-                if stored is not None \
-                        and payload_checksum(payload) != str(stored):
-                    return None
-            except Exception:
-                return None
-            self.disk_hits += 1
-            if not self.readonly:
-                try:
-                    os.utime(path)
-                except OSError:
-                    pass
-        self._notify("disk_hit")
-        return payload
 
     def _load_with_retry(self, path: str, key_id: str):
         """Verified load under the retry budget; ``None`` when spent.

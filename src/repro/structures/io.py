@@ -28,13 +28,14 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
+from ..shm import attach_payload
 from .quadblock import Quadtree
 from .rtree import RTree
 from .sharded import Shard, ShardedIndex
 
 __all__ = ["save_structure", "load_structure", "payload_checksum",
-           "structure_payload", "payload_to_tree", "inspect_structure",
-           "IntegrityError"]
+           "structure_payload", "payload_to_tree", "attach_tree",
+           "inspect_structure", "IntegrityError"]
 
 _FORMAT_VERSION = 3
 
@@ -161,9 +162,7 @@ def payload_to_tree(data):
 
     ``data`` maps archive entry names to arrays -- a loaded ``.npz``,
     a :func:`structure_payload` dict, or the zero-copy views of an
-    attached shared-memory block (:func:`repro.shm.attach_payload`).
-    In the shared-memory case the returned tree's arrays alias the
-    mapped pages: the warm-load happens *in place*, no copy.
+    attached shared-memory block (:func:`attach_tree`).
     """
     kind = str(data["kind"])
     if kind == "sharded":
@@ -180,6 +179,21 @@ def payload_to_tree(data):
             ordering=str(data["ordering"]), shards=shards,
         )
     return _load_tree(data)
+
+
+def attach_tree(handle):
+    """Map a published index payload block and rebuild its tree in place.
+
+    The tree's arrays alias the shared pages -- a warm load with zero
+    copies -- so the :class:`~repro.shm.Attachment` is pinned on the
+    tree to keep the mapping alive for the tree's lifetime.  A block
+    that is gone or fails its checksum raises; callers fall through to
+    the store or a rebuild.
+    """
+    att = attach_payload(handle)
+    tree = payload_to_tree(att.value)
+    tree._shm_attachment = att
+    return tree
 
 
 def save_structure(tree, path: PathLike,

@@ -54,18 +54,8 @@ def test_config_rejects_unknown_executor():
         EngineConfig(executor="fibers")
 
 
-def test_config_rejects_bad_mp_start():
-    with pytest.raises(ValueError):
-        EngineConfig(executor="process", mp_start="greenlet")
-
-
-def test_config_rejects_nonpositive_job_timeout():
-    with pytest.raises(ValueError):
-        EngineConfig(executor="process", job_timeout=0)
-
-
 def test_config_accepts_process_with_spawn():
-    cfg = EngineConfig(executor="process", mp_start="spawn", job_timeout=30)
+    cfg = EngineConfig(executor="process")
     assert cfg.executor == "process"
 
 

@@ -18,10 +18,11 @@ count that axis 1 exists for:
   and from a cold start do not grow with the dataset (10k vs. 100k
   segments), because handles are fixed-size.
 
-Two more cells cover the arena's part in commits and eviction: a
+Three more cells cover the arena's part in commits and eviction: a
 repaired sharded index reaches the workers through the arena before
-reads flip, and an evicted memory-tier entry rehydrates from its
-published pages instead of rebuilding.
+reads flip, an evicted memory-tier entry rehydrates from its published
+pages instead of rebuilding, and publishing an index counts no disk hit
+(the payload comes from the tree in hand, not the archive just spilled).
 """
 
 import os
@@ -346,3 +347,17 @@ def test_arena_rehydration_restores_published_pages():
         for r in rects:
             got = np.sort(np.asarray(eng.window(fp, r)))
             assert np.array_equal(got, np.sort(brute_window_query(lines, r)))
+
+
+@pytest.mark.slow
+def test_publishing_from_the_tree_counts_no_disk_hit(tmp_path):
+    lines = np.unique(random_segments(2000, DOMAIN, 48, seed=61), axis=0)
+    with SpatialQueryEngine(executor="process", workers=2, shards=4,
+                            cache_dir=str(tmp_path), max_batch=8,
+                            max_wait=0.0) as eng:
+        fp = eng.register(lines, domain=DOMAIN)
+        eng.warm(fp)
+        eng.insert_lines(fp, random_segments(20, DOMAIN, 32, seed=62))
+        for counters in (eng.stats, eng.store):
+            assert counters.disk_hits == 0
+            assert counters.spills == 2
