@@ -1,23 +1,25 @@
 """Experiment A1: spatial join through the built structures (Section 6).
 
 The conclusion cites spatial join as the flagship application of the
-primitives.  We join two 2000-segment maps via the bucket PMR quadtree,
-via the data-parallel R-tree, and by brute force, confirming identical
-answers and reporting candidate-pair counts (the structures' pruning
-power).
+primitives.  We join a 2000-segment uniform map with a street map by
+:func:`~repro.structures.join.index_join` -- window waves of one map's
+segment MBRs over the other map's bucket PMR quadtree, or its R-tree --
+and by brute force, confirming identical answers and reporting the
+waves' scan-model ``Machine`` steps.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis import format_table
+from repro.machine import Machine
 from repro.structures import (
     brute_join,
     build_bucket_pmr,
     build_rtree,
-    quadtree_join,
-    rtree_join,
+    index_join,
 )
+from repro.structures.join import WAVE
 
 from conftest import print_experiment
 
@@ -38,30 +40,29 @@ def joined(uniform_map, street_map):
 def test_report_join_agreement(joined, benchmark):
     a, b, qa, qb, ra, rb = joined
     want = brute_join(a, b)
-    got_q = quadtree_join(qa, qb)
-    got_r = rtree_join(ra, rb)
-    assert np.array_equal(want, got_q)
-    assert np.array_equal(want, got_r)
-
-    rows = [
-        ["brute force", a.shape[0] * b.shape[0], want.shape[0]],
-        ["bucket PMR join", "pruned", got_q.shape[0]],
-        ["R-tree join", "pruned", got_r.shape[0]],
-    ]
-    table = format_table(["method", "pairs examined", "intersecting pairs"], rows)
+    waves = -(-min(a.shape[0], b.shape[0]) // WAVE)
+    rows = [["brute force", a.shape[0] * b.shape[0], "-", want.shape[0]]]
+    for name, ta, tb in (("bucket PMR wave join", qa, qb),
+                         ("R-tree wave join", ra, rb)):
+        m = Machine()
+        got = index_join(ta, tb, machine=m)
+        assert np.array_equal(want, got)
+        rows.append([name, f"{waves} wave(s)", m.steps, got.shape[0]])
+    table = format_table(["method", "pairs examined / waves",
+                          "Machine steps", "intersecting pairs"], rows)
     print_experiment("A1: spatial join (uniform map x street map)", table)
 
-    benchmark(quadtree_join, qa, qb)
+    benchmark(index_join, qa, qb)
 
 
 def test_quadtree_join_wallclock(joined, benchmark):
     _, _, qa, qb, _, _ = joined
-    benchmark(quadtree_join, qa, qb)
+    benchmark(index_join, qa, qb)
 
 
 def test_rtree_join_wallclock(joined, benchmark):
     _, _, _, _, ra, rb = joined
-    benchmark(rtree_join, ra, rb)
+    benchmark(index_join, ra, rb)
 
 
 def test_brute_join_wallclock(joined, benchmark):

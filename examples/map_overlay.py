@@ -2,9 +2,9 @@
 """Map overlay: spatial join of two line maps (the Section 6 application).
 
 Joins a utility map against a street map -- every (street, utility-line)
-crossing -- three ways: brute force, via two bucket PMR quadtrees
-(aligned-block traversal), and via two data-parallel R-trees, verifying
-agreement and reporting pruning effectiveness.
+crossing -- three ways: brute force, and ``index_join`` (window waves of
+one map's segment MBRs over the other map's index) on two bucket PMR
+quadtrees and on two data-parallel R-trees, verifying agreement.
 
 Run:  python examples/map_overlay.py
 """
@@ -18,10 +18,9 @@ from repro import (
     build_bucket_pmr,
     build_rtree,
     clustered_map,
+    index_join,
     print_table,
-    quadtree_join,
     road_map,
-    rtree_join,
 )
 
 DOMAIN = 2048
@@ -46,8 +45,8 @@ def main() -> None:
     rb, _ = build_rtree(utility, 2, 8)
 
     truth, t_brute = timed(brute_join, streets, utility)
-    got_q, t_quad = timed(quadtree_join, qa, qb)
-    got_r, t_rtree = timed(rtree_join, ra, rb)
+    got_q, t_quad = timed(index_join, qa, qb)
+    got_r, t_rtree = timed(index_join, ra, rb)
 
     assert np.array_equal(truth, got_q)
     assert np.array_equal(truth, got_r)

@@ -95,13 +95,12 @@ from .structures import (
     build_region_quadtree,
     build_rtree,
     delete_lines,
+    index_join,
     insert_lines,
     load_structure,
     overlay_points,
     pm1_delete_lines,
-    quadtree_join,
     quadtree_nearest,
-    rtree_join,
     rtree_nearest,
     save_structure,
     to_linear,
@@ -120,7 +119,7 @@ __all__ = [
     # structures
     "Quadtree", "PM1Quadtree", "BucketPMRQuadtree", "RTree", "BuildTrace",
     "build_pm1", "build_bucket_pmr", "build_rtree",
-    "quadtree_join", "rtree_join", "brute_join", "overlay_points",
+    "index_join", "brute_join", "overlay_points",
     "LinearQuadtree", "to_linear",
     "delete_lines", "insert_lines", "pm1_delete_lines",
     "save_structure", "load_structure",

@@ -77,8 +77,7 @@ from .structures import (
     build_kdtree,
     build_pm1,
     build_rtree,
-    quadtree_join,
-    rtree_join,
+    index_join,
 )
 
 __all__ = ["main"]
@@ -228,13 +227,12 @@ def _cmd_join(args: argparse.Namespace) -> int:
     a = _make_map(args.map, args.n, args.domain, args.seed)
     b = _make_map(args.map, args.n, args.domain, args.seed + 1)
     if args.structure == "rtree":
-        ta, _ = build_rtree(a, args.min_fill, args.capacity)
-        tb, _ = build_rtree(b, args.min_fill, args.capacity)
-        pairs = rtree_join(ta, tb)
+        ta, tb = (build_rtree(m, args.min_fill, args.capacity)[0]
+                  for m in (a, b))
     else:
-        ta, _ = build_bucket_pmr(a, args.domain, args.capacity)
-        tb, _ = build_bucket_pmr(b, args.domain, args.capacity)
-        pairs = quadtree_join(ta, tb)
+        ta, tb = (build_bucket_pmr(m, args.domain, args.capacity)[0]
+                  for m in (a, b))
+    pairs = index_join(ta, tb)
     if args.verify:
         assert np.array_equal(pairs, brute_join(a, b)), "join mismatch!"
     print(format_table(

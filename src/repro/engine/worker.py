@@ -16,15 +16,15 @@ Both yield a :class:`WorkerResult` (``values``, ``steps``,
 ``primitives``, and ``shards`` for a sharded wave), so the engine
 settles and accounts a job once.
 
-No op picks a kernel or a builder of its own.  ``batch`` looks its CSR
-core up in the structure table
-(:func:`~repro.structures.batch.batch_core`) and cuts it into one
-answer per probe; on a sharded index it is the one place that instead
-runs :meth:`~repro.structures.sharded.ShardedIndex.query_wave` -- every
-planned shard's core under the group's ``deadline_at``, packed once --
-so a sharded group is one job like any other.  ``join`` always calls
-:func:`~repro.structures.sharded.sharded_join`, which takes plain trees
-too, and every build is :func:`~repro.structures.sharded.build_index`.
+No op picks a kernel or a builder of its own.  ``batch`` runs one
+:func:`~repro.structures.sharded.index_wave` -- a plain tree's CSR core
+from the structure table, or on a sharded index every planned shard's
+core under the group's ``deadline_at``, packed once -- and cuts it into
+one answer per probe, so a sharded group is one job like any other.
+``join`` calls :func:`~repro.structures.join.index_join`, whose window
+waves go through the same ``index_wave``, so a join job reports
+``Machine`` steps like a batch job.  Every build is
+:func:`~repro.structures.sharded.build_index`.
 
 The process backend never ships a built tree across the process
 boundary.  A job crosses as a :class:`JobSpec` -- fingerprint-addressed
@@ -90,9 +90,9 @@ from ..shm import (DATASET_PREFIX, INDEX_PREFIX, Attachment, ShmHandle,
 from ..store import IndexStore, store_key_id
 from ..structures.io import attach_tree
 from ..structures.batch import FAMILY, _pairs, _views, batch_core
-from ..structures.join import brute_join
+from ..structures.join import brute_join, index_join
 from ..structures.nearest import brute_nearest
-from ..structures.sharded import ShardedIndex, build_index, sharded_join
+from ..structures.sharded import build_index, index_wave
 
 if TYPE_CHECKING:
     from .registry import IndexRegistry
@@ -105,10 +105,11 @@ WORKER_FAULT_KINDS = ("latency", "stall")
 
 
 def batch_kernel(structure: str, kind: str, exact: bool):
-    """The batch kernel for one (structure, kind, exact) triple: the
-    structure table's CSR core, cut at the edge into one answer per
-    probe -- an id array (window/point) or an ``(id, distance)`` pair
-    (nearest)."""
+    """The batch kernel for one (structure, kind, exact) triple on a
+    plain tree: the structure table's CSR core, cut at the edge into one
+    answer per probe -- an id array (window/point) or an ``(id,
+    distance)`` pair (nearest).  Jobs go through ``_op_batch``; this is
+    the by-name lookup for callers outside the engine."""
     core = batch_core(FAMILY[structure], kind, exact)
     edge = _pairs if kind == "nearest" else _views
     return lambda tree, v, m: edge(*core(tree, v, m))
@@ -372,15 +373,11 @@ def _preflight(state: _WorkerState, spec: JobSpec) -> None:
 
 
 def _op_batch(resolver, spec: JobSpec, machine: Machine, on_shard):
-    """One wave: the plain tree's kernel, or a sharded index's
-    :meth:`~repro.structures.sharded.ShardedIndex.query_wave` -- the one
-    place that picks between them."""
-    tree = resolver.tree(spec.index)
-    if not isinstance(tree, ShardedIndex):
-        fn = batch_kernel(spec.index.structure, spec.kind, spec.exact)
-        return fn(tree, spec.payloads, machine), ()
-    pair, shards = tree.query_wave(spec.kind, spec.payloads, spec.exact,
-                                   machine, spec.deadline_at, on_shard)
+    """One :func:`~repro.structures.sharded.index_wave`, cut at the edge
+    into one answer per probe."""
+    pair, shards = index_wave(resolver.tree(spec.index), spec.kind,
+                              spec.payloads, spec.exact, machine,
+                              spec.deadline_at, on_shard)
     edge = _pairs if spec.kind == "nearest" else _views
     return edge(*pair), shards
 
@@ -399,8 +396,8 @@ def _op_join(resolver, spec: JobSpec, machine: Machine, on_shard):
                 pairs = brute_join(resolver.lines(ref_a),
                                    resolver.lines(ref_b))
             else:
-                pairs = sharded_join(resolver.tree(ref_a),
-                                     resolver.tree(ref_b))
+                pairs = index_join(resolver.tree(ref_a),
+                                   resolver.tree(ref_b), machine)
         except NeedDataset:
             raise
         except Exception as exc:  # noqa: BLE001 - outcome, not control flow

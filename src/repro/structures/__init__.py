@@ -14,7 +14,7 @@ from .dynamic import delete_lines, insert_lines, pm1_delete_lines
 from .kdtree import KDTree, build_kdtree
 from .io import (IntegrityError, inspect_structure, load_structure,
                  payload_checksum, save_structure)
-from .join import brute_join, overlay_points, quadtree_join, rtree_join
+from .join import brute_join, index_join, overlay_points
 from .linear import LinearQuadtree, to_linear
 from .nearest import brute_nearest, quadtree_nearest, rtree_nearest
 from .pm1 import PM1Quadtree, build_pm1
@@ -23,7 +23,7 @@ from .quadblock import CHILD_NAMES, NodeTable, Quadtree, child_box, child_boxes
 from .region import RegionQuadtree, build_region_quadtree
 from .rtree import RTree, build_rtree
 from .sharded import (Shard, ShardedIndex, build_sharded, repair_index,
-                      repair_sharded, shard_keys, sharded_join)
+                      repair_sharded, shard_keys)
 
 __all__ = [
     "Quadtree",
@@ -42,8 +42,7 @@ __all__ = [
     "build_rtree",
     "RTree",
     "brute_join",
-    "quadtree_join",
-    "rtree_join",
+    "index_join",
     "overlay_points",
     "delete_lines",
     "insert_lines",
@@ -76,5 +75,4 @@ __all__ = [
     "repair_index",
     "repair_sharded",
     "shard_keys",
-    "sharded_join",
 ]

@@ -4,35 +4,42 @@ The conclusion notes the Section 4 primitives "have been used in the
 implementation of other data-parallel spatial operations such as
 polygonization and spatial join [Hoel93, Hoel94a, Hoel94b]".  This
 module provides the join -- all pairs ``(i, j)`` with line ``i`` of map
-A intersecting line ``j`` of map B -- through each of the built
-structures, plus the brute-force oracle:
+A intersecting line ``j`` of map B -- plus the brute-force oracle:
 
-* :func:`quadtree_join` -- simultaneous descent of two quadtrees over
-  the same space.  Regular decomposition means any two overlapping
-  blocks are ancestor/descendant (or equal), so the traversal is the
-  aligned-grid join the bucket PMR was chosen for.
-* :func:`rtree_join` -- MBR-guided node-pair descent of two R-trees;
-  non-disjointness shows up as repeated candidate pairs that must be
-  deduplicated.
-* :func:`brute_join` -- exact all-pairs oracle.
+* :func:`index_join` -- the join as a batch of window queries: the
+  smaller map's segment MBRs probe the other map's index in waves of
+  :data:`WAVE` windows, through the same kernels that serve window
+  probes (:func:`~repro.structures.sharded.index_wave`: a plain tree's
+  ``batch_core`` or a sharded index's ``query_wave``).  Any two indexes
+  join -- plain quadtree, plain R-tree or sharded, of either family and
+  over any domains.
+* :func:`brute_join` -- exact all-pairs oracle (and the engine's
+  degraded path).
 
-All candidate pairs are verified with the exact segment-segment
+The wave cannot miss a pair: the crossing point of two intersecting
+segments lies in the probe segment's MBR and in a leaf block (or entry
+box) holding the other segment, so the closed-overlap frontier reaches
+it.  Candidate pairs are verified with the exact segment-segment
 intersection predicate, and results are returned as a sorted, unique
 ``(k, 2)`` index array.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
-from ..geometry.rect import overlaps
+from ..geometry.rect import rects_from_segments
 from ..geometry.segment import segments_intersect_segments, validate_segments
-from .quadblock import Quadtree
-from .rtree import RTree
+from ..machine import Machine
+from .sharded import index_wave
 
-__all__ = ["brute_join", "quadtree_join", "rtree_join", "overlay_points"]
+__all__ = ["brute_join", "index_join", "overlay_points"]
+
+#: probe windows per wave: bounds the frontier and the candidate pairs
+#: held at once, so peak memory does not grow with the probe map
+WAVE = 4096
 
 
 def overlay_points(a: np.ndarray, b: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -86,63 +93,29 @@ def brute_join(a: np.ndarray, b: np.ndarray, block: int = 512) -> np.ndarray:
     return out[np.lexsort((out[:, 1], out[:, 0]))]
 
 
-def quadtree_join(ta: Quadtree, tb: Quadtree) -> np.ndarray:
-    """Join two quadtrees by simultaneous traversal of aligned blocks."""
-    if ta.domain != tb.domain:
-        raise ValueError("joined quadtrees must share a domain")
-    pairs_i: List[np.ndarray] = []
-    pairs_j: List[np.ndarray] = []
-    stack = [(0, 0)]
-    while stack:
-        na, nb = stack.pop()
-        if not overlaps(ta.boxes[na][None, :], tb.boxes[nb][None, :])[0]:
-            continue
-        a_leaf = ta.children[na, 0] < 0
-        b_leaf = tb.children[nb, 0] < 0
-        if a_leaf and b_leaf:
-            ia = ta.lines_in_node(na)
-            jb = tb.lines_in_node(nb)
-            if ia.size and jb.size:
-                pairs_i.append(np.repeat(ia, jb.size))
-                pairs_j.append(np.tile(jb, ia.size))
-        elif a_leaf or (not b_leaf and ta.level[na] > tb.level[nb]):
-            stack.extend((na, int(c)) for c in tb.children[nb])
-        else:
-            stack.extend((int(c), nb) for c in ta.children[na])
-    ii = np.concatenate(pairs_i) if pairs_i else np.zeros(0, dtype=np.int64)
-    jj = np.concatenate(pairs_j) if pairs_j else np.zeros(0, dtype=np.int64)
-    return _verify_pairs(ta.lines, tb.lines, ii, jj)
+def index_join(a, b, machine: Optional[Machine] = None) -> np.ndarray:
+    """All intersecting pairs between two indexes, as window waves.
 
-
-def rtree_join(ta: RTree, tb: RTree) -> np.ndarray:
-    """Join two R-trees by synchronized MBR-guided descent."""
-    if ta.lines.size == 0 or tb.lines.size == 0:
-        return np.zeros((0, 2), dtype=np.int64)
-
-    pairs_i: List[np.ndarray] = []
-    pairs_j: List[np.ndarray] = []
-    stack = [(ta.height - 1, 0, tb.height - 1, 0)]
-    while stack:
-        la, na, lb, nb = stack.pop()
-        if not overlaps(ta.level_mbr[la][na][None, :], tb.level_mbr[lb][nb][None, :])[0]:
-            continue
-        if la == 0 and lb == 0:
-            ia = ta.lines_in_leaf(na)
-            jb = tb.lines_in_leaf(nb)
-            bb_hit = overlaps(
-                ta.entry_bbox[np.repeat(ia, jb.size)],
-                tb.entry_bbox[np.tile(jb, ia.size)])
-            ii = np.repeat(ia, jb.size)[bb_hit]
-            jj = np.tile(jb, ia.size)[bb_hit]
-            if ii.size:
-                pairs_i.append(ii)
-                pairs_j.append(jj)
-        elif la == 0 or (lb != 0 and lb >= la):
-            for c in tb.entries(lb, nb):
-                stack.append((la, na, lb - 1, int(c)))
-        else:
-            for c in ta.entries(la, na):
-                stack.append((la - 1, int(c), lb, nb))
-    ii = np.concatenate(pairs_i) if pairs_i else np.zeros(0, dtype=np.int64)
-    jj = np.concatenate(pairs_j) if pairs_j else np.zeros(0, dtype=np.int64)
-    return _verify_pairs(ta.lines, tb.lines, ii, jj)
+    ``a`` and ``b`` are any servable indexes (plain ``Quadtree`` /
+    ``RTree`` or ``ShardedIndex``).  The map with fewer segments probes
+    the other (``a`` on a tie): each wave of at most :data:`WAVE` of its
+    segment MBRs runs as one ``exact=False`` window wave over the other
+    index, and the candidates are verified per wave.  Returns the same
+    sorted, unique ``(k, 2)`` array as :func:`brute_join`, rows
+    ``(line of a, line of b)``.
+    """
+    swap = b.lines.shape[0] < a.lines.shape[0]
+    probe, index = (b, a) if swap else (a, b)
+    rects = rects_from_segments(probe.lines)
+    rows: List[np.ndarray] = []
+    for start in range(0, rects.shape[0], WAVE):
+        (ids, ptr), _ = index_wave(index, "window", rects[start:start + WAVE],
+                                   False, machine)
+        qid = np.repeat(np.arange(start, start + ptr.size - 1), np.diff(ptr))
+        rows.append(_verify_pairs(probe.lines, index.lines, qid, ids))
+    out = (np.concatenate(rows) if rows
+           else np.zeros((0, 2), dtype=np.int64))
+    if swap:
+        out = out[:, ::-1]
+        out = out[np.lexsort((out[:, 1], out[:, 0]))]
+    return out

@@ -37,21 +37,24 @@ groups of one wave, not K jobs.  It plans the wave by MBR culling, runs
 (:func:`~repro.structures.batch.batch_core`) on one shard, ids lifted
 to global ones -- per planned shard, and packs the wave's answer with
 one :func:`~repro.structures.csr.pack_csr`; the scalar queries are
-one-probe waves.  :func:`build_index` is the one builder of a servable
-index, plain or sharded, and :func:`repair_index` the one commit path
-from a parent's index to its child's.
+one-probe waves.  :func:`index_wave` is the one place that picks
+between that and a plain tree's kernel, for the engine's batch jobs and
+for :func:`~repro.structures.join.index_join` alike.  :func:`build_index`
+is the one builder of a servable index, plain or sharded, and
+:func:`repair_index` the one commit path from a parent's index to its
+child's.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..geometry.distance import points_rects_distance
-from ..geometry.rect import overlaps, validate_rects
+from ..geometry.rect import validate_rects
 from ..machine import Machine
 from ..resilience import PartialResult
 from ..machine.ordering import hilbert_encode, morton_encode
@@ -59,13 +62,12 @@ from .batch import FAMILY, _cat, _degenerate_rects, batch_core
 from .bucket_pmr import build_bucket_pmr
 from .csr import pack_csr
 from .dynamic import apply_batch
-from .join import quadtree_join, rtree_join
 from .pm1 import build_pm1
 from .quadblock import Quadtree
 from .rtree import RTree, build_rtree
 
 __all__ = ["Shard", "ShardedIndex", "build_index", "build_sharded",
-           "repair_index", "repair_sharded", "shard_keys", "sharded_join",
+           "index_wave", "repair_index", "repair_sharded", "shard_keys",
            "ORDERINGS"]
 
 ORDERINGS = ("morton", "hilbert")
@@ -183,10 +185,6 @@ class ShardedIndex:
         (gid, d), _ = self.query_wave("nearest",
                                       np.array([[px, py]], dtype=float))
         return int(gid[0]), float(d[0])
-
-    def join(self, other) -> np.ndarray:
-        """Spatial join against another (sharded or plain) index."""
-        return sharded_join(self, other)
 
     # -- batch waves (the engine's sharded core) --------------------------
 
@@ -335,6 +333,29 @@ class ShardedIndex:
                 "shard MBR must cover its segments"
             assert np.array_equal(s.tree.lines, segs), \
                 "shard tree must index exactly the shard's segments"
+
+
+def index_wave(index, kind: str, payloads: np.ndarray, exact: bool = True,
+               machine: Optional[Machine] = None,
+               deadline_at: Optional[float] = None,
+               on_shard: Optional[Callable[[int], None]] = None):
+    """One wave of probes over any servable index: the one place that
+    picks between a plain tree's kernel and a sharded index's
+    :meth:`ShardedIndex.query_wave`.
+
+    A plain ``Quadtree`` / ``RTree`` runs its family's
+    :func:`~repro.structures.batch.batch_core` (``deadline_at`` and
+    ``on_shard`` apply to shards only).  Returns ``(pair, shards)``: the
+    core's ``(ids, ptr)`` or ``(ids, dists)`` over the whole wave, and
+    ``query_wave``'s shard counts -- ``()`` for a plain tree.
+    """
+    if isinstance(index, ShardedIndex):
+        return index.query_wave(kind, payloads, exact, machine, deadline_at,
+                                on_shard)
+    if not isinstance(index, (Quadtree, RTree)):
+        raise TypeError(f"cannot query {type(index).__name__}")
+    family = "quadtree" if isinstance(index, Quadtree) else "rtree"
+    return batch_core(family, kind, exact)(index, payloads, machine), ()
 
 
 def _segment_mbr(segs: np.ndarray) -> np.ndarray:
@@ -572,48 +593,3 @@ def _repaired_max_key(index: ShardedIndex, shard: Shard, gone: np.ndarray,
                                      index.ordering).max()) == shard.max_key:
         return int(shard_keys(segs, index.domain, index.ordering).max())
     return max(shard.max_key, int(ins_keys.max(initial=shard.max_key)))
-
-
-# -- join -----------------------------------------------------------------
-
-
-def _as_shard_list(index) -> List[Tuple[np.ndarray, np.ndarray, object]]:
-    """Normalise a sharded or plain index into ``(ids, mbr, tree)`` rows."""
-    if isinstance(index, ShardedIndex):
-        return [(s.ids, s.mbr, s.tree) for s in index.shards]
-    if isinstance(index, (Quadtree, RTree)):
-        n = index.lines.shape[0]
-        if n == 0:
-            return []
-        return [(np.arange(n, dtype=np.int64), _segment_mbr(index.lines),
-                 index)]
-    raise TypeError(f"cannot join {type(index).__name__}")
-
-
-def sharded_join(a, b) -> np.ndarray:
-    """All intersecting pairs between two (possibly sharded) indexes.
-
-    Every shard pair with overlapping MBRs is joined with the matching
-    tree join; local pairs are lifted to global ids and merged.  Each
-    segment lives in exactly one shard per side, so a global pair can
-    arise from exactly one shard pair -- the final ``np.unique`` only
-    canonicalises the ordering.  Returns the same sorted, unique
-    ``(k, 2)`` array as :func:`repro.structures.join.brute_join`.
-    """
-    rows: List[np.ndarray] = []
-    for ids_a, mbr_a, tree_a in _as_shard_list(a):
-        for ids_b, mbr_b, tree_b in _as_shard_list(b):
-            if not overlaps(mbr_a[None, :], mbr_b[None, :])[0]:
-                continue
-            if isinstance(tree_a, Quadtree) and isinstance(tree_b, Quadtree):
-                pairs = quadtree_join(tree_a, tree_b)
-            elif isinstance(tree_a, RTree) and isinstance(tree_b, RTree):
-                pairs = rtree_join(tree_a, tree_b)
-            else:
-                raise TypeError("joined indexes must share a tree family")
-            if pairs.size:
-                rows.append(np.column_stack([ids_a[pairs[:, 0]],
-                                             ids_b[pairs[:, 1]]]))
-    if not rows:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.unique(np.concatenate(rows), axis=0)

@@ -116,6 +116,21 @@ def test_join_probe_matches_brute_force():
     assert np.array_equal(pairs, brute_join(a, b))
 
 
+@pytest.mark.parametrize("shards", [1, 4])
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_join_of_maps_with_different_domains(structure, shards):
+    """Two maps registered over different domains join on every
+    structure, plain and sharded, exactly as brute force."""
+    a = random_segments(300, 256, 16, seed=1)
+    b = random_segments(300, 1024, 16, seed=2)
+    with SpatialQueryEngine(structure=structure, shards=shards) as eng:
+        fa = eng.register(a)
+        fb = eng.register(b)
+        pairs = eng.join(fa, fb, timeout=60)
+    assert np.array_equal(pairs, brute_join(a, b))
+    assert pairs.shape[0] > 0
+
+
 def test_cache_hits_across_batches():
     lines = random_segments(100, DOMAIN, 48, seed=9)
     with SpatialQueryEngine(max_batch=4, max_wait=0.5) as eng:

@@ -20,13 +20,13 @@ from repro.structures import (
     build_bucket_pmr,
     build_rtree,
     build_sharded,
+    index_join,
     load_structure,
     payload_checksum,
     repair_index,
     repair_sharded,
     save_structure,
     shard_keys,
-    sharded_join,
 )
 from repro.structures.batch import _views
 from repro.structures.io import structure_payload
@@ -383,21 +383,20 @@ class TestJoin:
         b = lines_of(19, n=50)
         ia = build_sharded(a, DOMAIN, structure, shards=3)
         ib = build_sharded(b, DOMAIN, structure, shards=2)
-        assert np.array_equal(sharded_join(ia, ib), brute_join(a, b))
-        assert np.array_equal(ia.join(ib), brute_join(a, b))
+        assert np.array_equal(index_join(ia, ib), brute_join(a, b))
 
     def test_join_against_plain_tree(self):
         a = lines_of(20, n=40)
         b = lines_of(21, n=30)
         ia = build_sharded(a, DOMAIN, "pmr", shards=3)
         tb, _ = build_bucket_pmr(b, DOMAIN, 8)
-        assert np.array_equal(sharded_join(ia, tb), brute_join(a, b))
+        assert np.array_equal(index_join(ia, tb), brute_join(a, b))
 
-    def test_mixed_families_rejected(self):
-        ia = build_sharded(lines_of(22, n=20), DOMAIN, "pmr", shards=2)
-        ib = build_sharded(lines_of(23, n=20), DOMAIN, "rtree", shards=2)
-        with pytest.raises(TypeError):
-            sharded_join(ia, ib)
+    def test_mixed_families_join(self):
+        a, b = lines_of(22, n=20), lines_of(23, n=20)
+        ia = build_sharded(a, DOMAIN, "pmr", shards=2)
+        ib = build_sharded(b, DOMAIN, "rtree", shards=2)
+        assert np.array_equal(index_join(ia, ib), brute_join(a, b))
 
 
 class TestK1Degenerate:

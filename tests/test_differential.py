@@ -44,9 +44,9 @@ from repro.structures import (
     build_bucket_pmr,
     build_rtree,
     build_sharded,
+    index_join,
     quadtree_nearest,
     rtree_nearest,
-    sharded_join,
 )
 
 DOMAIN = 1024
@@ -128,7 +128,7 @@ def run_differential(family, structure, shards, ordering, seed,
     # join: self-join against a second sharded index with a different cut
     other = build_sharded(lines, DOMAIN, structure,
                           shards=max(1, shards - 1), ordering=ordering)
-    assert np.array_equal(sharded_join(idx, other),
+    assert np.array_equal(index_join(idx, other),
                           brute_join(lines, lines)), \
         (family, structure, shards, ordering, "join")
 

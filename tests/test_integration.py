@@ -18,9 +18,8 @@ from repro import (
     build_bucket_pmr,
     build_pm1,
     build_rtree,
-    quadtree_join,
+    index_join,
     quadtree_nearest,
-    rtree_join,
     rtree_nearest,
     to_linear,
     use_machine,
@@ -91,10 +90,10 @@ class TestJoinConsensus:
         want = brute_join(a, b)
         qa, _ = build_bucket_pmr(a, DOMAIN, 4)
         qb, _ = build_bucket_pmr(b, DOMAIN, 4)
-        assert np.array_equal(quadtree_join(qa, qb), want)
+        assert np.array_equal(index_join(qa, qb), want)
         ra, _ = build_rtree(a, 1, 4)
         rb, _ = build_rtree(b, 1, 4)
-        assert np.array_equal(rtree_join(ra, rb), want)
+        assert np.array_equal(index_join(ra, rb), want)
 
 
 class TestAccountingIsolation:

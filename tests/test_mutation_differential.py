@@ -38,8 +38,8 @@ from repro.structures import (
     brute_join,
     brute_nearest,
     build_sharded,
+    index_join,
     repair_sharded,
-    sharded_join,
 )
 
 DOMAIN = 1024
@@ -137,7 +137,7 @@ def run_repair_differential(family, structure, shards, ordering, seed,
             bid, bd = brute_nearest(shadow, px, py)
             assert (gid, d) == (bid, pytest.approx(bd)), ctx + ("nearest",)
         if gen % 3 == 2:
-            assert np.array_equal(sharded_join(idx, fresh),
+            assert np.array_equal(index_join(idx, fresh),
                                   brute_join(shadow, shadow)), ctx + ("join",)
     # the sweep must exercise the incremental path, not only fallbacks
     if shards > 1:
