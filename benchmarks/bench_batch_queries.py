@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_table
+from repro.geometry import random_segments
+from repro.geometry.rect import overlaps
 from repro.machine import Machine
 from repro.structures import (
     batch_window_query_quadtree,
@@ -75,3 +77,46 @@ def test_batch_rtree(built, query_windows, benchmark):
     _, rt = built
     rects = np.vstack(query_windows)
     benchmark(batch_window_query_rtree, rt, rects)
+
+
+def test_report_duplicate_deletion():
+    """Candidate, distinct and kept (query, line) pairs per window probe.
+
+    A bucket PMR quadtree stores a segment in every leaf its q-edge
+    crosses (paper section 4.1), so one window meets it once per such
+    leaf; the window kernels delete the duplicates (section 4.3) before
+    the exact test, which therefore runs on the distinct pairs only.
+    R-tree entries are stored once, so their candidates are distinct
+    already.  Map and windows are the bench spine's: 20k uniform
+    segments (domain 4096, ``max_len`` 128, seed 7) and windows of
+    log-uniform side 16..512.
+    """
+    lines = random_segments(20000, domain=DOMAIN, max_len=DOMAIN // 32,
+                            seed=7)
+    pmr, _ = build_bucket_pmr(lines, DOMAIN, 8)
+    rt, _ = build_rtree(lines, 2, 8)
+    rng = np.random.default_rng(7)
+    side = np.exp(rng.uniform(np.log(16), np.log(512), 512))
+    lo = rng.random((512, 2)) * (DOMAIN - side)[:, None]
+    rects = np.column_stack([lo, lo + side[:, None]])
+    leaves = np.flatnonzero(pmr.children[:, 0] < 0)
+    per_leaf = np.diff(pmr.node_ptr)[leaves]
+    rows = []
+    for name, tree, kernel in (("bucket PMR", pmr, batch_window_query_quadtree),
+                               ("R-tree", rt, batch_window_query_rtree)):
+        distinct = sum(r.size for r in kernel(tree, rects, exact=False))
+        kept = sum(r.size for r in kernel(tree, rects))
+        if tree is pmr:   # one candidate per (window, reached leaf, line)
+            cand = sum(int(per_leaf[overlaps(pmr.boxes[leaves],
+                                             np.tile(r, (leaves.size, 1)))]
+                           .sum()) for r in rects)
+        else:
+            cand = distinct
+        assert kept <= distinct <= cand
+        rows.append([name, f"{cand / len(rects):.1f}",
+                     f"{distinct / len(rects):.1f}",
+                     f"{kept / len(rects):.1f}"])
+    print_experiment(
+        "ext: duplicate deletion before the exact test (pairs per window "
+        "probe)",
+        format_table(["structure", "candidates", "distinct", "kept"], rows))

@@ -33,7 +33,7 @@ from .executor import RejectedError
 __all__ = ["Probe", "Coalescer"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Probe:
     """One in-flight request: its payload and the future awaiting it.
 

@@ -50,6 +50,7 @@ import threading
 import time
 from concurrent.futures import (Future, InvalidStateError,
                                 TimeoutError as FutureTimeoutError, wait)
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, List, Optional, Tuple
@@ -214,6 +215,9 @@ class SpatialQueryEngine:
                                     budget_bytes=config.disk_budget_bytes,
                                     observer=self.stats.event,
                                     retry=self._retry, injector=self.faults)
+        # (content fingerprint, structure) -> the IndexKey it serves
+        # under; _on_collected drops a collected content's entries
+        self._index_keys: Dict[Tuple[str, str], IndexKey] = {}
         self.registry = IndexRegistry(
             capacity=config.cache_capacity, store=self.store,
             injector=self.faults,
@@ -265,9 +269,10 @@ class SpatialQueryEngine:
         self._coalescer = Coalescer(self._dispatch,
                                     max_batch=config.max_batch,
                                     max_wait=config.max_wait)
-        # the last probe future of every read group in flight, which
-        # flush() waits on: a group records its counters, then resolves
-        # its probes in order
+        # one marker future per read group in flight, which flush()
+        # waits on: set once the group has released its pins, recorded
+        # its counters and resolved its probes (a caller may cancel a
+        # probe future, never this)
         self._unsettled: set = set()
         self._closed = False
 
@@ -378,18 +383,6 @@ class SpatialQueryEngine:
                      exact: bool = True,
                      deadline: Optional[float] = None) -> Future:
         pt = np.asarray(point, dtype=float).reshape(2)
-        structure = structure or self.config.structure
-        if FAMILY[structure] == "quadtree":
-            dom = self.registry.domain(
-                self.registry.resolve(fingerprint).fingerprint)
-            if not (0 <= pt[0] <= dom and 0 <= pt[1] <= dom):
-                # mirror the scalar query's error without failing the batch
-                fut: Future = Future()
-                fut.set_exception(
-                    ValueError(f"point {tuple(pt)} outside the domain"))
-                self.stats.record_submitted("point")
-                self.stats.inc(failed=1)
-                return fut
         return self._submit("point", fingerprint, pt, structure, exact,
                             deadline)
 
@@ -632,6 +625,8 @@ class SpatialQueryEngine:
         """The registry dropped a content (its ``on_collect`` observer):
         the per-content serving state kept here goes with it."""
         self.breakers.drop(fingerprint)
+        for structure in FAMILY:
+            self._index_keys.pop((fingerprint, structure), None)
 
     def _on_executor_event(self, name: str, value=1) -> None:
         """Process-backend telemetry: every event but the structured
@@ -654,13 +649,18 @@ class SpatialQueryEngine:
 
     def _index_key(self, fingerprint: str,
                    structure: Optional[str]) -> IndexKey:
-        """The key ``fingerprint``'s index is served under."""
+        """The key ``fingerprint``'s index is served under, memoised per
+        (content, structure) until the content is collected."""
         structure = structure or self.config.structure
-        if structure not in FAMILY:
-            raise ValueError(f"unknown structure {structure!r}")
-        return IndexKey.make(fingerprint, structure, **index_params(
-            structure, self.config.capacity, self.config.min_fill,
-            self.config.shards, self.config.ordering))
+        key = self._index_keys.get((fingerprint, structure))
+        if key is None:
+            if structure not in FAMILY:
+                raise ValueError(f"unknown structure {structure!r}")
+            key = self._index_keys[(fingerprint, structure)] = IndexKey.make(
+                fingerprint, structure, **index_params(
+                    structure, self.config.capacity, self.config.min_fill,
+                    self.config.shards, self.config.ordering))
+        return key
 
     def _submit(self, kind: str, fingerprint: str, payload: np.ndarray,
                 structure: Optional[str], exact: bool,
@@ -668,32 +668,48 @@ class SpatialQueryEngine:
         # snapshot isolation: the probe binds to the version that is
         # current *now* -- a mutation committing after this line cannot
         # redirect it, because the group key carries the resolved
-        # content fingerprint, not the client's chain handle
-        info = self.registry.resolve(fingerprint)
-        fingerprint = info.fingerprint
-        key = (self._index_key(fingerprint, structure), kind,
-               bool(exact))
+        # content fingerprint, not the client's chain handle.  The pin
+        # keeps retention GC off this version's dataset (the brute
+        # fallback needs it) until the probe's group settles; a probe
+        # that never joins a group releases it here.
+        fingerprint, version, domain = self.registry.pin_head(fingerprint)
+        try:
+            key = (self._index_key(fingerprint, structure), kind,
+                   bool(exact))
+        except ValueError:
+            self.registry.unpin(fingerprint)
+            raise
         self.stats.record_submitted(kind)
+        if kind == "point" and FAMILY[key[0].structure] == "quadtree" \
+                and not (0 <= payload[0] <= domain
+                         and 0 <= payload[1] <= domain):
+            # mirror the scalar query's error without failing the batch
+            self.registry.unpin(fingerprint)
+            self.stats.inc(failed=1)
+            fut: Future = Future()
+            fut.set_exception(
+                ValueError(f"point {tuple(payload)} outside the domain"))
+            return fut
         if not self.breakers.allow(fingerprint):
             if self.config.brute_fallback:
                 return self._submit_brute(kind, fingerprint, payload)
+            self.registry.unpin(fingerprint)
             return self._fail_fast(kind, (fingerprint,))
         probe = Probe(payload,
                       deadline_at=(time.monotonic() + deadline
                                    if deadline is not None else None))
-        probe.future.version = info.version
-        # pin the snapshot: retention GC may not reclaim this version's
-        # dataset (the brute fallback needs it) until the read settles
-        self.registry.pin(fingerprint)
-        probe.future.add_done_callback(
-            lambda _f, fp=fingerprint: self.registry.unpin(fp))
-        return self._enqueue(key, probe)
+        probe.future.version = version
+        return self._enqueue(key, probe, pinned=fingerprint)
 
-    def _enqueue(self, group_key, probe: Probe) -> Future:
-        """Hand a probe to the coalescer; a refusal fails only its future."""
+    def _enqueue(self, group_key, probe: Probe,
+                 pinned: Optional[str] = None) -> Future:
+        """Hand a probe to the coalescer; a refusal fails only its future
+        and releases the pin ``pinned`` names (no group will)."""
         try:
             self._coalescer.submit(group_key, probe)
         except RejectedError as exc:
+            if pinned is not None:
+                self.registry.unpin(pinned)
             self.stats.inc(rejected={exc.reason: 1})
             probe.future.set_exception(exc)
         return probe.future
@@ -716,6 +732,7 @@ class SpatialQueryEngine:
         Runs while the fingerprint's breaker is open and
         ``brute_fallback`` is enabled -- an O(n) scan keeps answers
         flowing (exact-geometry semantics) until the index path heals.
+        The pin :meth:`_submit` took goes with the probe's group.
         """
         probe = Probe(payload)
         ref = self._index_ref(self._index_key(fingerprint, None))
@@ -777,7 +794,8 @@ class SpatialQueryEngine:
         return spec
 
     def _run_group(self, spec: JobSpec, probes: List[Probe],
-                   started: Optional[float] = None) -> None:
+                   started: Optional[float] = None,
+                   settled: Optional[Future] = None) -> None:
         """The one group pipeline: submit -> settle, on either backend.
 
         Submit with retry; a rejection is counted and rejects every
@@ -789,30 +807,51 @@ class SpatialQueryEngine:
         fallback.  A sharded wave's ``shards`` counts land here too: its
         shard row, and -- when the deadline dropped planned shards --
         a :class:`PartialResult` per probe, which feeds no breaker.
+        Every outcome leaves through :meth:`_settling`; ``settled`` is
+        the group's marker for it, made on the first issue and handed
+        on by the brute re-issue.
         """
         if started is None:
             started = min(p.submitted_at for p in probes)
-        tail = probes[-1].future
-        self._unsettled.add(tail)
-        tail.add_done_callback(self._unsettled.discard)
+        if settled is None:
+            settled = Future()
+            self._unsettled.add(settled)
         try:
             fut = self._submit_job_with_retry(self._bind(spec))
         except RejectedError as exc:
             self.stats.inc(rejected={exc.reason: len(probes)})
-            for p in probes:
-                _reject(p.future, RejectedError(str(exc), reason=exc.reason))
+            with self._settling(spec, probes, settled):
+                for p in probes:
+                    _reject(p.future,
+                            RejectedError(str(exc), reason=exc.reason))
             return
         except InjectedFault as exc:   # the binding's registry.get site
-            self._group_failed(exc, spec, probes, started)
+            self._group_failed(exc, spec, probes, started, settled)
             return
-        fut.add_done_callback(
-            lambda done: self._group_done(done, spec, probes, started))
+        fut.add_done_callback(lambda done: self._group_done(
+            done, spec, probes, started, settled))
+
+    @contextmanager
+    def _settling(self, spec: JobSpec, probes: List[Probe],
+                  settled: Future):
+        """The one exit of a group, taken exactly once: release the pins
+        its read probes took at submit (one registry acquisition), let
+        the body resolve or reject every probe future, then let
+        :meth:`flush` past the group.  Join probes hold their pins on
+        their own futures."""
+        if spec.op != "join":
+            self.registry.unpin(spec.index.fingerprint, len(probes))
+        try:
+            yield
+        finally:
+            self._unsettled.discard(settled)
+            settled.set_result(None)
 
     def _group_done(self, done: Future, spec: JobSpec, probes: List[Probe],
-                    started: float) -> None:
+                    started: float, settled: Future) -> None:
         exc = done.exception()
         if exc is not None:
-            self._group_failed(exc, spec, probes, started)
+            self._group_failed(exc, spec, probes, started, settled)
             return
         res: WorkerResult = done.result()
         degraded = spec.degraded
@@ -835,25 +874,27 @@ class SpatialQueryEngine:
         kind = "join" if spec.op == "join" else spec.kind
         self.stats.record_batch(f"{served_by}:{kind}", len(probes), res.steps,
                                 res.primitives, time.monotonic() - started)
-        if spec.op != "join":
-            for p, val in zip(probes, values):
-                _resolve(p.future, val)
-            return
-        # per-pair outcomes: one bad pair fails (and feeds the breakers
-        # of) only its own probe
-        for p, (status, val) in zip(probes, res.values):
-            if not degraded:
-                feed = (self.breakers.record_success if status == "ok"
-                        else self.breakers.record_failure)
-                for fp in p.payload:
-                    feed(fp)
-            if status == "ok":
-                _resolve(p.future, val)
-            else:
-                self._fail_probes([p], val)
+        with self._settling(spec, probes, settled):
+            if spec.op != "join":
+                for p, val in zip(probes, values):
+                    _resolve(p.future, val)
+                return
+            # per-pair outcomes: one bad pair fails (and feeds the
+            # breakers of) only its own probe
+            for p, (status, val) in zip(probes, res.values):
+                if not degraded:
+                    feed = (self.breakers.record_success if status == "ok"
+                            else self.breakers.record_failure)
+                    for fp in p.payload:
+                        feed(fp)
+                if status == "ok":
+                    _resolve(p.future, val)
+                else:
+                    self._fail_probes([p], val)
 
     def _group_failed(self, exc: BaseException, spec: JobSpec,
-                      probes: List[Probe], started: float) -> None:
+                      probes: List[Probe], started: float,
+                      settled: Future) -> None:
         """A whole group failed: breaker(s), then brute re-issue or reject.
 
         The failure (index resolve, kernel, crash retries exhausted,
@@ -871,9 +912,10 @@ class SpatialQueryEngine:
                     and any(self.breakers.state(fp) == OPEN for fp in keys):
                 self._run_group(replace(spec, brute=True) if spec.op == "join"
                                 else replace(spec, op="brute"),
-                                probes, started)
+                                probes, started, settled)
                 return
-        self._fail_probes(probes, exc)
+        with self._settling(spec, probes, settled):
+            self._fail_probes(probes, exc)
 
     def _fail_probes(self, probes: List[Probe], exc: BaseException,
                      **also) -> None:

@@ -382,13 +382,30 @@ class IndexRegistry:
         with self._lock:
             self._content(fingerprint).pins += 1
 
-    def unpin(self, fingerprint: str) -> None:
-        """Release one pin; collects the content if retirement waited."""
+    def pin_head(self, fingerprint: str) -> Tuple[str, int, int]:
+        """:meth:`resolve` then :meth:`pin` the head, under one lock.
+
+        Returns the head's ``(content fingerprint, version, domain)``:
+        everything a read needs from the registry at submit time.
+        """
+        with self._lock:
+            root = self._roots.get(fingerprint)
+            if root is None:
+                raise KeyError(
+                    f"unknown dataset fingerprint {fingerprint!r}")
+            chain = self._chains[root]
+            cur = chain[-1]
+            rec = self._datasets[cur]
+            rec.pins += 1
+            return cur, len(chain) - 1, rec.domain
+
+    def unpin(self, fingerprint: str, n: int = 1) -> None:
+        """Release ``n`` pins; collects the content if retirement waited."""
         with self._lock:
             rec = self._datasets.get(fingerprint)
             if rec is None:
                 return   # forgotten while the read was in flight
-            rec.pins = max(rec.pins - 1, 0)
+            rec.pins = max(rec.pins - n, 0)
             if rec.doomed and not rec.pins:
                 self._retire((fingerprint,))
 

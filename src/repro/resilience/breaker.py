@@ -101,6 +101,11 @@ class CircuitBreaker:
         get probe tokens; the rest keep failing fast until a probe
         reports back.
         """
+        if self._state == CLOSED:
+            # unlocked fast path: a closed breaker stays closed until
+            # a recorded failure trips it, which may as well land just
+            # after this read
+            return True
         event = None
         with self._lock:
             state = self._peek_state()
@@ -191,7 +196,10 @@ class BreakerBoard:
             return b
 
     def allow(self, key: str) -> bool:
-        return self.breaker(key).allow()
+        # the board lock only guards creation: an existing breaker is
+        # read without it (one dict lookup, atomic under the GIL)
+        b = self._breakers.get(key)
+        return (b or self.breaker(key)).allow()
 
     def record_success(self, key: str) -> None:
         self.breaker(key).record_success()

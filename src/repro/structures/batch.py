@@ -9,8 +9,15 @@ families:
 * the frontier is a vector of (query id, node id) pairs;
 * each round every pair tests its query window against its node's
   rectangle in one whole-array step and expands into children;
-* at the leaves, candidate (query, line) pairs are verified with one
-  vectorised exact test.
+* at the leaves, candidate (query, line) pairs are deduplicated (the
+  paper's section 4.3 duplicate deletion: a bucket PMR quadtree stores
+  a segment in every block it crosses, so one window meets it once per
+  leaf) and only the distinct pairs take the one vectorised exact test.
+
+An empty (inverted) window is swapped for ``EMPTY_RECT`` once, when
+the frontier is seeded, so it leaves in the first round and every
+round's prune is four closed-overlap comparisons with no emptiness
+test (node boxes, level MBRs and entry boxes are never empty).
 
 Results are identical to looping the scalar ``window_query`` (a test
 invariant) but the work is whole-array per tree level -- O(height)
@@ -38,9 +45,9 @@ from ..geometry.distance import (
     points_rects_max_distance,
     points_segments_distance,
 )
-from ..geometry.rect import contains_point_halfopen, overlaps, validate_rects
+from ..geometry.rect import EMPTY_RECT, contains_point_halfopen, validate_rects
 from ..machine import Machine, get_machine
-from .csr import gather_csr, pack_csr, run_heads
+from .csr import distinct_pairs, gather_csr, pack_csr, pack_sorted, run_heads
 from .quadblock import Quadtree
 from .rtree import RTree
 
@@ -72,31 +79,54 @@ def _leaf_pairs(tree: Quadtree, leaf_q: np.ndarray, leaf_n: np.ndarray):
     return np.repeat(leaf_q, counts), lines
 
 
+def _seed(rects) -> np.ndarray:
+    """The validated ``(n, 4)`` windows, each empty (inverted) one swapped
+    for ``EMPTY_RECT``: its +-inf corners fail every :func:`_meets`, so
+    it leaves the frontier in the first round like any window that
+    misses the root."""
+    rects = validate_rects(np.asarray(rects, dtype=float).reshape(-1, 4))
+    empty = (rects[:, 0] > rects[:, 2]) | (rects[:, 1] > rects[:, 3])
+    return np.where(empty[:, None], EMPTY_RECT, rects) if empty.any() else rects
+
+
+def _meets(boxes: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Closed overlap of non-empty boxes with seeded windows, row-wise:
+    four comparisons (:func:`~repro.geometry.rect.overlaps` without its
+    emptiness tests, which :func:`_seed` made redundant)."""
+    return ((boxes[:, 0] <= windows[:, 2]) & (windows[:, 0] <= boxes[:, 2])
+            & (boxes[:, 1] <= windows[:, 3]) & (windows[:, 1] <= boxes[:, 3]))
+
+
 def _prune_window(m: Machine, rects, q_frontier, n_frontier, boxes):
     """Drop the (query, node) pairs whose box misses the query window."""
     m.record("elementwise", q_frontier.size)
-    alive = overlaps(boxes, rects[q_frontier])
+    alive = _meets(boxes, rects[q_frontier])
     return q_frontier[alive], n_frontier[alive]
 
 
 def _verify_and_pack(m: Machine, tree, rects, qid, lid, exact: bool):
-    """Exact-test the candidate pairs, then pack them per query.
+    """Dedupe the candidate pairs, exact-test the distinct ones, pack
+    them per query.
 
-    ``exact=False`` keeps every candidate from the reached leaves,
-    matching the scalar ``window_query``'s filter-step semantics.
+    A quadtree window meets a segment once per leaf that stores it, so
+    the dedupe comes first and the exact test runs on distinct pairs
+    only; R-tree pairs are distinct already.  ``exact=False`` keeps
+    every distinct candidate from the reached leaves, matching the
+    scalar ``window_query``'s filter-step semantics.
     """
-    if exact and qid.size:
-        m.record("elementwise", qid.size)
-        keep = segments_intersect_rects(tree.lines[lid], rects[qid])
-        qid = qid[keep]
-        lid = lid[keep]
-    return pack_csr(qid, lid, rects.shape[0], tree.lines.shape[0])
+    q, ids = distinct_pairs(qid, lid, tree.lines.shape[0])
+    if exact and q.size:
+        m.record("elementwise", q.size)
+        keep = segments_intersect_rects(tree.lines[ids], rects[q])
+        q = q[keep]
+        ids = ids[keep]
+    return pack_sorted(q, ids, rects.shape[0])
 
 
 def _window_quadtree(tree: Quadtree, rects, exact: bool,
                      machine: Optional[Machine]):
     m = machine or get_machine()
-    rects = validate_rects(np.asarray(rects, dtype=float).reshape(-1, 4))
+    rects = _seed(rects)
     nq = rects.shape[0]
     q_frontier = np.arange(nq, dtype=np.int64)
     n_frontier = np.zeros(nq, dtype=np.int64)
@@ -133,7 +163,7 @@ def batch_window_query_quadtree(tree: Quadtree, rects, exact: bool = True,
 
 def _window_rtree(tree: RTree, rects, exact: bool, machine: Optional[Machine]):
     m = machine or get_machine()
-    rects = validate_rects(np.asarray(rects, dtype=float).reshape(-1, 4))
+    rects = _seed(rects)
     nq = rects.shape[0]
     q_frontier = np.arange(nq, dtype=np.int64)
     n_frontier = np.zeros(nq, dtype=np.int64)
@@ -154,7 +184,7 @@ def _window_rtree(tree: RTree, rects, exact: bool, machine: Optional[Machine]):
     qid = np.repeat(q_frontier, counts)
     if qid.size:
         m.record("elementwise", qid.size)
-        keep = overlaps(tree.entry_bbox[lid], rects[qid])
+        keep = _meets(tree.entry_bbox[lid], rects[qid])
         qid = qid[keep]
         lid = lid[keep]
     return _verify_and_pack(m, tree, rects, qid, lid, exact)

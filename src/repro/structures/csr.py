@@ -5,14 +5,17 @@ group ``j`` is ``ids[ptr[j]:ptr[j + 1]]``.  :func:`group_csr` derives
 one from an owner-pointer array (once per tree), :func:`gather_csr`
 reads many groups at once (once per frontier round), and
 :func:`pack_csr` turns a kernel's (query, line) hit stream into the
-per-query result grouping (once per batch).
+per-query result grouping (once per batch); :func:`distinct_pairs` is
+its sort-and-dedupe half, for kernels that filter the distinct pairs
+before packing them with :func:`pack_sorted`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["group_csr", "gather_csr", "run_heads", "pack_csr"]
+__all__ = ["group_csr", "gather_csr", "run_heads", "distinct_pairs",
+           "pack_sorted", "pack_csr"]
 
 
 def _ptr(owner: np.ndarray, num_groups: int) -> np.ndarray:
@@ -51,15 +54,28 @@ def run_heads(keys: np.ndarray) -> np.ndarray:
     return first
 
 
-def pack_csr(qid: np.ndarray, lid: np.ndarray, num_queries: int, span: int
-             ) -> tuple[np.ndarray, np.ndarray]:
-    """Group (query, line) pairs into sorted duplicate-free runs per query.
+def distinct_pairs(qid: np.ndarray, lid: np.ndarray, span: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """``(q, ids)``: the distinct (query, line) pairs, sorted by query
+    then line.
 
     One sort of the fused key ``qid * span + lid`` (every ``lid <
-    span``), one run-boundary dedupe, one ``divmod``.  ``ids`` is
-    returned read-only: the per-query results are views of it.
+    span``), one run-boundary dedupe, one ``divmod``.
     """
     key = np.sort(qid * span + lid)
-    q, ids = np.divmod(key[run_heads(key)], max(span, 1))
+    return np.divmod(key[run_heads(key)], max(span, 1))
+
+
+def pack_sorted(q: np.ndarray, ids: np.ndarray, num_queries: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, ptr)`` of pairs already sorted by query: no second sort.
+    ``ids`` is returned read-only: the per-query results are views of it."""
     ids.flags.writeable = False
     return ids, _ptr(q, num_queries)
+
+
+def pack_csr(qid: np.ndarray, lid: np.ndarray, num_queries: int, span: int
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Group (query, line) pairs into sorted duplicate-free runs per query:
+    :func:`distinct_pairs`, then :func:`pack_sorted`."""
+    return pack_sorted(*distinct_pairs(qid, lid, span), num_queries)

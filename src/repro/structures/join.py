@@ -13,8 +13,9 @@ A intersecting line ``j`` of map B -- plus the brute-force oracle:
   ``batch_core`` or a sharded index's ``query_wave``).  Any two indexes
   join -- plain quadtree, plain R-tree or sharded, of either family and
   over any domains.
-* :func:`brute_join` -- exact all-pairs oracle (and the engine's
-  degraded path).
+* :func:`brute_join` -- exact tree-free oracle (and the engine's
+  degraded path): x-sorted blocks of A against the rows of B their
+  MBR meets.
 
 The wave cannot miss a pair: the crossing point of two intersecting
 segments lies in the probe segment's MBR and in a leaf block (or entry
@@ -30,7 +31,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..geometry.rect import rects_from_segments
+from ..geometry.rect import overlaps, rects_from_segments
 from ..geometry.segment import segments_intersect_segments, validate_segments
 from ..machine import Machine
 from .sharded import index_wave
@@ -75,18 +76,30 @@ def _verify_pairs(a: np.ndarray, b: np.ndarray, ii: np.ndarray, jj: np.ndarray) 
 
 
 def brute_join(a: np.ndarray, b: np.ndarray, block: int = 512) -> np.ndarray:
-    """All intersecting pairs by exhaustive testing (blocked to bound memory)."""
+    """All intersecting pairs without an index, culled by block MBR.
+
+    ``a`` is taken in x-midpoint order, ``block`` rows at a time (which
+    bounds memory), and each block is tested against only the rows of
+    ``b`` whose MBR meets the block's MBR: intersecting segments have
+    overlapping MBRs, so the cull drops no pair and the oracle stays
+    exact and tree-free.
+    """
     a = validate_segments(a, "a")
     b = validate_segments(b, "b")
+    order = np.argsort(a[:, 0] + a[:, 2], kind="stable")
+    a_box = rects_from_segments(a)
+    b_box = rects_from_segments(b)
     rows: List[np.ndarray] = []
     for start in range(0, a.shape[0], block):
-        chunk = a[start:start + block]
-        na = chunk.shape[0]
-        ii = np.repeat(np.arange(na), b.shape[0])
-        jj = np.tile(np.arange(b.shape[0]), na)
-        hit = segments_intersect_segments(chunk[ii], b[jj])
+        ids = order[start:start + block]
+        mbr = np.concatenate([a_box[ids, :2].min(axis=0),
+                              a_box[ids, 2:].max(axis=0)])
+        near = np.flatnonzero(overlaps(b_box, mbr[None, :]))
+        ii = np.repeat(ids, near.size)
+        jj = np.tile(near, ids.size)
+        hit = segments_intersect_segments(a[ii], b[jj])
         if hit.any():
-            rows.append(np.column_stack([ii[hit] + start, jj[hit]]))
+            rows.append(np.column_stack([ii[hit], jj[hit]]))
     if not rows:
         return np.zeros((0, 2), dtype=np.int64)
     out = np.concatenate(rows).astype(np.int64)

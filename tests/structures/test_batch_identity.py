@@ -109,6 +109,29 @@ def test_kernels_match_the_reference(map_kind, structure, map_seed, nq, exact, s
     assert all(type(i) is int and type(d) is float for i, d in got)
 
 
+@pytest.mark.parametrize("exact", [True, False])
+@pytest.mark.parametrize("structure", sorted(BUILDS))
+@pytest.mark.parametrize("map_kind", ["crossing", "uniform"])
+def test_empty_whole_and_zero_area_windows(map_kind, structure, exact):
+    """Inverted (min > max) windows leave the frontier at the seed:
+    mixed into one batch with whole-domain and zero-area windows, and
+    as a batch of their own, they keep the reference's ids and its
+    per-batch accounting."""
+    tree = tree_of(map_kind, structure, 0)
+    family = "rtree" if structure in ("rtree", "str") else "quadtree"
+    end = tree.lines[0]
+    inverted = [[300, 10, 200, 90], [10, 300, 90, 200],
+                [DOMAIN, DOMAIN, 0, 0], [end[0] + 1, end[1], end[0], end[1]]]
+    whole = [[0, 0, DOMAIN, DOMAIN],
+             [-DOMAIN, -DOMAIN, 2 * DOMAIN, 2 * DOMAIN]]
+    zero_area = [[end[0], end[1], end[0], end[1]], [256, 256, 256, 256],
+                 [100, 0, 100, DOMAIN], [0, 64, DOMAIN, 64]]
+    mixed = np.array(inverted[:2] + whole + zero_area + inverted[2:], float)
+    for rects in (mixed, np.array(inverted, float)):
+        assert_same_ids(*both(f"batch_window_query_{family}", tree, rects,
+                              exact=exact))
+
+
 def test_strict_point_probe_still_rejects_the_outside():
     tree = tree_of("uniform", "pmr", 0)
     for mod in (batch, reference_batch):

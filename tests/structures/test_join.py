@@ -150,7 +150,8 @@ def _axis_map(rng, n, horizontal):
 def test_two_waves_match_the_crossing_oracle(n_a, n_b):
     """Both maps longer than one wave: horizontal rows against vertical
     ones, whose intersecting pairs are exact on the lattice (closed
-    spans, so touching endpoints count) without an all-pairs scan."""
+    spans, so touching endpoints count) without an all-pairs scan.  The
+    MBR-culled :func:`brute_join` answers to the same oracle."""
     rng = np.random.default_rng(11)
     a = _axis_map(rng, n_a, horizontal=True)
     b = _axis_map(rng, n_b, horizontal=False)
@@ -161,3 +162,4 @@ def test_two_waves_match_the_crossing_oracle(n_a, n_b):
     pmr = build_index(a, 1024, "pmr", capacity=8)
     sharded = build_index(b, 1024, "rtree", shards=4)
     assert np.array_equal(index_join(pmr, sharded), want)
+    assert np.array_equal(brute_join(a, b), want)
