@@ -917,7 +917,9 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--max-batch", type=int, default=256,
                    help="coalescing count trigger")
     s.add_argument("--max-wait", type=float,
-                   help="coalescing deadline trigger (seconds)")
+                   help="coalescing deadline (seconds): the longest a "
+                        "request waits while a batch is in flight; an "
+                        "idle engine dispatches at once")
     s.add_argument("--queue-depth", type=int)
     s.add_argument("--shards", type=int,
                    help="space-sorted shards per index (>1: one tree per "

@@ -4,14 +4,27 @@ The paper's batch evaluation (``structures/batch.py``) answers a whole
 query *set* in O(tree height) vector rounds -- but a serving system
 receives probes one at a time.  The coalescer bridges the two: probes
 for the same (index, query kind) accumulate in a group, and a group is
-dispatched as one batch when either
+dispatched as one batch by the first of four triggers:
 
-* it reaches ``max_batch`` probes (count trigger), or
-* its oldest probe has waited ``max_wait`` seconds (deadline trigger),
+* **count** -- it reaches ``max_batch`` probes (flushed on the
+  submitting thread);
+* **deadline** -- its oldest probe has waited ``max_wait`` seconds
+  (flushed by the watcher thread);
+* **kick** -- its callers have nothing more to add right now
+  (:meth:`Coalescer.kick`): on an idle engine every pending group
+  flushes at once, on the kicking thread; on a busy one the pending
+  groups are *marked*;
+* **drain** -- a settling group leaves the engine idle
+  (:meth:`Coalescer.settled`): every marked group flushes at once.
 
-whichever comes first.  This is the classic throughput/latency knob of
-batched serving: larger windows amortise the per-round vector work over
-more queries, smaller ones bound the queueing delay.
+``idle`` is the engine's predicate "no read or join group in flight".
+Kick and drain make the batching work-conserving: a lone request on an
+idle engine goes out at once, and while a batch runs the next one forms
+behind it, so ``max_wait`` only bounds how long a probe waits while the
+engine is busy and its callers have not kicked.  Plain submits never
+kick: an in-process wave that submits its probes one by one batches by
+count and deadline exactly as before.  ``flush()`` and ``close()``
+dispatch every pending group unconditionally.
 
 The deadline watcher keeps each group's *head timestamp* (when its
 oldest probe arrived) and sleeps until the soonest ``head + max_wait``.
@@ -51,21 +64,32 @@ class Probe:
 
 
 class Coalescer:
-    """Groups probes per key and flushes on count or deadline."""
+    """Groups probes per key and flushes on count, deadline, kick or drain.
+
+    ``on_flush(why, groups)`` (optional) hears every dispatch: ``why``
+    is ``"count"``, ``"deadline"``, ``"kick"``, ``"drain"`` or
+    ``"flush"`` (explicit :meth:`flush` and :meth:`close`).
+    """
 
     def __init__(self, flush_fn: Callable[[Hashable, List[Probe]], None],
-                 max_batch: int = 64, max_wait: float = 0.002):
+                 max_batch: int = 64, max_wait: float = 0.002,
+                 idle: Callable[[], bool] = lambda: True,
+                 on_flush: Optional[Callable[[str, int], None]] = None):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_wait < 0:
             raise ValueError("max_wait must be >= 0")
         self._flush_fn = flush_fn
+        self._idle = idle
+        self._on_flush = on_flush
         self.max_batch = max_batch
         self.max_wait = max_wait
         self._cv = threading.Condition()
         self._groups: Dict[Hashable, List[Probe]] = {}
         # group key -> the oldest probe's submit timestamp
         self._heads: Dict[Hashable, float] = {}
+        # groups kicked while the engine was busy: they flush on drain
+        self._marked: set = set()
         self._closed = False
         self._timer = threading.Thread(target=self._run, daemon=True,
                                        name="repro-engine-coalescer")
@@ -73,7 +97,7 @@ class Coalescer:
 
     def submit(self, key: Hashable, probe: Probe) -> None:
         """Add a probe; may synchronously flush a full group."""
-        ready = None
+        why = None
         with self._cv:
             if self._closed:
                 raise RejectedError("engine is closed", reason="closed")
@@ -82,14 +106,56 @@ class Coalescer:
             if len(group) == 1:
                 self._heads[key] = probe.submitted_at
                 self._cv.notify()
-            if len(group) >= self.max_batch or self.max_wait <= 0:
-                ready = self._take(key)
-        if ready is not None:
-            self._flush_fn(key, ready)
+            if len(group) >= self.max_batch:
+                why = "count"
+            elif self.max_wait <= 0:
+                why = "deadline"   # a zero window has always elapsed
+            if why is not None:
+                ready = [(key, self._take(key))]
+        if why is not None:
+            self._dispatch(why, ready)
+
+    def kick(self) -> None:
+        """The callers have nothing more to add right now.
+
+        On an idle engine every pending group flushes at once, on this
+        thread; otherwise the pending groups are marked and flush when
+        the engine drains (or earlier by count or deadline).  A no-op
+        with nothing pending, and so after :meth:`close`.
+        """
+        with self._cv:
+            if not self._groups:
+                return
+            if not self._idle():
+                self._marked.update(self._groups)
+                return
+            batches = self._take_all()
+        self._dispatch("kick", batches)
+
+    def settled(self) -> None:
+        """A group left the engine: if it is now idle, flush the marked
+        groups in one pass."""
+        with self._cv:
+            if not self._marked or not self._idle():
+                return
+            batches = [(k, self._take(k)) for k in list(self._groups)
+                       if k in self._marked]   # in arrival order
+        self._dispatch("drain", batches)
 
     def _take(self, key: Hashable) -> List[Probe]:
         self._heads.pop(key, None)
+        self._marked.discard(key)
         return self._groups.pop(key)
+
+    def _take_all(self) -> List[Tuple[Hashable, List[Probe]]]:
+        return [(k, self._take(k)) for k in list(self._groups)]
+
+    def _dispatch(self, why: str,
+                  batches: List[Tuple[Hashable, List[Probe]]]) -> None:
+        if batches and self._on_flush is not None:
+            self._on_flush(why, len(batches))
+        for key, probes in batches:
+            self._flush_fn(key, probes)
 
     def _run(self) -> None:
         """Deadline watcher: flush groups whose window has elapsed."""
@@ -109,15 +175,13 @@ class Coalescer:
                     due = [k for k, h in self._heads.items()
                            if h + self.max_wait <= now]
                     batches = [(k, self._take(k)) for k in due]
-            for key, probes in batches:
-                self._flush_fn(key, probes)
+            self._dispatch("deadline", batches)
 
     def flush(self) -> None:
         """Dispatch every pending group immediately (tests, shutdown)."""
         with self._cv:
-            batches = [(k, self._take(k)) for k in list(self._groups)]
-        for key, probes in batches:
-            self._flush_fn(key, probes)
+            batches = self._take_all()
+        self._dispatch("flush", batches)
 
     @property
     def pending(self) -> int:
@@ -130,8 +194,7 @@ class Coalescer:
             if self._closed:
                 return
             self._closed = True
-            batches = [(k, self._take(k)) for k in list(self._groups)]
+            batches = self._take_all()
             self._cv.notify_all()
-        for key, probes in batches:
-            self._flush_fn(key, probes)
+        self._dispatch("flush", batches)
         self._timer.join(timeout=5)

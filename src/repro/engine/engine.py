@@ -8,8 +8,9 @@
   optionally backed by a persistent :class:`~repro.store.IndexStore`
   (``cache_dir=...``) that absorbs evictions and serves warm starts;
 * a :class:`~repro.engine.coalescer.Coalescer` that batches individual
-  window / point / nearest probes per (index, kind) within a count or
-  deadline window;
+  window / point / nearest probes per (index, kind) and flushes a
+  group by count, by deadline, or as soon as its callers stop
+  submitting and no group is in flight (work-conserving);
 * an executor backend (threads, or a process pool) running each batch
   as **one** vectorized ``structures.batch`` frontier pass over the
   read-only index, with backpressure when saturated -- every group,
@@ -126,7 +127,10 @@ class EngineConfig:
     capacity: int = 8             # bucket capacity / R-tree M
     min_fill: int = 2             # R-tree m
     max_batch: int = 64           # coalescing count trigger
-    max_wait: float = 0.002       # coalescing deadline trigger (seconds)
+    #: coalescing deadline (seconds): the longest a probe waits while
+    #: groups are in flight and its callers have not kicked; a blocking
+    #: call, or a server pass that submitted, flushes an idle engine now
+    max_wait: float = 0.002
     executor: str = "thread"      # "thread" (GIL-shared) | "process" (multi-core)
     workers: int = 4              # executor threads / worker processes
     queue_depth: int = 64         # bounded executor queue
@@ -266,14 +270,16 @@ class SpatialQueryEngine:
             failure_threshold=config.breaker_threshold,
             reset_timeout=config.breaker_reset,
             listener=lambda event, key: self.stats.event(event))
-        self._coalescer = Coalescer(self._dispatch,
-                                    max_batch=config.max_batch,
-                                    max_wait=config.max_wait)
-        # one marker future per read group in flight, which flush()
-        # waits on: set once the group has released its pins, recorded
-        # its counters and resolved its probes (a caller may cancel a
-        # probe future, never this)
+        # one marker future per read or join group in flight, which
+        # flush() waits on: set once the group has released its pins,
+        # recorded its counters and resolved its probes (a caller may
+        # cancel a probe future, never this).  Empty is the coalescer's
+        # "idle": a kick flushes at once, a settle drains marked groups
         self._unsettled: set = set()
+        self._coalescer = Coalescer(
+            self._dispatch, max_batch=config.max_batch,
+            max_wait=config.max_wait, idle=lambda: not self._unsettled,
+            on_flush=lambda why, n: self.stats.inc(flushes={why: n}))
         self._closed = False
 
     # -- datasets --------------------------------------------------------
@@ -515,6 +521,14 @@ class SpatialQueryEngine:
             return self._checkpoint_locked(info.root)
 
     # -- lifecycle / introspection ---------------------------------------
+
+    def kick(self) -> None:
+        """The callers have nothing more to submit right now: flush the
+        pending groups if no group is in flight, else as soon as none
+        is (see :meth:`Coalescer.kick`).  The blocking helpers kick
+        before they wait; the network server kicks once per event-loop
+        pass that submitted.  ``submit_*`` never kicks."""
+        self._coalescer.kick()
 
     def flush(self) -> None:
         """Dispatch all pending probes now (deterministic batching in
@@ -761,7 +775,11 @@ class SpatialQueryEngine:
                 attempt += 1
 
     def _await(self, future: Future, timeout: Optional[float]):
+        """Block on one probe's answer; a caller that blocks adds
+        nothing more, so its group is kicked first."""
         timeout = _SYNC_TIMEOUT if timeout is None else timeout
+        if not future.done():
+            self._coalescer.kick()
         try:
             return future.result(timeout)
         except FutureTimeoutError:
@@ -837,8 +855,9 @@ class SpatialQueryEngine:
         """The one exit of a group, taken exactly once: release the pins
         its read probes took at submit (one registry acquisition), let
         the body resolve or reject every probe future, then let
-        :meth:`flush` past the group.  Join probes hold their pins on
-        their own futures."""
+        :meth:`flush` past the group and tell the coalescer (the last
+        group out drains the marked ones).  Join probes hold their pins
+        on their own futures."""
         if spec.op != "join":
             self.registry.unpin(spec.index.fingerprint, len(probes))
         try:
@@ -846,6 +865,7 @@ class SpatialQueryEngine:
         finally:
             self._unsettled.discard(settled)
             settled.set_result(None)
+            self._coalescer.settled()
 
     def _group_done(self, done: Future, spec: JobSpec, probes: List[Probe],
                     started: float, settled: Future) -> None:

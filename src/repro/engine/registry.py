@@ -96,6 +96,20 @@ class IndexKey:
     structure: str
     params: Tuple[Tuple[str, object], ...]
 
+    def __post_init__(self):
+        # hashed on every coalescer group lookup and registry get: once
+        # here, not per call; not a field, so outside eq and repr
+        object.__setattr__(self, "_hash",
+                           hash((self.fingerprint, self.structure,
+                                 self.params)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes are salted per process: rebuild, never ship, _hash
+        return (type(self), (self.fingerprint, self.structure, self.params))
+
     @classmethod
     def make(cls, fingerprint: str, structure: str, **params) -> "IndexKey":
         return cls(fingerprint, structure, tuple(sorted(params.items())))

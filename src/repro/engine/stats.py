@@ -64,6 +64,8 @@ COUNTERS = (
     Counter("timeouts"),           # sync helpers that gave up waiting
     Counter("rejected", labels={}),    # refusal reason -> probes refused
     Counter("batches"),            # dispatched batches (+ mutation commits)
+    Counter("flushes", TOP,        # coalescer trigger -> groups it flushed:
+            labels={}),            # count, deadline, kick, drain, flush
     Counter("steps"),              # scan-model steps of those batches
     Counter("primitives"),         # ... and their primitive invocations
     Counter("per_kind", labels={}),    # probe kind -> submitted

@@ -117,6 +117,7 @@ class SpatialServer:
         self._conn_tasks: Set[asyncio.Task] = set()
         self._probe_tasks: Set[asyncio.Task] = set()
         self._draining = False
+        self._kick_scheduled = False
 
     # -- lifecycle -------------------------------------------------------
 
@@ -361,6 +362,7 @@ class SpatialServer:
         try:
             try:
                 engine_fut = self._submit(req)
+                self._schedule_kick()
                 fut = asyncio.wrap_future(engine_fut)
                 if self.request_timeout is not None:
                     result = await asyncio.wait_for(fut, self.request_timeout)
@@ -384,6 +386,19 @@ class SpatialServer:
             await self._respond(writer, write_lock, resp)
         finally:
             self.admission.release(conn_id)
+
+    def _schedule_kick(self) -> None:
+        """Kick the engine once after this loop pass: every request the
+        pass read is submitted by then, so a burst read in one pass
+        becomes one group per kind, and a lone request on an idle
+        engine is dispatched without waiting out ``max_wait``."""
+        if not self._kick_scheduled:
+            self._kick_scheduled = True
+            asyncio.get_running_loop().call_soon(self._kick)
+
+    def _kick(self) -> None:
+        self._kick_scheduled = False
+        self.engine.kick()
 
     def _ok_response(self, req: dict, result, engine_fut=None) -> dict:
         resp = {"id": req["id"], "status": OK}

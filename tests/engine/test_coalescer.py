@@ -1,9 +1,11 @@
-"""The coalescer's two triggers, its groups and its shutdown.
+"""The coalescer's four triggers, its groups and its shutdown.
 
 Every cell waits on a :class:`threading.Event` set by the flush
-callback, never on a sleep: the count trigger and ``max_wait=0`` flush
-on the submitting thread before ``submit`` returns, and the deadline
-trigger is the only path that needs the watcher thread.
+callback, never on a sleep: the count trigger, ``max_wait=0``, a kick
+and a drain flush on the calling thread before the call returns, and
+the deadline trigger is the only path that needs the watcher thread.
+The kick and drain cells inject the engine's ``idle`` predicate as a
+plain flag, so they need no clock either.
 """
 
 import threading
@@ -94,3 +96,98 @@ def test_close_flushes_pending_then_rejects(make):
     with pytest.raises(RejectedError) as err:
         co.submit("a", Probe(3))
     assert err.value.reason == "closed"
+
+
+class Engine:
+    """The engine's side of the kick protocol: a settable ``idle``
+    predicate and the flush reasons ``on_flush`` reports."""
+
+    def __init__(self):
+        self.busy = False
+        self.reasons = []
+
+    def idle(self):
+        return not self.busy
+
+    def on_flush(self, why, groups):
+        self.reasons.append((why, groups))
+
+
+@pytest.fixture
+def make_kicked(make):
+    def _make(**kw):
+        eng = Engine()
+        co, rec = make(idle=eng.idle, on_flush=eng.on_flush, **kw)
+        return co, rec, eng
+
+    return _make
+
+
+def test_kick_on_an_idle_engine_flushes_every_group_at_once(make_kicked):
+    co, rec, eng = make_kicked(max_batch=64, max_wait=60.0)
+    co.submit("a", Probe(1))
+    co.submit("b", Probe(2))
+    co.submit("a", Probe(3))
+    co.kick()
+    me = threading.get_ident()
+    assert rec.batches == [("a", [1, 3], me), ("b", [2], me)]
+    assert co.pending == 0 and eng.reasons == [("kick", 2)]
+
+
+def test_kick_while_busy_holds_until_the_drain(make_kicked):
+    co, rec, eng = make_kicked(max_batch=64, max_wait=60.0)
+    eng.busy = True
+    co.submit("a", Probe(1))
+    co.submit("b", Probe(2))
+    co.kick()
+    assert rec.batches == [] and co.pending == 2
+    co.submit("a", Probe(3))     # joins its marked group
+    co.settled()                 # a group settled, another still runs
+    assert rec.batches == [] and co.pending == 3
+    eng.busy = False
+    co.settled()                 # the last group out drains them all
+    me = threading.get_ident()
+    assert rec.batches == [("a", [1, 3], me), ("b", [2], me)]
+    assert co.pending == 0 and eng.reasons == [("drain", 2)]
+    co.settled()                 # nothing marked: nothing to drain
+    assert len(rec.batches) == 2
+
+
+def test_drain_leaves_unkicked_groups_to_count_and_deadline(make_kicked):
+    co, rec, eng = make_kicked(max_batch=64, max_wait=60.0)
+    eng.busy = True
+    co.submit("a", Probe(1))
+    co.kick()
+    co.submit("b", Probe(2))     # arrived after the kick: not marked
+    eng.busy = False
+    co.settled()
+    assert [(k, p) for k, p, _ in rec.batches] == [("a", [1])]
+    assert co.pending == 1
+
+
+def test_count_trigger_still_fires_while_busy(make_kicked):
+    co, rec, eng = make_kicked(max_batch=2, max_wait=60.0)
+    eng.busy = True
+    co.submit("k", Probe(1))
+    co.kick()
+    co.submit("k", Probe(2))
+    assert [(k, p) for k, p, _ in rec.batches] == [("k", [1, 2])]
+    eng.busy = False
+    co.settled()                 # the flushed group is no longer marked
+    assert len(rec.batches) == 1 and eng.reasons == [("count", 1)]
+
+
+def test_kick_with_nothing_pending_or_after_close_is_a_no_op(make_kicked):
+    co, rec, eng = make_kicked(max_batch=64, max_wait=60.0)
+    co.kick()
+    eng.busy = True
+    co.kick()
+    co.settled()
+    assert rec.batches == [] and eng.reasons == []
+    co.submit("k", Probe(1))
+    co.close()
+    assert eng.reasons == [("flush", 1)]
+    eng.busy = False
+    co.kick()
+    co.settled()
+    assert len(rec.batches) == 1 and eng.reasons == [("flush", 1)]

@@ -1,5 +1,6 @@
 """Engine semantics: scalar equivalence, coalescing, rejection paths."""
 
+import sys
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
@@ -141,6 +142,59 @@ def test_cache_hits_across_batches():
         snap = eng.snapshot()
     assert snap["cache"]["hit_rate"] > 0.5
     assert snap["cache"]["misses"] == 1
+
+
+def test_a_blocking_call_on_an_idle_engine_does_not_wait_out_max_wait():
+    """The sync helpers kick before they block: a lone window on an
+    idle engine is dispatched at once, not after the 60 s deadline."""
+    lines = random_segments(100, DOMAIN, 48, seed=9)
+    rect = np.array([0.0, 0.0, 200.0, 200.0])
+    with SpatialQueryEngine(max_batch=64, max_wait=60.0) as eng:
+        fp = eng.register(lines, domain=DOMAIN)
+        eng.warm(fp)
+        t0 = time.monotonic()
+        got = eng.window(fp, rect, timeout=30)
+        assert time.monotonic() - t0 < 1.0
+        assert eng.snapshot()["flushes"] == {"kick": 1}
+    assert np.array_equal(got, np.unique(
+        scalar_tree("pmr", lines).window_query(rect)))
+
+
+def test_kicks_from_many_threads_never_strand_a_group():
+    """A kick that finds the engine busy only marks its group, so the
+    settle that empties the engine must see the mark.  Eight blocking
+    callers on four workers, under a tiny switch interval: a lost drain
+    strands a call for the whole 60 s window and trips its timeout."""
+    lines = random_segments(100, DOMAIN, 48, seed=9)
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with SpatialQueryEngine(workers=4, max_batch=64,
+                                max_wait=60.0) as eng:
+            fp = eng.register(lines, domain=DOMAIN)
+            eng.warm(fp)
+            errors = []
+
+            def caller(i):
+                try:
+                    for r in windows(25, 100 + i):
+                        eng.window(fp, r, timeout=20)
+                except Exception as exc:   # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=caller, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(120)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            snap = eng.snapshot()
+    finally:
+        sys.setswitchinterval(old)
+    assert snap["completed"] == 8 * 25
+    assert set(snap["flushes"]) <= {"kick", "drain"}
 
 
 def test_versioning_after_dynamic_insert_serves_fresh_results():

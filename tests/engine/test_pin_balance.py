@@ -9,6 +9,7 @@ takes, once ``flush()`` returns no content may stay pinned: a leaked
 pin keeps a retired version's data alive for good.
 """
 
+import contextlib
 import threading
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
@@ -47,6 +48,29 @@ def wave(eng, fp, rng, n=12):
     return futs
 
 
+@contextlib.contextmanager
+def held_busy(eng, fp):
+    """Keep one read group in flight: every worker parked on an event,
+    one window group queued behind them.  A kick meanwhile only marks
+    its groups; leaving the block releases the workers, and the queued
+    group's settle drains the marked ones.  Yields the release event,
+    for a body that needs the workers back before it ends."""
+    release = threading.Event()
+    parked = [threading.Event() for _ in range(eng.config.workers)]
+    for started in parked:
+        eng._executor.submit(
+            lambda machine, started=started: (started.set(),
+                                              release.wait(30)))
+    assert all(started.wait(10) for started in parked)
+    blocker = eng.submit_window(fp, [0, 0, 9, 9])
+    eng.kick()   # idle: dispatched, and queued behind the parked workers
+    try:
+        yield release
+    finally:
+        release.set()
+        blocker.result(30)
+
+
 def test_every_read_path_releases_its_pins():
     # the first two index batches fail: they trip the threshold-2
     # breaker of the map they probe, which stays open for the test
@@ -73,9 +97,11 @@ def test_every_read_path_releases_its_pins():
 
         # resolved groups (count trigger and flush), and a group whose
         # only probe was cancelled by its timed-out waiter: flush()
-        # still waits for that group to settle
-        with pytest.raises(FutureTimeoutError):
-            eng.window(fp, [0, 0, 200, 200], exact=False, timeout=0.01)
+        # still waits for that group to settle.  The waiter's kick finds
+        # the engine busy, so its group stays parked past the timeout
+        with held_busy(eng, fp):
+            with pytest.raises(FutureTimeoutError):
+                eng.window(fp, [0, 0, 200, 200], exact=False, timeout=0.01)
         futs = wave(eng, fp, rng)
         eng.flush()
         assert all(f.exception(10) is None for f in futs)

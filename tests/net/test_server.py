@@ -20,7 +20,10 @@ from repro.engine.registry import dataset_fingerprint
 from repro.geometry import random_segments
 from repro.net import ServeClient, ServerThread
 from repro.net.client import ServeConnectionError
+from repro.net.protocol import encode_frame, recv_frame_sock
 from repro.resilience import FaultPlan, FaultSpec
+
+from ..engine.test_pin_balance import held_busy
 
 DOMAIN = 512
 
@@ -161,6 +164,63 @@ class TestIntrospection:
         assert doc["server"]["bytes_out"] > 0
 
 
+class TestWorkConservingDispatch:
+    def test_a_burst_is_one_batch_per_kind_and_a_lone_request_is_prompt(
+            self):
+        """The server kicks once per loop pass that submitted: on an
+        idle engine neither waits out the 30 s batch window."""
+        lines = segments()
+        rng = np.random.default_rng(16)
+        with SpatialQueryEngine(workers=2, max_batch=64,
+                                max_wait=30.0) as eng:
+            fp = eng.register(lines, domain=DOMAIN)
+            eng.warm(fp)
+            reqs = []
+            for i, (x, y) in enumerate(rng.uniform(0, DOMAIN - 64, (16, 2))):
+                kind = ("window", "point", "nearest")[i % 3]
+                req = {"id": i, "kind": kind, "fingerprint": fp}
+                if kind == "window":
+                    req["rect"] = [x, y, x + 64, y + 64]
+                else:
+                    req["point"] = [x, y]
+                reqs.append(req)
+            with ServerThread(eng) as st:
+                # 16 requests in one write: one read pass submits them
+                # all, and its one kick makes one batch per kind
+                with socket.create_connection((st.host, st.port),
+                                              timeout=30) as sock:
+                    t0 = time.monotonic()
+                    sock.sendall(b"".join(encode_frame(r) for r in reqs))
+                    resps = {r["id"]: r for r in
+                             (recv_frame_sock(sock) for _ in reqs)}
+                    assert time.monotonic() - t0 < 1.0
+                # a group settles just after its answers are sent: wait
+                # for all three, or the lone request's kick finds the
+                # engine busy and its group leaves on the drain instead
+                eng.flush()
+                snap = eng.snapshot()
+                assert snap["batches"] == 3
+                assert snap["flushes"] == {"kick": 3}
+                with ServeClient(st.host, st.port) as c:
+                    t0 = time.monotonic()
+                    lone = c.window(fp, [0, 0, 50, 50])
+                    assert time.monotonic() - t0 < 1.0
+                assert eng.snapshot()["flushes"] == {"kick": 4}
+            assert lone["status"] == 200
+            assert lone["result"] == eng.window(fp, [0, 0, 50, 50]).tolist()
+            for req in reqs:
+                resp = resps[req["id"]]
+                assert resp["status"] == 200
+                if req["kind"] == "window":
+                    want = eng.window(fp, req["rect"]).tolist()
+                elif req["kind"] == "point":
+                    want = eng.point(fp, req["point"]).tolist()
+                else:
+                    gid, dist = eng.nearest(fp, req["point"])
+                    want = [int(gid), float(dist)]
+                assert resp["result"] == want
+
+
 class TestStatusMapping:
     def test_unknown_fingerprint_is_404(self, served):
         st, *_ = served
@@ -262,12 +322,13 @@ class TestStatusMapping:
 
 class TestAdmissionOverWire:
     def test_per_client_inflight_cap_429(self):
-        # a huge batch window parks the first probe in the coalescer,
-        # keeping it in flight while the second request arrives
+        # a busy engine and a huge batch window park the first probe in
+        # the coalescer, keeping it in flight while the second arrives
         with SpatialQueryEngine(workers=2, max_batch=1024,
                                 max_wait=30.0) as eng:
             fp = eng.register(segments(), domain=DOMAIN)
-            with ServerThread(eng, client_inflight=1) as st:
+            with ServerThread(eng, client_inflight=1) as st, \
+                    held_busy(eng, fp):
                 with ServeClient(st.host, st.port) as c:
                     c.send_only({"id": 1, "kind": "window",
                                  "fingerprint": fp, "rect": [0, 0, 9, 9]})
@@ -290,7 +351,8 @@ class TestAdmissionOverWire:
         with SpatialQueryEngine(workers=2, max_batch=1024,
                                 max_wait=30.0) as eng:
             fp = eng.register(segments(), domain=DOMAIN)
-            with ServerThread(eng, max_inflight=1) as st:
+            with ServerThread(eng, max_inflight=1) as st, \
+                    held_busy(eng, fp):
                 hog = ServeClient(st.host, st.port)
                 polite = ServeClient(st.host, st.port)
                 try:
@@ -347,19 +409,26 @@ class TestClientDisconnect:
                                 max_wait=30.0) as eng:
             fp = eng.register(lines, domain=DOMAIN)
             want = None
-            with ServerThread(eng) as st:
+            with ServerThread(eng) as st, held_busy(eng, fp) as release:
                 doomed = ServeClient(st.host, st.port)
                 doomed.send_only({"id": 1, "kind": "window",
                                   "fingerprint": fp, "rect": rect})
-                # the probe is parked in the coalescer (batch of 2)
+                # the engine is busy: the probe is parked in the
+                # coalescer (batch of 2)
                 assert poll(lambda: eng.snapshot()["pending_probes"] >= 1)
                 doomed.close()   # vanish with the probe in flight
                 with ServeClient(st.host, st.port) as survivor:
                     # wait until the server noticed the disconnect
                     assert poll(lambda: survivor.health()["result"]["server"]
                                 ["disconnects_inflight"] >= 1)
-                    # this probe completes the batch and flushes it
-                    resp = survivor.window(fp, rect)
+                    # this probe completes the batch and flushes it,
+                    # to run once the parked workers are back
+                    survivor.send_only({"id": 2, "kind": "window",
+                                        "fingerprint": fp, "rect": rect})
+                    assert poll(
+                        lambda: eng.snapshot()["pending_probes"] == 0)
+                    release.set()
+                    resp = survivor.recv()
                     assert resp["status"] == 200
                     want = resp["result"]
                     health = survivor.health()["result"]
