@@ -129,9 +129,33 @@ def jsonable(obj):
     return obj
 
 
+def _numpy_default(obj):
+    """``json.dumps`` hook for the numpy arrays and scalars an answer
+    carries; anything else falls back to :func:`jsonable`."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def encode_frame(obj: dict) -> bytes:
-    """One wire frame: length prefix + compact JSON payload."""
-    payload = json.dumps(jsonable(obj), separators=(",", ":")).encode("utf-8")
+    """One wire frame: length prefix + compact JSON payload.
+
+    The encoder runs on the object as is, with :func:`_numpy_default`
+    for numpy values, so an answer's ids are not walked in Python.  An
+    object it refuses -- a non-finite float (health gauges), a set, a
+    key that is not a str/int/float -- goes through :func:`jsonable`
+    first, which yields the same bytes wherever both succeed.  (The two
+    differ only on ``bool`` and ``None`` dict keys, which no response
+    carries.)
+    """
+    try:
+        text = json.dumps(obj, separators=(",", ":"), allow_nan=False,
+                          default=_numpy_default)
+    except (TypeError, ValueError):
+        text = json.dumps(jsonable(obj), separators=(",", ":"))
+    payload = text.encode("utf-8")
     if len(payload) > MAX_FRAME:
         raise ProtocolError(f"frame of {len(payload)} bytes exceeds "
                             f"MAX_FRAME={MAX_FRAME}", fatal=True)

@@ -131,7 +131,7 @@ class TestEngineTimeoutAccounting:
         release = threading.Event()
         lines = random_segments(60, 256, 32, seed=3)
         with SpatialQueryEngine(workers=1, queue_depth=1, max_batch=2,
-                                max_wait=0.001, retry_attempts=1) as eng:
+                                max_wait=60.0, retry_attempts=1) as eng:
             fp = eng.register(lines, domain=256)
             eng.warm(fp)
             started = threading.Event()
@@ -144,19 +144,23 @@ class TestEngineTimeoutAccounting:
                 eng._executor.submit(park)
                 assert started.wait(5)             # worker is busy now
                 # a probe that never resolves in time is a counted
-                # timeout, and its future is cancelled while queued
+                # timeout, and its future is cancelled while queued:
+                # it completes a pending pair, so its group is
+                # count-flushed into the pool queue (a kick would run
+                # it on this thread)
+                eng.submit_window(fp, [0, 0, 60, 60])
                 with pytest.raises(FutureTimeoutError):
                     eng.window(fp, [0, 0, 60, 60], timeout=0.05)
                 # that cancelled batch still occupies the depth-1 queue,
                 # so the next dispatched batch is rejected outright
                 futs = [eng.submit_window(fp, [0, 0, 50, 50])
                         for _ in range(2)]
-                eng.flush()
                 with pytest.raises(RejectedError) as ei:
                     futs[0].result(5)
                 assert ei.value.reason == "queue_full"
             finally:
                 release.set()
+            eng.flush()
             snap = eng.snapshot()
             assert snap["rejected"].get("queue_full", 0) >= 2
             assert snap["timeouts"] == 1

@@ -54,7 +54,10 @@ def held_busy(eng, fp):
     one window group queued behind them.  A kick meanwhile only marks
     its groups; leaving the block releases the workers, and the queued
     group's settle drains the marked ones.  Yields the release event,
-    for a body that needs the workers back before it ends."""
+    for a body that needs the workers back before it ends.
+
+    The held group is flushed by count: a kicked one would run on the
+    kicking thread at once instead of queueing for the pool."""
     release = threading.Event()
     parked = [threading.Event() for _ in range(eng.config.workers)]
     for started in parked:
@@ -62,13 +65,15 @@ def held_busy(eng, fp):
             lambda machine, started=started: (started.set(),
                                               release.wait(30)))
     assert all(started.wait(10) for started in parked)
-    blocker = eng.submit_window(fp, [0, 0, 9, 9])
-    eng.kick()   # idle: dispatched, and queued behind the parked workers
+    blockers = [eng.submit_window(fp, [0, 0, 9, 9])
+                for _ in range(eng.config.max_batch)]
+    assert eng.snapshot()["flushes"].get("count", 0) >= 1
     try:
         yield release
     finally:
         release.set()
-        blocker.result(30)
+        for blocker in blockers:
+            blocker.result(30)
 
 
 def test_every_read_path_releases_its_pins():

@@ -8,7 +8,6 @@ retry into quarantine-and-rebuild, and the brute-force fallback keeps
 answers flowing (and correct) while the index path is down.
 """
 
-import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
@@ -20,6 +19,8 @@ from repro.engine import (CircuitOpenError, FaultPlan, FaultSpec,
                           InjectedFault, PartialResult, SpatialQueryEngine)
 from repro.geometry import random_segments
 from repro.structures import build_sharded
+
+from ..engine.test_pin_balance import held_busy
 
 DOMAIN = 512
 
@@ -325,18 +326,18 @@ class TestTimeoutsAndHealth:
     def test_timed_out_future_is_cancelled_and_counted(self):
         """Satellite: a sync-helper timeout cancels the still-pending
         future (freeing its batch slot) and records the cancellation."""
-        release = threading.Event()
         with SpatialQueryEngine(workers=1, max_batch=4,
                                 queue_depth=4) as eng:
             lines = segments(seed=11)
             fp = eng.register(lines, domain=DOMAIN)
             eng.warm(fp)
-            try:
-                eng._executor.submit(lambda m: release.wait(5))  # park worker
+            # the worker parked behind a queued group: the timed-out
+            # probe's kick only marks its group, which the deadline
+            # then queues behind the held one
+            with held_busy(eng, fp):
                 with pytest.raises(FutureTimeoutError):
                     eng.window(fp, FULL, timeout=0.05)
-            finally:
-                release.set()
+            eng.flush()
             snap = eng.snapshot()
             assert snap["timeouts"] == 1
             assert snap["cancels"] + snap["cancel_failures"] == 1
