@@ -915,7 +915,7 @@ def _parser() -> argparse.ArgumentParser:
     # the one default not EngineConfig's (64, sized for one in-process
     # caller): serve fronts many clients, so it coalesces a larger wave
     s.add_argument("--max-batch", type=int, default=256,
-                   help="coalescing count trigger")
+                   help="largest job a coalesced group is cut into")
     s.add_argument("--max-wait", type=float,
                    help="coalescing deadline (seconds): the longest a "
                         "request waits while a batch is in flight; an "

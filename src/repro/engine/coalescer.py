@@ -4,10 +4,8 @@ The paper's batch evaluation (``structures/batch.py``) answers a whole
 query *set* in O(tree height) vector rounds -- but a serving system
 receives probes one at a time.  The coalescer bridges the two: probes
 for the same (index, query kind) accumulate in a group, and a group is
-dispatched as one batch by the first of four triggers:
+flushed by the first of three triggers:
 
-* **count** -- it reaches ``max_batch`` probes (flushed on the
-  submitting thread);
 * **deadline** -- its oldest probe has waited ``max_wait`` seconds
   (flushed by the watcher thread);
 * **kick** -- its callers have nothing more to add right now
@@ -17,18 +15,24 @@ dispatched as one batch by the first of four triggers:
 * **drain** -- a settling group leaves the engine idle
   (:meth:`Coalescer.settled`): every marked group flushes at once.
 
+A flushed group is **cut** into consecutive jobs of at most
+``max_batch`` probes, in arrival order, so ``max_batch`` bounds a job
+without starting one: a submit only appends.
+
 ``idle`` is the engine's predicate "no read or join group in flight".
 Kick and drain make the batching work-conserving: a lone request on an
 idle engine goes out at once, and while a batch runs the next one forms
 behind it, so ``max_wait`` only bounds how long a probe waits while the
-engine is busy and its callers have not kicked.  Plain submits never
-kick: an in-process wave that submits its probes one by one batches by
-count and deadline exactly as before.  ``flush()`` and ``close()``
-dispatch every pending group unconditionally.
+engine is busy and its callers have not kicked.  The engine kicks when
+a caller waits on a probe (a wave waits only after it has submitted),
+so an in-process wave runs on the thread that waits for it; a submit
+loop that outlasts ``max_wait`` still loses its oldest groups to the
+deadline.  ``flush()`` and ``close()`` dispatch every pending group
+unconditionally.
 
 ``flush_fn(key, probes, why)`` hears the trigger, so the engine can run
-a kicked group on the kicking thread (nothing else is in flight then).
-A group that runs there settles there too, and its settle calls
+a kicked job on the kicking thread (nothing else is in flight then).
+A job that runs there settles there too, and its settle calls
 :meth:`Coalescer.settled` on that thread; the engine sends drained
 groups to its pool, so a settle only submits and never nests a run.
 
@@ -70,11 +74,12 @@ class Probe:
 
 
 class Coalescer:
-    """Groups probes per key and flushes on count, deadline, kick or drain.
+    """Groups probes per key and flushes on deadline, kick or drain.
 
-    ``on_flush(why, groups)`` (optional) hears every dispatch: ``why``
-    is ``"count"``, ``"deadline"``, ``"kick"``, ``"drain"`` or
-    ``"flush"`` (explicit :meth:`flush` and :meth:`close`).
+    ``on_flush(why, jobs)`` (optional) hears every dispatch: ``why``
+    is ``"deadline"``, ``"kick"``, ``"drain"`` or ``"flush"`` (explicit
+    :meth:`flush` and :meth:`close`), ``jobs`` the number of jobs of at
+    most ``max_batch`` probes the flushed groups were cut into.
     """
 
     def __init__(self,
@@ -103,8 +108,7 @@ class Coalescer:
         self._timer.start()
 
     def submit(self, key: Hashable, probe: Probe) -> None:
-        """Add a probe; may synchronously flush a full group."""
-        why = None
+        """Add a probe (``max_wait = 0``: and flush its group now)."""
         with self._cv:
             if self._closed:
                 raise RejectedError("engine is closed", reason="closed")
@@ -113,21 +117,17 @@ class Coalescer:
             if len(group) == 1:
                 self._heads[key] = probe.submitted_at
                 self._cv.notify()
-            if len(group) >= self.max_batch:
-                why = "count"
-            elif self.max_wait <= 0:
-                why = "deadline"   # a zero window has always elapsed
-            if why is not None:
-                ready = [(key, self._take(key))]
-        if why is not None:
-            self._dispatch(why, ready)
+            if self.max_wait > 0:
+                return
+            ready = [(key, self._take(key))]
+        self._dispatch("deadline", ready)   # a zero window has elapsed
 
     def kick(self) -> None:
         """The callers have nothing more to add right now.
 
         On an idle engine every pending group flushes at once, on this
         thread; otherwise the pending groups are marked and flush when
-        the engine drains (or earlier by count or deadline).  A no-op
+        the engine drains (or earlier by deadline).  A no-op
         with nothing pending, and so after :meth:`close`.
         """
         with self._cv:
@@ -159,9 +159,13 @@ class Coalescer:
 
     def _dispatch(self, why: str,
                   batches: List[Tuple[Hashable, List[Probe]]]) -> None:
-        if batches and self._on_flush is not None:
-            self._on_flush(why, len(batches))
-        for key, probes in batches:
+        """Cut each group into jobs of at most ``max_batch``, in order."""
+        n = self.max_batch
+        jobs = [(key, probes[i:i + n]) for key, probes in batches
+                for i in range(0, len(probes), n)]
+        if jobs and self._on_flush is not None:
+            self._on_flush(why, len(jobs))
+        for key, probes in jobs:
             self._flush_fn(key, probes, why)
 
     def _run(self) -> None:

@@ -9,8 +9,9 @@
   (``cache_dir=...``) that absorbs evictions and serves warm starts;
 * a :class:`~repro.engine.coalescer.Coalescer` that batches individual
   window / point / nearest probes per (index, kind) and flushes a
-  group by count, by deadline, or as soon as its callers stop
-  submitting and no group is in flight (work-conserving);
+  group by deadline, or as soon as a caller waits on one of its
+  probes and no group is in flight (work-conserving), cut into jobs
+  of at most ``max_batch`` probes;
 * an executor backend (threads, or a process pool) running each batch
   as **one** vectorized ``structures.batch`` frontier pass over the
   read-only index, with backpressure when saturated -- every group,
@@ -101,6 +102,30 @@ def _reject(fut: Future, exc: BaseException) -> None:
         pass
 
 
+class _KickingFuture(Future):
+    """A probe's future: waiting on it unfinished kicks the coalescer.
+
+    A caller waits only after it has submitted, so ``result()`` and
+    ``exception()`` flush an idle engine's pending groups onto the
+    waiting thread.  ``add_done_callback`` (so the server's bridge),
+    ``concurrent.futures.wait`` and ``asyncio.wrap_future`` never kick.
+    """
+
+    def __init__(self, kick):
+        super().__init__()
+        self._kick = kick
+
+    def result(self, timeout=None):
+        if not self.done():
+            self._kick()
+        return super().result(timeout)
+
+    def exception(self, timeout=None):
+        if not self.done():
+            self._kick()
+        return super().exception(timeout)
+
+
 @dataclass(frozen=True)
 class MutationResult:
     """Outcome of one committed mutation batch (a future's value).
@@ -126,10 +151,10 @@ class EngineConfig:
     structure: str = "pmr"        # default index family for probes
     capacity: int = 8             # bucket capacity / R-tree M
     min_fill: int = 2             # R-tree m
-    max_batch: int = 64           # coalescing count trigger
+    max_batch: int = 64           # largest job a flushed group is cut into
     #: coalescing deadline (seconds): the longest a probe waits while
-    #: groups are in flight and its callers have not kicked; a blocking
-    #: call, or a server pass that submitted, flushes an idle engine now
+    #: groups are in flight and its callers have not kicked; waiting on
+    #: a probe, or a server pass that submitted, flushes an idle engine now
     max_wait: float = 0.002
     executor: str = "thread"      # "thread" (GIL-shared) | "process" (multi-core)
     workers: int = 4              # executor threads / worker processes
@@ -316,8 +341,7 @@ class SpatialQueryEngine:
                          payload: np.ndarray) -> Future:
         info = self.registry.resolve(fingerprint)   # KeyError: unknown map
         self.stats.record_submitted(op)
-        probe = Probe((op, payload))
-        return self._enqueue(("mutate", info.root), probe)
+        return self._enqueue(("mutate", info.root), self._probe((op, payload)))
 
     def insert_lines(self, fingerprint: str, new_lines,
                      timeout: Optional[float] = None) -> str:
@@ -418,10 +442,10 @@ class SpatialQueryEngine:
         if not all(self.breakers.allow(fp) for fp in fps):
             if not self.config.brute_fallback:
                 return self._fail_fast("join", fps)
-            probe = Probe(fps)   # degraded join: a group of one, brute
+            probe = self._probe(fps)   # degraded join: a group of one, brute
             self._dispatch_join(structure, [probe], brute=True)
             return probe.future
-        probe = Probe(fps)
+        probe = self._probe(fps)
         probe.future.version = max(i.version for i in infos)
         probe.future.versions = tuple(i.version for i in infos)
         for fp in fps:
@@ -525,9 +549,10 @@ class SpatialQueryEngine:
     def kick(self) -> None:
         """The callers have nothing more to submit right now: flush the
         pending groups if no group is in flight, else as soon as none
-        is (see :meth:`Coalescer.kick`).  The blocking helpers kick
-        before they wait; the network server kicks once per event-loop
-        pass that submitted.  ``submit_*`` never kicks."""
+        is (see :meth:`Coalescer.kick`).  Waiting on a probe's future
+        (``result()``, ``exception()``, the blocking helpers) kicks
+        first; the network server kicks once per event-loop pass that
+        submitted.  ``submit_*`` never kicks."""
         self._coalescer.kick()
 
     def flush(self) -> None:
@@ -709,11 +734,15 @@ class SpatialQueryEngine:
                 return self._submit_brute(kind, fingerprint, payload)
             self.registry.unpin(fingerprint)
             return self._fail_fast(kind, (fingerprint,))
-        probe = Probe(payload,
-                      deadline_at=(time.monotonic() + deadline
-                                   if deadline is not None else None))
+        probe = self._probe(payload,
+                            deadline_at=(time.monotonic() + deadline
+                                         if deadline is not None else None))
         probe.future.version = version
         return self._enqueue(key, probe, pinned=fingerprint)
+
+    def _probe(self, payload, **kw) -> Probe:
+        """A probe whose future kicks the coalescer when waited on."""
+        return Probe(payload, _KickingFuture(self._coalescer.kick), **kw)
 
     def _enqueue(self, group_key, probe: Probe,
                  pinned: Optional[str] = None) -> Future:
@@ -748,13 +777,13 @@ class SpatialQueryEngine:
         flowing (exact-geometry semantics) until the index path heals.
         The pin :meth:`_submit` took goes with the probe's group.
         """
-        probe = Probe(payload)
+        probe = self._probe(payload)
         ref = self._index_ref(self._index_key(fingerprint, None))
         self._run_group(JobSpec(op="brute", kind=kind, index=ref,
                                 payloads=payload[None, :]), [probe])
         return probe.future
 
-    def _submit_job_with_retry(self, job) -> Future:
+    def _submit_job_with_retry(self, job, fut: Future) -> None:
         """Executor submit with backoff on transient ``queue_full``.
 
         A saturated queue usually drains within a backoff or two;
@@ -765,7 +794,8 @@ class SpatialQueryEngine:
         attempt = 0
         while True:
             try:
-                return self._executor.submit(job)
+                self._executor.submit(job, fut)
+                return
             except RejectedError as exc:
                 if exc.reason != "queue_full" \
                         or attempt + 1 >= self._retry.attempts:
@@ -775,11 +805,8 @@ class SpatialQueryEngine:
                 attempt += 1
 
     def _await(self, future: Future, timeout: Optional[float]):
-        """Block on one probe's answer; a caller that blocks adds
-        nothing more, so its group is kicked first."""
+        """Block on one probe's answer (waiting kicks its group)."""
         timeout = _SYNC_TIMEOUT if timeout is None else timeout
-        if not future.done():
-            self._coalescer.kick()
         try:
             return future.result(timeout)
         except FutureTimeoutError:
@@ -818,7 +845,9 @@ class SpatialQueryEngine:
         """The one group pipeline: submit -> settle, on either backend.
 
         ``here`` runs the job on this thread (:meth:`BoundedExecutor.run`)
-        instead of the pool; the settle path is the same either way.
+        instead of the pool; the settle path is the same either way, and
+        is attached to the job's future before the job can finish, so a
+        fast pool job never settles on the submitting thread.
         Otherwise submit with retry; a rejection is counted and rejects
         every probe (it never feeds a breaker).  A failed job goes to
         :meth:`_group_failed`; a finished one feeds the breaker(s),
@@ -837,10 +866,15 @@ class SpatialQueryEngine:
         if settled is None:
             settled = Future()
             self._unsettled.add(settled)
+        fut: Future = Future()
+        fut.add_done_callback(lambda done: self._group_done(
+            done, spec, probes, started, settled, here))
         try:
             job = self._bind(spec)
-            fut = (self._executor.run(job) if here
-                   else self._submit_job_with_retry(job))
+            if here:
+                self._executor.run(job, fut)
+            else:
+                self._submit_job_with_retry(job, fut)
         except RejectedError as exc:
             self.stats.inc(rejected={exc.reason: len(probes)})
             with self._settling(spec, probes, settled):
@@ -850,10 +884,6 @@ class SpatialQueryEngine:
             return
         except InjectedFault as exc:   # the binding's registry.get site
             self._group_failed(exc, spec, probes, started, settled)
-            return
-        self.stats.inc(ran={"caller" if here else "pool": 1})
-        fut.add_done_callback(lambda done: self._group_done(
-            done, spec, probes, started, settled))
 
     @contextmanager
     def _settling(self, spec: JobSpec, probes: List[Probe],
@@ -874,7 +904,8 @@ class SpatialQueryEngine:
             self._coalescer.settled()
 
     def _group_done(self, done: Future, spec: JobSpec, probes: List[Probe],
-                    started: float, settled: Future) -> None:
+                    started: float, settled: Future, here: bool) -> None:
+        self.stats.inc(ran={"caller" if here else "pool": 1})
         exc = done.exception()
         if exc is not None:
             self._group_failed(exc, spec, probes, started, settled)
@@ -952,14 +983,14 @@ class SpatialQueryEngine:
             _reject(p.future, exc)
 
     def _dispatch(self, group_key, probes: List[Probe], why: str) -> None:
-        """Flush callback: turn one coalesced group into its one job.
+        """Flush callback: turn one cut of a coalesced group into a job.
 
-        A kicked read group whose index is in memory runs on the
-        kicking thread (thread backend): the engine is idle then, so
-        nothing waits behind it, and no pool thread trades the GIL with
-        the kicker.  A cold index (its build), drain, count and deadline
-        flushes, joins, commits and the process backend keep their
-        pools, so a caller pays at most its own kick's batches."""
+        A kicked read job whose index is in memory runs on the kicking
+        thread (thread backend): the engine was idle at the kick, the
+        kick's jobs run one after another, and no pool thread trades
+        the GIL with the kicker.  A cold index (its build), drain and
+        deadline flushes, joins, commits and the process backend keep
+        their pools, so a caller pays at most its own kick's jobs."""
         if group_key[0] == "join":
             self._dispatch_join(group_key[1], probes)
             return

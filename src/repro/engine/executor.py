@@ -1,7 +1,7 @@
 """Executor backends: bounded thread pool and crash-surviving process pool.
 
 Both backends present the same small surface (:class:`ExecutorBackend`)
-to the engine -- ``submit`` returning a future, a ``queue_depth``
+to the engine -- ``submit`` resolving the caller's future, a ``queue_depth``
 gauge, and ``shutdown`` -- and both apply **backpressure**: when the
 bounded queue (thread) or the in-flight window (process) is full,
 ``submit`` fails *immediately* with :class:`RejectedError` carrying a
@@ -110,21 +110,6 @@ class WorkerCrashError(EngineError):
     reason = "worker_crash"
 
 
-def _set_result(fut: Future, value) -> None:
-    """Resolve, tolerating a future already cancelled."""
-    try:
-        fut.set_result(value)
-    except InvalidStateError:
-        pass
-
-
-def _set_exception(fut: Future, exc: BaseException) -> None:
-    try:
-        fut.set_exception(exc)
-    except InvalidStateError:
-        pass
-
-
 def _nbytes(obj) -> int:
     """Pickled size of one boundary crossing (the IPC-bytes gauge)."""
     try:
@@ -138,8 +123,11 @@ class ExecutorBackend:
 
     ``submit`` takes what ``SpatialQueryEngine._bind`` made of a
     :class:`~repro.engine.worker.JobSpec` -- a ``fn(machine)`` callable
-    (thread backend) or the spec itself (process backend) -- and returns
-    a future; ``queue_depth`` gauges waiting work; ``shutdown`` drains.
+    (thread backend) or the spec itself (process backend) -- and the
+    future to resolve (a new one when ``None``), and returns it: a
+    caller that passes its own attaches its callbacks before the job
+    can finish.  ``queue_depth`` gauges waiting work; ``shutdown``
+    drains.
     """
 
     kind: str = "?"
@@ -148,7 +136,8 @@ class ExecutorBackend:
     def queue_depth(self) -> int:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def submit(self, job) -> "Future":  # pragma: no cover - interface
+    def submit(self, job,
+               fut: Optional[Future] = None) -> "Future":  # pragma: no cover
         raise NotImplementedError
 
     def shutdown(self, wait: bool = True) -> None:  # pragma: no cover
@@ -183,17 +172,20 @@ class BoundedExecutor(ExecutorBackend):
         """Jobs currently waiting (a gauge for the stats layer)."""
         return self._queue.qsize()
 
-    def submit(self, fn: Callable[[Machine], object]) -> "Future":
+    def submit(self, fn: Callable[[Machine], object],
+               fut: Optional[Future] = None) -> "Future":
         """Enqueue ``fn(machine)``; raises :class:`RejectedError` when full.
 
-        The returned future resolves to ``fn``'s return value; errors
-        raised by ``fn`` propagate through the future.
+        ``fut`` (a new future when ``None``, returned either way)
+        resolves to ``fn``'s return value; errors raised by ``fn``
+        propagate through it.
         """
         with self._lock:
             if self._shutdown:
                 raise RejectedError("executor is shut down",
                                     reason="shutdown")
-        fut: Future = Future()
+        if fut is None:
+            fut = Future()
         try:
             self._queue.put_nowait((fn, fut))
         except queue.Full:
@@ -318,8 +310,10 @@ class ProcessBackend(ExecutorBackend):
 
     # -- submission ------------------------------------------------------
 
-    def submit(self, spec: JobSpec) -> "Future":
-        """Dispatch one :class:`JobSpec`; the future yields a
+    def submit(self, spec: JobSpec,
+               outer: Optional[Future] = None) -> "Future":
+        """Dispatch one :class:`JobSpec`; ``outer`` (a new future when
+        ``None``, returned either way) yields a
         :class:`~repro.engine.worker.WorkerResult`."""
         with self._lock:
             if self._shutdown:
@@ -330,14 +324,26 @@ class ProcessBackend(ExecutorBackend):
                     f"queue full ({self._capacity} jobs in flight)",
                     reason="queue_full")
             self._inflight += 1
-        outer: Future = Future()
-        outer.add_done_callback(self._release)
+        if outer is None:
+            outer = Future()
         self._launch(spec, outer, attempt=0)
         return outer
 
-    def _release(self, _fut: Future) -> None:
+    def _finish(self, outer: Future, value=None,
+                exc: Optional[BaseException] = None) -> None:
+        """A job's one exit: free its in-flight slot, then resolve
+        ``outer`` -- in that order, so a done callback that submits
+        more work (an engine settle draining marked groups) finds the
+        slot free."""
         with self._lock:
             self._inflight -= 1
+        try:
+            if exc is None:
+                outer.set_result(value)
+            else:
+                outer.set_exception(exc)
+        except InvalidStateError:   # already cancelled
+            pass
 
     def _launch(self, spec: JobSpec, outer: Future, attempt: int,
                 first: bool = True) -> None:
@@ -349,7 +355,8 @@ class ProcessBackend(ExecutorBackend):
         count into ``ipc_resent`` instead, so the per-job
         ``ipc_sent / jobs`` gauge is not inflated by retries.
         """
-        if outer.done():   # cancelled while backing off
+        if outer.done():   # cancelled while backing off: free the slot
+            self._finish(outer)
             return
         run = spec
         if self._handle_provider is not None:
@@ -370,22 +377,23 @@ class ProcessBackend(ExecutorBackend):
             except InjectedWorkerCrash:
                 run = replace(run, crash=True)
             except InjectedFault as exc:
-                _set_exception(outer, exc)
+                self._finish(outer, exc=exc)
                 return
         with self._lock:
-            if self._shutdown:
-                _set_exception(outer, RejectedError(
-                    "executor is shut down", reason="shutdown"))
-                return
+            shut = self._shutdown
             pool = self._pool
             gen = self._generation
+        if shut:
+            self._finish(outer, exc=RejectedError(
+                "executor is shut down", reason="shutdown"))
+            return
         try:
             inner = pool.submit(run_job, run)
         except BrokenExecutor as exc:
             self._crashed(spec, outer, attempt, gen, exc)
             return
         except RuntimeError as exc:   # pool shut down under us
-            _set_exception(outer, RejectedError(str(exc), reason="shutdown"))
+            self._finish(outer, exc=RejectedError(str(exc), reason="shutdown"))
             return
         self._event("ipc_sent" if first else "ipc_resent", _nbytes(run))
         inner.add_done_callback(
@@ -401,7 +409,7 @@ class ProcessBackend(ExecutorBackend):
             wr = inner.result()
             self._event("ipc_received", _nbytes(wr))
             self._event("worker_result", wr)
-            _set_result(outer, wr)
+            self._finish(outer, wr)
             return
         if isinstance(exc, NeedDataset):
             self._ship(exc, spec, outer, attempt)
@@ -409,7 +417,7 @@ class ProcessBackend(ExecutorBackend):
         if isinstance(exc, BrokenExecutor):
             self._crashed(spec, outer, attempt, gen, exc)
             return
-        _set_exception(outer, exc)
+        self._finish(outer, exc=exc)
 
     def _ship(self, need: NeedDataset, spec: JobSpec, outer: Future,
               attempt: int) -> None:
@@ -423,14 +431,14 @@ class ProcessBackend(ExecutorBackend):
         have = {fp for fp, _, _ in spec.datasets}
         wanted = [fp for fp in need.fingerprints if fp not in have]
         if not wanted or self._dataset_provider is None:
-            _set_exception(outer, need)
+            self._finish(outer, exc=need)
             return
         shipped = []
         for fp in wanted:
             try:
                 lines, domain = self._dataset_provider(fp)
             except Exception as provider_exc:
-                _set_exception(outer, provider_exc)
+                self._finish(outer, exc=provider_exc)
                 return
             shipped.append((fp, lines, int(domain)))
         self._event("dataset_shipped", len(shipped))
@@ -450,7 +458,7 @@ class ProcessBackend(ExecutorBackend):
                 f"worker crashed running {spec.op!r} job; "
                 f"gave up after {attempt + 1} attempt(s)")
             err.__cause__ = exc
-            _set_exception(outer, err)
+            self._finish(outer, exc=err)
             return
         self._event("crash_retry")
         delay = (self._retry.delay(attempt, self._rng)

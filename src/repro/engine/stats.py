@@ -64,8 +64,8 @@ COUNTERS = (
     Counter("timeouts"),           # sync helpers that gave up waiting
     Counter("rejected", labels={}),    # refusal reason -> probes refused
     Counter("batches"),            # dispatched batches (+ mutation commits)
-    Counter("flushes", TOP,        # coalescer trigger -> groups it flushed:
-            labels={}),            # count, deadline, kick, drain, flush
+    Counter("flushes", TOP,        # coalescer trigger -> jobs it flushed:
+            labels={}),            # deadline, kick, drain, flush
     Counter("ran", TOP,            # where a group's job ran: caller (the
             labels={}),            # kicking thread) or pool
     Counter("steps"),              # scan-model steps of those batches

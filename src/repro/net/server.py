@@ -5,9 +5,11 @@ JSON protocol of :mod:`repro.net.protocol`, and feeds every admitted
 probe into the engine's request coalescer -- so concurrent network
 clients share the same vectorized engine batches that in-process
 callers do.  The bridge from the asyncio world to the engine's
-thread-side futures is :func:`asyncio.wrap_future`: the engine keeps
-returning ``concurrent.futures.Future`` and the connection handler
-awaits it without blocking the loop; cancelling the awaiting task
+thread-side futures is :func:`_bridge`: the engine keeps returning
+``concurrent.futures.Future`` and the connection handler awaits it
+without blocking the loop -- resolved in place when a kicked batch
+runs on the loop thread, woken through the loop's self-pipe only when
+a pool thread answers; cancelling the awaiting task
 (client gone, server timeout) cancels the probe future, which the
 coalescer's batch delivery already tolerates -- a dropped client never
 stalls or poisons the batch its probe rode in.
@@ -57,6 +59,44 @@ from .protocol import (BAD_REQUEST, INTERNAL, MUTATION_KINDS, NOT_FOUND,
                        jsonable, parse_request, read_frame, write_frame)
 
 __all__ = ["ServerStats", "SpatialServer", "ServerThread"]
+
+
+def _bridge(engine_fut) -> "asyncio.Future":
+    """An awaitable of the running loop mirroring ``engine_fut``.
+
+    A future that completes on the loop thread (a kicked batch runs
+    there) is copied in place; one that completes on another thread is
+    copied through ``call_soon_threadsafe``, the only path that writes
+    to the loop's self-pipe.  :func:`asyncio.wrap_future` always takes
+    that path.  Cancelling the awaitable cancels ``engine_fut``.
+    """
+    loop = asyncio.get_running_loop()
+    fut = loop.create_future()
+    home = threading.get_ident()
+
+    def copy(src) -> None:
+        if fut.cancelled():
+            return
+        if src.cancelled():
+            fut.cancel()
+        elif src.exception() is not None:
+            fut.set_exception(src.exception())
+        else:
+            fut.set_result(src.result())
+
+    def done(src) -> None:
+        if threading.get_ident() == home:
+            copy(src)
+        elif not loop.is_closed():
+            loop.call_soon_threadsafe(copy, src)
+
+    def cancelled(f) -> None:
+        if f.cancelled():
+            engine_fut.cancel()
+
+    fut.add_done_callback(cancelled)
+    engine_fut.add_done_callback(done)
+    return fut
 
 
 class ServerStats(Counters):
@@ -363,7 +403,7 @@ class SpatialServer:
             try:
                 engine_fut = self._submit(req)
                 self._schedule_kick()
-                fut = asyncio.wrap_future(engine_fut)
+                fut = _bridge(engine_fut)
                 if self.request_timeout is not None:
                     result = await asyncio.wait_for(fut, self.request_timeout)
                 else:

@@ -1,11 +1,12 @@
-"""The coalescer's four triggers, its groups and its shutdown.
+"""The coalescer's three triggers, the cut, its groups and its shutdown.
 
 Every cell waits on a :class:`threading.Event` set by the flush
-callback, never on a sleep: the count trigger, ``max_wait=0``, a kick
-and a drain flush on the calling thread before the call returns, and
-the deadline trigger is the only path that needs the watcher thread.
-The kick and drain cells inject the engine's ``idle`` predicate as a
-plain flag, so they need no clock either.
+callback, never on a sleep: ``max_wait=0``, a kick and a drain flush on
+the calling thread before the call returns, and the deadline trigger is
+the only path that needs the watcher thread.  ``max_batch`` starts no
+flush; it cuts a flushed group into jobs.  The kick and drain cells
+inject the engine's ``idle`` predicate as a plain flag, so they need no
+clock either.
 """
 
 import threading
@@ -46,15 +47,17 @@ def make():
         co.close()
 
 
-def test_count_trigger_flushes_synchronously_on_the_submitter(make):
+def test_max_batch_cuts_a_kicked_group_and_starts_none(make):
     co, rec = make(max_batch=3, max_wait=60.0)
-    co.submit("k", Probe(1))
-    co.submit("k", Probe(2))
-    assert rec.batches == [] and co.pending == 2
-    co.submit("k", Probe(3))
-    # no wait: the third submit dispatched the group before returning
-    assert rec.batches == [("k", [1, 2, 3], threading.get_ident())]
-    assert co.pending == 0
+    for i in range(7):
+        co.submit("k", Probe(i))
+    # a full group waits for its trigger like any other
+    assert rec.batches == [] and co.pending == 7
+    co.kick()
+    me = threading.get_ident()
+    assert rec.batches == [("k", [0, 1, 2], me), ("k", [3, 4, 5], me),
+                           ("k", [6], me)]
+    assert rec.whys == ["kick"] * 3 and co.pending == 0
 
 
 def test_deadline_trigger_releases_a_lone_probe(make):
@@ -78,14 +81,15 @@ def test_zero_wait_flushes_every_submit(make):
 
 def test_groups_are_per_key(make):
     co, rec = make(max_batch=2, max_wait=60.0)
-    co.submit("a", Probe("a1"))
-    co.submit("b", Probe("b1"))
-    assert rec.batches == [] and co.pending == 2
-    co.submit("a", Probe("a2"))
-    assert [(k, p) for k, p, _ in rec.batches] == [("a", ["a1", "a2"])]
-    assert co.pending == 1   # b's group waits for its own trigger
-    co.submit("b", Probe("b2"))
-    assert [(k, p) for k, p, _ in rec.batches][1:] == [("b", ["b1", "b2"])]
+    for key, payload in (("a", "a1"), ("b", "b1"), ("a", "a2"),
+                         ("a", "a3"), ("b", "b2")):
+        co.submit(key, Probe(payload))
+    assert rec.batches == [] and co.pending == 5
+    co.flush()
+    # groups in first-arrival order, each cut on its own
+    assert [(k, p) for k, p, _ in rec.batches] == [
+        ("a", ["a1", "a2"]), ("a", ["a3"]), ("b", ["b1", "b2"])]
+    assert co.pending == 0
 
 
 def test_close_flushes_pending_then_rejects(make):
@@ -157,6 +161,7 @@ def test_kick_while_busy_holds_until_the_drain(make_kicked):
 
 
 def test_drain_leaves_unkicked_groups_to_count_and_deadline(make_kicked):
+    # an unkicked group waits for its deadline, a later kick or flush()
     co, rec, eng = make_kicked(max_batch=64, max_wait=60.0)
     eng.busy = True
     co.submit("a", Probe(1))
@@ -168,16 +173,19 @@ def test_drain_leaves_unkicked_groups_to_count_and_deadline(make_kicked):
     assert co.pending == 1
 
 
-def test_count_trigger_still_fires_while_busy(make_kicked):
+def test_a_busy_kick_marks_and_the_drain_cuts(make_kicked):
     co, rec, eng = make_kicked(max_batch=2, max_wait=60.0)
     eng.busy = True
-    co.submit("k", Probe(1))
+    for i in range(5):
+        co.submit("k", Probe(i))
     co.kick()
-    co.submit("k", Probe(2))
-    assert [(k, p) for k, p, _ in rec.batches] == [("k", [1, 2])]
+    assert rec.batches == [] and co.pending == 5
     eng.busy = False
-    co.settled()                 # the flushed group is no longer marked
-    assert len(rec.batches) == 1 and eng.reasons == [("count", 1)]
+    co.settled()
+    me = threading.get_ident()
+    assert rec.batches == [("k", [0, 1], me), ("k", [2, 3], me),
+                           ("k", [4], me)]
+    assert eng.reasons == [("drain", 3)] and co.pending == 0
 
 
 def test_kick_with_nothing_pending_or_after_close_is_a_no_op(make_kicked):
@@ -199,9 +207,9 @@ def test_kick_with_nothing_pending_or_after_close_is_a_no_op(make_kicked):
 def test_flush_fn_hears_the_trigger(make_kicked):
     co, rec, eng = make_kicked(max_batch=2, max_wait=60.0)
     co.submit("a", Probe(1))
-    co.submit("a", Probe(2))     # count
+    co.submit("a", Probe(2))     # a full group: no flush
     co.submit("b", Probe(3))
-    co.kick()                    # kick, idle
+    co.kick()                    # kick, idle: two jobs
     eng.busy = True
     co.submit("c", Probe(4))
     co.kick()                    # marked ...
@@ -209,4 +217,5 @@ def test_flush_fn_hears_the_trigger(make_kicked):
     co.settled()                 # ... drained
     co.submit("d", Probe(5))
     co.flush()
-    assert rec.whys == ["count", "kick", "drain", "flush"]
+    assert rec.whys == ["kick", "kick", "drain", "flush"]
+    assert eng.reasons == [("kick", 2), ("drain", 1), ("flush", 1)]

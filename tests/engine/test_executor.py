@@ -143,18 +143,20 @@ class TestEngineTimeoutAccounting:
             try:
                 eng._executor.submit(park)
                 assert started.wait(5)             # worker is busy now
-                # a probe that never resolves in time is a counted
-                # timeout, and its future is cancelled while queued:
-                # it completes a pending pair, so its group is
-                # count-flushed into the pool queue (a kick would run
-                # it on this thread)
+                # a flushed group queues behind it and fills the depth-1
+                # queue (a kick would run it on this thread)
                 eng.submit_window(fp, [0, 0, 60, 60])
+                eng._coalescer.flush()
+                # a probe that never resolves in time is a counted
+                # timeout: its kick only marked its group (a group is
+                # in flight), and its future is cancelled while pending
                 with pytest.raises(FutureTimeoutError):
                     eng.window(fp, [0, 0, 60, 60], timeout=0.05)
-                # that cancelled batch still occupies the depth-1 queue,
-                # so the next dispatched batch is rejected outright
+                # the queue is still full, so the next dispatched jobs
+                # are rejected outright
                 futs = [eng.submit_window(fp, [0, 0, 50, 50])
                         for _ in range(2)]
+                eng._coalescer.flush()
                 with pytest.raises(RejectedError) as ei:
                     futs[0].result(5)
                 assert ei.value.reason == "queue_full"

@@ -56,8 +56,9 @@ def held_busy(eng, fp):
     group's settle drains the marked ones.  Yields the release event,
     for a body that needs the workers back before it ends.
 
-    The held group is flushed by count: a kicked one would run on the
-    kicking thread at once instead of queueing for the pool."""
+    The held group is queued by :meth:`Coalescer.flush`, which sends
+    it to the pool: a kicked one would run on the kicking thread at
+    once instead of queueing there."""
     release = threading.Event()
     parked = [threading.Event() for _ in range(eng.config.workers)]
     for started in parked:
@@ -65,15 +66,14 @@ def held_busy(eng, fp):
             lambda machine, started=started: (started.set(),
                                               release.wait(30)))
     assert all(started.wait(10) for started in parked)
-    blockers = [eng.submit_window(fp, [0, 0, 9, 9])
-                for _ in range(eng.config.max_batch)]
-    assert eng.snapshot()["flushes"].get("count", 0) >= 1
+    blocker = eng.submit_window(fp, [0, 0, 9, 9])
+    eng._coalescer.flush()
+    assert eng.snapshot()["queue_depth"] == 1   # queued behind them
     try:
         yield release
     finally:
         release.set()
-        for blocker in blockers:
-            blocker.result(30)
+        blocker.result(30)
 
 
 def test_every_read_path_releases_its_pins():
@@ -100,7 +100,7 @@ def test_every_read_path_releases_its_pins():
             eng.submit_window(fp, [0, 0, 9, 9], structure="btree")
         assert_unpinned(eng)
 
-        # resolved groups (count trigger and flush), and a group whose
+        # resolved groups (queued by flush and drained), and a group whose
         # only probe was cancelled by its timed-out waiter: flush()
         # still waits for that group to settle.  The waiter's kick finds
         # the engine busy, so its group stays parked past the timeout

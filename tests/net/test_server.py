@@ -113,54 +113,88 @@ class TestDifferential:
                                                 structure="rtree").tolist()
 
 
+def burst(seed, n=16):
+    """``n`` requests cycling window / point / nearest."""
+    rng = np.random.default_rng(seed)
+    reqs = []
+    for i in range(n):
+        kind = ("window", "point", "nearest")[i % 3]
+        x, y = rng.uniform(0, DOMAIN - 80, 2)
+        req = {"id": i, "kind": kind, "fingerprint": None}
+        if kind == "window":
+            req["rect"] = [x, y, x + 80, y + 80]
+        else:
+            req["point"] = [x, y]
+        reqs.append(req)
+    return reqs
+
+
+def send_burst(st, fp, reqs):
+    """Write ``reqs`` in one ``sendall``; returns ``{id: result}``."""
+    sock = socket.create_connection((st.host, st.port), timeout=30)
+    try:
+        sock.sendall(b"".join(encode_frame({**r, "fingerprint": fp})
+                              for r in reqs))
+        got = {}
+        for _ in reqs:
+            resp = recv_frame_sock(sock)
+            assert resp["status"] == 200
+            got[resp["id"]] = resp["result"]
+        return got
+    finally:
+        sock.close()
+
+
+def direct(eng, fp, req):
+    """The engine's own answer to one wire request."""
+    if req["kind"] == "window":
+        return eng.window(fp, req["rect"]).tolist()
+    if req["kind"] == "point":
+        return eng.point(fp, req["point"]).tolist()
+    gid, dist = eng.nearest(fp, req["point"])
+    return [int(gid), float(dist)]
+
+
 class TestKickedBurst:
     def test_a_burst_runs_on_the_loop_thread_one_group_per_kind(self):
         """16 requests in one write: the server reads them in one loop
         pass and kicks once, so the idle engine runs one group per kind
         on the loop thread, and the answers are the engine's own."""
         lines = segments(seed=13)
-        rng = np.random.default_rng(13)
-        reqs = []
-        for i in range(16):
-            kind = ("window", "point", "nearest")[i % 3]
-            x, y = rng.uniform(0, DOMAIN - 80, 2)
-            req = {"id": i, "kind": kind, "fingerprint": None}
-            if kind == "window":
-                req["rect"] = [x, y, x + 80, y + 80]
-            else:
-                req["point"] = [x, y]
-            reqs.append(req)
+        reqs = burst(13)
         with SpatialQueryEngine(workers=2, max_batch=64,
                                 max_wait=30.0) as eng:
             fp = eng.register(lines, domain=DOMAIN)
             eng.warm(fp)
             with ServerThread(eng) as st:
-                sock = socket.create_connection((st.host, st.port),
-                                                timeout=30)
-                try:
-                    sock.sendall(b"".join(
-                        encode_frame({**r, "fingerprint": fp})
-                        for r in reqs))
-                    got = {}
-                    for _ in reqs:
-                        resp = recv_frame_sock(sock)
-                        assert resp["status"] == 200
-                        got[resp["id"]] = resp["result"]
-                finally:
-                    sock.close()
+                got = send_burst(st, fp, reqs)
             snap = eng.snapshot()
             assert snap["flushes"] == {"kick": 3}
             assert snap["ran"] == {"caller": 3}
             for r in reqs:
-                if r["kind"] == "window":
-                    want = eng.window(fp, r["rect"]).tolist()
-                elif r["kind"] == "point":
-                    want = eng.point(fp, r["point"]).tolist()
-                else:
-                    gid, dist = eng.nearest(fp, r["point"])
-                    want = [int(gid), float(dist)]
-                assert got[r["id"]] == want
+                assert got[r["id"]] == direct(eng, fp, r)
 
+    def test_a_burst_on_the_loop_never_writes_to_the_self_pipe(
+            self, monkeypatch):
+        """Answers resolved on the loop thread reach their handlers in
+        place: no ``call_soon_threadsafe``, so no self-pipe write and
+        no extra loop wake-up per request."""
+        lines = segments(seed=15)
+        reqs = burst(15)
+        with SpatialQueryEngine(workers=2, max_batch=64,
+                                max_wait=30.0) as eng:
+            fp = eng.register(lines, domain=DOMAIN)
+            eng.warm(fp)
+            with ServerThread(eng) as st:
+                writes = []
+                write = st._loop._write_to_self
+                monkeypatch.setattr(st._loop, "_write_to_self",
+                                    lambda: (writes.append(1), write()))
+                got = send_burst(st, fp, reqs)
+                assert writes == []
+            assert eng.snapshot()["ran"] == {"caller": 3}
+            for r in reqs:
+                assert got[r["id"]] == direct(eng, fp, r)
 
     def test_a_cold_build_keeps_the_pool_and_the_loop_serving(
             self, monkeypatch):
@@ -513,20 +547,20 @@ class TestClientDisconnect:
                 doomed = ServeClient(st.host, st.port)
                 doomed.send_only({"id": 1, "kind": "window",
                                   "fingerprint": fp, "rect": rect})
-                # the engine is busy: the probe is parked in the
-                # coalescer (batch of 2)
+                # the engine is busy: the server's kick only marks the
+                # probe's group, which stays parked in the coalescer
                 assert poll(lambda: eng.snapshot()["pending_probes"] >= 1)
                 doomed.close()   # vanish with the probe in flight
                 with ServeClient(st.host, st.port) as survivor:
                     # wait until the server noticed the disconnect
                     assert poll(lambda: survivor.health()["result"]["server"]
                                 ["disconnects_inflight"] >= 1)
-                    # this probe completes the batch and flushes it,
-                    # to run once the parked workers are back
+                    # this probe joins the parked group, which drains
+                    # to the pool once the parked workers are back
                     survivor.send_only({"id": 2, "kind": "window",
                                         "fingerprint": fp, "rect": rect})
                     assert poll(
-                        lambda: eng.snapshot()["pending_probes"] == 0)
+                        lambda: eng.snapshot()["pending_probes"] == 2)
                     release.set()
                     resp = survivor.recv()
                     assert resp["status"] == 200
