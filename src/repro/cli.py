@@ -21,10 +21,7 @@ Nine subcommands cover the everyday entry points:
     with admission control surfacing backpressure/breakers/deadlines
     as structured 429/206/503 responses.  ``--cache-dir`` attaches
     the persistent index store so evicted indexes spill to disk and
-    later runs warm-start from it.  ``--backend process`` swaps the
-    thread pool for a process pool: shared-nothing workers sidestep
-    the GIL, so concurrent batches run on several cores (also on
-    ``chaos``).
+    later runs warm-start from it.
 ``mutate``
     Send an insert/delete batch to a running ``serve --listen``
     server.  The engine commits it as a new dataset version (MVCC):
@@ -86,14 +83,13 @@ MAPS = ("uniform", "clustered", "street", "paper")
 STRUCTURES = ("pmr", "pm1", "rtree", "kdtree")
 
 #: the :class:`EngineConfig` fields ``serve`` exposes, each as the flag
-#: of its name (``--backend`` / ``--fsync-policy`` are ``executor`` /
-#: ``journal_fsync``): ``_parser`` reads the flag's default from the
-#: field and ``_serve_engine`` passes the parsed value straight through
+#: of its name (``--fsync-policy`` is ``journal_fsync``): ``_parser``
+#: reads the flag's default from the field and ``_serve_engine`` passes
+#: the parsed value straight through
 _SERVE_ENGINE_FIELDS = (
-    "structure", "capacity", "workers", "executor", "max_batch", "max_wait",
+    "structure", "capacity", "workers", "max_batch", "max_wait",
     "queue_depth", "shards", "ordering", "cache_dir", "disk_budget_bytes",
-    "shm_budget_bytes", "versions_retained", "journal_dir", "journal_fsync",
-    "checkpoint_every")
+    "versions_retained", "journal_dir", "journal_fsync", "checkpoint_every")
 
 
 def _make_map(name: str, n: int, domain: int, seed: int) -> np.ndarray:
@@ -310,7 +306,7 @@ def _serve_listen(args: argparse.Namespace) -> int:
         async def main() -> None:
             h, p = await server.start()
             print(f"serving {args.map} map ({lines.shape[0]} segments, "
-                  f"structure {args.structure}, backend {args.executor}) "
+                  f"structure {args.structure}, {args.workers} workers) "
                   f"on {h}:{p}", flush=True)
             print(f"dataset fingerprint {fp}", flush=True)
             print(f"try: python -m repro health --connect {h}:{p}   "
@@ -459,21 +455,6 @@ def _serve_demo(args: argparse.Namespace) -> int:
                  for k, v in sorted(per.items())],
                 title="per-index batches"))
         health = engine.health()
-        ex = health["executor"]
-        if ex["backend"] == "process":
-            print()
-            print(format_table(
-                ["metric", "value"],
-                [["backend", ex["backend"]],
-                 ["workers", ex["workers"]],
-                 ["start method", ex["start_method"]],
-                 ["worker restarts", ex["restarts"]],
-                 ["datasets shipped", ex["datasets_shipped"]],
-                 ["ipc sent", _fmt_bytes(ex["ipc_bytes_sent"])],
-                 ["ipc received", _fmt_bytes(ex["ipc_bytes_received"])],
-                 ["warm loads", ex["worker_warm_loads"]],
-                 ["cold builds", ex["worker_cold_builds"]]],
-                title="process executor"))
         print()
         print(format_table(
             ["metric", "value"],
@@ -508,8 +489,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
                                 workers=args.workers,
                                 max_batch=args.max_batch,
                                 max_wait=0.001,
-                                executor=args.backend,
-                                shm_budget_bytes=args.shm_budget_bytes,
                                 breaker_threshold=args.breaker_threshold,
                                 breaker_reset=args.breaker_reset,
                                 brute_fallback=args.brute_fallback,
@@ -574,10 +553,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
          ["retries", sum(health["retries"].values())],
          ["partial results", health["partial_results"]],
          ["shards dropped", health["shards_dropped"]],
-         ["brute-force fallbacks", health["fallbacks"]]]
-        + ([["backend", "process"],
-            ["worker restarts", health["executor"]["restarts"]]]
-           if health["executor"]["backend"] == "process" else []),
+         ["brute-force fallbacks", health["fallbacks"]]],
         title="engine health after recovery"))
     faults = snap["faults_injected"]
     if faults:
@@ -907,11 +883,7 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--clients", type=int, default=4,
                    help="concurrent client threads")
     s.add_argument("--workers", type=int,
-                   help="engine workers (threads or processes)")
-    s.add_argument("--backend", dest="executor",
-                   choices=("thread", "process"),
-                   help="executor backend: thread (in-process) or "
-                        "process (multi-core)")
+                   help="engine worker threads")
     # the one default not EngineConfig's (64, sized for one in-process
     # caller): serve fronts many clients, so it coalesces a larger wave
     s.add_argument("--max-batch", type=int, default=256,
@@ -930,9 +902,6 @@ def _parser() -> argparse.ArgumentParser:
                    help="persistent index store directory (spill + warm start)")
     s.add_argument("--disk-budget-bytes", type=int,
                    help="store byte budget (requires --cache-dir)")
-    s.add_argument("--shm-budget-bytes", type=int,
-                   help="shared-memory arena budget for --backend process "
-                        "(default: unbounded; 0 disables the arena)")
     s.add_argument("--versions-retained", type=int,
                    help="dataset versions kept warm for in-flight reads "
                         "after a mutation commits (MVCC)")
@@ -998,14 +967,8 @@ def _parser() -> argparse.ArgumentParser:
                    default="pmr")
     c.add_argument("--shards", type=int, default=4,
                    help="shards per index (stall faults need >1)")
-    c.add_argument("--workers", type=int, default=4)
-    c.add_argument("--backend", choices=("thread", "process"),
-                   default="thread",
-                   help="executor backend (crash faults kill real "
-                        "workers under process)")
-    c.add_argument("--shm-budget-bytes", type=int, default=None,
-                   help="shared-memory arena budget for --backend process "
-                        "(default: unbounded; 0 disables the arena)")
+    c.add_argument("--workers", type=int, default=4,
+                   help="engine worker threads")
     c.add_argument("--max-batch", type=int, default=8)
     c.add_argument("--probes", type=int, default=48,
                    help="probes in the chaos wave")

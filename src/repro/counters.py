@@ -20,7 +20,6 @@ class Counter(NamedTuple):
     name: str          # attribute and snapshot() key
     group: str = ""    # health() block exporting it ("": snapshot() only)
     event: str = ""    # subsystem event it counts, when not ``name``
-    by: Optional[int] = None   # fixed bump per event (None: the event's n)
     #: not ``None``: a labelled (dict-valued) counter, label -> count;
     #: maps each subsystem event it counts to the label that event bumps
     labels: Optional[Mapping[str, str]] = None
@@ -33,15 +32,14 @@ class Counters:
     def __init__(self):
         # re-entrant: a subclass's snapshot() walks under its own hold
         self._lock = threading.RLock()
-        #: event -> [(counter, label or None, fixed bump or None), ...]
+        #: event -> [(counter, label or None), ...]
         self._events: Dict[str, list] = {}
         for r in self.ROWS:
             setattr(self, r.name, {} if r.labels is not None else 0)
             events = (r.labels if r.labels is not None
                       else {r.event or r.name: None})
             for event, label in events.items():
-                self._events.setdefault(event, []).append(
-                    (r.name, label, r.by))
+                self._events.setdefault(event, []).append((r.name, label))
 
     def _add(self, name: str, n, label=None) -> None:
         """Bump one counter (one label of a labelled one); the caller
@@ -67,13 +65,13 @@ class Counters:
 
     def event(self, event: str, n=1) -> None:
         """Count one subsystem event (the store / journal observers, the
-        breaker listener, the executor's telemetry): every row naming
-        it is bumped under one acquisition.  An event no row names
-        raises ``KeyError`` instead of vanishing."""
+        breaker listener): every row naming it is bumped under one
+        acquisition.  An event no row names raises ``KeyError`` instead
+        of vanishing."""
         rows = self._events[event]
         with self._lock:
-            for name, label, by in rows:
-                self._add(name, n if by is None else by, label)
+            for name, label in rows:
+                self._add(name, n, label)
 
     def walk(self, group: Optional[str] = None) -> Dict[str, object]:
         """``name -> value`` for every row (of one ``health()`` group)."""

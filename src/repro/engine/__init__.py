@@ -14,11 +14,10 @@ from ..resilience import (CircuitBreaker, CircuitOpenError, FaultInjector,
                           RetryPolicy)
 from .coalescer import Coalescer, Probe
 from .engine import EngineConfig, SpatialQueryEngine
-from .executor import (BoundedExecutor, ExecutorBackend, ProcessBackend,
-                       RejectedError, WorkerCrashError)
+from .executor import BoundedExecutor, RejectedError
 from .registry import BuiltIndex, IndexKey, IndexRegistry, dataset_fingerprint
 from .stats import EngineStats, LatencyReservoir
-from .worker import IndexRef, JobSpec, NeedDataset, WorkerResult
+from .worker import JobSpec, WorkerResult
 
 __all__ = [
     "SpatialQueryEngine",
@@ -30,15 +29,10 @@ __all__ = [
     "Coalescer",
     "Probe",
     "BoundedExecutor",
-    "ProcessBackend",
-    "ExecutorBackend",
-    "IndexRef",
     "JobSpec",
     "WorkerResult",
-    "NeedDataset",
     "EngineError",
     "RejectedError",
-    "WorkerCrashError",
     "InjectedWorkerCrash",
     "CircuitBreaker",
     "CircuitOpenError",

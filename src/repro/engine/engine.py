@@ -12,12 +12,13 @@
   group by deadline, or as soon as a caller waits on one of its
   probes and no group is in flight (work-conserving), cut into jobs
   of at most ``max_batch`` probes;
-* an executor backend (threads, or a process pool) running each batch
-  as **one** vectorized ``structures.batch`` frontier pass over the
-  read-only index, with backpressure when saturated -- every group,
-  sharded or not, reaches it as **one**
+* a bounded thread pool (:class:`~repro.engine.executor.BoundedExecutor`)
+  running each batch as **one** vectorized ``structures.batch``
+  frontier pass over the read-only index, with backpressure when
+  saturated -- every group, sharded or not, reaches it as **one**
   :class:`~repro.engine.worker.JobSpec` through one submit/settle
-  pipeline (``_run_group``; DESIGN.md section 7);
+  pipeline (``_run_group``; DESIGN.md section 7), and a kicked read
+  group over a built index runs on the kicking thread itself;
 * an :class:`~repro.engine.stats.EngineStats` layer aggregating batch
   sizes, queue depth, cache hit rate, latency percentiles, and the
   scan-model step accounting per batch;
@@ -62,28 +63,21 @@ import numpy as np
 from ..durability import (FSYNC_POLICIES, JournalError, MutationJournal,
                           RecoveryReport, journal_roots, replay_journal)
 from ..resilience import (OPEN, BreakerBoard, CircuitOpenError, FaultInjector,
-                          FaultPlan, InjectedFault, PartialResult, RetryPolicy)
-from ..shm import DATASET_PREFIX, INDEX_PREFIX, ShmArena
-from ..store import store_key_id
+                          FaultPlan, PartialResult, RetryPolicy)
 from ..structures.batch import FAMILY
-from ..structures.io import structure_payload
 from ..structures.sharded import ORDERINGS
 from .coalescer import Coalescer, Probe
-from .executor import BoundedExecutor, ProcessBackend, RejectedError
+from .executor import BoundedExecutor, RejectedError
 from .registry import IndexKey, IndexRegistry, index_params
-from .stats import EXEC, TOP, WAL, EngineStats
-from .worker import (IndexRef, JobSpec, RegistryResolver, WorkerResult,
-                     interpret)
+from .stats import TOP, WAL, EngineStats
+from .worker import JobSpec, WorkerResult, interpret
 
 __all__ = ["EngineConfig", "MutationResult", "SpatialQueryEngine"]
-
-#: executor backend names accepted by :class:`EngineConfig`
-EXECUTORS = ("thread", "process")
 
 KINDS = ("window", "point", "nearest")
 
 #: wall cap (seconds) of the blocking helpers when the caller passes no
-#: ``timeout``, and of each advisory ``warm()`` job
+#: ``timeout``
 _SYNC_TIMEOUT = 30.0
 
 
@@ -156,14 +150,8 @@ class EngineConfig:
     #: groups are in flight and its callers have not kicked; waiting on
     #: a probe, or a server pass that submitted, flushes an idle engine now
     max_wait: float = 0.002
-    executor: str = "thread"      # "thread" (GIL-shared) | "process" (multi-core)
-    workers: int = 4              # executor threads / worker processes
+    workers: int = 4              # executor threads
     queue_depth: int = 64         # bounded executor queue
-    #: shared-memory arena byte budget for the process backend.
-    #: ``None`` (default): arena enabled, unbounded; ``0``: arena
-    #: disabled (every dataset ships over the pipe); ``> 0``: publishes
-    #: beyond the budget are refused and fall back to pipe shipping.
-    shm_budget_bytes: Optional[int] = None
     cache_capacity: int = 8       # LRU-cached built indexes
     shards: int = 1               # >1: space-sorted sharded indexes
     ordering: str = "morton"      # shard cut order: morton | hilbert
@@ -185,11 +173,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.structure not in FAMILY:
             raise ValueError(f"unknown structure {self.structure!r}")
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {self.executor!r}; "
-                             f"choose from {EXECUTORS}")
-        if self.shm_budget_bytes is not None and self.shm_budget_bytes < 0:
-            raise ValueError("shm_budget_bytes must be >= 0")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.ordering not in ORDERINGS:
@@ -252,12 +235,6 @@ class SpatialQueryEngine:
             injector=self.faults,
             versions_retained=config.versions_retained,
             on_collect=self._on_collected)
-        self._is_process = config.executor == "process"
-        # incremental shard repair serves both backends: the commit
-        # path makes every repaired payload worker-visible (store bytes
-        # and/or arena pages) *before* reads flip, and falls back to a
-        # canonical rebuild when it cannot -- so workers always agree
-        # with the parent's shard cuts
         self._mutation_lock = threading.Lock()
         self._mutation_root_locks: Dict[str, threading.Lock] = {}
         self._mutation_threads: List[threading.Thread] = []
@@ -267,30 +244,9 @@ class SpatialQueryEngine:
         self._journal_dir = config.journal_dir
         self._journals: Dict[str, MutationJournal] = {}
         self._ckpt_counts: Dict[str, int] = {}
-        # shared-memory data plane: on by default for the process
-        # backend (shm_budget_bytes=0 disables it); datasets and
-        # prebuilt index payloads cross as handles, not pipe bytes
-        self._arena: Optional[ShmArena] = None
-        if self._is_process and (config.shm_budget_bytes is None
-                                 or config.shm_budget_bytes > 0):
-            try:
-                self._arena = ShmArena(budget_bytes=config.shm_budget_bytes)
-            except Exception:   # no usable shm: degrade to pipe shipping
-                self._arena = None
-        self.registry.arena = self._arena
-        if self._is_process:
-            self._executor = ProcessBackend(
-                workers=config.workers, queue_depth=config.queue_depth,
-                injector=self.faults, cache_dir=config.cache_dir,
-                fault_plan=config.fault_plan,
-                dataset_provider=self.registry.dataset_snapshot,
-                handle_provider=(self._job_handles
-                                 if self._arena is not None else None),
-                on_event=self._on_executor_event, retry=self._retry)
-        else:
-            self._executor = BoundedExecutor(workers=config.workers,
-                                             queue_depth=config.queue_depth,
-                                             injector=self.faults)
+        self._executor = BoundedExecutor(workers=config.workers,
+                                         queue_depth=config.queue_depth,
+                                         injector=self.faults)
         self.breakers = BreakerBoard(
             failure_threshold=config.breaker_threshold,
             reset_timeout=config.breaker_reset,
@@ -367,36 +323,10 @@ class SpatialQueryEngine:
         return self.registry.datasets_info()
 
     def warm(self, fingerprint: str, structure: Optional[str] = None) -> None:
-        """Build (or touch) the index ahead of traffic.
-
-        Under the process backend this also warms the *workers*: the
-        built payload is published **once** into the shared-memory
-        arena (one block per fingerprint, every worker maps the same
-        pages zero-copy) and persisted to the store (when one is
-        attached) as the fallback warm path, then one best-effort warm
-        job per worker pre-materialises it off the serving path.  Only
-        with neither arena nor store do the warm jobs ship the dataset
-        snapshot, which still spares the first real batch the cold
-        build.
-        """
+        """Build (or touch) the index ahead of traffic."""
         info = self.registry.resolve(fingerprint)
         key = self._index_key(info.fingerprint, structure)
-        self._serving_entry(key)
-        if not self._is_process:
-            return
-        ref = self._index_ref(key)
-        futs = []
-        for _ in range(self.config.workers):
-            try:
-                futs.append(self._executor.submit(JobSpec(op="warm",
-                                                          index=ref)))
-            except RejectedError:
-                break   # pool busy: real traffic will warm it
-        for fut in futs:
-            try:
-                fut.result(_SYNC_TIMEOUT)
-            except Exception:
-                pass    # warm-up is advisory, never fails the caller
+        self.registry.get(key.fingerprint, key.structure, **dict(key.params))
 
     # -- asynchronous probes ---------------------------------------------
 
@@ -428,8 +358,7 @@ class SpatialQueryEngine:
         """Spatial join of two registered maps.
 
         Joins coalesce like probes do: pairs submitted within the batch
-        window for the same structure share **one** executor job (one
-        process-boundary crossing under the process backend) with
+        window for the same structure share **one** executor job with
         per-pair outcomes, so one bad pair fails only its own future.
         """
         structure = structure or self.config.structure
@@ -576,8 +505,6 @@ class SpatialQueryEngine:
         out["cache"] = self.registry.snapshot()
         out["queue_depth"] = self._executor.queue_depth
         out["pending_probes"] = self._coalescer.pending
-        if self._arena is not None:
-            out["shm"] = self._arena.snapshot()
         return out
 
     def health(self) -> Dict[str, object]:
@@ -593,19 +520,11 @@ class SpatialQueryEngine:
         breakers = self.breakers.snapshot()
         not_closed = [k for k, b in breakers.items() if b["state"] != "closed"]
         s = self.stats
-        executor = {"backend": self._executor.kind,
-                    "workers": self.config.workers}
-        if self._executor.kind == "process":
-            executor.update(
-                s.walk(EXEC), start_method=self._executor.start_method,
-                workers_seen=sorted(s.workers),
-                shm=(self._arena.snapshot() if self._arena is not None
-                     else {"enabled": False}))
-            executor["restarts"] = executor.pop("worker_restarts")
         return {
             "status": "degraded" if not_closed else "ok",
             "closed": self._closed,
-            "executor": executor,
+            "executor": {"backend": "thread",
+                         "workers": self.config.workers},
             "breakers": breakers,
             "breakers_not_closed": sorted(not_closed),
             **s.walk(TOP),
@@ -643,10 +562,6 @@ class SpatialQueryEngine:
         # tier so the next process starts from disk hits, not rebuilds
         if self.store is not None:
             self.registry.spill_all()
-        # unlink every published block only after the workers are gone
-        if self._arena is not None:
-            self.registry.arena = None
-            self._arena.close()
 
     def __enter__(self) -> "SpatialQueryEngine":
         return self
@@ -666,25 +581,6 @@ class SpatialQueryEngine:
         self.breakers.drop(fingerprint)
         for structure in FAMILY:
             self._index_keys.pop((fingerprint, structure), None)
-
-    def _on_executor_event(self, name: str, value=1) -> None:
-        """Process-backend telemetry: every event but the structured
-        ``worker_result`` is a row of the counter table."""
-        if name == "worker_result":
-            wr: WorkerResult = value
-            self.stats.record_worker(wr)
-            if self._arena is not None and wr.shm_attached:
-                self._arena.note_attaches(wr.shm_attached)
-            for site, kind in wr.faults:
-                # latency/stall specs fired inside the worker; replay
-                # them here so `faults_injected` covers both sides
-                self._on_fault(site, kind)
-            return
-        if name == "restart" and self._arena is not None:
-            # the blocks survive (the parent owns them) but every
-            # worker mapping died with the pool
-            self._arena.reset_live_attachments()
-        self.stats.event(name, value)
 
     def _index_key(self, fingerprint: str,
                    structure: Optional[str]) -> IndexKey:
@@ -778,8 +674,8 @@ class SpatialQueryEngine:
         The pin :meth:`_submit` took goes with the probe's group.
         """
         probe = self._probe(payload)
-        ref = self._index_ref(self._index_key(fingerprint, None))
-        self._run_group(JobSpec(op="brute", kind=kind, index=ref,
+        self._run_group(JobSpec(op="brute", kind=kind,
+                                index=self._index_key(fingerprint, None),
                                 payloads=payload[None, :]), [probe])
         return probe.future
 
@@ -820,29 +716,11 @@ class SpatialQueryEngine:
 
     # -- the job pipeline --------------------------------------------------
 
-    def _bind(self, spec: JobSpec):
-        """The single spec -> executor-work binding (DESIGN.md section 7).
-
-        Thread backend: the shared interpreter over the parent's
-        registry.  Process backend: the spec itself crosses; the worker
-        resolves its index without the parent registry, so the
-        ``registry.get`` fault site a thread batch arrives at inside
-        ``registry.get`` is fired here for chaos parity.
-        """
-        if not self._is_process:
-            return partial(interpret, RegistryResolver(self.registry),
-                           spec, injector=self.faults)
-        if self.faults is not None and spec.op == "batch":
-            self.faults.fire("registry.get",
-                             fingerprint=spec.index.fingerprint,
-                             structure=spec.index.structure)
-        return spec
-
     def _run_group(self, spec: JobSpec, probes: List[Probe],
                    started: Optional[float] = None,
                    settled: Optional[Future] = None,
                    here: bool = False) -> None:
-        """The one group pipeline: submit -> settle, on either backend.
+        """The one group pipeline: submit -> settle.
 
         ``here`` runs the job on this thread (:meth:`BoundedExecutor.run`)
         instead of the pool; the settle path is the same either way, and
@@ -869,21 +747,18 @@ class SpatialQueryEngine:
         fut: Future = Future()
         fut.add_done_callback(lambda done: self._group_done(
             done, spec, probes, started, settled, here))
+        job = partial(interpret, self.registry, spec, injector=self.faults)
+        if here:
+            self._executor.run(job, fut)
+            return
         try:
-            job = self._bind(spec)
-            if here:
-                self._executor.run(job, fut)
-            else:
-                self._submit_job_with_retry(job, fut)
+            self._submit_job_with_retry(job, fut)
         except RejectedError as exc:
             self.stats.inc(rejected={exc.reason: len(probes)})
             with self._settling(spec, probes, settled):
                 for p in probes:
                     _reject(p.future,
                             RejectedError(str(exc), reason=exc.reason))
-            return
-        except InjectedFault as exc:   # the binding's registry.get site
-            self._group_failed(exc, spec, probes, started, settled)
 
     @contextmanager
     def _settling(self, spec: JobSpec, probes: List[Probe],
@@ -954,10 +829,10 @@ class SpatialQueryEngine:
                       settled: Future) -> None:
         """A whole group failed: breaker(s), then brute re-issue or reject.
 
-        The failure (index resolve, kernel, crash retries exhausted,
-        injected fault) counts against every fingerprint of the group;
-        with ``brute_fallback`` and a breaker now OPEN the *same* group
-        is re-issued once as a degraded spec.  Backpressure
+        The failure (index resolve, kernel, injected fault) counts
+        against every fingerprint of the group; with ``brute_fallback``
+        and a breaker now OPEN the *same* group is re-issued once as a
+        degraded spec.  Backpressure
         (:class:`RejectedError`) and failures of an already degraded
         spec feed no breaker and are not re-issued.
         """
@@ -986,11 +861,11 @@ class SpatialQueryEngine:
         """Flush callback: turn one cut of a coalesced group into a job.
 
         A kicked read job whose index is in memory runs on the kicking
-        thread (thread backend): the engine was idle at the kick, the
-        kick's jobs run one after another, and no pool thread trades
-        the GIL with the kicker.  A cold index (its build), drain and
-        deadline flushes, joins, commits and the process backend keep
-        their pools, so a caller pays at most its own kick's jobs."""
+        thread: the engine was idle at the kick, the kick's jobs run one
+        after another, and no pool thread trades the GIL with the
+        kicker.  A cold index (its build), drain and deadline flushes,
+        joins and commits keep the pool, so a caller pays at most its
+        own kick's jobs."""
         if group_key[0] == "join":
             self._dispatch_join(group_key[1], probes)
             return
@@ -1011,124 +886,15 @@ class SpatialQueryEngine:
         # this runs on the submitting thread, where stack's per-row
         # Python overhead (4x) would stretch the wave past max_wait
         self._run_group(
-            JobSpec(op="batch", kind=kind, index=self._index_ref(index_key),
+            JobSpec(op="batch", kind=kind, index=index_key,
                     payloads=np.array([p.payload for p in probes]),
                     exact=exact,
                     deadline_at=min((p.deadline_at for p in probes
                                      if p.deadline_at is not None),
                                     default=None)),
             probes,
-            here=(why == "kick" and not self._is_process
+            here=(why == "kick"
                   and self.registry.peek(index_key) is not None))
-
-    def _index_ref(self, key: IndexKey) -> IndexRef:
-        """The picklable stand-in a worker materialises the index from."""
-        return IndexRef(key.fingerprint, key.structure, key.params,
-                        int(self.registry.domain(key.fingerprint)))
-
-    # -- shared-memory data plane ----------------------------------------
-
-    def _job_handles(self, spec: JobSpec) -> Tuple[object, ...]:
-        """The arena handles one job should carry (the executor's
-        ``handle_provider``).
-
-        For every index the spec references: the dataset's ``ds:``
-        block (published on first demand -- a handful of bytes per job
-        thereafter, however large the dataset) and, if one was
-        published by :meth:`warm` or a mutation commit, the prebuilt
-        ``ix:`` payload block.
-        """
-        arena = self._arena
-        if arena is None:
-            return ()
-        handles: List[object] = []
-        seen: set = set()
-        for ref in spec.refs:
-            handle = self._dataset_handle(ref)
-            if handle is not None and handle.tag not in seen:
-                seen.add(handle.tag)
-                handles.append(handle)
-            handle = arena.handle(INDEX_PREFIX + store_key_id(ref))
-            if handle is not None and handle.tag not in seen:
-                seen.add(handle.tag)
-                handles.append(handle)
-        return tuple(handles)
-
-    def _dataset_handle(self, ref: IndexRef):
-        """The ``ds:`` handle for one fingerprint, publishing on demand.
-
-        A budget refusal (or a collected version) returns ``None`` and
-        the job simply carries no handle -- the worker falls back to
-        the store / ``NeedDataset`` ship path unchanged.
-        """
-        arena = self._arena
-        tag = DATASET_PREFIX + ref.fingerprint
-        handle = arena.handle(tag)
-        if handle is not None:
-            return handle
-        try:
-            lines, domain = self.registry.dataset_snapshot(ref.fingerprint)
-        except KeyError:
-            return None
-        return arena.publish_payload(
-            tag, {"lines": lines}, meta={"fingerprint": ref.fingerprint,
-                                         "domain": str(int(domain))})
-
-    def _publish_index(self, key: IndexKey, tree) -> None:
-        """Publish the payload of the ``tree`` in hand into the arena,
-        best effort (:func:`~repro.structures.io.structure_payload`:
-        the entries its store archive holds, without reading the archive
-        back).  Idempotent per store key, silent on budget refusal.
-        """
-        arena = self._arena
-        if arena is None:
-            return
-        tag = INDEX_PREFIX + store_key_id(key)
-        if arena.handle(tag) is not None:
-            return
-        arena.publish_payload(tag, structure_payload(tree, dict(key.params)),
-                              meta={"fingerprint": key.fingerprint})
-
-    def _worker_visible(self, key: IndexKey) -> bool:
-        """Can a pool worker warm-load this exact index (arena or store)?"""
-        if self._arena is not None \
-                and self._arena.handle(INDEX_PREFIX + store_key_id(key)) \
-                is not None:
-            return True
-        return self.store is not None and self.store.contains(key)
-
-    def _serving_entry(self, key: IndexKey):
-        """The warm -> share step of :meth:`warm` and the commit: build
-        (or fetch) ``key``'s index and return the entry that will serve.
-
-        Under the process backend it is fed to both worker warm tiers,
-        best effort -- the store (durable bytes) and the arena
-        (zero-copy pages) -- so workers adopt the parent's build.  For
-        an incrementally *repaired* entry that is a correctness
-        requirement: a repair may cut the shards differently from a
-        canonical build, and ``exact=False`` candidate sets depend on
-        the cuts -- a worker that cannot load the repaired payload would
-        rebuild canonically and answer them differently from the
-        parent's index.  So if neither tier took it the repaired tree is
-        retracted and rebuilt canonically here (raising like any failed
-        build).
-        """
-        get = partial(self.registry.get, key.fingerprint, key.structure,
-                      **dict(key.params))
-        entry = get()
-        if not self._is_process:
-            return entry
-        if self.store is not None and not self.store.contains(key):
-            try:
-                self.registry._put(entry)
-            except (OSError, InjectedFault):
-                pass   # disk full: the arena may still carry it
-        self._publish_index(key, entry.tree)
-        if entry.repaired_from is None or self._worker_visible(key):
-            return entry
-        self.registry.discard(key)
-        self.registry.drop_repair_hint(key.fingerprint)
-        return get()
 
     # -- mutations -------------------------------------------------------
 
@@ -1170,11 +936,10 @@ class SpatialQueryEngine:
                     # base checkpoint: the chain head as of journal
                     # creation, so replay is anchored by the journal
                     # directory alone
-                    lines, domain = self.registry.dataset_snapshot(
-                        cur.fingerprint)
                     journal.write_checkpoint(
-                        lines, fingerprint=cur.fingerprint,
-                        version=cur.version, domain=domain, seq=0)
+                        self.registry.dataset(cur.fingerprint),
+                        fingerprint=cur.fingerprint, version=cur.version,
+                        domain=self.registry.domain(cur.fingerprint), seq=0)
             except BaseException:
                 journal.close()
                 raise
@@ -1197,10 +962,11 @@ class SpatialQueryEngine:
         if self.store is not None and not self.store.contains(key):
             self.registry.persist(key.fingerprint, key.structure,
                                   **dict(key.params))
-        lines, domain = self.registry.dataset_snapshot(head.fingerprint)
         return journal.write_checkpoint(
-            lines, fingerprint=head.fingerprint, version=head.version,
-            domain=domain, seq=journal.last_seq)
+            self.registry.dataset(head.fingerprint),
+            fingerprint=head.fingerprint, version=head.version,
+            domain=self.registry.domain(head.fingerprint),
+            seq=journal.last_seq)
 
     def _run_mutation_batch(self, root: str, probes: List[Probe]) -> None:
         """Commit one coalesced mutation group as one new version.
@@ -1276,11 +1042,8 @@ class SpatialQueryEngine:
                     return
             key = self._index_key(staged.fingerprint, None)
             try:
-                # worker visibility comes BEFORE the flip: under the
-                # process backend the new version's payload lands in
-                # the store and/or the arena first, so the first
-                # post-flip worker batch adopts the parent's build
-                entry = self._serving_entry(key)
+                entry = self.registry.get(key.fingerprint, key.structure,
+                                          **dict(key.params))
             except Exception as exc:  # noqa: BLE001 - any failed warm build
                 if journal is not None:
                     journal.abandon_last(seq)
@@ -1322,17 +1085,6 @@ class SpatialQueryEngine:
     def _dispatch_join(self, structure: str, probes: List[Probe],
                        brute: bool = False) -> None:
         """Flush one coalesced join group as a single ``join`` job."""
-        live: List[Probe] = []
-        pairs: List[Tuple[IndexRef, IndexRef]] = []
-        for p in probes:
-            try:
-                pairs.append(tuple(
-                    self._index_ref(self._index_key(fp, structure))
-                    for fp in p.payload))
-            except KeyError as exc:   # dataset forgotten since submit
-                self._fail_probes([p], exc)
-                continue
-            live.append(p)
-        if live:
-            self._run_group(JobSpec(op="join", pairs=tuple(pairs),
-                                    brute=brute), live)
+        pairs = tuple(tuple(self._index_key(fp, structure) for fp in p.payload)
+                      for p in probes)
+        self._run_group(JobSpec(op="join", pairs=pairs, brute=brute), probes)

@@ -65,10 +65,7 @@ import numpy as np
 
 from ..machine import Machine, use_machine
 from ..resilience.faults import InjectedFault
-from ..shm import INDEX_PREFIX
-from ..store import store_key_id
 from ..structures.batch import FAMILY
-from ..structures.io import attach_tree
 from ..structures.sharded import build_index, repair_index
 
 __all__ = ["dataset_fingerprint", "IndexKey", "index_params", "BuiltIndex",
@@ -105,10 +102,6 @@ class IndexKey:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        # str hashes are salted per process: rebuild, never ship, _hash
-        return (type(self), (self.fingerprint, self.structure, self.params))
 
     @classmethod
     def make(cls, fingerprint: str, structure: str, **params) -> "IndexKey":
@@ -230,11 +223,6 @@ class IndexRegistry:
         #: registry just dropped, so per-content state kept elsewhere
         #: (the engine's breakers, shard timings) can go with it
         self.on_collect = on_collect
-        #: optional :class:`~repro.shm.ShmArena` -- when the engine
-        #: attaches one, retiring a fingerprint also unlinks its
-        #: published shared-memory blocks so workers cannot map stale
-        #: datasets or index payloads
-        self.arena = None
         self._lock = threading.RLock()
         self._datasets: "OrderedDict[str, _Content]" = OrderedDict()
         self._cache: "OrderedDict[IndexKey, BuiltIndex]" = OrderedDict()
@@ -253,7 +241,6 @@ class IndexRegistry:
         self.disk_hits = 0
         self.repairs = 0
         self.repair_full_rebuilds = 0
-        self.shm_rehydrations = 0
         self.versions_committed = 0
         self.versions_collected = 0
 
@@ -317,17 +304,6 @@ class IndexRegistry:
     def domain(self, fingerprint: str) -> int:
         with self._lock:
             return self._content(fingerprint).domain
-
-    def dataset_snapshot(self, fingerprint: str):
-        """``(lines, domain)`` for shipping to a process-pool worker.
-
-        The array is the registered read-only canonical form, so it
-        pickles as-is and the worker's rebuild is bit-identical to a
-        parent-side build of the same key.
-        """
-        with self._lock:
-            rec = self._content(fingerprint)
-            return rec.lines, rec.domain
 
     def datasets_info(self):
         """Registration order, one row per dataset -- what a network
@@ -441,7 +417,9 @@ class IndexRegistry:
         returns the current version twice.
         """
         cur = self.resolve(fingerprint)
-        old, old_dom = self.dataset_snapshot(cur.fingerprint)
+        with self._lock:
+            rec = self._content(cur.fingerprint)
+            old, old_dom = rec.lines, rec.domain
         ids = np.unique(np.asarray(
             () if delete_ids is None else delete_ids,
             dtype=np.int64).reshape(-1))
@@ -560,17 +538,15 @@ class IndexRegistry:
                         self._collect(fp, counted)
 
     def _collect(self, fingerprint: str, counted: bool) -> None:
-        """Reclaim one content: record, cached indexes, store entries,
-        arena blocks.  The caller holds the lock throughout, so a commit
-        staging the same content again cannot interleave with this."""
+        """Reclaim one content: record, cached indexes, store entries.
+        The caller holds the lock throughout, so a commit staging the
+        same content again cannot interleave with this."""
         self._datasets.pop(fingerprint, None)
         for key in [k for k in self._cache if k.fingerprint == fingerprint]:
             del self._cache[key]
         self.versions_collected += counted
         if self.store is not None:
             self.store.delete_fingerprint(fingerprint)
-        if self.arena is not None:
-            self.arena.release_fingerprint(fingerprint)
         if self.on_collect is not None:
             self.on_collect(fingerprint)
 
@@ -614,19 +590,10 @@ class IndexRegistry:
                 self.hits += 1
                 return entry
             self.misses += 1
-            lines, dom = self.dataset_snapshot(fingerprint)
+            rec = self._content(fingerprint)
+            lines, dom = rec.lines, rec.domain
         # load / build outside the lock: builds are deterministic, so a
-        # racing duplicate wastes work but never yields a wrong entry.
-        # The arena tier comes first: for a *repaired* index published
-        # by a mutation commit it holds the exact pages the workers
-        # map, so an evicted parent entry reloads the same cuts the
-        # workers answer with -- a rebuild here could not guarantee
-        # that
-        if self.arena is not None:
-            entry = self._rehydrate_from_arena(key, lines)
-            if entry is not None:
-                self._insert(entry)
-                return entry
+        # racing duplicate wastes work but never yields a wrong entry
         if self.store is not None:
             probe = self.store.get(key)
             if probe is not None:
@@ -687,46 +654,11 @@ class IndexRegistry:
                           machine.total_primitives, int(lines.shape[0]),
                           repaired_from=parent_fp, repair=out[1])
 
-    def _rehydrate_from_arena(self, key: IndexKey,
-                              lines: np.ndarray) -> Optional[BuiltIndex]:
-        """Reload an evicted index from its own published arena payload
-        (:func:`~repro.structures.io.attach_tree`: the tree's arrays
-        alias the mapped pages).  Any failure (block gone, bad checksum)
-        returns ``None`` and the caller falls through to the store /
-        build tiers.
-        """
-        handle = self.arena.handle(INDEX_PREFIX + store_key_id(key))
-        if handle is None:
-            return None
-        try:
-            tree = attach_tree(handle)
-        except Exception:  # noqa: BLE001 - degrade to store/build
-            return None
-        with self._lock:
-            self.shm_rehydrations += 1
-        return BuiltIndex(key, tree, 0.0, 0, int(lines.shape[0]))
-
     def peek(self, key: IndexKey) -> Optional[BuiltIndex]:
         """Memory-tier lookup without miss accounting, LRU touch, or
         build."""
         with self._lock:
             return self._cache.get(key)
-
-    def discard(self, key: IndexKey) -> bool:
-        """Drop one memory-tier entry (no store/arena side effects).
-
-        The commit path uses this to retract a repaired tree it could
-        not make worker-visible before rebuilding canonically.
-        """
-        with self._lock:
-            return self._cache.pop(key, None) is not None
-
-    def drop_repair_hint(self, fingerprint: str) -> None:
-        """Forget a staged version's repair lineage so the next
-        :meth:`get` pays the canonical build instead of a repair."""
-        with self._lock:
-            if fingerprint in self._datasets:
-                self._datasets[fingerprint].lineage = None
 
     def _insert(self, entry: BuiltIndex) -> None:
         """Admit one entry to the memory tier, spilling any evictees.
@@ -815,10 +747,6 @@ class IndexRegistry:
                     self.store.clear()
                 else:
                     self.store.delete_fingerprint(fingerprint)
-            if self.arena is not None:
-                # stale index payloads must never be mapped again; the
-                # dataset block (if any) is handled by _collect/forget
-                self.arena.release_indexes(fingerprint)
             return n
 
     def insert_lines(self, fingerprint: str, new_lines: np.ndarray) -> str:
@@ -852,7 +780,6 @@ class IndexRegistry:
                 "disk_hits": float(self.disk_hits),
                 "repairs": float(self.repairs),
                 "repair_full_rebuilds": float(self.repair_full_rebuilds),
-                "shm_rehydrations": float(self.shm_rehydrations),
                 "versions_committed": float(self.versions_committed),
                 "versions_collected": float(self.versions_collected),
                 "versions_retained": float(self.versions_retained),

@@ -5,10 +5,10 @@ its name (the ``eng.stats.<name>`` attribute and ``snapshot()`` key),
 the ``health()`` block exporting it, the subsystem event it counts when
 that is not its name, and its meaning.  :class:`~repro.counters.Counters`
 holds the values and the locked bump (``inc`` by name, ``event`` for the
-store / journal / breaker / executor streams); ``snapshot()`` and
+store / journal / breaker streams); ``snapshot()`` and
 ``health()`` walk the table, so a new counter is one new row.  Counters
 a subsystem bumps under its *own* lock (``IndexRegistry.hits``,
-``IndexStore``, ``MutationJournal``, ``ShmArena``) stay fields there
+``IndexStore``, ``MutationJournal``) stay fields there
 (DESIGN.md, "Counters").  Beside the table sit the latency reservoir,
 the per-index rows and the repo's own currency -- scan-model steps and
 primitive counts per batch -- so the paper's cost semantics survive
@@ -55,7 +55,7 @@ class LatencyReservoir:
 
 
 #: the ``health()`` blocks a row can be exported under
-TOP, WAL, EXEC = "top", "wal", "executor"
+TOP, WAL = "top", "wal"
 
 COUNTERS = (
     Counter("submitted"),          # probes and mutations accepted
@@ -83,8 +83,7 @@ COUNTERS = (
     Counter("disk_evictions", event="disk_eviction"),
     # -- resilience --------------------------------------------------------
     Counter("retries", TOP,        # site -> retry count
-            labels={"load_retry": "store.load",
-                    "crash_retry": "executor.crash"}),
+            labels={"load_retry": "store.load"}),
     Counter("faults_injected", labels={}),   # site -> fired count
     Counter("breaker_trips", TOP, "trip"),
     Counter("breaker_reopens", event="reopen"),
@@ -119,23 +118,6 @@ COUNTERS = (
     Counter("checkpoint_failures", WAL),
     Counter("recoveries", WAL),    # chains replayed by Engine.recover()
     Counter("wal_records_replayed", WAL),
-    # -- process backend (the executor's telemetry stream) -----------------
-    Counter("worker_restarts", EXEC, "restart"),   # broken pools replaced
-    Counter("ipc_bytes_sent", EXEC,    # pickled bytes of first submissions
-            "ipc_sent"),
-    Counter("ipc_bytes_resent", EXEC,  # ... of crash/NeedDataset resubmits
-            "ipc_resent"),
-    Counter("ipc_bytes_received", EXEC,    # pickled result bytes back
-            "ipc_received"),
-    # first submissions only, so ``ipc_bytes_sent / ipc_jobs`` stays an
-    # honest per-job gauge across pool restarts and bounded resubmits
-    Counter("ipc_jobs", EXEC, "ipc_sent", by=1),
-    Counter("datasets_shipped", EXEC,  # NeedDataset round trips served
-            "dataset_shipped"),
-    Counter("dataset_ship_bytes", EXEC),   # snapshot bytes those trips carried
-    Counter("worker_warm_loads", EXEC),    # worker index loads (store / shm)
-    Counter("worker_cold_builds", EXEC),   # worker rebuilds from snapshots
-    Counter("shm_attaches", EXEC),     # worker attachments to arena blocks
 )
 
 
@@ -150,8 +132,6 @@ class EngineStats(Counters):
         self.steps = 0.0   # the one float-valued counter
         self._max_batch = 0
         self.per_index: Dict[str, Dict[str, float]] = {}
-        #: pid -> that worker's latest self-reported totals
-        self.workers: Dict[int, Dict[str, int]] = {}
         self.latency = LatencyReservoir(reservoir_size)
 
     # -- recording: the per-probe and per-batch paths bump the attributes
@@ -188,26 +168,6 @@ class EngineStats(Counters):
             self.shards_probed += probed
             self.shards_skipped += total_shards - probed
 
-    def record_worker(self, wr) -> None:
-        """Fold one :class:`WorkerResult`'s accounting into the stats.
-
-        ``warm_loads``/``cold_builds``/``shm_attached`` are per-job
-        deltas (summed); ``jobs``/``cached_trees`` are the worker's own
-        running totals (latest wins), keyed by pid so restarts show up
-        as new rows.
-        """
-        attaches = len(wr.shm_attached)
-        with self._lock:
-            self.worker_warm_loads += wr.warm_loads
-            self.worker_cold_builds += wr.cold_builds
-            self.shm_attaches += attaches
-            row = self.workers.setdefault(
-                wr.pid, {"warm_loads": 0, "cold_builds": 0, "shm_attaches": 0})
-            row["warm_loads"] += wr.warm_loads
-            row["cold_builds"] += wr.cold_builds
-            row["shm_attaches"] += attaches
-            row.update(jobs=wr.jobs, cached_trees=wr.cached_trees)
-
     # -- readout ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, object]:
@@ -226,8 +186,6 @@ class EngineStats(Counters):
                 shard_skip_rate=(skipped / (probed + skipped)
                                  if probed + skipped else 0.0),
                 per_index={k: dict(v) for k, v in self.per_index.items()},
-                workers={pid: dict(row)
-                         for pid, row in self.workers.items()},
                 latency_p50_ms=self.latency.percentile(50) * 1e3,
                 latency_p95_ms=self.latency.percentile(95) * 1e3)
             return out

@@ -17,20 +17,17 @@ Sites (see the module docstrings of the instrumented components):
     exercises the retry -> quarantine -> rebuild path exactly as a torn
     file would.
 ``executor.job``
-    Job start in the :class:`repro.engine.executor.BoundedExecutor`
-    worker -- ``latency`` makes stragglers, ``error`` a failing job,
-    and ``crash`` a killed worker *process*: under the process-pool
-    backend the job is marked so its worker calls ``os._exit``
-    mid-batch (the parent sees ``BrokenProcessPool``, restarts the
-    pool, and retries); under the thread backend -- where a worker
-    cannot be killed -- it degrades to an :class:`InjectedWorkerCrash`
-    error.
+    Job start in :meth:`repro.engine.executor.BoundedExecutor.run`,
+    whichever thread runs the job -- ``latency`` makes stragglers,
+    ``error`` a failing job, and ``crash`` a killed worker: a thread
+    cannot be killed, so the :class:`InjectedWorkerCrash` it raises
+    becomes the job's failure and feeds the dataset's breaker like any
+    other.
 ``shard.query``
     One shard of a sharded wave, fired inside the wave's job before
     the shard runs (context keys ``shard`` and ``kind``) -- ``stall``
     holds a shard past the batch deadline, so the wave drops the rest
-    of its plan and answers partially.  The process backend evaluates
-    only ``latency``/``stall`` here, in the worker.
+    of its plan and answers partially.
 ``wal.append``
     The write-ahead journal append inside a mutation commit -- an
     ``error`` simulates a full or failing journal disk, exercising the
@@ -39,9 +36,9 @@ Sites (see the module docstrings of the instrumented components):
     are not fed (a broken write must not trip readers).
 ``store.put``
     An :class:`repro.store.IndexStore` write -- an ``error`` makes
-    spills, worker warm-path persists, and checkpoint index persists
-    fail like a full disk would: best-effort writers degrade silently,
-    a checkpoint aborts without truncating the journal.
+    spills and checkpoint index persists fail like a full disk would:
+    best-effort writers degrade silently, a checkpoint aborts without
+    truncating the journal.
 
 Everything is deterministic: each spec owns a ``random.Random`` seeded
 from ``(plan.seed, spec index)``, arrivals are counted per spec, and
@@ -98,13 +95,11 @@ class InjectedCorruption(InjectedFault):
 
 
 class InjectedWorkerCrash(InjectedFault):
-    """A ``crash`` spec fired: this job's worker should die mid-batch.
+    """A ``crash`` spec fired: the job's worker died mid-batch.
 
-    The process backend catches this at submit time and marks the job
-    so the worker that picks it up calls ``os._exit`` -- producing a
-    real ``BrokenProcessPool`` in the parent, exactly like a SIGKILL'd
-    worker.  The thread backend cannot kill a worker, so there the
-    exception simply propagates as the job's failure.
+    The engine's workers are threads, which cannot be killed, so the
+    exception propagates as the job's failure (plan files keep the
+    ``crash`` kind).
     """
 
     reason = "injected_worker_crash"
@@ -207,17 +202,11 @@ class FaultInjector:
     def active(self) -> bool:
         return bool(self.plan.specs)
 
-    def fire(self, site: str, only_kinds: Optional[Tuple[str, ...]] = None,
-             **ctx) -> None:
+    def fire(self, site: str, **ctx) -> None:
         """Evaluate the plan at one site; may sleep or raise.
 
         At most one spec raises per call (the first due one, in plan
-        order); latency/stall specs all sleep before that.  With
-        ``only_kinds`` the other specs are skipped *without counting an
-        arrival* -- the process backend uses this to evaluate
-        error/crash specs once in the parent (global, deterministic
-        schedules) and latency/stall specs in the worker that runs the
-        job (so a stalled shard delays only itself).
+        order); latency/stall specs all sleep before that.
         """
         indexes = self._by_site.get(site)
         if not indexes:
@@ -226,8 +215,6 @@ class FaultInjector:
         naps = 0.0
         for i in indexes:
             spec = self.plan.specs[i]
-            if only_kinds is not None and spec.kind not in only_kinds:
-                continue
             if not spec.matches(ctx):
                 continue
             with self._lock:
@@ -305,9 +292,9 @@ EXAMPLE_PLANS: Dict[str, FaultPlan] = {
     "corrupt": FaultPlan(specs=(
         FaultSpec(site="store.load", kind="corrupt", probability=0.5),
     ), seed=7),
-    # the process-pool story: the first two jobs get their worker
-    # SIGKILL'd mid-batch (pool restart + resubmit), then the budget is
-    # spent and the retried batches complete
+    # a killed worker: the first two jobs fail with InjectedWorkerCrash
+    # (each feeds the breaker), then the budget is spent and later
+    # batches complete
     "workercrash": FaultPlan(specs=(
         FaultSpec(site="executor.job", kind="crash", times=2),
     ), seed=7),

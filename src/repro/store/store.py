@@ -101,18 +101,11 @@ class IndexStore:
 
     def __init__(self, cache_dir, budget_bytes: Optional[int] = None,
                  observer: Optional[Callable[[str], None]] = None,
-                 retry=None, injector=None, readonly: bool = False):
+                 retry=None, injector=None):
         if budget_bytes is not None and budget_bytes < 0:
             raise ValueError("budget_bytes must be >= 0")
         self.cache_dir = os.fspath(cache_dir)
         self.budget_bytes = budget_bytes
-        #: a read-only store never writes: no spills, no mtime refresh
-        #: on hit, and a corrupt file is reported as a miss instead of
-        #: quarantined.  Process-pool workers open the parent's cache
-        #: dir this way, so concurrent workers cannot race the owning
-        #: engine's GC/quarantine and shutdown spills happen exactly
-        #: once -- in the parent.
-        self.readonly = bool(readonly)
         self._observer = observer
         self.retry = retry            # Optional[resilience.RetryPolicy]
         self._injector = injector     # Optional[resilience.FaultInjector]
@@ -126,11 +119,10 @@ class IndexStore:
         self.disk_evictions = 0
         self.load_retries = 0
         self.orphan_temps_removed = 0
-        if not self.readonly:
-            # a writer that crashed mid-_atomic_* leaves a ``.tmp-``
-            # file that os.replace never claimed; sweep them on open so
-            # a kill -9 cannot leak disk forever
-            self._sweep_orphan_temps()
+        # a writer that crashed mid-_atomic_* leaves a ``.tmp-`` file
+        # that os.replace never claimed; sweep them on open so a kill -9
+        # cannot leak disk forever
+        self._sweep_orphan_temps()
 
     # -- paths -----------------------------------------------------------
 
@@ -156,8 +148,6 @@ class IndexStore:
         The build accounting rides in the manifest so a later disk hit
         can report the original build cost instead of zeros.
         """
-        if self.readonly:
-            raise RuntimeError("IndexStore is read-only; put() refused")
         key_id = store_key_id(key)
         if self._injector is not None:
             self._injector.fire("store.put", key_id=key_id)
@@ -206,20 +196,12 @@ class IndexStore:
             else:
                 tree = self._load_with_retry(path, key_id)
                 if tree is None:
-                    if self.readonly:
-                        # leave the file for the owning engine's
-                        # quarantine machinery; to this reader it is
-                        # just a miss (caller rebuilds)
-                        self.disk_misses += 1
-                        event = "disk_miss"
-                    else:
-                        self._quarantine_locked(key_id)
-                        self.corrupt_evictions += 1
-                        event = "corrupt_eviction"
+                    self._quarantine_locked(key_id)
+                    self.corrupt_evictions += 1
+                    event = "corrupt_eviction"
                 else:
                     manifest = self._read_manifest(key_id) or {}
-                    if not self.readonly:
-                        os.utime(path)
+                    os.utime(path)
                     self.disk_hits += 1
                     self._notify("disk_hit")
                     return tree, manifest
@@ -291,8 +273,7 @@ class IndexStore:
         if budget < 0:
             raise ValueError("budget_bytes must be >= 0")
         with self._lock:
-            if not self.readonly:
-                self._sweep_orphan_temps()
+            self._sweep_orphan_temps()
             return self._gc_locked(budget)
 
     # -- introspection ---------------------------------------------------

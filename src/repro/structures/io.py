@@ -28,13 +28,12 @@ from typing import Dict, Optional, Union
 
 import numpy as np
 
-from ..shm import attach_payload
 from .quadblock import Quadtree
 from .rtree import RTree
 from .sharded import Shard, ShardedIndex
 
 __all__ = ["save_structure", "load_structure", "payload_checksum",
-           "structure_payload", "payload_to_tree", "attach_tree",
+           "structure_payload", "payload_to_tree",
            "inspect_structure", "IntegrityError"]
 
 _FORMAT_VERSION = 3
@@ -151,8 +150,8 @@ def structure_payload(tree, params: Optional[dict] = None
 
     Exactly what :func:`save_structure` would write (format tag,
     params JSON, flattened tree arrays -- no checksum entry), so the
-    same entries can be published into a shared-memory arena instead of
-    a file and reconstructed with :func:`payload_to_tree`.
+    same entries can be checksummed or reconstructed with
+    :func:`payload_to_tree` without a file.
     """
     return _full_payload(tree, params)
 
@@ -160,9 +159,8 @@ def structure_payload(tree, params: Optional[dict] = None
 def payload_to_tree(data):
     """Rebuild a structure from a payload mapping.
 
-    ``data`` maps archive entry names to arrays -- a loaded ``.npz``,
-    a :func:`structure_payload` dict, or the zero-copy views of an
-    attached shared-memory block (:func:`attach_tree`).
+    ``data`` maps archive entry names to arrays -- a loaded ``.npz``
+    or a :func:`structure_payload` dict.
     """
     kind = str(data["kind"])
     if kind == "sharded":
@@ -179,21 +177,6 @@ def payload_to_tree(data):
             ordering=str(data["ordering"]), shards=shards,
         )
     return _load_tree(data)
-
-
-def attach_tree(handle):
-    """Map a published index payload block and rebuild its tree in place.
-
-    The tree's arrays alias the shared pages -- a warm load with zero
-    copies -- so the :class:`~repro.shm.Attachment` is pinned on the
-    tree to keep the mapping alive for the tree's lifetime.  A block
-    that is gone or fails its checksum raises; callers fall through to
-    the store or a rebuild.
-    """
-    att = attach_payload(handle)
-    tree = payload_to_tree(att.value)
-    tree._shm_attachment = att
-    return tree
 
 
 def save_structure(tree, path: PathLike,

@@ -185,8 +185,8 @@ class Quadtree:
         """Number of q-edges stored in each node's subtree.
 
         Derived from ``node_ptr`` / ``parent`` level by level on first
-        use and kept on the object (not a dataclass field: io/store/shm
-        never ship it; recomputing it yields the same array).
+        use and kept on the object (not a dataclass field: io and the store
+        never write it; recomputing it yields the same array).
         """
         counts = np.diff(self.node_ptr).astype(np.int64)
         for lev in range(self.height, 0, -1):

@@ -89,7 +89,7 @@ class RTree:
         ``j`` (level 0) or the level ``l - 1`` children of node ``j`` at
         level ``l``.  Derived from ``line_leaf`` / ``level_parent`` by
         one stable sort each on first use and kept on the object: not a
-        dataclass field, so io/store/shm never ship it, and a first-touch
+        dataclass field, so io and the store never write it, and a first-touch
         race between threads recomputes the same arrays.
         """
         owners = [self.line_leaf] + list(self.level_parent)

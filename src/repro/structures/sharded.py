@@ -421,7 +421,7 @@ def build_index(lines: np.ndarray, domain: float, structure: str,
     """Build one servable index: the structure's tree, or with
     ``shards > 1`` a :class:`ShardedIndex` of them.
 
-    The one builder the engine's registry and its pool workers share.
+    The one builder behind every index the engine's registry serves.
     ``domain`` is ignored by an unsharded R-tree but keys a shard cut.
     """
     if int(shards) > 1:

@@ -49,21 +49,17 @@ def scalar_tree(structure, lines):
     return tree
 
 
-@pytest.mark.parametrize("backend", [
-    "thread", pytest.param("process", marks=pytest.mark.slow)])
 @pytest.mark.parametrize("structure", STRUCTURES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_batched_results_identical_to_scalar(structure, seed, backend):
+def test_batched_results_identical_to_scalar(structure, seed):
     """Property: over seeded random maps, the engine answers every probe
-    kind exactly as the scalar query loop does -- on either executor
-    backend (process workers rebuild from the shipped snapshot)."""
+    kind exactly as the scalar query loop does."""
     lines = np.unique(random_segments(120, DOMAIN, 48, seed=seed), axis=0)
     tree = scalar_tree(structure, lines)
     rects = windows(25, seed + 100)
     pts = points(25, seed + 200)
     with SpatialQueryEngine(structure=structure, max_batch=16,
-                            max_wait=0.5, workers=2,
-                            executor=backend) as eng:
+                            max_wait=0.5, workers=2) as eng:
         fp = eng.register(lines, domain=DOMAIN)
         w_futs = [eng.submit_window(fp, r) for r in rects]
         p_futs = [eng.submit_point(fp, p) for p in pts]

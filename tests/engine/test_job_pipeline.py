@@ -5,12 +5,13 @@ degraded-path accounting.
 group pipeline the only place a job is submitted, settled and counted;
 these cells pin the properties that rest on that:
 
-* every ``JobSpec.op`` gives array-equal ``values`` and identical
-  ``steps`` / ``primitives`` through both resolvers (a worker state fed
-  by ``spec.datasets``, the parent's registry) -- no process pool;
+* every ``JobSpec.op`` interpreted over the registry gives array-equal
+  ``values`` and identical ``steps`` / ``primitives`` to the same
+  kernels called directly on freshly built trees;
 * the pipeline fires each fault site exactly as often as the dispatch
   paths it replaced (chaos plans count arrivals);
-* a failing degraded (brute) job is counted the same on both backends;
+* a failing degraded (brute) job is counted as failed, an answering one
+  as a fallback;
 * a failed sharded wave takes the same failure path as every other
   group (breaker feed, one brute re-issue, ``failed`` counted once).
 """
@@ -23,10 +24,12 @@ import pytest
 from repro.baselines.brute import brute_point_query, brute_window_query
 from repro.engine import (FaultPlan, FaultSpec, IndexKey, IndexRegistry,
                           InjectedFault, SpatialQueryEngine, worker)
-from repro.engine.worker import IndexRef, JobSpec
+from repro.engine.worker import JobSpec
 from repro.geometry import random_segments
 from repro.machine import Machine, use_machine
-from repro.structures import brute_join, brute_nearest
+from repro.structures import brute_join, brute_nearest, index_join
+from repro.structures.batch import _pairs, _views
+from repro.structures.sharded import build_index, index_wave
 
 DOMAIN = 512
 FULL = [0.0, 0.0, float(DOMAIN), float(DOMAIN)]
@@ -77,7 +80,7 @@ def _drive(eng, fp, other, lines):
 @pytest.mark.parametrize("shards, want_faults, want_hits", [
     # values recorded at the parent commit (2cf12a1), thread backend.
     # A sharded group is one job like an unsharded one, so shards=4 runs
-    # the same 6 jobs (warm, 5 probe waves, the join) -- it was 19 when
+    # the same 6 jobs (5 probe waves and the join) -- it was 19 when
     # every probed shard was a job of its own; the 18 shard queries are
     # the same, now counted inside those jobs.
     (1, {"registry.get": 8, "executor.job": 6}, 6),
@@ -105,7 +108,7 @@ PARAMS = {"pmr": {"capacity": 8}, "pm1": {},
 
 
 class _Maps:
-    """Two registered maps and the refs / dataset snapshots naming them."""
+    """Three registered maps and the keys naming their indexes."""
 
     def __init__(self):
         self.registry = IndexRegistry()
@@ -113,20 +116,21 @@ class _Maps:
         self.fps = [self.registry.register(arr, domain=dom) for arr, dom in
                     ((self.lines, DOMAIN), (make_lines(6, n=60), DOMAIN),
                      (make_lines(7, n=40), 2 * DOMAIN))]
-        self.datasets = tuple(
-            (fp,) + self.registry.dataset_snapshot(fp) for fp in self.fps)
 
     def ref(self, structure, which=0, **extra):
-        key = IndexKey.make(self.fps[which], structure,
-                            **PARAMS[structure], **extra)
-        return IndexRef(key.fingerprint, key.structure, key.params,
-                        self.registry.domain(key.fingerprint))
+        return IndexKey.make(self.fps[which], structure,
+                             **PARAMS[structure], **extra)
+
+    def fresh_tree(self, key):
+        """``key``'s index built anew, outside the registry."""
+        with use_machine(Machine()):
+            return build_index(self.registry.dataset(key.fingerprint),
+                               self.registry.domain(key.fingerprint),
+                               key.structure, **dict(key.params))
 
 
 @pytest.fixture
-def maps(monkeypatch):
-    # a fresh worker state per cell: run_job builds one on first use
-    monkeypatch.setattr(worker, "_STATE", None)
+def maps():
     return _Maps()
 
 
@@ -141,25 +145,56 @@ def _same(a, b):
     return np.array_equal(np.asarray(a), np.asarray(b))
 
 
-def assert_parity(maps, spec, refs):
-    """One spec, both resolvers: equal values, identical accounting.
+def _direct(maps, spec, machine):
+    """What ``spec`` asks for, from the kernels called directly:
+    ``(values, shards)``."""
+    if spec.op == "batch":
+        pair, shards = index_wave(maps.fresh_tree(spec.index), spec.kind,
+                                  spec.payloads, spec.exact, machine)
+        return (_pairs if spec.kind == "nearest" else _views)(*pair), shards
+    if spec.op == "brute":
+        lines = maps.registry.dataset(spec.index.fingerprint)
+        if spec.kind == "window":
+            return [brute_window_query(lines, r) for r in spec.payloads], ()
+        return [(brute_point_query if spec.kind == "point"
+                 else brute_nearest)(lines, float(x), float(y))
+                for x, y in spec.payloads], ()
+    out = []
+    for key_a, key_b in spec.pairs:
+        try:
+            if spec.brute:
+                pairs = brute_join(maps.registry.dataset(key_a.fingerprint),
+                                   maps.registry.dataset(key_b.fingerprint))
+            else:
+                pairs = index_join(maps.fresh_tree(key_a),
+                                   maps.fresh_tree(key_b), machine)
+        except Exception as exc:  # noqa: BLE001 - the outcome under test
+            out.append(("err", exc))
+        else:
+            out.append(("ok", pairs))
+    return out, ()
 
-    The worker side is the pool's own entry point run in-process on a
-    state seeded through ``spec.datasets``, warmed first through
+
+def assert_parity(maps, spec, refs):
+    """One spec, interpreted and called directly: equal values,
+    identical accounting.
+
+    The interpreter resolves through the registry, warmed first through
     ``refs`` (none: the spec itself pays the cold resolve).
     """
     for ref in refs:
-        worker.run_job(JobSpec(op="warm", index=ref, datasets=maps.datasets))
-    in_worker = worker.run_job(replace(spec, datasets=maps.datasets))
+        maps.registry.get(ref.fingerprint, ref.structure, **dict(ref.params))
     machine = Machine()
     with use_machine(machine):
-        in_parent = worker.interpret(worker.RegistryResolver(maps.registry),
-                                     spec, machine)
-    assert _same(in_worker.values, in_parent.values)
-    assert in_worker.steps == in_parent.steps
-    assert in_worker.primitives == in_parent.primitives
-    assert in_worker.shards == in_parent.shards
-    return in_parent
+        got = worker.interpret(maps.registry, spec, machine)
+    direct = Machine()
+    with use_machine(direct):
+        values, shards = _direct(maps, spec, direct)
+    assert _same(got.values, values)
+    assert got.steps == direct.steps
+    assert got.primitives == direct.total_primitives
+    assert got.shards == shards
+    return got
 
 
 def _payloads(maps, kind):
@@ -181,16 +216,15 @@ def test_parity_batch_and_brute(maps, structure, kind, exact):
 
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_parity_cold_build_is_charged_to_neither_job(maps, structure):
-    """A cold worker state (datasets seeded, no tree cached) and a cold
-    registry both build under a machine of their own: the job that
+    """A cold registry builds under a machine of its own: the job that
     triggers the build reports its kernel steps only, like a warm one."""
     ref = maps.ref(structure)
     spec = JobSpec(op="batch", kind="window", index=ref,
                    payloads=_payloads(maps, "window"))
     cold = assert_parity(maps, spec, [])
-    assert maps.registry.misses == 1 and worker._STATE.job_cold == 1
+    assert maps.registry.misses == 1
     warm = assert_parity(maps, spec, [])
-    assert maps.registry.hits == 1 and worker._STATE.job_cold == 0
+    assert maps.registry.hits == 1
     assert (cold.steps, cold.primitives) == (warm.steps, warm.primitives)
     assert maps.registry.peek(IndexKey.make(
         ref.fingerprint, ref.structure, **dict(ref.params))).build_steps > 0
@@ -224,23 +258,19 @@ def test_parity_join_warm(maps, structure):
                                         brute=True), [])
     assert [status for status, _ in brute.values] == ["ok"]
     assert np.array_equal(brute.values[0][1], got.values[0][1])
-    assert assert_parity(maps, JobSpec(op="warm", index=a), [a]).values is None
 
 
 # -- degraded-path accounting -------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", [
-    "thread", pytest.param("process", marks=pytest.mark.slow)])
-def test_degraded_path_accounting_matches_across_backends(backend):
+def test_degraded_path_accounting():
     """A brute job that fails is counted as failed, one that answers as
-    a fallback with a ``brute:<kind>`` batch row -- the same numbers on
-    both backends (the thread path used to drop the failure and the
-    brute join's latency sample)."""
+    a fallback with a ``brute:<kind>`` batch row, and every row carries
+    its latency sample."""
     plan = FaultPlan(specs=(
         FaultSpec(site="executor.job", kind="error", times=1),))
     lines, other = make_lines(3), make_lines(4, n=60)
-    with SpatialQueryEngine(executor=backend, workers=1, fault_plan=plan,
+    with SpatialQueryEngine(workers=1, fault_plan=plan,
                             brute_fallback=True, breaker_threshold=1,
                             breaker_reset=600.0) as eng:
         fp = eng.register(lines, domain=DOMAIN)

@@ -7,13 +7,10 @@ version warm and only then flips the chain, so in-flight reads finish
 against their admitted snapshot with zero errors and zero partials --
 and never observe the new version early.
 
-Three layers certify it:
+Two layers certify it:
 
-* engine, thread backend -- reads parked in the coalescer when the
-  mutation is submitted still answer from the old version;
-* engine, process backend (``slow``-marked: pool spin-up) -- the same
-  invariant when shard jobs carry the pinned version across the
-  process boundary;
+* the engine -- reads parked in the coalescer when the mutation is
+  submitted still answer from the old version;
 * a live :class:`ServerThread` -- pipelined wire requests interleaving
   windows with an insert; every response must be a 200 whose result
   matches the brute oracle of exactly the version it echoes.
@@ -28,7 +25,6 @@ until its last in-flight read settles).
 import threading
 
 import numpy as np
-import pytest
 
 from repro.baselines.brute import brute_window_query
 from repro.engine import SpatialQueryEngine
@@ -63,7 +59,7 @@ def seeded_batches(rng, n0, count):
     return batches
 
 
-def run_snapshot_isolation(backend):
+def test_snapshot_isolation_thread_backend():
     lines = np.unique(random_segments(120, DOMAIN, 64, seed=3), axis=0)
     rng = np.random.default_rng(77)
     (batch,) = seeded_batches(rng, lines.shape[0], 1)
@@ -76,8 +72,7 @@ def run_snapshot_isolation(backend):
     # a long coalescing window parks the reads until after the
     # mutation is submitted -- the binding must already have happened
     with SpatialQueryEngine(structure="pmr", shards=4, workers=2,
-                            executor=backend, max_batch=256,
-                            max_wait=0.25) as eng:
+                            max_batch=256, max_wait=0.25) as eng:
         fp = eng.register(lines, domain=DOMAIN)
         eng.warm(fp)
         reads = [eng.submit_window(fp, r) for r in rects]
@@ -103,15 +98,6 @@ def run_snapshot_isolation(backend):
         assert snap["failed"] == 0
         assert snap["partial_results"] == 0
         assert snap["mutation_failures"] == 0
-
-
-def test_snapshot_isolation_thread_backend():
-    run_snapshot_isolation("thread")
-
-
-@pytest.mark.slow
-def test_snapshot_isolation_process_backend():
-    run_snapshot_isolation("process")
 
 
 def test_concurrent_readers_survive_version_churn():

@@ -5,8 +5,8 @@ exact counting, and the event column.
 :func:`seeded_script` (public API only) at the parent of the change that
 introduced the table -- flattened ``engine.snapshot()`` /
 ``engine.health()`` paths with their values (``null`` where the value is
-a timing or a temp path), the process backend's ``executor`` block, the
-wire ``health`` body and ``ServerStats.snapshot()`` keys.  A counter may
+a timing or a temp path), the wire ``health`` body and
+``ServerStats.snapshot()`` keys.  A counter may
 be added (re-record), but no key may silently move, vanish or change
 meaning.
 """
@@ -24,9 +24,9 @@ import pytest
 from repro.counters import Counter, Counters
 from repro.durability import journal as journal_mod
 from repro.engine import (EngineStats, FaultPlan, FaultSpec, RejectedError,
-                          SpatialQueryEngine, executor as executor_mod)
+                          SpatialQueryEngine)
 from repro.engine import stats as stats_mod
-from repro.engine.stats import COUNTERS, EXEC, TOP, WAL
+from repro.engine.stats import COUNTERS, TOP, WAL
 from repro.geometry import random_segments
 from repro.net.server import ServerStats, SpatialServer
 from repro.resilience import breaker as breaker_mod
@@ -44,7 +44,7 @@ def _windows(k, seed):
     return np.hstack([lo, hi])
 
 
-def seeded_script(tmp, executor="thread"):
+def seeded_script(tmp):
     """Register, 40 mixed probes (the first wave of 8 hits one injected
     ``registry.get`` error), one insert, one delete, one rejected submit
     after close.  Flush-driven batching, one worker: every count repeats."""
@@ -52,7 +52,7 @@ def seeded_script(tmp, executor="thread"):
     mids = 0.5 * (lines[:, 0:2] + lines[:, 2:4])
     plan = FaultPlan(specs=(FaultSpec(site="registry.get", kind="error",
                                       times=1, after=1),))
-    eng = SpatialQueryEngine(executor=executor, workers=1, shards=2,
+    eng = SpatialQueryEngine(workers=1, shards=2,
                              max_batch=64, max_wait=5.0, fault_plan=plan,
                              journal_dir=os.path.join(tmp, "wal"))
     fp = eng.register(lines, domain=DOMAIN)
@@ -110,23 +110,6 @@ def test_seeded_script_exports_the_recorded_keys_and_values(tmp_path):
     assert wire["engine"].keys() == health.keys()
 
 
-@pytest.mark.slow
-def test_process_executor_block_exports_the_recorded_keys(tmp_path):
-    eng = seeded_script(str(tmp_path), executor="process")
-    assert sorted(flatten(eng.health()["executor"])) \
-        == GOLDEN["executor_process"]
-    (row,) = eng.snapshot()["workers"].values()
-    assert sorted(row) == GOLDEN["snapshot_process_workers_row"]
-    # the thread-side values hold on the process backend too
-    want = {k: v for k, v in GOLDEN["snapshot"].items()
-            if k.split("/")[0] in ("submitted", "completed", "failed",
-                                   "batches", "rejected", "per_kind",
-                                   "faults_injected", "wal_appends",
-                                   "mutation_batches", "shard_batches")}
-    got = flatten(eng.snapshot())
-    assert {k: got[k] for k in want} == want
-
-
 def test_server_stats_snapshot_keys_and_values():
     stats = ServerStats()
     assert list(stats.snapshot()) == GOLDEN["server_stats"]
@@ -155,13 +138,13 @@ def test_every_row_is_declared_once_and_exported_once():
     derived = set(snap) - set(names)
     assert derived == {"rejected_total", "retries_total", "mean_batch_size",
                        "max_batch_size", "mean_shards_probed",
-                       "shard_skip_rate", "per_index", "workers",
+                       "shard_skip_rate", "per_index",
                        "latency_p50_ms", "latency_p95_ms"}
     assert len(snap) == len(names) + len(derived)
     for row in COUNTERS:   # read access by attribute, labelled rows as dicts
         assert getattr(stats, row.name) == ({} if row.labels is not None
                                             else 0)
-    assert {row.group for row in COUNTERS} == {"", TOP, WAL, EXEC}
+    assert {row.group for row in COUNTERS} == {"", TOP, WAL}
 
 
 def test_health_blocks_are_the_table_groups():
@@ -172,7 +155,7 @@ def test_health_blocks_are_the_table_groups():
             assert row.name in health
         elif row.group == WAL:
             assert row.name in health["wal"]
-        else:   # snapshot-only rows and the process-only executor block
+        else:   # snapshot-only rows
             assert row.name not in health and row.name not in health["wal"]
     assert set(health["executor"]) == {"backend", "workers"}
 
@@ -237,35 +220,27 @@ def _emitted(module):
                    "wal_segment_rotated", "wal_segment_truncated",
                    "torn_tail_truncation", "checkpoint"}),
     (breaker_mod, {"trip", "reopen", "half_open", "close"}),
-    (executor_mod, {"restart", "crash_retry", "dataset_shipped",
-                    "dataset_ship_bytes", "ipc_sent", "ipc_resent",
-                    "ipc_received", "worker_result"}),
 ])
 def test_every_emitted_event_resolves_to_a_row(module, at_least):
     names = _emitted(module)
     assert names >= at_least
-    # the one structured event: the engine folds the WorkerResult itself
-    names.discard("worker_result")
     stats = EngineStats()
     before = stats.walk()
     for name in sorted(names):
         stats.event(name, 3)
     bumped = {k for k, v in stats.walk().items() if v != before[k]}
-    assert len(bumped) >= len(names)   # ipc_sent feeds two rows
+    assert len(bumped) >= len(names)
 
 
 def test_event_column_semantics():
     stats = EngineStats()
     stats.event("wal_append")
     stats.event("wal_bytes", 167)
-    stats.event("ipc_sent", 4096)      # bytes by n, jobs by one
-    stats.event("ipc_sent", 1024)
     stats.event("load_retry")
-    stats.event("crash_retry")
+    stats.event("load_retry")
     snap = stats.snapshot()
     assert (snap["wal_appends"], snap["wal_bytes"]) == (1, 167)
-    assert (snap["ipc_bytes_sent"], snap["ipc_jobs"]) == (5120, 2)
-    assert snap["retries"] == {"store.load": 1, "executor.crash": 1}
+    assert snap["retries"] == {"store.load": 2}
     assert snap["retries_total"] == 2
 
 

@@ -42,7 +42,7 @@ def rects(k, seed):
 
 @pytest.fixture
 def kernel_threads(monkeypatch):
-    """The thread ident of every job the thread backend interprets."""
+    """The thread ident of every job the engine interprets."""
     seen = []
     interpret = engine_mod.interpret
 
@@ -309,17 +309,3 @@ def test_a_blocking_caller_runs_only_its_own_kick(kernel_threads):
     assert max(here) <= 1, sorted(here)[-5:]
     assert snap["timeouts"] == 0
     assert snap["flushes"].get("drain", 0) >= 1
-
-
-@pytest.mark.slow
-def test_process_backend_kicks_still_go_to_the_pool():
-    lines = segments(seed=6)
-    rect = [0.0, 0.0, 256.0, 256.0]
-    with SpatialQueryEngine(executor="process", workers=1,
-                            max_wait=60.0) as eng:
-        fp = eng.register(lines, domain=DOMAIN)
-        got = eng.window(fp, rect)
-        snap = eng.snapshot()
-    np.testing.assert_array_equal(got, brute_window_query(lines, rect))
-    assert snap["flushes"] == {"kick": 1}
-    assert snap["ran"] == {"pool": 1}

@@ -8,8 +8,8 @@ retry into quarantine-and-rebuild, and the brute-force fallback keeps
 answers flowing (and correct) while the index path is down.
 """
 
-import time
 from concurrent.futures import TimeoutError as FutureTimeoutError
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,6 +17,8 @@ import pytest
 from repro.baselines.brute import brute_window_query
 from repro.engine import (CircuitOpenError, FaultPlan, FaultSpec,
                           InjectedFault, PartialResult, SpatialQueryEngine)
+from repro.engine import engine as engine_mod
+from repro.resilience import BreakerBoard
 from repro.geometry import random_segments
 from repro.structures import build_sharded
 
@@ -33,21 +35,15 @@ FULL = [0.0, 0.0, float(DOMAIN), float(DOMAIN)]
 
 
 class TestPartialResults:
-    @pytest.mark.parametrize("backend", [
-        "thread", pytest.param("process", marks=pytest.mark.slow)])
-    def test_stalled_shard_yields_partial_not_exception(self, backend):
+    def test_stalled_shard_yields_partial_not_exception(self):
         """Acceptance: a stalled shard under a deadline resolves every
-        probe with a PartialResult (shards_dropped >= 1), not an error.
-        On the process backend the group's ``deadline_at`` crosses with
-        the job and the stall fires inside the worker."""
+        probe with a PartialResult (shards_dropped >= 1), not an error."""
         plan = FaultPlan(specs=(
             FaultSpec(site="shard.query", kind="stall", delay=0.5,
                       match=(("shard", 0),)),))
         lines = segments(seed=1)
         with SpatialQueryEngine(shards=4, max_batch=8, fault_plan=plan,
-                                executor=backend,
-                                workers=4 if backend == "thread" else 2
-                                ) as eng:
+                                workers=4) as eng:
             fp = eng.register(lines, domain=DOMAIN)
             eng.warm(fp)
             futs = [eng.submit_window(fp, FULL, deadline=0.08)
@@ -123,6 +119,25 @@ class TestPartialResults:
         assert np.array_equal(easy, full)
 
 
+class Clock:
+    """A fake monotonic clock: the breakers' time moves only when told."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """A fake clock installed on every engine's ``BreakerBoard``."""
+    fake = Clock()
+    monkeypatch.setattr(engine_mod, "BreakerBoard",
+                        partial(BreakerBoard, clock=fake))
+    return fake
+
+
 class TestCircuitBreaker:
     def _engine(self, plan, **kw):
         kw.setdefault("workers", 2)
@@ -131,7 +146,7 @@ class TestCircuitBreaker:
         kw.setdefault("breaker_reset", 0.15)
         return SpatialQueryEngine(fault_plan=plan, **kw)
 
-    def test_trip_fast_fail_then_half_open_recovery(self):
+    def test_trip_fast_fail_then_half_open_recovery(self, clock):
         """Acceptance: repeated injected build failures trip the breaker,
         queries fail fast with CircuitOpenError, and after the reset
         timeout a successful probe closes the circuit again."""
@@ -158,7 +173,7 @@ class TestCircuitBreaker:
             assert eng.health()["status"] == "degraded"
             # past the reset timeout the half-open probe succeeds (the
             # fault budget is spent) and the circuit closes
-            time.sleep(0.2)
+            clock.now += 0.2
             assert np.array_equal(
                 np.sort(eng.window(fp, FULL)),
                 np.sort(brute_window_query(lines, np.asarray(FULL))))
@@ -169,7 +184,7 @@ class TestCircuitBreaker:
             assert health["status"] == "ok"
             assert health["breakers"][fp]["state"] == "closed"
 
-    def test_failed_probe_reopens_the_circuit(self):
+    def test_failed_probe_reopens_the_circuit(self, clock):
         plan = FaultPlan(specs=(
             FaultSpec(site="registry.get", kind="error", times=4),))
         lines = segments(seed=5)
@@ -180,7 +195,7 @@ class TestCircuitBreaker:
                 eng.flush()
                 with pytest.raises(InjectedFault):
                     fut.result(10)
-            time.sleep(0.2)
+            clock.now += 0.2
             # the half-open probe hits the fourth injected failure
             fut = eng.submit_window(fp, FULL)
             eng.flush()

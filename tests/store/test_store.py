@@ -286,10 +286,3 @@ class TestOrphanSweep:
         store.gc()
         assert all(not os.path.exists(p) for p in orphans)
         assert store.orphan_temps_removed == 2
-
-    def test_readonly_store_does_not_sweep(self, tmp_path):
-        IndexStore(tmp_path).put(key_for("pmr"), make_tree("pmr", segs(1)))
-        orphans = self.plant_orphans(str(tmp_path))
-        store = IndexStore(tmp_path, readonly=True)
-        assert all(os.path.exists(p) for p in orphans)
-        assert store.orphan_temps_removed == 0

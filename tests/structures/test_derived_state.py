@@ -2,7 +2,7 @@
 
 ``RTree.adjacency`` / ``Quadtree.occupancy`` are caches on the tree
 object: N kernel calls derive them once (counted, not timed), every
-io/store/shm round trip answers identically from a payload whose bytes
+io/store round trip answers identically from a payload whose bytes
 do not know the cache exists, threads racing the first touch all get
 the reference answers, and the packed result a kernel returns is
 read-only.
@@ -15,8 +15,7 @@ import pytest
 
 from repro.engine import IndexKey, dataset_fingerprint
 from repro.geometry import random_segments
-from repro.shm import INDEX_PREFIX, ShmArena, attach_payload
-from repro.store import IndexStore, store_key_id
+from repro.store import IndexStore
 from repro.structures import (Quadtree, RTree, build_bucket_pmr, build_rtree,
                               build_sharded)
 from repro.structures import batch
@@ -85,17 +84,6 @@ def test_round_trips_answer_identically_from_unchanged_bytes(structure, tmp_path
     assert manifest["checksum"] == payload_checksum(   # what a cold tree stores
         structure_payload(BUILDS[structure](), dict(key.params)))
     assert answers(loaded) == want
-
-    arena = ShmArena(registry_dir=str(tmp_path / "shm"))
-    try:
-        handle = arena.publish_payload(INDEX_PREFIX + store_key_id(key), after)
-        att = attach_payload(handle)
-        try:
-            assert answers(payload_to_tree(att.value)) == want
-        finally:
-            att.close()
-    finally:
-        arena.close()
 
 
 def test_sharded_payload_ships_no_derived_state():

@@ -6,8 +6,8 @@ and re-splitting only overflowing leaves.  Because the bucket PMR and
 PM1 shapes are pure functions of the line set, the specification is the
 fresh build on the post-batch lines, and the comparison is strict: every
 :class:`~repro.structures.Quadtree` field, values and dtype, so node
-numbering and CSR layout -- what fingerprints, stored indexes and the
-shm payload stand on -- cannot drift.
+numbering and CSR layout -- what fingerprints and stored indexes stand
+on -- cannot drift.
 
 Cells: map kind x {pmr, pm1} x batch kind x k, depth-capped trees, a
 hypothesis search over small integer maps (rows on split axes, shared

@@ -121,14 +121,14 @@ class TestServeEngineFlags:
 
     def test_every_engine_flag_reaches_its_field(self, tmp_path):
         want = {"structure": "rtree", "capacity": 5, "workers": 2,
-                "executor": "process", "max_batch": 17, "max_wait": 0.01,
+                "max_batch": 17, "max_wait": 0.01,
                 "queue_depth": 9, "shards": 3, "ordering": "hilbert",
                 "cache_dir": str(tmp_path / "c"), "disk_budget_bytes": 12345,
-                "shm_budget_bytes": 4096, "versions_retained": 3,
+                "versions_retained": 3,
                 "journal_dir": str(tmp_path / "j"), "journal_fsync": "none",
                 "checkpoint_every": 4}
         assert set(want) == set(_SERVE_ENGINE_FIELDS)
-        flag = {"executor": "--backend", "journal_fsync": "--fsync-policy"}
+        flag = {"journal_fsync": "--fsync-policy"}
         argv = ["serve", "--listen", ":0"]
         for name, value in want.items():
             argv += [flag.get(name, "--" + name.replace("_", "-")), str(value)]

@@ -26,11 +26,9 @@ The ``slow``-marked variant repeats the sweep on larger maps; tier-1
 excludes it (``-m "not slow"`` in addopts) and CI runs it in a second
 job with the same fixed seeds.
 
-``test_engine_differential_across_backends`` lifts the same identity
-one layer up: probes through :class:`repro.engine.SpatialQueryEngine`
-against the brute oracle, on both the thread and the process executor
-backends (the process cells are ``slow``-marked -- pool spin-up per
-cell -- and run in CI's process-backend job).
+``test_engine_differential`` lifts the same identity one layer up:
+probes through :class:`repro.engine.SpatialQueryEngine` against the
+brute oracle.
 """
 
 import numpy as np
@@ -156,21 +154,14 @@ def test_sharded_identity_large_maps(family, structure, shards, ordering,
                      big=True, probes=25)
 
 
-def run_engine_differential(family, structure, shards, backend, seed,
-                            probes=8):
-    """Engine answers == brute oracle, on either executor backend.
-
-    Both backends check against the same oracle, so passing here also
-    certifies thread/process bit-identity transitively: process workers
-    rebuild their trees from the shipped dataset snapshot through the
-    very same deterministic builders the parent uses.
-    """
+def run_engine_differential(family, structure, shards, seed, probes=8):
+    """Engine answers == brute oracle."""
     from repro.engine import SpatialQueryEngine
 
     lines = np.unique(make_family(family, seed), axis=0)
     with SpatialQueryEngine(structure=structure, shards=shards,
                             ordering="hilbert", max_batch=64, max_wait=0.3,
-                            workers=2, executor=backend) as eng:
+                            workers=2) as eng:
         fp = eng.register(lines, domain=DOMAIN)
         rng = np.random.default_rng(seed + 2000)
         rects = probe_windows(rng, probes)
@@ -184,26 +175,23 @@ def run_engine_differential(family, structure, shards, backend, seed,
         for fut, rect in zip(w, rects):
             assert np.array_equal(fut.result(120),
                                   brute_window_query(lines, rect)), \
-                (family, structure, shards, backend, "window")
+                (family, structure, shards, "window")
         for fut, (px, py) in zip(p, pts):
             # the engine point contract is exact stabbing regardless of
             # structure or shard layout, so equality (not superset) is
             # the oracle here
             assert np.array_equal(fut.result(120),
                                   brute_point_query(lines, px, py)), \
-                (family, structure, shards, backend, "point")
+                (family, structure, shards, "point")
         for fut, (px, py) in zip(n, pts):
             gid, d = fut.result(120)
             bid, bd = brute_nearest(lines, px, py)
             assert (gid, d) == (bid, pytest.approx(bd)), \
-                (family, structure, shards, backend, "nearest")
+                (family, structure, shards, "nearest")
 
 
-@pytest.mark.parametrize("backend", [
-    "thread", pytest.param("process", marks=pytest.mark.slow)])
 @pytest.mark.parametrize("shards", (1, 3))
 @pytest.mark.parametrize("structure", STRUCTURES)
 @pytest.mark.parametrize("family", ["uniform", "clustered"])
-def test_engine_differential_across_backends(family, structure, shards,
-                                             backend):
-    run_engine_differential(family, structure, shards, backend, seed=17)
+def test_engine_differential(family, structure, shards):
+    run_engine_differential(family, structure, shards, seed=17)

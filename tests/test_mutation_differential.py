@@ -5,8 +5,7 @@ drift*: a dataset evolved through any seeded interleaving of insert and
 delete batches must answer every query kind exactly like (a) a fresh
 index built from scratch on the surviving segments and (b) the brute
 oracle -- regardless of whether the engine served the new version by
-incremental shard repair or a canonical rebuild, and regardless of the
-executor backend.
+incremental shard repair or a canonical rebuild.
 
 Two layers are driven:
 
@@ -19,13 +18,13 @@ Two layers are driven:
   and every touched shard's warm start.
 * **engine level** -- seeded interleavings of ``insert_lines`` /
   ``delete_lines`` with window/point/nearest/join probes through
-  :class:`SpatialQueryEngine`, on both executor backends.  A shadow
+  :class:`SpatialQueryEngine`.  A shadow
   ``np.ndarray`` replays the same batches; after every generation the
   engine's answers must match the shadow's brute answers bit for bit.
 
 Fast cells run in tier-1; the large sweep is ``slow``-marked and runs
 in CI's ``mutation`` job.  Every cell is seeded -- a failure prints the
-``(family, structure, shards, ordering, backend, seed, generation)``
+``(family, structure, shards, ordering, seed, generation)``
 tuple that reproduces it.
 """
 
@@ -167,9 +166,8 @@ def test_repair_differential_large(family, structure, shards, ordering,
 
 # -- engine level --------------------------------------------------------
 
-def run_engine_mutation_differential(family, shards, ordering, backend,
-                                     seed, generations=5, probes=5,
-                                     big=False):
+def run_engine_mutation_differential(family, shards, ordering, seed,
+                                     generations=5, probes=5, big=False):
     from repro.engine import SpatialQueryEngine
 
     shadow = np.unique(make_family(family, seed), axis=0)
@@ -178,7 +176,7 @@ def run_engine_mutation_differential(family, shards, ordering, backend,
     other = np.unique(make_family(family, seed + 9), axis=0)
     with SpatialQueryEngine(structure="pmr", shards=shards,
                             ordering=ordering, max_batch=64, max_wait=0.05,
-                            workers=2, executor=backend) as eng:
+                            workers=2) as eng:
         fp = eng.register(shadow, domain=DOMAIN)
         fp_b = eng.register(other, domain=DOMAIN)
         rng = np.random.default_rng(seed + 700)
@@ -190,7 +188,7 @@ def run_engine_mutation_differential(family, shards, ordering, backend,
             if ins.size:
                 fp = eng.insert_lines(fp, ins)
                 shadow = apply_shadow(shadow, ins, np.zeros(0, np.int64))
-            ctx = (family, shards, ordering, backend, seed, gen)
+            ctx = (family, shards, ordering, seed, gen)
             rects = probe_windows(rng, probes)
             pts = rng.uniform(0, DOMAIN, (probes, 2))
             mids = 0.5 * (shadow[:, 0:2] + shadow[:, 2:4])
@@ -217,33 +215,26 @@ def run_engine_mutation_differential(family, shards, ordering, backend,
         assert snap["failed"] == 0
 
 
-@pytest.mark.parametrize("backend", [
-    "thread", pytest.param("process", marks=pytest.mark.slow)])
 @pytest.mark.parametrize("ordering", ORDERINGS)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("family", FAMILIES)
-def test_engine_mutation_differential(family, shards, ordering, backend):
-    run_engine_mutation_differential(family, shards, ordering, backend,
-                                     seed=41)
+def test_engine_mutation_differential(family, shards, ordering):
+    run_engine_mutation_differential(family, shards, ordering, seed=41)
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["thread", "process"])
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("seed", [53, 67])
-def test_engine_mutation_differential_large(family, shards, backend, seed):
-    run_engine_mutation_differential(family, shards, "hilbert", backend,
-                                     seed=seed, generations=8, probes=8,
-                                     big=True)
+def test_engine_mutation_differential_large(family, shards, seed):
+    run_engine_mutation_differential(family, shards, "hilbert", seed=seed,
+                                     generations=8, probes=8, big=True)
 
 
 # -- revisited content: a version is a chain position ---------------------
 
-@pytest.mark.parametrize("backend", [
-    "thread", pytest.param("process", marks=pytest.mark.slow)])
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_revisited_content_commits_as_a_new_version(shards, backend):
+def test_revisited_content_commits_as_a_new_version(shards):
     """Insert k rows, delete exactly those rows, twice over (A->B->A->B->A).
 
     Every commit returns the map to content the chain held before; each
@@ -259,12 +250,11 @@ def test_revisited_content_commits_as_a_new_version(shards, backend):
     rects = np.vstack([probe_windows(rng, 4),
                        [[90.0, 90.0, DOMAIN - 1.0, DOMAIN - 1.0]]])
     with SpatialQueryEngine(structure="pmr", shards=shards, max_batch=64,
-                            max_wait=5.0, workers=2,
-                            executor=backend) as eng:
+                            max_wait=5.0, workers=2) as eng:
         handle = eng.register(shadow, domain=DOMAIN)
         version = eng.registry.resolve(handle).version
         for step in range(4):
-            ctx = (shards, backend, step)
+            ctx = (shards, step)
             n = shadow.shape[0]
             before = shadow
             parked = [eng.submit_window(handle, r) for r in rects]
