@@ -3,8 +3,9 @@
 The paper's batch evaluation (``structures/batch.py``) answers a whole
 query *set* in O(tree height) vector rounds -- but a serving system
 receives probes one at a time.  The coalescer bridges the two: probes
-for the same (index, query kind) accumulate in a group, and a group is
-flushed by the first of three triggers:
+for the same key (the engine's: an index and exactness, whatever the
+probe kind) accumulate in a group, and a group is flushed by the first
+of three triggers:
 
 * **deadline** -- its oldest probe has waited ``max_wait`` seconds
   (flushed by the watcher thread);
@@ -64,13 +65,15 @@ class Probe:
     no deadline) rides along through coalescing: a batch inherits the
     *earliest* deadline of its probes, and a sharded wave that passes
     it before its last planned shard resolves with a partial result
-    instead of timing out.
+    instead of timing out.  ``kind`` is a read probe's kind code
+    (:data:`repro.structures.batch.KINDS`), one row of its group's wave.
     """
 
     payload: object
     future: Future = field(default_factory=Future)
     submitted_at: float = field(default_factory=time.monotonic)
     deadline_at: Optional[float] = None
+    kind: int = 0
 
 
 class Coalescer:

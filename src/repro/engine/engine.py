@@ -8,10 +8,10 @@
   optionally backed by a persistent :class:`~repro.store.IndexStore`
   (``cache_dir=...``) that absorbs evictions and serves warm starts;
 * a :class:`~repro.engine.coalescer.Coalescer` that batches individual
-  window / point / nearest probes per (index, kind) and flushes a
-  group by deadline, or as soon as a caller waits on one of its
-  probes and no group is in flight (work-conserving), cut into jobs
-  of at most ``max_batch`` probes;
+  window / point / nearest probes per (index, exactness) -- one mixed
+  wave per index -- and flushes a group by deadline, or as soon as a
+  caller waits on one of its probes and no group is in flight
+  (work-conserving), cut into jobs of at most ``max_batch`` probes;
 * a bounded thread pool (:class:`~repro.engine.executor.BoundedExecutor`)
   running each batch as **one** vectorized ``structures.batch``
   frontier pass over the read-only index, with backpressure when
@@ -64,7 +64,7 @@ from ..durability import (FSYNC_POLICIES, JournalError, MutationJournal,
                           RecoveryReport, journal_roots, replay_journal)
 from ..resilience import (OPEN, BreakerBoard, CircuitOpenError, FaultInjector,
                           FaultPlan, PartialResult, RetryPolicy)
-from ..structures.batch import FAMILY
+from ..structures.batch import FAMILY, KINDS
 from ..structures.sharded import ORDERINGS
 from .coalescer import Coalescer, Probe
 from .executor import BoundedExecutor, RejectedError
@@ -73,8 +73,6 @@ from .stats import TOP, WAL, EngineStats
 from .worker import JobSpec, WorkerResult, interpret
 
 __all__ = ["EngineConfig", "MutationResult", "SpatialQueryEngine"]
-
-KINDS = ("window", "point", "nearest")
 
 #: wall cap (seconds) of the blocking helpers when the caller passes no
 #: ``timeout``
@@ -343,15 +341,15 @@ class SpatialQueryEngine:
                      exact: bool = True,
                      deadline: Optional[float] = None) -> Future:
         pt = np.asarray(point, dtype=float).reshape(2)
-        return self._submit("point", fingerprint, pt, structure, exact,
-                            deadline)
+        return self._submit("point", fingerprint, np.tile(pt, 2), structure,
+                            exact, deadline)
 
     def submit_nearest(self, fingerprint: str, point,
                        structure: Optional[str] = None,
                        deadline: Optional[float] = None) -> Future:
         pt = np.asarray(point, dtype=float).reshape(2)
-        return self._submit("nearest", fingerprint, pt, structure, True,
-                            deadline)
+        return self._submit("nearest", fingerprint, np.tile(pt, 2),
+                            structure, True, deadline)
 
     def submit_join(self, fingerprint_a: str, fingerprint_b: str,
                     structure: Optional[str] = None) -> Future:
@@ -600,6 +598,9 @@ class SpatialQueryEngine:
     def _submit(self, kind: str, fingerprint: str, payload: np.ndarray,
                 structure: Optional[str], exact: bool,
                 deadline: Optional[float] = None) -> Future:
+        """Enqueue one read probe, ``payload`` its wave row: every exact
+        probe of an index joins the one group ``(index key, True)``; a
+        filter probe groups with its own kind only."""
         # snapshot isolation: the probe binds to the version that is
         # current *now* -- a mutation committing after this line cannot
         # redirect it, because the group key carries the resolved
@@ -609,8 +610,8 @@ class SpatialQueryEngine:
         # that never joins a group releases it here.
         fingerprint, version, domain = self.registry.pin_head(fingerprint)
         try:
-            key = (self._index_key(fingerprint, structure), kind,
-                   bool(exact))
+            key = (self._index_key(fingerprint, structure), bool(exact)) \
+                + (() if exact else (kind,))
         except ValueError:
             self.registry.unpin(fingerprint)
             raise
@@ -623,14 +624,14 @@ class SpatialQueryEngine:
             self.stats.inc(failed=1)
             fut: Future = Future()
             fut.set_exception(
-                ValueError(f"point {tuple(payload)} outside the domain"))
+                ValueError(f"point {tuple(payload[:2])} outside the domain"))
             return fut
         if not self.breakers.allow(fingerprint):
             if self.config.brute_fallback:
                 return self._submit_brute(kind, fingerprint, payload)
             self.registry.unpin(fingerprint)
             return self._fail_fast(kind, (fingerprint,))
-        probe = self._probe(payload,
+        probe = self._probe(payload, kind=KINDS.index(kind),
                             deadline_at=(time.monotonic() + deadline
                                          if deadline is not None else None))
         probe.future.version = version
@@ -674,7 +675,7 @@ class SpatialQueryEngine:
         The pin :meth:`_submit` took goes with the probe's group.
         """
         probe = self._probe(payload)
-        self._run_group(JobSpec(op="brute", kind=kind,
+        self._run_group(JobSpec(op="brute", kinds=kind,
                                 index=self._index_key(fingerprint, None),
                                 payloads=payload[None, :]), [probe])
         return probe.future
@@ -803,7 +804,7 @@ class SpatialQueryEngine:
         elif spec.op != "join":
             self.breakers.record_success(spec.index.fingerprint)
         served_by = "brute" if degraded else spec.refs[0].structure
-        kind = "join" if spec.op == "join" else spec.kind
+        kind = "join" if spec.op == "join" else "read"
         self.stats.record_batch(f"{served_by}:{kind}", len(probes), res.steps,
                                 res.primitives, time.monotonic() - started)
         with self._settling(spec, probes, settled):
@@ -881,12 +882,13 @@ class SpatialQueryEngine:
                 self._mutation_threads.append(t)
             t.start()
             return
-        index_key, kind, exact = group_key
+        index_key, exact = group_key[:2]
         # np.array, not np.stack: one C pass over the equal-shape rows;
         # this runs on the submitting thread, where stack's per-row
         # Python overhead (4x) would stretch the wave past max_wait
         self._run_group(
-            JobSpec(op="batch", kind=kind, index=index_key,
+            JobSpec(op="batch", index=index_key,
+                    kinds=np.array([p.kind for p in probes], dtype=np.int8),
                     payloads=np.array([p.payload for p in probes]),
                     exact=exact,
                     deadline_at=min((p.deadline_at for p in probes

@@ -12,10 +12,11 @@ raw segments through ``registry.dataset``.  Every job yields a :class:`WorkerRes
 wave), so the engine settles and accounts a job once.
 
 No op picks a kernel or a builder of its own.  ``batch`` runs one
-:func:`~repro.structures.sharded.index_wave` -- a plain tree's CSR core
-from the structure table, or on a sharded index every planned shard's
-core under the group's ``deadline_at``, packed once -- and cuts it into
-one answer per probe, so a sharded group is one job like any other.
+:func:`~repro.structures.sharded.index_wave` over a wave of mixed
+window, point and nearest rows -- a plain tree's wave core from the
+structure table, or on a sharded index every planned shard's core
+under the group's ``deadline_at``, packed once -- and cuts it into one
+answer per probe, so a sharded group is one job like any other.
 ``join`` calls :func:`~repro.structures.join.index_join`, whose window
 waves go through the same ``index_wave``, so a join job reports
 ``Machine`` steps like a batch job.  Every build is
@@ -37,7 +38,8 @@ import numpy as np
 from ..baselines.brute import brute_point_query, brute_window_query
 from ..machine import Machine
 from ..resilience import FaultInjector
-from ..structures.batch import FAMILY, _pairs, _views, batch_core
+from ..structures.batch import (FAMILY, NEAREST, POINT, wave_answers,
+                                wave_core, wave_kinds)
 from ..structures.join import brute_join, index_join
 from ..structures.nearest import brute_nearest
 from ..structures.sharded import index_wave
@@ -48,13 +50,11 @@ __all__ = ["JobSpec", "WorkerResult", "batch_kernel", "interpret"]
 
 def batch_kernel(structure: str, kind: str, exact: bool):
     """The batch kernel for one (structure, kind, exact) triple on a
-    plain tree: the structure table's CSR core, cut at the edge into one
-    answer per probe -- an id array (window/point) or an ``(id,
-    distance)`` pair (nearest).  Jobs go through ``_op_batch``; this is
-    the by-name lookup for callers outside the engine."""
-    core = batch_core(FAMILY[structure], kind, exact)
-    edge = _pairs if kind == "nearest" else _views
-    return lambda tree, v, m: edge(*core(tree, v, m))
+    plain tree: the wave core on a wave of ``kind`` probes, one answer
+    per probe.  Jobs go through ``_op_batch``; this is the by-name
+    lookup for callers outside the engine."""
+    core = wave_core(FAMILY[structure], exact)
+    return lambda tree, v, m: wave_answers(*core(tree, v, kind, m), kind)
 
 
 @dataclass(frozen=True)
@@ -64,15 +64,16 @@ class JobSpec:
     ``op`` selects the kernel: ``batch`` (one vectorized pass; over
     every planned shard of a sharded index), ``join`` (a batch of
     dataset-pair joins; ``brute=True`` for the degraded scan),
-    ``brute`` (degraded window/point/nearest batch).  ``index`` and the
-    ``pairs`` name indexes by their registry key.  ``deadline_at`` is
+    ``brute`` (degraded probe batch).  ``kinds`` is each payload row's
+    probe kind (:func:`~repro.structures.batch.wave_kinds`).  ``index``
+    and the ``pairs`` name indexes by their registry key.  ``deadline_at`` is
     the group's earliest probe deadline (absolute ``time.monotonic``
     seconds): a sharded wave past it drops the rest of its plan
     (:meth:`~repro.structures.sharded.ShardedIndex.query_wave`).
     """
 
     op: str
-    kind: str = ""
+    kinds: object = ()
     index: Optional[IndexKey] = None
     pairs: Tuple[Tuple[IndexKey, IndexKey], ...] = ()
     payloads: Optional[np.ndarray] = None
@@ -116,11 +117,10 @@ def _tree(registry: IndexRegistry, key: IndexKey):
 def _op_batch(registry, spec: JobSpec, machine: Machine, on_shard):
     """One :func:`~repro.structures.sharded.index_wave`, cut at the edge
     into one answer per probe."""
-    pair, shards = index_wave(_tree(registry, spec.index), spec.kind,
+    quad, shards = index_wave(_tree(registry, spec.index), spec.kinds,
                               spec.payloads, spec.exact, machine,
                               spec.deadline_at, on_shard)
-    edge = _pairs if spec.kind == "nearest" else _views
-    return edge(*pair), shards
+    return wave_answers(*quad, spec.kinds), shards
 
 
 def _op_join(registry, spec: JobSpec, machine: Machine, on_shard):
@@ -148,13 +148,11 @@ def _op_join(registry, spec: JobSpec, machine: Machine, on_shard):
 
 def _op_brute(registry, spec: JobSpec, machine: Machine, on_shard):
     lines = registry.dataset(spec.index.fingerprint)
-    if spec.kind == "window":
-        return [brute_window_query(lines, r) for r in spec.payloads], ()
-    if spec.kind == "point":
-        return [brute_point_query(lines, float(p[0]), float(p[1]))
-                for p in spec.payloads], ()
-    return [brute_nearest(lines, float(p[0]), float(p[1]))
-            for p in spec.payloads], ()
+    kinds = wave_kinds(spec.kinds, len(spec.payloads)).tolist()
+    return [brute_nearest(lines, float(p[0]), float(p[1])) if k == NEAREST
+            else brute_point_query(lines, float(p[0]), float(p[1]))
+            if k == POINT else brute_window_query(lines, p)
+            for k, p in zip(kinds, spec.payloads)], ()
 
 
 #: the op table: every ``JobSpec.op`` has exactly this one implementation,
@@ -175,7 +173,7 @@ def interpret(registry: IndexRegistry, spec: JobSpec, machine: Machine,
     on_shard = None
     if injector is not None:
         def on_shard(k: int) -> None:
-            injector.fire("shard.query", shard=k, kind=spec.kind)
+            injector.fire("shard.query", shard=k)
     values, shards = _OPS[spec.op](registry, spec, machine, on_shard)
     return WorkerResult(values, machine.steps, machine.total_primitives,
                         shards=shards)

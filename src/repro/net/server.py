@@ -430,7 +430,7 @@ class SpatialServer:
     def _schedule_kick(self) -> None:
         """Kick the engine once after this loop pass: every request the
         pass read is submitted by then, so a burst read in one pass
-        becomes one group per kind, and a lone request on an idle
+        becomes one group per index, and a lone request on an idle
         engine is dispatched without waiting out ``max_wait``."""
         if not self._kick_scheduled:
             self._kick_scheduled = True

@@ -3,8 +3,9 @@
 The companion papers ([Hoel94b]'s "performance of data-parallel spatial
 operations") process query *sets*, not single probes: one processor per
 (query, node) pair, expanding level-synchronously.  This module provides
-that style of bulk evaluation for the window query on both tree
-families:
+that style of bulk evaluation on both tree families, one **wave** of
+mixed probes per pass: every row of a wave is a window, and each
+family has one wave core:
 
 * the frontier is a vector of (query id, node id) pairs;
 * each round every pair tests its query window against its node's
@@ -19,18 +20,29 @@ the frontier is seeded, so it leaves in the first round and every
 round's prune is four closed-overlap comparisons with no emptiness
 test (node boxes, level MBRs and entry boxes are never empty).
 
-Results are identical to looping the scalar ``window_query`` (a test
-invariant) but the work is whole-array per tree level -- O(height)
-vector steps for any number of queries, each over the frontier: child
-lists come from the tree's once-derived adjacency and the hit stream is
-packed by one sort (:mod:`.csr`), so nothing a call does is proportional
-to the map.  Each kernel has a CSR core returning ``(ids, ptr)``; the
-public ``batch_*`` functions split it into per-query views at the edge.
+A point probe is its degenerate window ``[px, py, px, py]``.  A
+nearest probe is a closed square around its point that only shrinks:
+its first half-side is the distance to a representative segment from
+the tree's cell table (``cells``, derived once per tree), an upper bound
+on the answer; on a quadtree each round that reaches leaves shrinks it
+to the best distance scored so far.  Every segment at most that far
+away meets the square, so the answer is one segmented min over the
+scored ``(distance, id)`` pairs, ties to the lowest id.
 
-:data:`FAMILY` and :func:`batch_core` are the structure table: the one
-place that says which core serves a (structure family, probe kind,
-exactness) triple.  The engine's batch jobs look their kernel up
-there, on a plain tree and on each shard of a sharded wave alike.
+Results are identical to looping the scalar queries (a test invariant)
+but the work is whole-array per tree level -- O(height) vector steps
+for any number and mix of queries, each over the frontier: child lists
+come from the tree's once-derived adjacency and the hit stream is
+packed by one sort (:mod:`.csr`), so nothing a call does is
+proportional to the map.  A wave core returns ``(ids, ptr, nid, nd)``:
+the window and point rows' hits as CSR, and the nearest rows' line id
+and distance; the public ``batch_*`` functions cut one kind's part into
+per-query answers at the edge.
+
+:data:`FAMILY` and :func:`wave_core` are the structure table: the one
+place that says which core serves a (structure family, exactness)
+wave.  The engine's batch jobs look their core up there, on a plain
+tree and on each shard of a sharded wave alike.
 """
 
 from __future__ import annotations
@@ -40,11 +52,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..geometry.clip import segments_intersect_rects
-from ..geometry.distance import (
-    points_rects_distance,
-    points_rects_max_distance,
-    points_segments_distance,
-)
+from ..geometry.distance import points_segments_distance
 from ..geometry.rect import EMPTY_RECT, contains_point_halfopen, validate_rects
 from ..machine import Machine, get_machine
 from .csr import distinct_pairs, gather_csr, pack_csr, pack_sorted, run_heads
@@ -61,6 +69,10 @@ __all__ = [
 ]
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
+
+#: probe kinds by their code in a wave's per-row ``kinds``
+KINDS = ("window", "point", "nearest")
+WINDOW, POINT, NEAREST = range(3)
 
 
 def _views(ids: np.ndarray, ptr: np.ndarray) -> List[np.ndarray]:
@@ -79,20 +91,10 @@ def _leaf_pairs(tree: Quadtree, leaf_q: np.ndarray, leaf_n: np.ndarray):
     return np.repeat(leaf_q, counts), lines
 
 
-def _seed(rects) -> np.ndarray:
-    """The validated ``(n, 4)`` windows, each empty (inverted) one swapped
-    for ``EMPTY_RECT``: its +-inf corners fail every :func:`_meets`, so
-    it leaves the frontier in the first round like any window that
-    misses the root."""
-    rects = validate_rects(np.asarray(rects, dtype=float).reshape(-1, 4))
-    empty = (rects[:, 0] > rects[:, 2]) | (rects[:, 1] > rects[:, 3])
-    return np.where(empty[:, None], EMPTY_RECT, rects) if empty.any() else rects
-
-
 def _meets(boxes: np.ndarray, windows: np.ndarray) -> np.ndarray:
     """Closed overlap of non-empty boxes with seeded windows, row-wise:
     four comparisons (:func:`~repro.geometry.rect.overlaps` without its
-    emptiness tests, which :func:`_seed` made redundant)."""
+    emptiness tests, which :func:`_start` made redundant)."""
     return ((boxes[:, 0] <= windows[:, 2]) & (windows[:, 0] <= boxes[:, 2])
             & (boxes[:, 1] <= windows[:, 3]) & (windows[:, 1] <= boxes[:, 3]))
 
@@ -123,13 +125,106 @@ def _verify_and_pack(m: Machine, tree, rects, qid, lid, exact: bool):
     return pack_sorted(q, ids, rects.shape[0])
 
 
-def _window_quadtree(tree: Quadtree, rects, exact: bool,
-                     machine: Optional[Machine]):
-    m = machine or get_machine()
-    rects = _seed(rects)
+def wave_rows(payloads) -> np.ndarray:
+    """A wave's ``(n, 4)`` rows: windows as given, a two-column point
+    batch as its degenerate windows ``[px, py, px, py]``."""
+    rows = np.asarray(payloads, dtype=float)
+    if rows.shape[-1:] == (2,):
+        return np.tile(rows.reshape(-1, 2), 2)
+    return validate_rects(rows.reshape(-1, 4))
+
+
+def wave_kinds(kinds, n: int) -> np.ndarray:
+    """Per-row kind codes: a kind name or code for all ``n`` rows, or one
+    code per row."""
+    if isinstance(kinds, str):
+        if kinds not in KINDS:
+            raise ValueError(f"unknown probe kind {kinds!r}")
+        kinds = KINDS.index(kinds)
+    return np.broadcast_to(np.asarray(kinds, dtype=np.int8), (n,))
+
+
+def _squares(pts: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """Closed squares of half-side ``half`` around ``pts``, padded by a
+    few ulps of the coordinates so that rounding never cuts off a
+    segment lying exactly that far away."""
+    half = half + 1e-9 * (1.0 + half + np.abs(pts).max(axis=1))
+    return np.hstack([pts - half[:, None], pts + half[:, None]])
+
+
+class _Nearest:
+    """The nearest rows of one wave: their squares, the scored (row,
+    line, distance) triples, and the segmented min over them."""
+
+    def __init__(self, m: Machine, tree, rects: np.ndarray, near):
+        if tree.lines.shape[0] == 0:
+            raise ValueError("empty tree has no nearest line")
+        self.mask, self.pts, rows = near, rects[:, :2], np.flatnonzero(near)
+        m.record("elementwise", rows.size)
+        self.best = np.full(near.size, np.inf)
+        lo, scale, reps = tree.cells    # points off the grid take its border
+        c = np.clip((self.pts[rows] - lo) * scale, 0, len(reps) - 1).astype(np.int64)
+        self.best[rows] = points_segments_distance(
+            self.pts[rows], tree.lines[reps[c[:, 1], c[:, 0]]])
+        self.rects = rects.copy()
+        self.rects[rows] = _squares(self.pts[rows], self.best[rows])
+        self.scored: List[tuple] = []
+
+    def score(self, m: Machine, lines, qid, lid, shrink: bool):
+        """Score the nearest rows' candidate pairs (with ``shrink``, and
+        shrink their squares to the best distance so far); returns the
+        other rows' pairs."""
+        at = self.mask[qid]
+        if not at.any():
+            return qid, lid
+        q, lid_q = qid[at], lid[at]
+        m.record("elementwise", q.size)
+        dist = points_segments_distance(self.pts[q], lines[lid_q])
+        self.scored.append((q, lid_q, dist))
+        if shrink:
+            m.record("scan", q.size)
+            np.minimum.at(self.best, q, dist)
+            self.rects[q] = _squares(self.pts[q], self.best[q])
+        return qid[~at], lid[~at]
+
+    def answer(self, span: int):
+        """Per-row ``(nid, nd)`` (``-1`` / ``inf`` off the nearest rows):
+        a row's own representative is always scored, so none is empty."""
+        return _reduce_nearest(*map(np.concatenate, zip(*self.scored)),
+                               self.mask.size, span)
+
+
+def _start(machine, tree, rows, kinds):
+    """A wave's machine, windows, nearest rows and full frontier.
+
+    Every empty (inverted) window is swapped for ``EMPTY_RECT``: its
+    +-inf corners fail every :func:`_meets`, so it leaves the frontier
+    in the first round like any window that misses the root.  A wave
+    without nearest rows (``found is None``) records nothing beyond the
+    window kernel's steps.
+    """
+    m, rects = machine or get_machine(), wave_rows(rows)
+    empty = (rects[:, 0] > rects[:, 2]) | (rects[:, 1] > rects[:, 3])
+    if empty.any():
+        rects = np.where(empty[:, None], EMPTY_RECT, rects)
+    near = wave_kinds(kinds, rects.shape[0]) == NEAREST
+    found = _Nearest(m, tree, rects, near) if near.any() else None
     nq = rects.shape[0]
-    q_frontier = np.arange(nq, dtype=np.int64)
-    n_frontier = np.zeros(nq, dtype=np.int64)
+    return (m, rects if found is None else found.rects, found,
+            np.arange(nq, dtype=np.int64), np.zeros(nq, dtype=np.int64))
+
+
+def _answer(m, tree, rects, qid, lid, exact, found):
+    nq, span = rects.shape[0], tree.lines.shape[0]
+    return _verify_and_pack(m, tree, rects, qid, lid, exact) + (
+        found.answer(span) if found is not None else
+        (np.full(nq, -1, dtype=np.int64), np.full(nq, np.inf)))
+
+
+def _wave_quadtree(tree: Quadtree, rows, kinds, exact: bool,
+                   machine: Optional[Machine]):
+    m, rects, found, q_frontier, n_frontier = _start(machine, tree, rows,
+                                                     kinds)
     hit_q: List[np.ndarray] = []
     hit_l: List[np.ndarray] = []
     while q_frontier.size:
@@ -138,10 +233,13 @@ def _window_quadtree(tree: Quadtree, rects, exact: bool,
         if not q_frontier.size:
             break
         is_leaf = tree.children[n_frontier, 0] < 0
-        # leaves: emit candidate (query, line) pairs
+        # leaves: emit candidate (query, line) pairs; nearest rows score
+        # theirs and shrink their squares before the next prune
         leaf_q = q_frontier[is_leaf]
         if leaf_q.size:
             qid, lid = _leaf_pairs(tree, leaf_q, n_frontier[is_leaf])
+            if found is not None:
+                qid, lid = found.score(m, tree.lines, qid, lid, True)
             hit_q.append(qid)
             hit_l.append(lid)
         # internal: expand into all four children
@@ -150,23 +248,20 @@ def _window_quadtree(tree: Quadtree, rects, exact: bool,
         m.record("permute", int_q.size * 4)
         q_frontier = np.repeat(int_q, 4)
         n_frontier = tree.children[int_n].reshape(-1)
-
-    return _verify_and_pack(m, tree, rects, _cat(hit_q), _cat(hit_l), exact)
+    return _answer(m, tree, rects, _cat(hit_q), _cat(hit_l), exact, found)
 
 
 def batch_window_query_quadtree(tree: Quadtree, rects, exact: bool = True,
                                 machine: Optional[Machine] = None
                                 ) -> List[np.ndarray]:
     """All window queries against a quadtree in O(height) vector rounds."""
-    return _views(*_window_quadtree(tree, rects, exact, machine))
+    return _views(*_wave_quadtree(tree, rects, WINDOW, exact, machine)[:2])
 
 
-def _window_rtree(tree: RTree, rects, exact: bool, machine: Optional[Machine]):
-    m = machine or get_machine()
-    rects = _seed(rects)
-    nq = rects.shape[0]
-    q_frontier = np.arange(nq, dtype=np.int64)
-    n_frontier = np.zeros(nq, dtype=np.int64)
+def _wave_rtree(tree: RTree, rows, kinds, exact: bool,
+                machine: Optional[Machine]):
+    m, rects, found, q_frontier, n_frontier = _start(machine, tree, rows,
+                                                     kinds)
     for level in range(tree.height - 1, 0, -1):
         q_frontier, n_frontier = _prune_window(
             m, rects, q_frontier, n_frontier, tree.level_mbr[level][n_frontier])
@@ -187,23 +282,19 @@ def _window_rtree(tree: RTree, rects, exact: bool, machine: Optional[Machine]):
         keep = _meets(tree.entry_bbox[lid], rects[qid])
         qid = qid[keep]
         lid = lid[keep]
-    return _verify_and_pack(m, tree, rects, qid, lid, exact)
+    if found is not None:
+        qid, lid = found.score(m, tree.lines, qid, lid, False)
+    return _answer(m, tree, rects, qid, lid, exact, found)
 
 
 def batch_window_query_rtree(tree: RTree, rects, exact: bool = True,
                              machine: Optional[Machine] = None
                              ) -> List[np.ndarray]:
     """All window queries against an R-tree in O(height) vector rounds."""
-    return _views(*_window_rtree(tree, rects, exact, machine))
+    return _views(*_wave_rtree(tree, rects, WINDOW, exact, machine)[:2])
 
 
 # -- point probes ---------------------------------------------------------
-
-
-def _degenerate_rects(points) -> np.ndarray:
-    """Zero-area windows ``[px, py, px, py]`` for a point batch."""
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    return np.hstack([pts, pts])
 
 
 def _point_quadtree(tree: Quadtree, points, strict: bool,
@@ -267,7 +358,7 @@ def batch_point_query_rtree(tree: RTree, points, exact: bool = True,
     Mirrors :meth:`RTree.point_query`, which delegates to
     ``window_query`` on the rectangle ``[px, py, px, py]``.
     """
-    rects = _degenerate_rects(points)
+    rects = wave_rows(points)
     if rects.shape[0] == 0:
         return []
     return batch_window_query_rtree(tree, rects, exact=exact, machine=machine)
@@ -278,136 +369,45 @@ def batch_point_query_rtree(tree: RTree, points, exact: bool = True,
 
 def _reduce_nearest(qid: np.ndarray, lid: np.ndarray, dist: np.ndarray,
                     nq: int, span: int):
-    """Per-query ``(line ids, distances)`` minimising distance then id:
-    the first entry of each query's run in the sorted fused key."""
+    """Per-query ``(line id, distance)`` minimising distance then id:
+    the first entry of each query's run in the sorted fused key (``-1``
+    and ``inf`` for a query without candidates)."""
     best = np.full(nq, np.inf)
     np.minimum.at(best, qid, dist)
     at_best = dist <= best[qid]
     q, lids = np.divmod(np.sort(qid[at_best] * span + lid[at_best]), span)
-    lids = lids[run_heads(q)]
-    assert lids.size == nq, "non-empty tree must answer"
-    return lids, best
+    heads = run_heads(q)
+    nid = np.full(nq, -1, dtype=np.int64)
+    nid[q[heads]] = lids[heads]
+    return nid, best
 
 
 def _pairs(lids: np.ndarray, dists: np.ndarray) -> List[tuple]:
     return list(zip(lids.tolist(), dists.tolist()))
 
 
-def _prune_nearest(m: Machine, pts, bound, q_frontier, n_frontier, boxes):
-    """Tighten each query's bound by its boxes' farthest corners, then
-    drop the (query, node) pairs whose box lies beyond the bound."""
-    m.record("elementwise", q_frontier.size)
-    lb = points_rects_distance(pts[q_frontier], boxes)
-    ub = points_rects_max_distance(pts[q_frontier], boxes)
-    m.record("scan", q_frontier.size)
-    np.minimum.at(bound, q_frontier, ub)
-    alive = lb <= bound[q_frontier]
-    return q_frontier[alive], n_frontier[alive]
-
-
-def _nearest_quadtree(tree: Quadtree, points, machine: Optional[Machine]):
-    m = machine or get_machine()
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    nq = pts.shape[0]
-    if nq and tree.lines.shape[0] == 0:
-        raise ValueError("empty tree has no nearest line")
-    occupancy = tree.occupancy
-    bound = np.full(nq, np.inf)
-    hit_q: List[np.ndarray] = []
-    hit_l: List[np.ndarray] = []
-    hit_d: List[np.ndarray] = []
-    q_frontier = np.arange(nq, dtype=np.int64)
-    n_frontier = np.zeros(nq, dtype=np.int64)
-    while q_frontier.size:
-        # prune: a block farther than the query's bound cannot help
-        q_frontier, n_frontier = _prune_nearest(
-            m, pts, bound, q_frontier, n_frontier, tree.boxes[n_frontier])
-        if not q_frontier.size:
-            break
-        is_leaf = tree.children[n_frontier, 0] < 0
-        leaf_q = q_frontier[is_leaf]
-        if leaf_q.size:
-            qid, lid = _leaf_pairs(tree, leaf_q, n_frontier[is_leaf])
-            if qid.size:
-                m.record("elementwise", qid.size)
-                d = points_segments_distance(pts[qid], tree.lines[lid])
-                m.record("scan", qid.size)
-                np.minimum.at(bound, qid, d)
-                hit_q.append(qid)
-                hit_l.append(lid)
-                hit_d.append(d)
-        int_q = q_frontier[~is_leaf]
-        int_n = n_frontier[~is_leaf]
-        if not int_q.size:
-            break
-        # expand into the non-empty children only
-        m.record("permute", int_q.size * 4)
-        cq = np.repeat(int_q, 4)
-        cn = tree.children[int_n].reshape(-1)
-        nonempty = occupancy[cn] > 0
-        q_frontier = cq[nonempty]
-        n_frontier = cn[nonempty]
-    return _reduce_nearest(_cat(hit_q), _cat(hit_l), _cat(hit_d, np.zeros(0)),
-                           nq, tree.lines.shape[0])
-
-
 def batch_nearest_quadtree(tree: Quadtree, points,
                            machine: Optional[Machine] = None) -> List[tuple]:
     """All nearest-line queries against a quadtree, level-synchronously.
 
-    The batched branch-and-bound analogue of
-    :func:`repro.structures.nearest.quadtree_nearest`: the frontier is a
-    vector of (query, node) pairs; each round prunes pairs whose block
-    lies farther than the query's current upper bound (min-max corner
-    distance over non-empty subtrees, tightened by exact distances at
-    reached leaves) and expands survivors into their non-empty children.
-    Returns ``(line id, distance)`` per query -- identical, ties
-    included, to the scalar search.
+    Each query is a shrinking square (see the module docstring) in the
+    window frontier; its answer is the segmented min over the
+    ``(distance, id)`` pairs its leaves scored.  Returns ``(line id,
+    distance)`` per query -- identical, ties included, to the scalar
+    search.
     """
-    return _pairs(*_nearest_quadtree(tree, points, machine))
-
-
-def _nearest_rtree(tree: RTree, points, machine: Optional[Machine]):
-    m = machine or get_machine()
-    pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    nq = pts.shape[0]
-    if nq == 0:
-        return _NO_IDS, np.zeros(0)
-    if tree.lines.shape[0] == 0:
-        raise ValueError("empty tree has no nearest line")
-    bound = np.full(nq, np.inf)
-    q_frontier = np.arange(nq, dtype=np.int64)
-    n_frontier = np.zeros(nq, dtype=np.int64)
-    # prune nodes level by level down to the leaves, then their entries;
-    # whatever gives a query its bound survives it, so nothing empties
-    for level in range(tree.height - 1, -1, -1):
-        q_frontier, n_frontier = _prune_nearest(
-            m, pts, bound, q_frontier, n_frontier,
-            tree.level_mbr[level][n_frontier])
-        counts, n_frontier = gather_csr(*tree.adjacency[level], n_frontier)
-        q_frontier = np.repeat(q_frontier, counts)
-        if level:
-            m.record("permute", n_frontier.size)
-    qid, lid = q_frontier, n_frontier
-    m.record("elementwise", qid.size)
-    keep = points_rects_distance(pts[qid], tree.entry_bbox[lid]) <= bound[qid]
-    qid = qid[keep]
-    lid = lid[keep]
-    m.record("elementwise", qid.size)
-    dist = points_segments_distance(pts[qid], tree.lines[lid])
-    return _reduce_nearest(qid, lid, dist, nq, tree.lines.shape[0])
+    return _pairs(*_wave_quadtree(tree, points, NEAREST, True, machine)[2:])
 
 
 def batch_nearest_rtree(tree: RTree, points,
                         machine: Optional[Machine] = None) -> List[tuple]:
     """All nearest-line queries against an R-tree, level-synchronously.
 
-    Same frontier scheme as :func:`batch_nearest_quadtree`; every R-tree
-    node is non-empty by construction, so the min-max corner distance of
-    each visited rectangle is always a valid upper bound.  Returns
+    Same squares as :func:`batch_nearest_quadtree`, at their starting
+    size: an R-tree's leaves are all reached in its last round.  Returns
     ``(line id, distance)`` per query, identical to the scalar search.
     """
-    return _pairs(*_nearest_rtree(tree, points, machine))
+    return _pairs(*_wave_rtree(tree, points, NEAREST, True, machine)[2:])
 
 
 # -- the structure table ----------------------------------------------------
@@ -416,26 +416,41 @@ def batch_nearest_rtree(tree: RTree, points,
 FAMILY = {"pmr": "quadtree", "pm1": "quadtree", "rtree": "rtree"}
 
 
-def batch_core(family: str, kind: str, exact: bool):
-    """The CSR core serving ``kind`` probes on a ``family`` tree.
+def _filter_quadtree(tree: Quadtree, rows, kinds, machine):
+    """``exact=False`` on a quadtree: a wave of points answers with each
+    point's leaf residents (none outside the domain), any other wave
+    with the window filter."""
+    rows = wave_rows(rows)
+    points = wave_kinds(kinds, len(rows)) == POINT
+    if not points.any():
+        return _wave_quadtree(tree, rows, kinds, False, machine)
+    if not points.all():
+        raise ValueError("a quadtree filter wave holds points alone")
+    return _point_quadtree(tree, rows[:, :2], False, machine) \
+        + (np.full(len(rows), -1, dtype=np.int64), np.full(len(rows), np.inf))
 
-    Returns ``core(tree, payloads, machine)``: ``(ids, ptr)`` for window
-    and point probes, ``(ids, dists)`` for nearest.  A point probe is the
-    degenerate window ``[px, py, px, py]``, so an exact point answer --
-    the segments through the point -- never depends on a tree's (or a
-    shard's) decomposition.  ``exact=False`` keeps each family's native
-    candidate set: a quadtree's leaf residents, an R-tree's unrefined
-    window filter.
+
+def wave_core(family: str, exact: bool):
+    """The core serving one wave on a ``family`` tree:
+    ``core(tree, rows, kinds, machine)`` -> ``(ids, ptr, nid, nd)``
+    over a wave's rows (:func:`wave_rows`) and kinds
+    (:func:`wave_kinds`).  An exact point answer -- the segments through
+    the point -- never depends on a tree's (or a shard's) decomposition.
+    ``exact=False`` keeps each family's native candidates for windows
+    and points: an R-tree's unrefined window filter, a quadtree's leaf
+    residents; nearest rows are always exact.
     """
-    quadtree = family == "quadtree"
-    if kind == "nearest":
-        return _nearest_quadtree if quadtree else _nearest_rtree
-    window = _window_quadtree if quadtree else _window_rtree
-    if kind == "window":
-        return lambda tree, rects, m: window(tree, rects, exact, m)
-    if kind != "point":
-        raise ValueError(f"unknown probe kind {kind!r}")
-    if quadtree and not exact:
-        # out-of-domain points were rejected at submit time
-        return lambda tree, pts, m: _point_quadtree(tree, pts, False, m)
-    return lambda tree, pts, m: window(tree, _degenerate_rects(pts), exact, m)
+    if family == "quadtree" and not exact:
+        return _filter_quadtree
+    fused = _wave_quadtree if family == "quadtree" else _wave_rtree
+    return lambda tree, rows, kinds, m: fused(tree, rows, kinds, exact, m)
+
+
+def wave_answers(ids, ptr, nid, nd, kinds) -> list:
+    """The edge cut of a wave: an id view per window or point row, an
+    ``(id, distance)`` pair per nearest row."""
+    cuts = ptr.tolist()
+    near = list(zip(nid.tolist(), nd.tolist()))
+    return [near[q] if k == NEAREST else ids[a:b] for q, (k, a, b) in
+            enumerate(zip(wave_kinds(kinds, len(near)).tolist(),
+                          cuts[:-1], cuts[1:]))]

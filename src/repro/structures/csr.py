@@ -7,7 +7,9 @@ reads many groups at once (once per frontier round), and
 :func:`pack_csr` turns a kernel's (query, line) hit stream into the
 per-query result grouping (once per batch); :func:`distinct_pairs` is
 its sort-and-dedupe half, for kernels that filter the distinct pairs
-before packing them with :func:`pack_sorted`.
+before packing them with :func:`pack_sorted`.  :func:`cell_table`
+groups a tree's segments by midpoint cell, one representative each
+(once per tree).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["group_csr", "gather_csr", "run_heads", "distinct_pairs",
-           "pack_sorted", "pack_csr"]
+           "pack_sorted", "pack_csr", "cell_table"]
 
 
 def _ptr(owner: np.ndarray, num_groups: int) -> np.ndarray:
@@ -79,3 +81,33 @@ def pack_csr(qid: np.ndarray, lid: np.ndarray, num_queries: int, span: int
     """Group (query, line) pairs into sorted duplicate-free runs per query:
     :func:`distinct_pairs`, then :func:`pack_sorted`."""
     return pack_sorted(*distinct_pairs(qid, lid, span), num_queries)
+
+
+def cell_table(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(lo, scale, reps)``: a ``G x G`` grid (``G * G <= n``, ``G`` a
+    power of two) over the bounding box of the ``n > 0`` segment
+    midpoints, and per cell one segment -- the lowest id whose midpoint
+    falls in it, or for an empty cell a segment of the smallest
+    non-empty coarser cell containing it.  Read-only arrays, derived by
+    one scatter and a max-pyramid."""
+    n = lines.shape[0]
+    side = 1 << (n.bit_length() - 1) // 2
+    mx, my = 0.5 * (lines[:, 0] + lines[:, 2]), 0.5 * (lines[:, 1] + lines[:, 3])
+    lo = np.array([mx.min(), my.min()])
+    scale = side / np.maximum(np.array([mx.max(), my.max()]) - lo, 1e-300)
+    cx = np.minimum(((mx - lo[0]) * scale[0]).astype(np.int64), side - 1)
+    cy = np.minimum(((my - lo[1]) * scale[1]).astype(np.int64), side - 1)
+    grid = np.full(side * side, -1, dtype=np.int64)
+    grid[(cy * side + cx)[::-1]] = np.arange(n - 1, -1, -1)   # last write wins
+    pyramid = [grid.reshape(side, side)]
+    while pyramid[-1].shape[0] > 1:
+        h = pyramid[-1].shape[0] // 2
+        pyramid.append(pyramid[-1].reshape(h, 2, h, 2).max(axis=(1, 3)))
+    reps = pyramid.pop()
+    while pyramid:
+        fine = pyramid.pop()
+        reps = np.where(fine >= 0, fine, reps.repeat(2, 0).repeat(2, 1))
+    for a in (lo, scale, reps):
+        a.flags.writeable = False
+    return lo, scale, reps
+

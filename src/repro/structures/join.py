@@ -10,7 +10,7 @@ A intersecting line ``j`` of map B -- plus the brute-force oracle:
   smaller map's segment MBRs probe the other map's index in waves of
   :data:`WAVE` windows, through the same kernels that serve window
   probes (:func:`~repro.structures.sharded.index_wave`: a plain tree's
-  ``batch_core`` or a sharded index's ``query_wave``).  Any two indexes
+  ``wave_core`` or a sharded index's ``query_wave``).  Any two indexes
   join -- plain quadtree, plain R-tree or sharded, of either family and
   over any domains.
 * :func:`brute_join` -- exact tree-free oracle (and the engine's
@@ -122,8 +122,8 @@ def index_join(a, b, machine: Optional[Machine] = None) -> np.ndarray:
     rects = rects_from_segments(probe.lines)
     rows: List[np.ndarray] = []
     for start in range(0, rects.shape[0], WAVE):
-        (ids, ptr), _ = index_wave(index, "window", rects[start:start + WAVE],
-                                   False, machine)
+        (ids, ptr, *_), _ = index_wave(
+            index, "window", rects[start:start + WAVE], False, machine)
         qid = np.repeat(np.arange(start, start + ptr.size - 1), np.diff(ptr))
         rows.append(_verify_pairs(probe.lines, index.lines, qid, ids))
     out = (np.concatenate(rows) if rows

@@ -22,6 +22,7 @@ import numpy as np
 
 from ..geometry.clip import segments_intersect_rects
 from ..geometry.rect import child_boxes, contains_point_halfopen, overlaps, validate_rects
+from .csr import cell_table
 
 __all__ = ["NodeTable", "Quadtree", "CHILD_NAMES", "child_box", "child_boxes"]
 
@@ -181,19 +182,12 @@ class Quadtree:
         return self.node_lines[self.node_ptr[node]:self.node_ptr[node + 1]]
 
     @cached_property
-    def occupancy(self) -> np.ndarray:
-        """Number of q-edges stored in each node's subtree.
-
-        Derived from ``node_ptr`` / ``parent`` level by level on first
-        use and kept on the object (not a dataclass field: io and the store
-        never write it; recomputing it yields the same array).
-        """
-        counts = np.diff(self.node_ptr).astype(np.int64)
-        for lev in range(self.height, 0, -1):
-            sel = np.flatnonzero(self.level == lev)
-            np.add.at(counts, self.parent[sel], counts[sel])
-        counts.flags.writeable = False
-        return counts
+    def cells(self):
+        """The nearest probes' cell table (:func:`~.csr.cell_table`),
+        derived on first use and kept on the object (not a dataclass
+        field: io and the store never write it; recomputing it yields
+        the same arrays)."""
+        return cell_table(self.lines)
 
     def leaf_items(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(leaf_id, line_ids)`` pairs."""

@@ -39,7 +39,7 @@ from ..machine.broadcast import seg_broadcast, seg_reduce
 from ..machine.sort import seg_rank
 from ..primitives.rtree_split import mean_split, sweep_split
 from .build import BuildTrace, RoundStats
-from .csr import gather_csr, group_csr
+from .csr import cell_table, gather_csr, group_csr
 
 __all__ = ["RTree", "build_rtree"]
 
@@ -95,6 +95,12 @@ class RTree:
         owners = [self.line_leaf] + list(self.level_parent)
         return [group_csr(own, mbr.shape[0])
                 for own, mbr in zip(owners, self.level_mbr)]
+
+    @cached_property
+    def cells(self):
+        """The nearest probes' cell table (:func:`~.csr.cell_table`),
+        derived and kept like :attr:`adjacency`."""
+        return cell_table(self.lines)
 
     def entries(self, level: int, node: int) -> np.ndarray:
         """Lines (level 0) or child nodes of one node, ascending."""

@@ -34,7 +34,7 @@ The engine answers a wave of probes on a sharded index with
 :meth:`ShardedIndex.query_wave`, inside one job: the K shards are K
 groups of one wave, not K jobs.  It plans the wave by MBR culling, runs
 :meth:`ShardedIndex.query_shard_batch` -- the structure table's kernel
-(:func:`~repro.structures.batch.batch_core`) on one shard, ids lifted
+(:func:`~repro.structures.batch.wave_core`) on one shard, ids lifted
 to global ones -- per planned shard, and packs the wave's answer with
 one :func:`~repro.structures.csr.pack_csr`; the scalar queries are
 one-probe waves.  :func:`index_wave` is the one place that picks
@@ -53,12 +53,11 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..geometry.distance import points_rects_distance
-from ..geometry.rect import validate_rects
 from ..machine import Machine
 from ..resilience import PartialResult
 from ..machine.ordering import hilbert_encode, morton_encode
-from .batch import FAMILY, _cat, _degenerate_rects, batch_core
+from .batch import (FAMILY, NEAREST, POINT, _cat, wave_core, wave_kinds,
+                    wave_rows)
 from .bucket_pmr import build_bucket_pmr
 from .csr import pack_csr
 from .dynamic import apply_batch
@@ -164,11 +163,11 @@ class ShardedIndex:
         :class:`~repro.resilience.PartialResult` (``shards_dropped``
         counts the rest) instead of raising.
         """
-        rect = validate_rects(np.asarray(rect, dtype=float).reshape(1, 4))
         deadline_at = (time.monotonic() + deadline
                        if deadline is not None else None)
-        (ids, _), (_, _, dropped, ran) = self.query_wave(
-            "window", rect, exact, deadline_at=deadline_at)
+        (ids, *_), (_, _, dropped, ran) = self.query_wave(
+            "window", np.asarray(rect, dtype=float).reshape(1, 4), exact,
+            deadline_at=deadline_at)
         if dropped:
             return PartialResult(ids, shards_dropped=dropped,
                                  shards_completed=ran)
@@ -176,14 +175,12 @@ class ShardedIndex:
 
     def point_query(self, px: float, py: float) -> np.ndarray:
         """Global ids of lines passing through the point (always exact)."""
-        (ids, _), _ = self.query_wave("point",
-                                      np.array([[px, py]], dtype=float))
+        (ids, *_), _ = self.query_wave("point", [[px, py, px, py]])
         return ids
 
     def nearest(self, px: float, py: float) -> Tuple[int, float]:
         """Closest line to the point; ties broken by lowest global id."""
-        (gid, d), _ = self.query_wave("nearest",
-                                      np.array([[px, py]], dtype=float))
+        (_, _, gid, d), _ = self.query_wave("nearest", [[px, py, px, py]])
         return int(gid[0]), float(d[0])
 
     # -- batch waves (the engine's sharded core) --------------------------
@@ -197,53 +194,45 @@ class ShardedIndex:
                 & (mbrs[:, None, 1] <= rects[None, :, 3])
                 & (rects[None, :, 1] <= mbrs[:, None, 3]))
 
-    def plan_points(self, points: np.ndarray) -> np.ndarray:
-        """``(K, B)`` mask: shard k's MBR contains point b (closed)."""
-        return self.plan_windows(_degenerate_rects(points))
-
     def nearest_bounds(self, points: np.ndarray) -> np.ndarray:
         """``(K, B)`` point-to-shard-MBR lower bounds (0 when inside)."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        K, B = self.num_shards, pts.shape[0]
-        if K == 0 or B == 0:
-            return np.zeros((K, B))
-        mbrs = self.shard_mbrs()
-        flat_p = np.repeat(pts, K, axis=0)
-        flat_r = np.tile(mbrs, (B, 1))
-        return points_rects_distance(flat_p, flat_r).reshape(B, K).T
+        p = np.asarray(points, dtype=float).reshape(1, -1, 2)
+        r = self.shard_mbrs()[:, None, :]
+        dx = np.maximum(np.maximum(r[..., 0] - p[..., 0], p[..., 0] - r[..., 2]), 0.0)
+        dy = np.maximum(np.maximum(r[..., 1] - p[..., 1], p[..., 1] - r[..., 3]), 0.0)
+        return np.hypot(dx, dy)
 
-    def query_shard_batch(self, k: int, kind: str, payloads: np.ndarray,
+    def query_shard_batch(self, k: int, kinds, payloads: np.ndarray,
                           exact: bool = True,
                           machine: Optional[Machine] = None):
-        """One shard's answers, in global ids, for a probe sub-batch.
-
-        ``kind`` is ``"window"`` / ``"point"`` / ``"nearest"``.  Returns
-        the kernel core's pair with the shard's local ids lifted to
-        global ones: ``(gids, ptr)`` for window and point probes (probe
-        ``j``'s ascending hits are ``gids[ptr[j]:ptr[j + 1]]``) and
-        ``(gids, dists)`` for nearest.  Point probes are always exact
-        (see the module docstring).
-        """
+        """One shard's answers for a wave's sub-batch: the wave core's
+        ``(ids, ptr, nid, nd)`` (:func:`~repro.structures.batch.wave_core`)
+        with the shard's local ids lifted to global ones.  A wave of
+        points alone is always exact (see the module docstring)."""
         s = self.shards[k]
-        core = batch_core(self.family, kind, exact or kind == "point")
-        ids, second = core(s.tree, payloads, machine)
-        return s.ids[ids], second
+        kinds = wave_kinds(kinds, len(payloads))
+        exact = exact or bool(kinds.size and (kinds == POINT).all())
+        ids, ptr, nid, nd = wave_core(self.family, exact)(s.tree, payloads,
+                                                          kinds, machine)
+        return s.ids[ids], ptr, np.where(nid < 0, -1, s.ids[nid]), nd
 
-    def query_wave(self, kind: str, payloads: np.ndarray, exact: bool = True,
+    def query_wave(self, kinds, payloads: np.ndarray, exact: bool = True,
                    machine: Optional[Machine] = None,
                    deadline_at: Optional[float] = None,
                    on_shard: Optional[Callable[[int], None]] = None):
-        """One wave of probes over the planned shards, in one call.
+        """One wave of mixed probes over the planned shards, one call per
+        planned shard per round.
 
-        Window and point probes run one round over the MBR-culled
-        shards and pack the per-shard ``(gids, ptr)`` pairs with one
-        :func:`pack_csr`: ascending ids per probe, read-only, like an
-        unsharded batch (shards partition the segments, so its dedupe
-        never fires).  Nearest probes run two rounds: each shard whose
-        MBR contains the probe plus its argmin-bound shard, then only
-        the shards whose lower bound reaches the round-one distance
-        (``lb <= best``: an equidistant segment with a lower global id
-        in another shard must win the tie).
+        Window and point rows are planned by MBR culling
+        (:meth:`plan_windows`), and their per-shard hits are packed with
+        one :func:`pack_csr`: ascending ids per probe, read-only, like an
+        unsharded wave (shards partition the segments, so its dedupe
+        never fires).  Nearest rows join round one at each shard whose
+        MBR contains the probe plus its argmin-bound shard; a second
+        round queries, for nearest rows only, the shards whose lower
+        bound reaches the round-one distance (``lb <= best``: an
+        equidistant segment with a lower global id in another shard
+        must win the tie).
 
         ``deadline_at`` (absolute ``time.monotonic`` seconds) is checked
         before every planned shard after the first -- like the scalar
@@ -252,67 +241,65 @@ class ShardedIndex:
         the merge of the shards run.  ``on_shard(k)`` is called before
         shard ``k`` runs (the engine's ``shard.query`` fault site).
 
-        Returns ``(pair, counts)``: the kernel core's ``(ids, ptr)`` or
-        ``(ids, dists)`` over the whole wave, and ``(total, probed,
-        dropped, completed)`` -- the index's shard count, the distinct
-        shards the plan selected, the planned shard queries the
-        deadline dropped, and the shard queries run (a nearest shard
-        counts once per round it is queried in).
+        Returns ``(quad, counts)``: the wave core's ``(ids, ptr, nid,
+        nd)`` over the whole wave, and ``(total, probed, dropped,
+        completed)`` -- the index's shard count, the distinct shards the
+        plan selected, the planned shard queries the deadline dropped,
+        and the shard queries run (a shard counts once per round it is
+        queried in).
         """
-        payloads = np.asarray(payloads, dtype=float)
-        B, K = len(payloads), self.num_shards
+        rows = wave_rows(payloads)
+        kinds = wave_kinds(kinds, rows.shape[0])
+        near = kinds == NEAREST
+        B, K = rows.shape[0], self.num_shards
+        best_d = np.full(B, np.inf)
+        best_g = np.full(B, -1, dtype=np.int64)
         ran = 0
+        out: list = []
+        probed: set = set()
 
-        def run(mask):
-            """Query each shard of ``mask`` in turn until the deadline."""
+        def run(mask) -> int:
+            """Query each shard of ``mask`` in turn until the deadline,
+            folding nearest rows into the running best (ties to the
+            lower id); returns the planned queries dropped."""
             nonlocal ran
             plan = [(k, np.flatnonzero(mask[k])) for k in range(K)
                     if mask[k].any()]
-            out = []
+            probed.update(k for k, _ in plan)
             for i, (k, sel) in enumerate(plan):
                 if ran and deadline_at is not None \
                         and time.monotonic() >= deadline_at:
-                    return plan, out, len(plan) - i
+                    return len(plan) - i
                 if on_shard is not None:
                     on_shard(k)
-                out.append((sel,) + self.query_shard_batch(
-                    k, kind, payloads[sel], exact, machine))
+                gids, ptr, gnid, nd = self.query_shard_batch(
+                    k, kinds[sel], rows[sel], exact, machine)
+                out.append((sel, gids, ptr))
                 ran += 1
-            return plan, out, 0
+                at = near[sel]
+                q, gnid, nd = sel[at], gnid[at], nd[at]
+                upd = (nd < best_d[q]) | ((nd == best_d[q]) & (gnid < best_g[q]))
+                best_d[q[upd]] = nd[upd]
+                best_g[q[upd]] = gnid[upd]
+            return 0
 
-        if kind != "nearest":
-            mask = (self.plan_windows(payloads) if kind == "window"
-                    else self.plan_points(payloads))
-            plan, out, dropped = run(mask)
-            qid = [np.repeat(sel, np.diff(ptr)) for sel, _, ptr in out]
-            pair = pack_csr(_cat(qid), _cat([g for _, g, _ in out]), B,
+        mask = self.plan_windows(rows)
+        if near.any():
+            if K == 0:
+                raise ValueError("empty index has no nearest line")
+            lb = self.nearest_bounds(rows[near, :2])   # (K, nearest rows)
+            round1 = lb == 0.0
+            round1[np.argmin(lb, axis=0), np.arange(lb.shape[1])] = True
+            mask[:, near] = round1
+        dropped = run(mask)
+        if near.any() and not dropped:
+            mask[:] = False
+            mask[:, near] = (lb <= best_d[near]) & ~round1
+            dropped = run(mask)
+        qid = [np.repeat(sel, np.diff(ptr)) for sel, _, ptr in out]
+        ids, ptr = pack_csr(_cat(qid), _cat([g for _, g, _ in out]), B,
                             self.num_lines)
-            return pair, (K, len(plan), dropped, ran)
-        if K == 0:
-            raise ValueError("empty index has no nearest line")
-        lb = self.nearest_bounds(payloads)   # (K, B)
-        best_d = np.full(B, np.inf)
-        best_g = np.full(B, -1, dtype=np.int64)
-
-        def fold(out):
-            """Fold shard answers into the running best, ties to the
-            lower id."""
-            for sel, gids, dists in out:
-                cur_d, cur_g = best_d[sel], best_g[sel]
-                upd = (dists < cur_d) | ((dists == cur_d) & (gids < cur_g))
-                best_d[sel] = np.where(upd, dists, cur_d)
-                best_g[sel] = np.where(upd, gids, cur_g)
-
-        round1 = lb == 0.0
-        round1[np.argmin(lb, axis=0), np.arange(B)] = True
-        plan, out, dropped = run(round1)
-        fold(out)
-        probed = {k for k, _ in plan}
-        if not dropped:
-            plan, out, dropped = run((lb <= best_d[None, :]) & ~round1)
-            fold(out)
-            probed.update(k for k, _ in plan)
-        return (best_g, best_d), (K, len(probed), dropped, ran)
+        return (ids, ptr, best_g, best_d), (K, len(probed), dropped, ran)
 
     # -- validation ------------------------------------------------------
 
@@ -335,27 +322,27 @@ class ShardedIndex:
                 "shard tree must index exactly the shard's segments"
 
 
-def index_wave(index, kind: str, payloads: np.ndarray, exact: bool = True,
+def index_wave(index, kinds, payloads: np.ndarray, exact: bool = True,
                machine: Optional[Machine] = None,
                deadline_at: Optional[float] = None,
                on_shard: Optional[Callable[[int], None]] = None):
     """One wave of probes over any servable index: the one place that
-    picks between a plain tree's kernel and a sharded index's
+    picks between a plain tree's wave core and a sharded index's
     :meth:`ShardedIndex.query_wave`.
 
     A plain ``Quadtree`` / ``RTree`` runs its family's
-    :func:`~repro.structures.batch.batch_core` (``deadline_at`` and
-    ``on_shard`` apply to shards only).  Returns ``(pair, shards)``: the
-    core's ``(ids, ptr)`` or ``(ids, dists)`` over the whole wave, and
+    :func:`~repro.structures.batch.wave_core` (``deadline_at`` and
+    ``on_shard`` apply to shards only).  Returns ``(quad, shards)``: the
+    core's ``(ids, ptr, nid, nd)`` over the whole wave, and
     ``query_wave``'s shard counts -- ``()`` for a plain tree.
     """
     if isinstance(index, ShardedIndex):
-        return index.query_wave(kind, payloads, exact, machine, deadline_at,
+        return index.query_wave(kinds, payloads, exact, machine, deadline_at,
                                 on_shard)
     if not isinstance(index, (Quadtree, RTree)):
         raise TypeError(f"cannot query {type(index).__name__}")
     family = "quadtree" if isinstance(index, Quadtree) else "rtree"
-    return batch_core(family, kind, exact)(index, payloads, machine), ()
+    return wave_core(family, exact)(index, payloads, kinds, machine), ()
 
 
 def _segment_mbr(segs: np.ndarray) -> np.ndarray:

@@ -149,14 +149,17 @@ def _direct(maps, spec, machine):
     """What ``spec`` asks for, from the kernels called directly:
     ``(values, shards)``."""
     if spec.op == "batch":
-        pair, shards = index_wave(maps.fresh_tree(spec.index), spec.kind,
-                                  spec.payloads, spec.exact, machine)
-        return (_pairs if spec.kind == "nearest" else _views)(*pair), shards
+        (ids, ptr, nid, nd), shards = index_wave(
+            maps.fresh_tree(spec.index), spec.kinds, spec.payloads,
+            spec.exact, machine)
+        if spec.kinds == "nearest":
+            return _pairs(nid, nd), shards
+        return _views(ids, ptr), shards
     if spec.op == "brute":
         lines = maps.registry.dataset(spec.index.fingerprint)
-        if spec.kind == "window":
+        if spec.kinds == "window":
             return [brute_window_query(lines, r) for r in spec.payloads], ()
-        return [(brute_point_query if spec.kind == "point"
+        return [(brute_point_query if spec.kinds == "point"
                  else brute_nearest)(lines, float(x), float(y))
                 for x, y in spec.payloads], ()
     out = []
@@ -207,7 +210,7 @@ def _payloads(maps, kind):
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_parity_batch_and_brute(maps, structure, kind, exact):
     ref = maps.ref(structure)
-    spec = JobSpec(op="batch", kind=kind, index=ref,
+    spec = JobSpec(op="batch", kinds=kind, index=ref,
                    payloads=_payloads(maps, kind), exact=exact)
     got = assert_parity(maps, spec, [ref])
     assert len(got.values) == 7 and got.steps > 0
@@ -219,7 +222,7 @@ def test_parity_cold_build_is_charged_to_neither_job(maps, structure):
     """A cold registry builds under a machine of its own: the job that
     triggers the build reports its kernel steps only, like a warm one."""
     ref = maps.ref(structure)
-    spec = JobSpec(op="batch", kind="window", index=ref,
+    spec = JobSpec(op="batch", kinds="window", index=ref,
                    payloads=_payloads(maps, "window"))
     cold = assert_parity(maps, spec, [])
     assert maps.registry.misses == 1
@@ -236,7 +239,7 @@ def test_parity_shard(maps, structure, kind):
     """A ``batch`` spec over a sharded ref is one wave over every
     planned shard: same values, steps and shard counts both ways."""
     ref = maps.ref(structure, shards=3, ordering="hilbert")
-    got = assert_parity(maps, JobSpec(op="batch", kind=kind, index=ref,
+    got = assert_parity(maps, JobSpec(op="batch", kinds=kind, index=ref,
                                       payloads=_payloads(maps, kind)),
                         [ref])
     total, probed, dropped, completed = got.shards
@@ -265,8 +268,8 @@ def test_parity_join_warm(maps, structure):
 
 def test_degraded_path_accounting():
     """A brute job that fails is counted as failed, one that answers as
-    a fallback with a ``brute:<kind>`` batch row, and every row carries
-    its latency sample."""
+    a fallback with a ``brute:read`` (or ``brute:join``) batch row, and
+    every row carries its latency sample."""
     plan = FaultPlan(specs=(
         FaultSpec(site="executor.job", kind="error", times=1),))
     lines, other = make_lines(3), make_lines(4, n=60)
@@ -290,7 +293,7 @@ def test_degraded_path_accounting():
         assert snap["batches"] == 3 and snap["completed"] == 3
         assert {name: row["batches"]
                 for name, row in snap["per_index"].items()} \
-            == {"brute:window": 1, "brute:nearest": 1, "brute:join": 1}
+            == {"brute:read": 2, "brute:join": 1}
         assert eng.stats.latency.count == 3   # every row carries its elapsed
         assert eng.breakers.state(fp) == "open"   # brute feeds no breaker
 
@@ -333,4 +336,4 @@ def test_failed_shard_job_takes_the_group_failure_path(brute_fallback, kind):
         assert snap["faults_injected"] == {"shard.query": 1}
         assert eng.breakers.state(fp) == "open" and snap["breaker_trips"] == 1
         if brute_fallback:
-            assert set(snap["per_index"]) == {f"brute:{kind}"}
+            assert set(snap["per_index"]) == {"brute:read"}

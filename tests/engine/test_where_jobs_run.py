@@ -100,9 +100,10 @@ def test_a_blocking_call_runs_its_kernel_on_the_caller(kernel_threads):
 
 def test_a_waited_wave_runs_on_the_waiting_thread(kernel_threads):
     """256 probes submitted, then awaited with ``result()``: the first
-    wait kicks the idle engine, and every job of the wave -- each group
-    cut into jobs of at most ``max_batch`` -- runs on this thread.  A
-    60 s ``max_wait`` leaves the kick as the only trigger."""
+    wait kicks the idle engine, and every job of the wave -- its one
+    group (windows, points and nearest probes on one index) cut into
+    jobs of at most ``max_batch`` -- runs on this thread.  A 60 s
+    ``max_wait`` leaves the kick as the only trigger."""
     lines = segments(seed=9, n=400)
     boxes = rects(100, 10)
     pts = lines[np.random.default_rng(11).integers(0, len(lines), 156),
@@ -118,7 +119,7 @@ def test_a_waited_wave_runs_on_the_waiting_thread(kernel_threads):
         got = [f.result(30) for f in windows + points + nearest]
         assert time.monotonic() - t0 < 1.0
         snap = eng.snapshot()
-    k = 2 + 2 + 1   # 100 windows, 100 points, 56 nearest at 64 a job
+    k = 4   # 100 windows, 100 points and 56 nearest: 256 at 64 a job
     assert snap["ran"] == {"caller": k}
     assert snap["flushes"] == {"kick": k}
     assert kernel_threads == [threading.get_ident()] * k

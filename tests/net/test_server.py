@@ -158,8 +158,9 @@ def direct(eng, fp, req):
 class TestKickedBurst:
     def test_a_burst_runs_on_the_loop_thread_one_group_per_kind(self):
         """16 requests in one write: the server reads them in one loop
-        pass and kicks once, so the idle engine runs one group per kind
-        on the loop thread, and the answers are the engine's own."""
+        pass and kicks once, so the idle engine runs the burst -- every
+        kind on the one index -- as one job on the loop thread, and the
+        answers are the engine's own."""
         lines = segments(seed=13)
         reqs = burst(13)
         with SpatialQueryEngine(workers=2, max_batch=64,
@@ -169,8 +170,8 @@ class TestKickedBurst:
             with ServerThread(eng) as st:
                 got = send_burst(st, fp, reqs)
             snap = eng.snapshot()
-            assert snap["flushes"] == {"kick": 3}
-            assert snap["ran"] == {"caller": 3}
+            assert snap["flushes"] == {"kick": 1}
+            assert snap["ran"] == {"caller": 1}
             for r in reqs:
                 assert got[r["id"]] == direct(eng, fp, r)
 
@@ -192,7 +193,7 @@ class TestKickedBurst:
                                     lambda: (writes.append(1), write()))
                 got = send_burst(st, fp, reqs)
                 assert writes == []
-            assert eng.snapshot()["ran"] == {"caller": 3}
+            assert eng.snapshot()["ran"] == {"caller": 1}   # one mixed job
             for r in reqs:
                 assert got[r["id"]] == direct(eng, fp, r)
 
@@ -320,7 +321,7 @@ class TestWorkConservingDispatch:
                 reqs.append(req)
             with ServerThread(eng) as st:
                 # 16 requests in one write: one read pass submits them
-                # all, and its one kick makes one batch per kind
+                # all, and its one kick makes one mixed batch
                 with socket.create_connection((st.host, st.port),
                                               timeout=30) as sock:
                     t0 = time.monotonic()
@@ -329,17 +330,17 @@ class TestWorkConservingDispatch:
                              (recv_frame_sock(sock) for _ in reqs)}
                     assert time.monotonic() - t0 < 1.0
                 # a group settles just after its answers are sent: wait
-                # for all three, or the lone request's kick finds the
-                # engine busy and its group leaves on the drain instead
+                # for it, or the lone request's kick finds the engine
+                # busy and its group leaves on the drain instead
                 eng.flush()
                 snap = eng.snapshot()
-                assert snap["batches"] == 3
-                assert snap["flushes"] == {"kick": 3}
+                assert snap["batches"] == 1
+                assert snap["flushes"] == {"kick": 1}
                 with ServeClient(st.host, st.port) as c:
                     t0 = time.monotonic()
                     lone = c.window(fp, [0, 0, 50, 50])
                     assert time.monotonic() - t0 < 1.0
-                assert eng.snapshot()["flushes"] == {"kick": 4}
+                assert eng.snapshot()["flushes"] == {"kick": 2}
             assert lone["status"] == 200
             assert lone["result"] == eng.window(fp, [0, 0, 50, 50]).tolist()
             for req in reqs:

@@ -3,9 +3,14 @@
 Every kernel in :mod:`repro.structures.batch` is compared with
 ``reference_batch`` -- the per-call-``argsort`` / ``np.unique``-loop
 kernels it replaced -- array-equal: values, order, dtype ``int64``,
-nearest ties by lowest id, and the same per-batch ``machine`` steps and
-primitive counts, because the engine's answers, its ``steps`` /
-``primitives`` accounting and the differential suites stand on them.
+nearest ties by lowest id, and for window and point probes the same
+per-batch ``machine`` steps and primitive counts, because the engine's
+answers, its ``steps`` / ``primitives`` accounting and the differential
+suites stand on them.  Mixed waves (windows, points and nearest probes
+in one wave core call) answer every row like the reference kernel of
+its kind.  Nearest probes are shrinking squares in the window frontier,
+not the reference's branch and bound, so their accounting is pinned by
+a frozen golden of its own.
 """
 
 from functools import lru_cache
@@ -84,6 +89,11 @@ def both(name, tree, payload, **kw):
     return got, want
 
 
+def assert_same_nearest(got, want):
+    assert got == want          # (id, distance) pairs, ties to the lowest id
+    assert all(type(i) is int and type(d) is float for i, d in got)
+
+
 def assert_same_ids(got, want):
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == np.int64
@@ -104,9 +114,9 @@ def test_kernels_match_the_reference(map_kind, structure, map_seed, nq, exact, s
         assert_same_ids(*both("batch_point_query_quadtree", tree, pts, strict=False))
     else:
         assert_same_ids(*both("batch_point_query_rtree", tree, pts, exact=exact))
-    got, want = both(f"batch_nearest_{family}", tree, pts)
-    assert got == want          # (id, distance) pairs, ties to the lowest id
-    assert all(type(i) is int and type(d) is float for i, d in got)
+    name = f"batch_nearest_{family}"
+    assert_same_nearest(getattr(batch, name)(tree, pts, machine=Machine()),
+                        getattr(reference_batch, name)(tree, pts))
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -137,3 +147,119 @@ def test_strict_point_probe_still_rejects_the_outside():
     for mod in (batch, reference_batch):
         with pytest.raises(ValueError):
             mod.batch_point_query_quadtree(tree, [[-1.0, 5.0]], strict=True)
+
+
+# -- mixed waves ---------------------------------------------------------------
+
+
+def mixed_wave(tree, nq, seed, with_points=True):
+    """A random interleaving of windows (inverted, zero-area and
+    whole-domain ones among them), points (segment endpoints, anywhere,
+    outside the domain) and nearest probes (the same, so the crossing
+    map's shared endpoint fan ties), as ``(rows, kinds)``."""
+    rng = np.random.default_rng(seed)
+    rects, pts = probes(tree, nq, seed)
+    special = np.array([[300, 10, 200, 90], [0, 0, DOMAIN, DOMAIN],
+                        [-DOMAIN, -DOMAIN, 2 * DOMAIN, 2 * DOMAIN],
+                        [256, 256, 256, 256], [100, 0, 100, DOMAIN]], float)
+    pick = rng.random(nq) < 0.2
+    rects[pick] = special[rng.integers(0, len(special), int(pick.sum()))]
+    pts[rng.random(nq) < 0.1] = [256.0, 256.0]     # the fan's endpoint
+    kinds = rng.integers(0, 3, nq).astype(np.int8)
+    if not with_points:
+        kinds[kinds == batch.POINT] = batch.WINDOW
+    rows = np.where((kinds == batch.WINDOW)[:, None], rects,
+                    np.hstack([pts, pts]))
+    return rows, kinds
+
+
+def reference_answers(tree, family, rows, kinds, exact):
+    """Each row answered by the reference kernel of its kind."""
+    out = [None] * len(rows)
+    window = getattr(reference_batch, f"batch_window_query_{family}")
+    nearest = getattr(reference_batch, f"batch_nearest_{family}")
+    for code in (batch.WINDOW, batch.POINT, batch.NEAREST):
+        at = np.flatnonzero(kinds == code)
+        if not at.size:
+            continue
+        got = (nearest(tree, rows[at, :2]) if code == batch.NEAREST
+               else window(tree, rows[at], exact=exact))
+        for i, answer in zip(at, got):
+            out[i] = answer
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(map_kind=st.sampled_from(sorted(MAPS)), structure=st.sampled_from(sorted(BUILDS)),
+       map_seed=st.integers(0, 2), nq=st.sampled_from(BATCH_SIZES),
+       exact=st.booleans(), seed=st.integers(0, 10**6))
+def test_mixed_waves_answer_each_row_like_the_reference(map_kind, structure,
+                                                        map_seed, nq, exact, seed):
+    """One wave core call answers every row like the reference kernel of
+    its kind; a wave without nearest rows also keeps the reference
+    window kernel's per-batch accounting (a point row is its degenerate
+    window).  A quadtree filter wave holds points alone, so filter waves
+    here carry windows and nearest probes."""
+    tree = tree_of(map_kind, structure, map_seed)
+    family = "rtree" if structure in ("rtree", "str") else "quadtree"
+    rows, kinds = mixed_wave(tree, nq, seed, with_points=exact)
+    m = Machine()
+    got = batch.wave_answers(*batch.wave_core(family, exact)(tree, rows, kinds, m),
+                             kinds)
+    want = reference_answers(tree, family, rows, kinds, exact)
+    assert len(got) == len(want) == nq
+    for code, g, w in zip(kinds, got, want):
+        if code == batch.NEAREST:
+            assert_same_nearest([g], [w])
+        else:
+            assert_same_ids([g], [w])
+    if not (kinds == batch.NEAREST).any():
+        ref = Machine()
+        getattr(reference_batch, f"batch_window_query_{family}")(
+            tree, rows, exact=exact, machine=ref)
+        assert (m.steps, m.total_primitives, m.counts) == \
+            (ref.steps, ref.total_primitives, ref.counts)
+
+
+def test_a_quadtree_filter_wave_holds_points_alone():
+    tree = tree_of("uniform", "pmr", 0)
+    rows = np.array([[0, 0, 64, 64], [5, 5, 5, 5]], float)
+    with pytest.raises(ValueError, match="points alone"):
+        batch.wave_core("quadtree", False)(tree, rows, [batch.WINDOW, batch.POINT],
+                                           Machine())
+
+
+#: nearest accounting (steps, primitives, per-kind counts) of seven
+#: probes (``probes(tree, 7, 0)``'s points) per map and structure, map
+#: seed 0, recorded when nearest probes became shrinking squares (the
+#: branch-and-bound counts they replaced are in EXPERIMENTS C11)
+NEAREST_GOLDEN = {
+    "clustered/pm1": [25.0, 25, {"elementwise": 13, "permute": 8, "scan": 4}],
+    "clustered/pmr": [27.0, 27, {"elementwise": 14, "permute": 8, "scan": 5}],
+    "clustered/rtree": [10.0, 10, {"elementwise": 7, "permute": 3}],
+    "clustered/str": [10.0, 10, {"elementwise": 7, "permute": 3}],
+    "crossing/pm1": [27.0, 27, {"elementwise": 14, "permute": 8, "scan": 5}],
+    "crossing/pmr": [19.0, 19, {"elementwise": 10, "permute": 6, "scan": 3}],
+    "crossing/rtree": [8.0, 8, {"elementwise": 6, "permute": 2}],
+    "crossing/str": [8.0, 8, {"elementwise": 6, "permute": 2}],
+    "single/pm1": [9.0, 9, {"elementwise": 5, "permute": 3, "scan": 1}],
+    "single/pmr": [5.0, 5, {"elementwise": 3, "scan": 1, "permute": 1}],
+    "single/rtree": [4.0, 4, {"elementwise": 4}],
+    "single/str": [4.0, 4, {"elementwise": 4}],
+    "uniform/pm1": [25.0, 25, {"elementwise": 13, "permute": 8, "scan": 4}],
+    "uniform/pmr": [19.0, 19, {"elementwise": 10, "permute": 6, "scan": 3}],
+    "uniform/rtree": [10.0, 10, {"elementwise": 7, "permute": 3}],
+    "uniform/str": [10.0, 10, {"elementwise": 7, "permute": 3}],
+}
+
+
+@pytest.mark.parametrize("structure", sorted(BUILDS))
+@pytest.mark.parametrize("map_kind", sorted(MAPS))
+def test_nearest_accounting_is_pinned(map_kind, structure):
+    tree = tree_of(map_kind, structure, 0)
+    family = "rtree" if structure in ("rtree", "str") else "quadtree"
+    m = Machine()
+    getattr(batch, f"batch_nearest_{family}")(tree, probes(tree, 7, 0)[1],
+                                              machine=m)
+    assert [m.steps, m.total_primitives, dict(m.counts)] \
+        == NEAREST_GOLDEN[f"{map_kind}/{structure}"]

@@ -1,10 +1,12 @@
-"""Adjacency and occupancy are derived once per tree and never shipped.
+"""Adjacency and the cell table are derived once per tree and never shipped.
 
-``RTree.adjacency`` / ``Quadtree.occupancy`` are caches on the tree
-object: N kernel calls derive them once (counted, not timed), every
-io/store round trip answers identically from a payload whose bytes
-do not know the cache exists, threads racing the first touch all get
-the reference answers, and the packed result a kernel returns is
+``RTree.adjacency`` and the nearest probes' cell table
+(``RTree.cells`` / ``Quadtree.cells``) are caches on the tree object:
+N kernel calls derive them once (counted, not timed), recomputing one
+gives the same arrays, every io/store round trip answers identically
+from a payload whose bytes (and the ``IndexKey`` naming them) do not
+know the cache exists, threads racing the first touch all get the
+reference answers, and the packed result a kernel returns is
 read-only.
 """
 
@@ -19,6 +21,7 @@ from repro.store import IndexStore
 from repro.structures import (Quadtree, RTree, build_bucket_pmr, build_rtree,
                               build_sharded)
 from repro.structures import batch
+from repro.structures.csr import cell_table
 from repro.structures.io import (payload_checksum, payload_to_tree,
                                  structure_payload)
 
@@ -44,7 +47,7 @@ def answers(tree, mod=batch):
 
 def test_n_kernel_calls_derive_once(monkeypatch):
     derivations = []
-    for prop in (RTree.adjacency, Quadtree.occupancy):
+    for prop in (RTree.adjacency, RTree.cells, Quadtree.cells):
         def counting(tree, real=prop.func):
             derivations.append(type(tree).__name__)
             return real(tree)
@@ -55,12 +58,29 @@ def test_n_kernel_calls_derive_once(monkeypatch):
         answers(qt)
         rt.window_query(RECTS[0])
         rt.lines_in_leaf(0)
-    assert sorted(derivations) == ["Quadtree", "RTree"]
+    assert sorted(derivations) == ["Quadtree", "RTree", "RTree"]
 
 
 def test_derived_state_is_not_a_field():
-    for cls, name in ((RTree, "adjacency"), (Quadtree, "occupancy")):
+    for cls, name in ((RTree, "adjacency"), (RTree, "cells"),
+                      (Quadtree, "cells")):
         assert name not in cls.__dataclass_fields__
+    assert not hasattr(Quadtree, "occupancy")   # no kernel reads it
+
+
+@pytest.mark.parametrize("structure", sorted(BUILDS))
+def test_recomputing_the_cell_table_gives_the_same_arrays(structure):
+    tree = BUILDS[structure]()
+    answers(tree)
+    first = tree.cells
+    again = cell_table(payload_to_tree(structure_payload(tree)).lines)
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b) and a.dtype == b.dtype
+        assert not a.flags.writeable
+    lo, scale, reps = first
+    side = reps.shape[0]
+    assert side & (side - 1) == 0 and side * side <= len(SEGS)
+    assert reps.min() >= 0 and reps.max() < len(SEGS)   # every cell filled
 
 
 @pytest.mark.parametrize("structure", sorted(BUILDS))
@@ -70,7 +90,7 @@ def test_round_trips_answer_identically_from_unchanged_bytes(structure, tmp_path
     want = answers(tree, reference_batch)
     assert answers(tree) == want                     # derives the cache
     after = structure_payload(tree)
-    assert sorted(after) == sorted(before)
+    assert sorted(after) == sorted(before) and "cells" not in after
     assert payload_checksum(after) == payload_checksum(before)
     assert all(np.array_equal(after[k], before[k]) and
                after[k].dtype == before[k].dtype for k in before)
@@ -78,6 +98,7 @@ def test_round_trips_answer_identically_from_unchanged_bytes(structure, tmp_path
     assert answers(payload_to_tree(after)) == want
 
     key = IndexKey.make(dataset_fingerprint(SEGS), structure, capacity=8)
+    assert "cells" not in dict(key.params)
     store = IndexStore(tmp_path / "cache")
     store.put(key, tree)
     loaded, manifest = store.get(key)
