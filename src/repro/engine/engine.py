@@ -79,6 +79,19 @@ __all__ = ["EngineConfig", "MutationResult", "SpatialQueryEngine"]
 _SYNC_TIMEOUT = 30.0
 
 
+def _refusal(kind: str, pt: np.ndarray, domain: int, size: int,
+             family: str) -> Optional[str]:
+    """Why a probe cannot join a wave, if it cannot: a quadtree point
+    outside the domain, or a nearest probe without a finite point or a
+    line to find."""
+    if kind == "point" and family == "quadtree" \
+            and not (0 <= pt[0] <= domain and 0 <= pt[1] <= domain):
+        return f"point {tuple(pt.tolist())} outside the domain"
+    if kind == "nearest" and not (size and np.isfinite(pt).all()):
+        return f"no nearest line to point {tuple(pt.tolist())} in {size} lines"
+    return None
+
+
 def _resolve(fut: Future, value) -> None:
     """Set a result, tolerating a future cancelled by a timed-out waiter."""
     try:
@@ -598,9 +611,8 @@ class SpatialQueryEngine:
     def _submit(self, kind: str, fingerprint: str, payload: np.ndarray,
                 structure: Optional[str], exact: bool,
                 deadline: Optional[float] = None) -> Future:
-        """Enqueue one read probe, ``payload`` its wave row: every exact
-        probe of an index joins the one group ``(index key, True)``; a
-        filter probe groups with its own kind only."""
+        """Enqueue one read probe, ``payload`` its wave row: an exact probe
+        joins its index's group, a filter probe its kind's."""
         # snapshot isolation: the probe binds to the version that is
         # current *now* -- a mutation committing after this line cannot
         # redirect it, because the group key carries the resolved
@@ -608,7 +620,7 @@ class SpatialQueryEngine:
         # keeps retention GC off this version's dataset (the brute
         # fallback needs it) until the probe's group settles; a probe
         # that never joins a group releases it here.
-        fingerprint, version, domain = self.registry.pin_head(fingerprint)
+        fingerprint, version, domain, size = self.registry.pin_head(fingerprint)
         try:
             key = (self._index_key(fingerprint, structure), bool(exact)) \
                 + (() if exact else (kind,))
@@ -616,15 +628,12 @@ class SpatialQueryEngine:
             self.registry.unpin(fingerprint)
             raise
         self.stats.record_submitted(kind)
-        if kind == "point" and FAMILY[key[0].structure] == "quadtree" \
-                and not (0 <= payload[0] <= domain
-                         and 0 <= payload[1] <= domain):
-            # mirror the scalar query's error without failing the batch
+        bad = _refusal(kind, payload[:2], domain, size, FAMILY[key[0].structure])
+        if bad:   # fail this probe alone, not the wave it would join
             self.registry.unpin(fingerprint)
             self.stats.inc(failed=1)
             fut: Future = Future()
-            fut.set_exception(
-                ValueError(f"point {tuple(payload[:2])} outside the domain"))
+            fut.set_exception(ValueError(bad))
             return fut
         if not self.breakers.allow(fingerprint):
             if self.config.brute_fallback:
@@ -675,7 +684,7 @@ class SpatialQueryEngine:
         The pin :meth:`_submit` took goes with the probe's group.
         """
         probe = self._probe(payload)
-        self._run_group(JobSpec(op="brute", kinds=kind,
+        self._run_group(JobSpec(op="brute", kinds=KINDS.index(kind),
                                 index=self._index_key(fingerprint, None),
                                 payloads=payload[None, :]), [probe])
         return probe.future

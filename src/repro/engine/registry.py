@@ -372,11 +372,12 @@ class IndexRegistry:
         with self._lock:
             self._content(fingerprint).pins += 1
 
-    def pin_head(self, fingerprint: str) -> Tuple[str, int, int]:
+    def pin_head(self, fingerprint: str) -> Tuple[str, int, int, int]:
         """:meth:`resolve` then :meth:`pin` the head, under one lock.
 
-        Returns the head's ``(content fingerprint, version, domain)``:
-        everything a read needs from the registry at submit time.
+        Returns the head's ``(content fingerprint, version, domain, line
+        count)``: everything a read needs from the registry at submit
+        time.
         """
         with self._lock:
             root = self._roots.get(fingerprint)
@@ -387,7 +388,7 @@ class IndexRegistry:
             cur = chain[-1]
             rec = self._datasets[cur]
             rec.pins += 1
-            return cur, len(chain) - 1, rec.domain
+            return cur, len(chain) - 1, rec.domain, rec.lines.shape[0]
 
     def unpin(self, fingerprint: str, n: int = 1) -> None:
         """Release ``n`` pins; collects the content if retirement waited."""

@@ -38,7 +38,7 @@ import numpy as np
 from ..baselines.brute import brute_point_query, brute_window_query
 from ..machine import Machine
 from ..resilience import FaultInjector
-from ..structures.batch import (FAMILY, NEAREST, POINT, wave_answers,
+from ..structures.batch import (FAMILY, KINDS, NEAREST, POINT, wave_answers,
                                 wave_core, wave_kinds)
 from ..structures.join import brute_join, index_join
 from ..structures.nearest import brute_nearest
@@ -53,8 +53,8 @@ def batch_kernel(structure: str, kind: str, exact: bool):
     plain tree: the wave core on a wave of ``kind`` probes, one answer
     per probe.  Jobs go through ``_op_batch``; this is the by-name
     lookup for callers outside the engine."""
-    core = wave_core(FAMILY[structure], exact)
-    return lambda tree, v, m: wave_answers(*core(tree, v, kind, m), kind)
+    core, code = wave_core(FAMILY[structure], exact), KINDS.index(kind)
+    return lambda tree, v, m: wave_answers(*core(tree, v, code, m), code)
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class JobSpec:
     every planned shard of a sharded index), ``join`` (a batch of
     dataset-pair joins; ``brute=True`` for the degraded scan),
     ``brute`` (degraded probe batch).  ``kinds`` is each payload row's
-    probe kind (:func:`~repro.structures.batch.wave_kinds`).  ``index``
+    probe kind code (:func:`~repro.structures.batch.wave_kinds`).  ``index``
     and the ``pairs`` name indexes by their registry key.  ``deadline_at`` is
     the group's earliest probe deadline (absolute ``time.monotonic``
     seconds): a sharded wave past it drops the rest of its plan

@@ -14,29 +14,23 @@ import numpy as np
 from .rect import validate_rects
 from .segment import validate_segments
 
-__all__ = [
-    "point_segment_distance",
-    "point_rect_distance",
-    "points_segments_distance",
-    "points_rects_distance",
-    "points_rects_max_distance",
-    "segment_intersection_points",
-]
+__all__ = ["point_segment_distance", "point_rect_distance",
+           "points_segments_distance", "points_rects_distance",
+           "points_rects_max_distance", "segment_intersection_points"]
+
+
+def _paired(points, rows: np.ndarray, name: str) -> np.ndarray:
+    """``points`` as ``(n, 2)``, one per row of ``rows``."""
+    p = np.asarray(points, dtype=float).reshape(-1, 2)
+    if p.shape != (rows.shape[0], 2):
+        raise ValueError(f"points must have shape (n, 2) matching {name}")
+    return p
 
 
 def point_segment_distance(px: float, py: float, segments: np.ndarray) -> np.ndarray:
     """Euclidean distance from the point to each closed segment."""
     s = validate_segments(segments)
-    x1, y1, x2, y2 = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-    dx = x2 - x1
-    dy = y2 - y1
-    len2 = dx * dx + dy * dy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(len2 > 0, ((px - x1) * dx + (py - y1) * dy) / len2, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    cx = x1 + t * dx
-    cy = y1 + t * dy
-    return np.hypot(px - cx, py - cy)
+    return points_segments_distance(np.broadcast_to([px, py], (len(s), 2)), s)
 
 
 def point_rect_distance(px: float, py: float, rects: np.ndarray) -> np.ndarray:
@@ -46,9 +40,7 @@ def point_rect_distance(px: float, py: float, rects: np.ndarray) -> np.ndarray:
     any geometry the rectangle contains.
     """
     r = validate_rects(rects)
-    dx = np.maximum(np.maximum(r[:, 0] - px, px - r[:, 2]), 0.0)
-    dy = np.maximum(np.maximum(r[:, 1] - py, py - r[:, 3]), 0.0)
-    return np.hypot(dx, dy)
+    return points_rects_distance(np.broadcast_to([px, py], (len(r), 2)), r)
 
 
 def points_segments_distance(points: np.ndarray, segments: np.ndarray) -> np.ndarray:
@@ -58,10 +50,8 @@ def points_segments_distance(points: np.ndarray, segments: np.ndarray) -> np.nda
     batched nearest-line frontier, where every (query, candidate) pair
     carries its own point.
     """
-    p = np.asarray(points, dtype=float).reshape(-1, 2)
     s = validate_segments(segments)
-    if p.shape != (s.shape[0], 2):
-        raise ValueError("points must have shape (n, 2) matching segments")
+    p = _paired(points, s, "segments")
     x1, y1, x2, y2 = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
     dx = x2 - x1
     dy = y2 - y1
@@ -80,10 +70,8 @@ def points_rects_distance(points: np.ndarray, rects: np.ndarray) -> np.ndarray:
     batched branch-and-bound frontier prunes on, one (query, node) pair
     per row.
     """
-    p = np.asarray(points, dtype=float).reshape(-1, 2)
     r = validate_rects(rects)
-    if p.shape != (r.shape[0], 2):
-        raise ValueError("points must have shape (n, 2) matching rects")
+    p = _paired(points, r, "rects")
     dx = np.maximum(np.maximum(r[:, 0] - p[:, 0], p[:, 0] - r[:, 2]), 0.0)
     dy = np.maximum(np.maximum(r[:, 1] - p[:, 1], p[:, 1] - r[:, 3]), 0.0)
     return np.hypot(dx, dy)
@@ -97,10 +85,8 @@ def points_rects_max_distance(points: np.ndarray, rects: np.ndarray) -> np.ndarr
     bound for batched branch-and-bound pruning (the min-max distance of
     classic nearest-neighbour search, specialised to rectangles).
     """
-    p = np.asarray(points, dtype=float).reshape(-1, 2)
     r = validate_rects(rects)
-    if p.shape != (r.shape[0], 2):
-        raise ValueError("points must have shape (n, 2) matching rects")
+    p = _paired(points, r, "rects")
     dx = np.maximum(np.abs(p[:, 0] - r[:, 0]), np.abs(p[:, 0] - r[:, 2]))
     dy = np.maximum(np.abs(p[:, 1] - r[:, 1]), np.abs(p[:, 1] - r[:, 3]))
     return np.hypot(dx, dy)

@@ -25,7 +25,8 @@ Sites (see the module docstrings of the instrumented components):
     other.
 ``shard.query``
     One shard of a sharded wave, fired inside the wave's job before
-    the shard runs (context keys ``shard`` and ``kind``) -- ``stall``
+    the shard runs (context key ``shard``; a wave mixes probe kinds)
+    -- ``stall``
     holds a shard past the batch deadline, so the wave drops the rest
     of its plan and answers partially.
 ``wal.append``
@@ -70,9 +71,12 @@ __all__ = [
     "EXAMPLE_PLANS",
 ]
 
-#: the instrumented choke points
-SITES = ("registry.get", "store.load", "executor.job", "shard.query",
-         "wal.append", "store.put")
+#: the instrumented choke points, each with the context keys its
+#: ``fire`` passes (the only keys a spec's ``match`` can name)
+SITES = {"registry.get": ("fingerprint", "structure"),
+         "store.load": ("key_id",), "executor.job": (),
+         "shard.query": ("shard",), "wal.append": ("root",),
+         "store.put": ("key_id",)}
 
 #: what a spec can do when it fires
 KINDS = ("latency", "error", "corrupt", "stall", "crash")
@@ -129,7 +133,11 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.site not in SITES:
             raise ValueError(f"unknown fault site {self.site!r}; "
-                             f"choose from {SITES}")
+                             f"choose from {tuple(SITES)}")
+        unknown = sorted({k for k, _ in self.match} - set(SITES[self.site]))
+        if unknown:
+            raise ValueError(f"site {self.site!r} passes no context key "
+                             f"{unknown}; it passes {SITES[self.site]}")
         if self.kind not in KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; "
                              f"choose from {KINDS}")

@@ -35,14 +35,10 @@ for any number and mix of queries, each over the frontier: child lists
 come from the tree's once-derived adjacency and the hit stream is
 packed by one sort (:mod:`.csr`), so nothing a call does is
 proportional to the map.  A wave core returns ``(ids, ptr, nid, nd)``:
-the window and point rows' hits as CSR, and the nearest rows' line id
-and distance; the public ``batch_*`` functions cut one kind's part into
-per-query answers at the edge.
-
-:data:`FAMILY` and :func:`wave_core` are the structure table: the one
-place that says which core serves a (structure family, exactness)
-wave.  The engine's batch jobs look their core up there, on a plain
-tree and on each shard of a sharded wave alike.
+the window and point rows' hits as CSR, the nearest rows' line id and
+distance.  :data:`FAMILY` and :func:`wave_core` are the structure
+table: the one place that says which core serves a (structure family,
+exactness) wave, on a plain tree and on each shard alike.
 """
 
 from __future__ import annotations
@@ -59,14 +55,9 @@ from .csr import distinct_pairs, gather_csr, pack_csr, pack_sorted, run_heads
 from .quadblock import Quadtree
 from .rtree import RTree
 
-__all__ = [
-    "batch_window_query_quadtree",
-    "batch_window_query_rtree",
-    "batch_point_query_quadtree",
-    "batch_point_query_rtree",
-    "batch_nearest_quadtree",
-    "batch_nearest_rtree",
-]
+__all__ = ["batch_window_query_quadtree", "batch_window_query_rtree",
+           "batch_point_query_quadtree", "batch_point_query_rtree",
+           "batch_nearest_quadtree", "batch_nearest_rtree"]
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
 
@@ -135,12 +126,8 @@ def wave_rows(payloads) -> np.ndarray:
 
 
 def wave_kinds(kinds, n: int) -> np.ndarray:
-    """Per-row kind codes: a kind name or code for all ``n`` rows, or one
-    code per row."""
-    if isinstance(kinds, str):
-        if kinds not in KINDS:
-            raise ValueError(f"unknown probe kind {kinds!r}")
-        kinds = KINDS.index(kinds)
+    """Per-row kind codes (:data:`KINDS`): one code for all ``n`` rows,
+    or one per row."""
     return np.broadcast_to(np.asarray(kinds, dtype=np.int8), (n,))
 
 
@@ -157,9 +144,9 @@ class _Nearest:
     line, distance) triples, and the segmented min over them."""
 
     def __init__(self, m: Machine, tree, rects: np.ndarray, near):
-        if tree.lines.shape[0] == 0:
-            raise ValueError("empty tree has no nearest line")
         self.mask, self.pts, rows = near, rects[:, :2], np.flatnonzero(near)
+        if tree.lines.shape[0] == 0 or not np.isfinite(self.pts[rows]).all():
+            raise ValueError("a nearest probe needs a finite point and a line")
         m.record("elementwise", rows.size)
         self.best = np.full(near.size, np.inf)
         lo, scale, reps = tree.cells    # points off the grid take its border
@@ -195,14 +182,10 @@ class _Nearest:
 
 
 def _start(machine, tree, rows, kinds):
-    """A wave's machine, windows, nearest rows and full frontier.
-
-    Every empty (inverted) window is swapped for ``EMPTY_RECT``: its
-    +-inf corners fail every :func:`_meets`, so it leaves the frontier
-    in the first round like any window that misses the root.  A wave
-    without nearest rows (``found is None``) records nothing beyond the
-    window kernel's steps.
-    """
+    """A wave's machine, windows, nearest rows and full frontier: an
+    empty (inverted) window becomes ``EMPTY_RECT`` and leaves in the
+    first round; a wave without nearest rows (``found is None``) records
+    only the window kernel's steps."""
     m, rects = machine or get_machine(), wave_rows(rows)
     empty = (rects[:, 0] > rects[:, 2]) | (rects[:, 1] > rects[:, 3])
     if empty.any():
@@ -388,25 +371,16 @@ def _pairs(lids: np.ndarray, dists: np.ndarray) -> List[tuple]:
 
 def batch_nearest_quadtree(tree: Quadtree, points,
                            machine: Optional[Machine] = None) -> List[tuple]:
-    """All nearest-line queries against a quadtree, level-synchronously.
-
-    Each query is a shrinking square (see the module docstring) in the
-    window frontier; its answer is the segmented min over the
-    ``(distance, id)`` pairs its leaves scored.  Returns ``(line id,
-    distance)`` per query -- identical, ties included, to the scalar
-    search.
-    """
+    """All nearest-line queries against a quadtree as shrinking squares
+    (see the module docstring): ``(line id, distance)`` per query,
+    identical, ties included, to the scalar search."""
     return _pairs(*_wave_quadtree(tree, points, NEAREST, True, machine)[2:])
 
 
 def batch_nearest_rtree(tree: RTree, points,
                         machine: Optional[Machine] = None) -> List[tuple]:
-    """All nearest-line queries against an R-tree, level-synchronously.
-
-    Same squares as :func:`batch_nearest_quadtree`, at their starting
-    size: an R-tree's leaves are all reached in its last round.  Returns
-    ``(line id, distance)`` per query, identical to the scalar search.
-    """
+    """:func:`batch_nearest_quadtree` on an R-tree, its squares at their
+    starting size: an R-tree reaches all its leaves in one round."""
     return _pairs(*_wave_rtree(tree, points, NEAREST, True, machine)[2:])
 
 
@@ -449,8 +423,6 @@ def wave_core(family: str, exact: bool):
 def wave_answers(ids, ptr, nid, nd, kinds) -> list:
     """The edge cut of a wave: an id view per window or point row, an
     ``(id, distance)`` pair per nearest row."""
-    cuts = ptr.tolist()
-    near = list(zip(nid.tolist(), nd.tolist()))
-    return [near[q] if k == NEAREST else ids[a:b] for q, (k, a, b) in
-            enumerate(zip(wave_kinds(kinds, len(near)).tolist(),
-                          cuts[:-1], cuts[1:]))]
+    kinds = wave_kinds(kinds, nid.size).tolist()
+    return [pair if k == NEAREST else view for k, view, pair in
+            zip(kinds, _views(ids, ptr), _pairs(nid, nd))]

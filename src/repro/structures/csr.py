@@ -104,10 +104,8 @@ def cell_table(lines: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         h = pyramid[-1].shape[0] // 2
         pyramid.append(pyramid[-1].reshape(h, 2, h, 2).max(axis=(1, 3)))
     reps = pyramid.pop()
-    while pyramid:
-        fine = pyramid.pop()
+    for fine in reversed(pyramid):
         reps = np.where(fine >= 0, fine, reps.repeat(2, 0).repeat(2, 1))
     for a in (lo, scale, reps):
         a.flags.writeable = False
     return lo, scale, reps
-

@@ -34,6 +34,7 @@ import numpy as np
 from ..geometry.rect import overlaps, rects_from_segments
 from ..geometry.segment import segments_intersect_segments, validate_segments
 from ..machine import Machine
+from .batch import WINDOW
 from .sharded import index_wave
 
 __all__ = ["brute_join", "index_join", "overlay_points"]
@@ -123,7 +124,7 @@ def index_join(a, b, machine: Optional[Machine] = None) -> np.ndarray:
     rows: List[np.ndarray] = []
     for start in range(0, rects.shape[0], WAVE):
         (ids, ptr, *_), _ = index_wave(
-            index, "window", rects[start:start + WAVE], False, machine)
+            index, WINDOW, rects[start:start + WAVE], False, machine)
         qid = np.repeat(np.arange(start, start + ptr.size - 1), np.diff(ptr))
         rows.append(_verify_pairs(probe.lines, index.lines, qid, ids))
     out = (np.concatenate(rows) if rows

@@ -53,11 +53,13 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from ..geometry.distance import points_rects_distance
+from ..geometry.rect import rects_from_segments
 from ..machine import Machine
 from ..resilience import PartialResult
 from ..machine.ordering import hilbert_encode, morton_encode
-from .batch import (FAMILY, NEAREST, POINT, _cat, wave_core, wave_kinds,
-                    wave_rows)
+from .batch import (FAMILY, NEAREST, POINT, WINDOW, _cat, wave_core,
+                    wave_kinds, wave_rows)
 from .bucket_pmr import build_bucket_pmr
 from .csr import pack_csr
 from .dynamic import apply_batch
@@ -166,7 +168,7 @@ class ShardedIndex:
         deadline_at = (time.monotonic() + deadline
                        if deadline is not None else None)
         (ids, *_), (_, _, dropped, ran) = self.query_wave(
-            "window", np.asarray(rect, dtype=float).reshape(1, 4), exact,
+            WINDOW, np.asarray(rect, dtype=float).reshape(1, 4), exact,
             deadline_at=deadline_at)
         if dropped:
             return PartialResult(ids, shards_dropped=dropped,
@@ -175,12 +177,12 @@ class ShardedIndex:
 
     def point_query(self, px: float, py: float) -> np.ndarray:
         """Global ids of lines passing through the point (always exact)."""
-        (ids, *_), _ = self.query_wave("point", [[px, py, px, py]])
+        (ids, *_), _ = self.query_wave(POINT, [[px, py, px, py]])
         return ids
 
     def nearest(self, px: float, py: float) -> Tuple[int, float]:
         """Closest line to the point; ties broken by lowest global id."""
-        (_, _, gid, d), _ = self.query_wave("nearest", [[px, py, px, py]])
+        (_, _, gid, d), _ = self.query_wave(NEAREST, [[px, py, px, py]])
         return int(gid[0]), float(d[0])
 
     # -- batch waves (the engine's sharded core) --------------------------
@@ -196,11 +198,9 @@ class ShardedIndex:
 
     def nearest_bounds(self, points: np.ndarray) -> np.ndarray:
         """``(K, B)`` point-to-shard-MBR lower bounds (0 when inside)."""
-        p = np.asarray(points, dtype=float).reshape(1, -1, 2)
-        r = self.shard_mbrs()[:, None, :]
-        dx = np.maximum(np.maximum(r[..., 0] - p[..., 0], p[..., 0] - r[..., 2]), 0.0)
-        dy = np.maximum(np.maximum(r[..., 1] - p[..., 1], p[..., 1] - r[..., 3]), 0.0)
-        return np.hypot(dx, dy)
+        p, r = np.asarray(points, dtype=float).reshape(-1, 2), self.shard_mbrs()
+        return points_rects_distance(np.tile(p, (len(r), 1)),
+                                     r.repeat(len(p), axis=0)).reshape(len(r), len(p))
 
     def query_shard_batch(self, k: int, kinds, payloads: np.ndarray,
                           exact: bool = True,
@@ -220,19 +220,15 @@ class ShardedIndex:
                    machine: Optional[Machine] = None,
                    deadline_at: Optional[float] = None,
                    on_shard: Optional[Callable[[int], None]] = None):
-        """One wave of mixed probes over the planned shards, one call per
-        planned shard per round.
+        """One wave of mixed probes, one call per planned shard per round.
 
-        Window and point rows are planned by MBR culling
-        (:meth:`plan_windows`), and their per-shard hits are packed with
-        one :func:`pack_csr`: ascending ids per probe, read-only, like an
-        unsharded wave (shards partition the segments, so its dedupe
-        never fires).  Nearest rows join round one at each shard whose
-        MBR contains the probe plus its argmin-bound shard; a second
-        round queries, for nearest rows only, the shards whose lower
-        bound reaches the round-one distance (``lb <= best``: an
-        equidistant segment with a lower global id in another shard
-        must win the tie).
+        Window and point rows are planned by MBR culling and their hits
+        packed with one :func:`pack_csr`, like an unsharded wave.
+        Nearest rows join round one at each shard whose MBR contains the
+        probe plus its argmin-bound shard; round two queries them at the
+        shards whose lower bound reaches the round-one distance (``lb <=
+        best``: an equidistant segment with a lower global id in another
+        shard must win the tie).
 
         ``deadline_at`` (absolute ``time.monotonic`` seconds) is checked
         before every planned shard after the first -- like the scalar
@@ -312,11 +308,8 @@ class ShardedIndex:
         for s in self.shards:
             assert s.ids.size > 0, "empty shards must not be materialised"
             assert np.all(np.diff(s.ids) > 0), "shard ids must be ascending"
-            segs = self.lines[s.ids]
-            lo = np.minimum(segs[:, 0:2], segs[:, 2:4]).min(axis=0)
-            hi = np.maximum(segs[:, 0:2], segs[:, 2:4]).max(axis=0)
-            assert (s.mbr[0] <= lo[0] and s.mbr[1] <= lo[1]
-                    and s.mbr[2] >= hi[0] and s.mbr[3] >= hi[1]), \
+            segs, box = self.lines[s.ids], _segment_mbr(self.lines[s.ids])
+            assert (s.mbr[:2] <= box[:2]).all() and (s.mbr[2:] >= box[2:]).all(), \
                 "shard MBR must cover its segments"
             assert np.array_equal(s.tree.lines, segs), \
                 "shard tree must index exactly the shard's segments"
@@ -326,16 +319,11 @@ def index_wave(index, kinds, payloads: np.ndarray, exact: bool = True,
                machine: Optional[Machine] = None,
                deadline_at: Optional[float] = None,
                on_shard: Optional[Callable[[int], None]] = None):
-    """One wave of probes over any servable index: the one place that
-    picks between a plain tree's wave core and a sharded index's
-    :meth:`ShardedIndex.query_wave`.
-
-    A plain ``Quadtree`` / ``RTree`` runs its family's
-    :func:`~repro.structures.batch.wave_core` (``deadline_at`` and
-    ``on_shard`` apply to shards only).  Returns ``(quad, shards)``: the
-    core's ``(ids, ptr, nid, nd)`` over the whole wave, and
-    ``query_wave``'s shard counts -- ``()`` for a plain tree.
-    """
+    """One wave of probes over any servable index: a plain tree's
+    :func:`~repro.structures.batch.wave_core` or a sharded index's
+    :meth:`ShardedIndex.query_wave` (``deadline_at`` and ``on_shard``
+    apply to shards only).  Returns the core's ``(ids, ptr, nid, nd)``
+    and ``query_wave``'s shard counts (``()`` for a plain tree)."""
     if isinstance(index, ShardedIndex):
         return index.query_wave(kinds, payloads, exact, machine, deadline_at,
                                 on_shard)
@@ -346,9 +334,8 @@ def index_wave(index, kinds, payloads: np.ndarray, exact: bool = True,
 
 
 def _segment_mbr(segs: np.ndarray) -> np.ndarray:
-    lo = np.minimum(segs[:, 0:2], segs[:, 2:4]).min(axis=0)
-    hi = np.maximum(segs[:, 0:2], segs[:, 2:4]).max(axis=0)
-    return np.array([lo[0], lo[1], hi[0], hi[1]], dtype=float)
+    boxes = rects_from_segments(segs)
+    return np.concatenate([boxes[:, :2].min(axis=0), boxes[:, 2:].max(axis=0)])
 
 
 def build_sharded(lines: np.ndarray, domain: float, structure: str = "pmr",

@@ -8,7 +8,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 import numpy as np
 import pytest
 
-from repro.baselines.brute import brute_point_query
+from repro.baselines.brute import brute_point_query, brute_window_query
 from repro.engine import EngineConfig, RejectedError, SpatialQueryEngine
 from repro.geometry import random_segments
 from repro.structures import (
@@ -224,6 +224,40 @@ def test_point_outside_domain_fails_only_that_probe():
             bad.result(10)
         assert np.array_equal(good.result(10),
                               brute_point_query(lines, 5.0, 5.0))
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+@pytest.mark.parametrize("structure", ["pmr", "rtree"])
+def test_unanswerable_nearest_fails_only_its_own_probe(structure, shards):
+    """Every exact probe of an index shares one wave, so a nearest probe
+    its wave core cannot answer -- on an empty map, or at a NaN or
+    infinite point -- is refused at submit: the windows and points of
+    its burst still resolve, and the index's breaker is not fed."""
+    lines = random_segments(60, DOMAIN, 48, seed=12)
+    rect, pt = [0.0, 0.0, 300.0, 300.0], (5.0, 5.0)
+    with SpatialQueryEngine(structure=structure, shards=shards, max_batch=8,
+                            max_wait=60.0, breaker_threshold=1) as eng:
+        empty = eng.register(np.zeros((0, 4)), domain=DOMAIN)
+        full = eng.register(lines, domain=DOMAIN)
+        cases = [(empty, (5.0, 5.0)), (full, (np.nan, 5.0)),
+                 (full, (np.inf, 5.0)), (full, (5.0, -np.inf))]
+        for fp, bad in cases:
+            want = eng.registry.dataset(fp)
+            futs = [eng.submit_window(fp, rect), eng.submit_nearest(fp, bad),
+                    eng.submit_point(fp, pt)]
+            good = eng.submit_nearest(fp, (40.0, 40.0)) if want.size else None
+            eng.flush()
+            assert np.array_equal(futs[0].result(10),
+                                  brute_window_query(want, rect))
+            assert np.array_equal(futs[2].result(10),
+                                  brute_point_query(want, *pt))
+            with pytest.raises(ValueError, match="no nearest line"):
+                futs[1].result(10)
+            if good is not None:
+                assert good.result(10) == brute_nearest(want, 40.0, 40.0)
+        assert all(b["state"] == "closed" and not b["consecutive_failures"]
+                   for b in eng.health()["breakers"].values())
+        assert eng.snapshot()["failed"] == len(cases)
 
 
 class TestRejectionPaths:

@@ -28,7 +28,7 @@ from repro.engine.worker import JobSpec
 from repro.geometry import random_segments
 from repro.machine import Machine, use_machine
 from repro.structures import brute_join, brute_nearest, index_join
-from repro.structures.batch import _pairs, _views
+from repro.structures.batch import KINDS, _pairs, _views
 from repro.structures.sharded import build_index, index_wave
 
 DOMAIN = 512
@@ -148,18 +148,19 @@ def _same(a, b):
 def _direct(maps, spec, machine):
     """What ``spec`` asks for, from the kernels called directly:
     ``(values, shards)``."""
+    kind = KINDS[spec.kinds] if spec.op != "join" else None
     if spec.op == "batch":
         (ids, ptr, nid, nd), shards = index_wave(
             maps.fresh_tree(spec.index), spec.kinds, spec.payloads,
             spec.exact, machine)
-        if spec.kinds == "nearest":
+        if kind == "nearest":
             return _pairs(nid, nd), shards
         return _views(ids, ptr), shards
     if spec.op == "brute":
         lines = maps.registry.dataset(spec.index.fingerprint)
-        if spec.kinds == "window":
+        if kind == "window":
             return [brute_window_query(lines, r) for r in spec.payloads], ()
-        return [(brute_point_query if spec.kinds == "point"
+        return [(brute_point_query if kind == "point"
                  else brute_nearest)(lines, float(x), float(y))
                 for x, y in spec.payloads], ()
     out = []
@@ -210,7 +211,7 @@ def _payloads(maps, kind):
 @pytest.mark.parametrize("structure", STRUCTURES)
 def test_parity_batch_and_brute(maps, structure, kind, exact):
     ref = maps.ref(structure)
-    spec = JobSpec(op="batch", kinds=kind, index=ref,
+    spec = JobSpec(op="batch", kinds=KINDS.index(kind), index=ref,
                    payloads=_payloads(maps, kind), exact=exact)
     got = assert_parity(maps, spec, [ref])
     assert len(got.values) == 7 and got.steps > 0
@@ -222,7 +223,7 @@ def test_parity_cold_build_is_charged_to_neither_job(maps, structure):
     """A cold registry builds under a machine of its own: the job that
     triggers the build reports its kernel steps only, like a warm one."""
     ref = maps.ref(structure)
-    spec = JobSpec(op="batch", kinds="window", index=ref,
+    spec = JobSpec(op="batch", kinds=KINDS.index("window"), index=ref,
                    payloads=_payloads(maps, "window"))
     cold = assert_parity(maps, spec, [])
     assert maps.registry.misses == 1
@@ -239,7 +240,8 @@ def test_parity_shard(maps, structure, kind):
     """A ``batch`` spec over a sharded ref is one wave over every
     planned shard: same values, steps and shard counts both ways."""
     ref = maps.ref(structure, shards=3, ordering="hilbert")
-    got = assert_parity(maps, JobSpec(op="batch", kinds=kind, index=ref,
+    got = assert_parity(maps, JobSpec(op="batch", kinds=KINDS.index(kind),
+                                      index=ref,
                                       payloads=_payloads(maps, kind)),
                         [ref])
     total, probed, dropped, completed = got.shards

@@ -31,6 +31,15 @@ class TestFaultSpec:
         assert not spec.matches({"shard": 1})
         assert not spec.matches({})
 
+    def test_match_names_only_keys_the_site_passes(self):
+        # a wave mixes probe kinds, so shard.query passes no ``kind``: a
+        # plan matching on one would never fire, and is refused at load
+        with pytest.raises(ValueError, match="no context key"):
+            FaultPlan.from_dicts([{"site": "shard.query",
+                                   "match": {"shard": 0, "kind": "window"}}])
+        for site, keys in SITES.items():
+            FaultSpec(site=site, match=tuple((k, 0) for k in keys))
+
 
 class TestFaultInjector:
     def test_inactive_without_specs(self):

@@ -111,8 +111,8 @@ def test_sharded_payload_ships_no_derived_state():
     idx = build_sharded(SEGS, DOMAIN, structure="rtree", shards=3)
     before = payload_checksum(structure_payload(idx))
     for k in range(idx.num_shards):
-        idx.query_shard_batch(k, "window", RECTS)
-        idx.query_shard_batch(k, "nearest", PTS)
+        idx.query_shard_batch(k, batch.WINDOW, RECTS)
+        idx.query_shard_batch(k, batch.NEAREST, PTS)
     assert payload_checksum(structure_payload(idx)) == before
 
 

@@ -28,7 +28,7 @@ from repro.structures import (
     save_structure,
     shard_keys,
 )
-from repro.structures.batch import _views
+from repro.structures.batch import NEAREST, POINT, WINDOW, _views
 from repro.structures.io import structure_payload
 from repro.structures.sharded import build_index
 
@@ -321,7 +321,7 @@ class TestShardBatch:
         rects = np.array([[0, 0, 256, 256], [100, 50, 400, 460],
                           [480, 480, 500, 500]], float)
         for k, s in enumerate(idx.shards):
-            gids, ptr, _, _ = idx.query_shard_batch(k, "window", rects)
+            gids, ptr, _, _ = idx.query_shard_batch(k, WINDOW, rects)
             for rect, got in zip(rects, _views(gids, ptr)):
                 want = np.intersect1d(brute_window_query(segs, rect), s.ids)
                 assert np.array_equal(got, want)
@@ -332,7 +332,7 @@ class TestShardBatch:
         rects = np.array([[0, 0, 200, 200], [300, 300, 512, 512],
                           [600, 600, 700, 700]], float)
         for k, s in enumerate(idx.shards):
-            gids, ptr, _, _ = idx.query_shard_batch(k, "window", rects)
+            gids, ptr, _, _ = idx.query_shard_batch(k, WINDOW, rects)
             assert gids.dtype == ptr.dtype == np.int64
             assert ptr.shape == (len(rects) + 1,)
             assert ptr[0] == 0 and ptr[-1] == gids.size
@@ -347,7 +347,7 @@ class TestShardBatch:
         idx = build_sharded(segs, DOMAIN, "rtree", shards=3)
         pts = np.random.default_rng(16).uniform(0, DOMAIN, (5, 2))
         for k, s in enumerate(idx.shards):
-            _, _, gids, dists = idx.query_shard_batch(k, "nearest", pts)
+            _, _, gids, dists = idx.query_shard_batch(k, NEAREST, pts)
             assert gids.shape == dists.shape == (5,)
             for (px, py), g, d in zip(pts, gids, dists):
                 lid, want = brute_nearest(segs[s.ids], px, py)
@@ -364,7 +364,7 @@ class TestShardBatch:
                        float)
         got = [np.zeros(0, np.int64)] * len(pts)
         for k in range(idx.num_shards):
-            gids, ptr, _, _ = idx.query_shard_batch(k, "point", pts)
+            gids, ptr, _, _ = idx.query_shard_batch(k, POINT, pts)
             for i, res in enumerate(_views(gids, ptr)):
                 got[i] = np.union1d(got[i], res)
         for i, (px, py) in enumerate(pts):
