@@ -1,26 +1,33 @@
 """Batch (data-parallel) vs scalar query processing.
 
 The companion papers evaluate query *sets* processed one processor per
-(query, node) pair; this bench measures the whole-array frontier
-evaluation against looped scalar queries, with both answering
-identically (enforced here and in the unit tests).
+(query, node) pair; this bench measures one wave over the whole set
+against a loop of scalar queries -- each a one-probe wave -- with both
+answering like brute force (enforced here and in the unit tests).
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis import format_table
+from repro.baselines import brute_window_query
+from repro.engine.worker import batch_kernel
 from repro.geometry import random_segments
 from repro.geometry.rect import overlaps
 from repro.machine import Machine
-from repro.structures import (
-    batch_window_query_quadtree,
-    batch_window_query_rtree,
-    build_bucket_pmr,
-    build_rtree,
-)
+from repro.structures import build_bucket_pmr, build_rtree
 
 from conftest import print_experiment
+
+
+def _windows(structure, exact=True):
+    """The structure table's window kernel: one id array per window."""
+    run = batch_kernel(structure, "window", exact)
+    return lambda tree, rects, machine=None: run(tree, rects, machine)
+
+
+quad_windows = _windows("pmr")
+rtree_windows = _windows("rtree")
 
 DOMAIN = 4096
 
@@ -35,16 +42,17 @@ def built(uniform_map):
 def test_report_batch_equivalence(built, query_windows, benchmark):
     pmr, rt = built
     rects = np.vstack(query_windows)
-    got_q = batch_window_query_quadtree(pmr, rects)
-    got_r = batch_window_query_rtree(rt, rects)
+    got_q = quad_windows(pmr, rects)
+    got_r = rtree_windows(rt, rects)
     for i, r in enumerate(rects):
-        assert np.array_equal(got_q[i], np.unique(pmr.window_query(r)))
-        assert np.array_equal(got_r[i], np.unique(rt.window_query(r)))
+        want = brute_window_query(pmr.lines, r)
+        assert np.array_equal(got_q[i], want)
+        assert np.array_equal(got_r[i], want)
 
     m_q = Machine()
-    batch_window_query_quadtree(pmr, rects, machine=m_q)
+    quad_windows(pmr, rects, machine=m_q)
     m_r = Machine()
-    batch_window_query_rtree(rt, rects, machine=m_r)
+    rtree_windows(rt, rects, machine=m_r)
     rows = [
         ["bucket PMR", len(rects), pmr.height, m_q.total_primitives],
         ["R-tree", len(rects), rt.height, m_r.total_primitives],
@@ -54,7 +62,7 @@ def test_report_batch_equivalence(built, query_windows, benchmark):
         rows)
     print_experiment("ext: batch queries -- O(height) vector rounds for the "
                      "whole query set", table)
-    benchmark(batch_window_query_quadtree, pmr, rects)
+    benchmark(quad_windows, pmr, rects)
 
 
 def test_scalar_loop_quadtree(built, query_windows, benchmark):
@@ -65,7 +73,7 @@ def test_scalar_loop_quadtree(built, query_windows, benchmark):
 def test_batch_quadtree(built, query_windows, benchmark):
     pmr, _ = built
     rects = np.vstack(query_windows)
-    benchmark(batch_window_query_quadtree, pmr, rects)
+    benchmark(quad_windows, pmr, rects)
 
 
 def test_scalar_loop_rtree(built, query_windows, benchmark):
@@ -76,7 +84,7 @@ def test_scalar_loop_rtree(built, query_windows, benchmark):
 def test_batch_rtree(built, query_windows, benchmark):
     _, rt = built
     rects = np.vstack(query_windows)
-    benchmark(batch_window_query_rtree, rt, rects)
+    benchmark(rtree_windows, rt, rects)
 
 
 def test_report_duplicate_deletion():
@@ -102,10 +110,10 @@ def test_report_duplicate_deletion():
     leaves = np.flatnonzero(pmr.children[:, 0] < 0)
     per_leaf = np.diff(pmr.node_ptr)[leaves]
     rows = []
-    for name, tree, kernel in (("bucket PMR", pmr, batch_window_query_quadtree),
-                               ("R-tree", rt, batch_window_query_rtree)):
-        distinct = sum(r.size for r in kernel(tree, rects, exact=False))
-        kept = sum(r.size for r in kernel(tree, rects))
+    for name, tree, structure in (("bucket PMR", pmr, "pmr"),
+                                  ("R-tree", rt, "rtree")):
+        distinct = sum(r.size for r in _windows(structure, False)(tree, rects))
+        kept = sum(r.size for r in _windows(structure)(tree, rects))
         if tree is pmr:   # one candidate per (window, reached leaf, line)
             cand = sum(int(per_leaf[overlaps(pmr.boxes[leaves],
                                              np.tile(r, (leaves.size, 1)))]

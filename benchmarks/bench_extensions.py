@@ -10,15 +10,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import format_table
-from repro.structures import (
-    brute_nearest,
-    build_bucket_pmr,
-    build_rtree,
-    delete_lines,
-    quadtree_nearest,
-    rtree_nearest,
-    to_linear,
-)
+from repro.baselines import brute_nearest
+from repro.structures import build_bucket_pmr, build_rtree, delete_lines, to_linear
 
 from conftest import print_experiment
 
@@ -76,21 +69,21 @@ def test_report_nearest_line(built, benchmark):
     pts = rng.uniform(0, DOMAIN, size=(100, 2))
     for px, py in pts[:25]:
         want = brute_nearest(segs, px, py)
-        assert quadtree_nearest(quad, px, py) == want
-        assert rtree_nearest(rtree, px, py) == want
+        assert quad.nearest(px, py) == want
+        assert rtree.nearest(px, py) == want
     rows = [["brute force", segs.shape[0], "per query"],
-            ["bucket PMR best-first", "pruned", "block lower bounds"],
-            ["R-tree best-first", "pruned", "MBR lower bounds"]]
+            ["bucket PMR one-probe wave", "pruned", "square shrunk per round"],
+            ["R-tree one-probe wave", "pruned", "square at the cell bound"]]
     table = format_table(["method", "candidates", "pruning"], rows)
     print_experiment("ext: nearest-line queries (all agree with brute force)", table)
-    benchmark(lambda: [quadtree_nearest(quad, px, py) for px, py in pts[:25]])
+    benchmark(lambda: [quad.nearest(px, py) for px, py in pts[:25]])
 
 
 def test_rtree_nearest_wallclock(built, benchmark):
     segs, _, rtree = built
     rng = np.random.default_rng(12)
     pts = rng.uniform(0, DOMAIN, size=(25, 2))
-    benchmark(lambda: [rtree_nearest(rtree, px, py) for px, py in pts])
+    benchmark(lambda: [rtree.nearest(px, py) for px, py in pts])
 
 
 def test_brute_nearest_wallclock(built, benchmark):

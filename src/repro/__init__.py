@@ -32,6 +32,7 @@ from .analysis import (
 from .baselines import (
     PMRQuadtree,
     SeqRTree,
+    brute_nearest,
     brute_point_query,
     brute_window_query,
     pm1_node_must_split,
@@ -74,12 +75,6 @@ from .primitives import (
 )
 from .structures import (
     BucketPMRQuadtree,
-    batch_nearest_quadtree,
-    batch_nearest_rtree,
-    batch_point_query_quadtree,
-    batch_point_query_rtree,
-    batch_window_query_quadtree,
-    batch_window_query_rtree,
     BuildTrace,
     KDTree,
     LinearQuadtree,
@@ -87,7 +82,6 @@ from .structures import (
     Quadtree,
     RTree,
     brute_join,
-    brute_nearest,
     build_bucket_pmr,
     build_kdtree,
     build_pm1,
@@ -100,8 +94,6 @@ from .structures import (
     load_structure,
     overlay_points,
     pm1_delete_lines,
-    quadtree_nearest,
-    rtree_nearest,
     save_structure,
     to_linear,
 )
@@ -123,17 +115,13 @@ __all__ = [
     "LinearQuadtree", "to_linear",
     "delete_lines", "insert_lines", "pm1_delete_lines",
     "save_structure", "load_structure",
-    "brute_nearest", "quadtree_nearest", "rtree_nearest",
     "build_kdtree", "KDTree", "build_pr_quadtree", "build_region_quadtree",
-    "batch_window_query_quadtree", "batch_window_query_rtree",
-    "batch_point_query_quadtree", "batch_point_query_rtree",
-    "batch_nearest_quadtree", "batch_nearest_rtree",
     # engine / store
     "SpatialQueryEngine", "EngineConfig", "IndexStore",
     # baselines
     "seq_pm1_decomposition", "pm1_node_must_split", "PMRQuadtree",
     "seq_bucket_pmr_decomposition", "SeqRTree",
-    "brute_window_query", "brute_point_query",
+    "brute_window_query", "brute_point_query", "brute_nearest",
     # geometry / data
     "paper_dataset", "paper_labels", "pathological_pair",
     "random_segments", "road_map", "clustered_map", "star_map",

@@ -10,10 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry.clip import segments_intersect_rects
+from ..geometry.distance import point_segment_distance
 from ..geometry.rect import rects_from_segments, validate_rects
 from ..geometry.segment import validate_segments
 
-__all__ = ["brute_window_query", "brute_point_query", "brute_bbox_query"]
+__all__ = ["brute_window_query", "brute_point_query", "brute_bbox_query",
+           "brute_nearest"]
 
 
 def brute_window_query(lines: np.ndarray, rect) -> np.ndarray:
@@ -45,3 +47,14 @@ def brute_bbox_query(lines: np.ndarray, rect) -> np.ndarray:
     hit = ((bb[:, 0] <= rect[2]) & (rect[0] <= bb[:, 2]) &
            (bb[:, 1] <= rect[3]) & (rect[1] <= bb[:, 3]))
     return np.flatnonzero(hit)
+
+
+def brute_nearest(lines: np.ndarray, px: float, py: float) -> tuple[int, float]:
+    """Exhaustive nearest line; returns ``(line_id, distance)``, ties
+    to the lowest id."""
+    lines = np.atleast_2d(np.asarray(lines, dtype=float))
+    if lines.shape[0] == 0:
+        raise ValueError("empty line set has no nearest line")
+    d = point_segment_distance(px, py, lines)
+    best = int(np.argmin(d))  # argmin takes the first == lowest id on ties
+    return best, float(d[best])

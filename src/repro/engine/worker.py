@@ -35,13 +35,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..baselines.brute import brute_point_query, brute_window_query
+from ..baselines.brute import (brute_nearest, brute_point_query,
+                              brute_window_query)
 from ..machine import Machine
 from ..resilience import FaultInjector
 from ..structures.batch import (FAMILY, KINDS, NEAREST, POINT, wave_answers,
                                 wave_core, wave_kinds)
 from ..structures.join import brute_join, index_join
-from ..structures.nearest import brute_nearest
 from ..structures.sharded import index_wave
 from .registry import IndexKey, IndexRegistry
 

@@ -1,9 +1,9 @@
 """Vectorised distance predicates for nearest-neighbour search.
 
-Supports the nearest-line queries in :mod:`repro.structures.nearest`:
-point-to-segment distance scores candidates, point-to-rectangle distance
-lower-bounds whole subtrees so the search can prune (the standard
-branch-and-bound argument -- a block farther than the current best
+Supports the nearest-line queries: point-to-segment distance scores
+candidates (the waves of :mod:`repro.structures.batch` and the brute
+oracle), point-to-rectangle distance lower-bounds whole shards so a
+sharded wave can skip them (a rectangle farther than the current best
 cannot contain a closer line).
 """
 

@@ -174,17 +174,20 @@ class Machine:
 
     # -- recording -------------------------------------------------------
 
-    def record(self, primitive: str, n: int = 0) -> None:
-        """Record one invocation of ``primitive`` on a length-``n`` vector."""
+    def record(self, primitive: str, n: int = 0,
+               phase: Optional[str] = None) -> None:
+        """Record one invocation of ``primitive`` on a length-``n`` vector,
+        attributed to ``phase`` (default: the current :meth:`phase`)."""
         self.counts[primitive] = self.counts.get(primitive, 0) + 1
         delta = self._constant_costs.get(primitive)
         if delta is None:
             delta = self.cost_model.cost(primitive, n, self.processors)
         self.steps += delta
-        if self._phase is not None:
-            self.phase_steps[self._phase] = self.phase_steps.get(self._phase, 0.0) + delta
+        phase = phase or self._phase
+        if phase is not None:
+            self.phase_steps[phase] = self.phase_steps.get(phase, 0.0) + delta
         if self.trace:
-            self.events.append((self._phase, primitive, int(n)))
+            self.events.append((phase, primitive, int(n)))
         if n > self.max_vector_length:
             self.max_vector_length = int(n)
 

@@ -29,8 +29,9 @@ to the best distance scored so far.  Every segment at most that far
 away meets the square, so the answer is one segmented min over the
 scored ``(distance, id)`` pairs, ties to the lowest id.
 
-Results are identical to looping the scalar queries (a test invariant)
-but the work is whole-array per tree level -- O(height) vector steps
+Results are identical to the retired scalar searches, kept as test
+references, and to brute force (test invariants), but the work is
+whole-array per tree level -- O(height) vector steps
 for any number and mix of queries, each over the frontier: child lists
 come from the tree's once-derived adjacency and the hit stream is
 packed by one sort (:mod:`.csr`), so nothing a call does is
@@ -43,7 +44,7 @@ exactness) wave, on a plain tree and on each shard alike.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
@@ -51,13 +52,16 @@ from ..geometry.clip import segments_intersect_rects
 from ..geometry.distance import points_segments_distance
 from ..geometry.rect import EMPTY_RECT, contains_point_halfopen, validate_rects
 from ..machine import Machine, get_machine
+from ..resilience import PartialResult
 from .csr import distinct_pairs, gather_csr, pack_csr, pack_sorted, run_heads
-from .quadblock import Quadtree
-from .rtree import RTree
 
-__all__ = ["batch_window_query_quadtree", "batch_window_query_rtree",
-           "batch_point_query_quadtree", "batch_point_query_rtree",
-           "batch_nearest_quadtree", "batch_nearest_rtree"]
+if TYPE_CHECKING:
+    from .quadblock import Quadtree
+    from .rtree import RTree
+
+#: nothing is star-exported: the structure table and the wave helpers
+#: below are imported by name
+__all__: List[str] = []
 
 _NO_IDS = np.zeros(0, dtype=np.int64)
 
@@ -91,8 +95,10 @@ def _meets(boxes: np.ndarray, windows: np.ndarray) -> np.ndarray:
 
 
 def _prune_window(m: Machine, rects, q_frontier, n_frontier, boxes):
-    """Drop the (query, node) pairs whose box misses the query window."""
-    m.record("elementwise", q_frontier.size)
+    """Drop the (query, node) pairs whose box misses the query window.
+    Each tested pair is a node visit: the test is recorded in the
+    ``visit`` phase, which :func:`one_probe` sums."""
+    m.record("elementwise", q_frontier.size, phase="visit")
     alive = _meets(boxes, rects[q_frontier])
     return q_frontier[alive], n_frontier[alive]
 
@@ -127,8 +133,13 @@ def wave_rows(payloads) -> np.ndarray:
 
 def wave_kinds(kinds, n: int) -> np.ndarray:
     """Per-row kind codes (:data:`KINDS`): one code for all ``n`` rows,
-    or one per row."""
-    return np.broadcast_to(np.asarray(kinds, dtype=np.int8), (n,))
+    or one per row; a code outside :data:`KINDS` is refused."""
+    codes = np.asarray(kinds, dtype=np.int8)
+    foreign = codes.view(np.uint8) >= len(KINDS)    # negative codes wrap high
+    if foreign.any():
+        raise ValueError(f"unknown probe kind code {int(codes[foreign].flat[0])}"
+                         f" (codes: {dict(enumerate(KINDS))})")
+    return np.broadcast_to(codes, (n,))
 
 
 def _squares(pts: np.ndarray, half: np.ndarray) -> np.ndarray:
@@ -234,13 +245,6 @@ def _wave_quadtree(tree: Quadtree, rows, kinds, exact: bool,
     return _answer(m, tree, rects, _cat(hit_q), _cat(hit_l), exact, found)
 
 
-def batch_window_query_quadtree(tree: Quadtree, rects, exact: bool = True,
-                                machine: Optional[Machine] = None
-                                ) -> List[np.ndarray]:
-    """All window queries against a quadtree in O(height) vector rounds."""
-    return _views(*_wave_quadtree(tree, rects, WINDOW, exact, machine)[:2])
-
-
 def _wave_rtree(tree: RTree, rows, kinds, exact: bool,
                 machine: Optional[Machine]):
     m, rects, found, q_frontier, n_frontier = _start(machine, tree, rows,
@@ -270,18 +274,12 @@ def _wave_rtree(tree: RTree, rows, kinds, exact: bool,
     return _answer(m, tree, rects, qid, lid, exact, found)
 
 
-def batch_window_query_rtree(tree: RTree, rects, exact: bool = True,
-                             machine: Optional[Machine] = None
-                             ) -> List[np.ndarray]:
-    """All window queries against an R-tree in O(height) vector rounds."""
-    return _views(*_wave_rtree(tree, rects, WINDOW, exact, machine)[:2])
-
-
 # -- point probes ---------------------------------------------------------
 
 
-def _point_quadtree(tree: Quadtree, points, strict: bool,
-                    machine: Optional[Machine]):
+def _point_quadtree(tree: Quadtree, points, machine: Optional[Machine]):
+    """Each point's leaf residents (half-open block membership, as in
+    :meth:`Quadtree.find_leaf`), none outside the domain."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     m = machine or get_machine()
     nq = pts.shape[0]
@@ -290,8 +288,6 @@ def _point_quadtree(tree: Quadtree, points, strict: bool,
     m.record("elementwise", nq)
     inside = contains_point_halfopen(np.broadcast_to(tree.boxes[0], (nq, 4)),
                                      pts[:, 0], pts[:, 1], tree.domain)
-    if strict and not inside.all():
-        raise ValueError(f"{int((~inside).sum())} point(s) outside the domain")
     q_frontier = np.flatnonzero(inside).astype(np.int64)
     n_frontier = np.zeros(q_frontier.size, dtype=np.int64)
     hit_q: List[np.ndarray] = []
@@ -319,34 +315,6 @@ def _point_quadtree(tree: Quadtree, points, strict: bool,
     return pack_csr(_cat(hit_q), _cat(hit_l), nq, tree.lines.shape[0])
 
 
-def batch_point_query_quadtree(tree: Quadtree, points, strict: bool = True,
-                               machine: Optional[Machine] = None
-                               ) -> List[np.ndarray]:
-    """All point queries against a quadtree in O(height) vector rounds.
-
-    Each query descends to the unique leaf containing its point
-    (half-open block membership, as in :meth:`Quadtree.find_leaf`) and
-    returns the ids of the lines stored there.  With ``strict`` a point
-    outside the domain raises :class:`ValueError` like the scalar query;
-    otherwise it yields an empty result.
-    """
-    return _views(*_point_quadtree(tree, points, strict, machine))
-
-
-def batch_point_query_rtree(tree: RTree, points, exact: bool = True,
-                            machine: Optional[Machine] = None
-                            ) -> List[np.ndarray]:
-    """All point queries against an R-tree, as degenerate window queries.
-
-    Mirrors :meth:`RTree.point_query`, which delegates to
-    ``window_query`` on the rectangle ``[px, py, px, py]``.
-    """
-    rects = wave_rows(points)
-    if rects.shape[0] == 0:
-        return []
-    return batch_window_query_rtree(tree, rects, exact=exact, machine=machine)
-
-
 # -- nearest probes -------------------------------------------------------
 
 
@@ -369,21 +337,6 @@ def _pairs(lids: np.ndarray, dists: np.ndarray) -> List[tuple]:
     return list(zip(lids.tolist(), dists.tolist()))
 
 
-def batch_nearest_quadtree(tree: Quadtree, points,
-                           machine: Optional[Machine] = None) -> List[tuple]:
-    """All nearest-line queries against a quadtree as shrinking squares
-    (see the module docstring): ``(line id, distance)`` per query,
-    identical, ties included, to the scalar search."""
-    return _pairs(*_wave_quadtree(tree, points, NEAREST, True, machine)[2:])
-
-
-def batch_nearest_rtree(tree: RTree, points,
-                        machine: Optional[Machine] = None) -> List[tuple]:
-    """:func:`batch_nearest_quadtree` on an R-tree, its squares at their
-    starting size: an R-tree reaches all its leaves in one round."""
-    return _pairs(*_wave_rtree(tree, points, NEAREST, True, machine)[2:])
-
-
 # -- the structure table ----------------------------------------------------
 
 #: structure name -> tree family; the family picks every kernel
@@ -400,7 +353,7 @@ def _filter_quadtree(tree: Quadtree, rows, kinds, machine):
         return _wave_quadtree(tree, rows, kinds, False, machine)
     if not points.all():
         raise ValueError("a quadtree filter wave holds points alone")
-    return _point_quadtree(tree, rows[:, :2], False, machine) \
+    return _point_quadtree(tree, rows[:, :2], machine) \
         + (np.full(len(rows), -1, dtype=np.int64), np.full(len(rows), np.inf))
 
 
@@ -426,3 +379,39 @@ def wave_answers(ids, ptr, nid, nd, kinds) -> list:
     kinds = wave_kinds(kinds, nid.size).tolist()
     return [pair if k == NEAREST else view for k, view, pair in
             zip(kinds, _views(ids, ptr), _pairs(nid, nd))]
+
+
+def one_probe(index, kind: int, probe, exact: bool = True,
+              count_visits: bool = False,
+              deadline_at: Optional[float] = None):
+    """A scalar query as a wave of one row: every scalar call of a plain
+    tree or a sharded index comes here, and goes on through
+    :func:`~.sharded.index_wave` (imported on call: that module builds
+    on this one).
+
+    ``probe`` is a window ``[x0, y0, x1, y1]``, reshaped to one row
+    first (a 2x2 rect would otherwise read as two points), or a point
+    ``(px, py)``, carried as its degenerate window.  Returns the row's
+    ids, a read-only view of the packed answer, or ``(id, distance)``
+    for a nearest probe; with ``count_visits``, ``(ids, visits)``: the
+    summed size of the frontier each prune tested (experiment C6's
+    metric), read off the same wave's ``visit`` records.  A sharded wave
+    whose ``deadline_at`` dropped planned shards answers a
+    :class:`~repro.resilience.PartialResult`.  The wave records on a
+    machine of its own, not the caller's.
+    """
+    from .sharded import index_wave
+    row = np.asarray(probe, dtype=float)
+    row = row.reshape(1, 4) if kind == WINDOW else np.tile(row.reshape(1, 2), 2)
+    m = Machine(trace=count_visits)
+    (ids, ptr, nid, nd), shards = index_wave(index, kind, row, exact, m,
+                                              deadline_at)
+    if kind == NEAREST:
+        return int(nid[0]), float(nd[0])
+    ids = ids[ptr[0]:ptr[1]]
+    if shards and shards[2]:
+        return PartialResult(ids, shards_dropped=shards[2],
+                             shards_completed=shards[3])
+    if count_visits:
+        return ids, sum(n for phase, _, n in m.events if phase == "visit")
+    return ids

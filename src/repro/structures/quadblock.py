@@ -21,7 +21,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from ..geometry.clip import segments_intersect_rects
-from ..geometry.rect import child_boxes, contains_point_halfopen, overlaps, validate_rects
+from ..geometry.rect import child_boxes, contains_point_halfopen
+from .batch import NEAREST, POINT, WINDOW, one_probe
 from .csr import cell_table
 
 __all__ = ["NodeTable", "Quadtree", "CHILD_NAMES", "child_box", "child_boxes"]
@@ -218,41 +219,30 @@ class Quadtree:
         return int(idx[0])
 
     def point_query(self, px: float, py: float) -> np.ndarray:
-        """Ids of lines whose q-edge shares the leaf containing the point."""
-        return np.unique(self.lines_in_node(self.find_leaf(px, py)))
+        """Ids of lines whose q-edge shares the leaf containing the point
+        (half-open block membership, as in :meth:`find_leaf`): the
+        quadtree's filter point, a one-probe wave.  Raises
+        :class:`ValueError` for a point outside the domain."""
+        if not contains_point_halfopen(self.boxes[:1], px, py, self.domain)[0]:
+            raise ValueError(f"point ({px}, {py}) lies outside the domain")
+        return one_probe(self, POINT, (px, py), exact=False)
 
     def window_query(self, rect, exact: bool = True,
                      count_visits: bool = False):
         """Ids of lines intersecting the closed query rectangle.
 
-        Descends from the root, pruning blocks disjoint from the window;
-        candidate lines from reached leaves are optionally verified with
-        the exact segment-rectangle test.  With ``count_visits`` the
-        number of visited nodes is returned too (experiment C6's
-        metric).
+        A one-probe wave: blocks disjoint from the window are pruned
+        level by level; candidate lines from reached leaves are
+        optionally verified with the exact segment-rectangle test.  With
+        ``count_visits`` the number of visited nodes is returned too
+        (experiment C6's metric).
         """
-        rect = validate_rects(np.asarray(rect, dtype=float).reshape(1, 4))[0]
-        visits = 0
-        stack = [0]
-        cand: list[np.ndarray] = []
-        while stack:
-            node = stack.pop()
-            visits += 1
-            if not overlaps(self.boxes[node][None, :], rect[None, :])[0]:
-                continue
-            ch = self.children[node]
-            if ch[0] < 0:
-                ids = self.lines_in_node(node)
-                if ids.size:
-                    cand.append(ids)
-            else:
-                stack.extend(int(c) for c in ch)
-        ids = np.unique(np.concatenate(cand)) if cand else np.zeros(0, dtype=np.int64)
-        if exact and ids.size:
-            tiles = np.tile(rect, (ids.size, 1))
-            keep = segments_intersect_rects(self.lines[ids], tiles)
-            ids = ids[keep]
-        return (ids, visits) if count_visits else ids
+        return one_probe(self, WINDOW, rect, exact, count_visits)
+
+    def nearest(self, px: float, py: float) -> tuple[int, float]:
+        """Closest line to the point, ties to the lowest id: a one-probe
+        wave."""
+        return one_probe(self, NEAREST, (px, py))
 
     # -- validation and rendering ---------------------------------------------
 

@@ -32,14 +32,14 @@ from typing import List, Literal, Optional
 import numpy as np
 
 from ..geometry import rect as _rect
-from ..geometry.clip import segments_intersect_rects
 from ..geometry.segment import validate_segments
 from ..machine import Machine, Segments, get_machine
 from ..machine.broadcast import seg_broadcast, seg_reduce
 from ..machine.sort import seg_rank
 from ..primitives.rtree_split import mean_split, sweep_split
+from .batch import NEAREST, POINT, WINDOW, one_probe
 from .build import BuildTrace, RoundStats
-from .csr import cell_table, gather_csr, group_csr
+from .csr import cell_table, group_csr
 
 __all__ = ["RTree", "build_rtree"]
 
@@ -115,37 +115,24 @@ class RTree:
     def window_query(self, rect, exact: bool = True, count_visits: bool = False):
         """Ids of lines intersecting the closed query rectangle.
 
-        Descends level by level, visiting every node whose rectangle
-        overlaps the window; because sibling rectangles may overlap, a
-        line can be reachable through several paths -- the non-disjoint
-        decomposition cost the paper contrasts with quadtrees
-        (experiment C6 counts ``visits``).
+        A one-probe wave, level by level, visiting every node whose
+        rectangle overlaps the window; because sibling rectangles may
+        overlap, a line can be reachable through several paths -- the
+        non-disjoint decomposition cost the paper contrasts with
+        quadtrees (experiment C6 counts ``visits``).
         """
-        rect = _rect.validate_rects(np.asarray(rect, dtype=float).reshape(1, 4))[0]
-        visits = 1
-        top = self.height - 1
-        frontier = np.flatnonzero(_rect.overlaps(self.level_mbr[top], rect[None, :]))
-        for lvl in range(top, 0, -1):
-            cand = gather_csr(*self.adjacency[lvl], frontier)[1]
-            hit = _rect.overlaps(self.level_mbr[lvl - 1][cand],
-                                 np.tile(rect, (cand.size, 1)))
-            frontier = cand[hit]
-            visits += int(cand.size)
-        ids = np.sort(gather_csr(*self.adjacency[0], frontier)[1])
-        if ids.size:
-            hit = _rect.overlaps(self.entry_bbox[ids], np.tile(rect, (ids.size, 1)))
-            ids = ids[hit]
-        if exact and ids.size:
-            keep = segments_intersect_rects(self.lines[ids], np.tile(rect, (ids.size, 1)))
-            ids = ids[keep]
-        return (ids, visits) if count_visits else ids
+        return one_probe(self, WINDOW, rect, exact, count_visits)
 
     def point_query(self, px: float, py: float, exact: bool = True,
                     count_visits: bool = False):
         """Lines whose bounding rectangle (or, with ``exact``, the line
-        itself) contains the point."""
-        r = np.array([px, py, px, py], dtype=float)
-        return self.window_query(r, exact=exact, count_visits=count_visits)
+        itself) contains the point: the degenerate window."""
+        return one_probe(self, POINT, (px, py), exact, count_visits)
+
+    def nearest(self, px: float, py: float) -> tuple[int, float]:
+        """Closest line to the point, ties to the lowest id: a one-probe
+        wave."""
+        return one_probe(self, NEAREST, (px, py))
 
     # -- quality metrics (experiments F6 / C7) -----------------------------
 

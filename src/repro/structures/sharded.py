@@ -36,13 +36,14 @@ groups of one wave, not K jobs.  It plans the wave by MBR culling, runs
 :meth:`ShardedIndex.query_shard_batch` -- the structure table's kernel
 (:func:`~repro.structures.batch.wave_core`) on one shard, ids lifted
 to global ones -- per planned shard, and packs the wave's answer with
-one :func:`~repro.structures.csr.pack_csr`; the scalar queries are
-one-probe waves.  :func:`index_wave` is the one place that picks
-between that and a plain tree's kernel, for the engine's batch jobs and
-for :func:`~repro.structures.join.index_join` alike.  :func:`build_index`
-is the one builder of a servable index, plain or sharded, and
-:func:`repair_index` the one commit path from a parent's index to its
-child's.
+one :func:`~repro.structures.csr.pack_csr`.  :func:`index_wave` is the
+one place that picks between that and a plain tree's kernel, for the
+engine's batch jobs, for :func:`~repro.structures.join.index_join` and
+for :func:`~repro.structures.batch.one_probe`, which answers every
+scalar query of a plain tree or a sharded index as a wave of one row.
+:func:`build_index` is the one builder of a servable index, plain or
+sharded, and :func:`repair_index` the one commit path from a parent's
+index to its child's.
 """
 
 from __future__ import annotations
@@ -56,10 +57,9 @@ import numpy as np
 from ..geometry.distance import points_rects_distance
 from ..geometry.rect import rects_from_segments
 from ..machine import Machine
-from ..resilience import PartialResult
 from ..machine.ordering import hilbert_encode, morton_encode
-from .batch import (FAMILY, NEAREST, POINT, WINDOW, _cat, wave_core,
-                    wave_kinds, wave_rows)
+from .batch import (FAMILY, NEAREST, POINT, WINDOW, _cat, one_probe,
+                    wave_core, wave_kinds, wave_rows)
 from .bucket_pmr import build_bucket_pmr
 from .csr import pack_csr
 from .dynamic import apply_batch
@@ -153,10 +153,9 @@ class ShardedIndex:
                      deadline: Optional[float] = None) -> np.ndarray:
         """Global ids of lines intersecting the closed rectangle.
 
-        A one-probe :meth:`query_wave`.  With ``exact`` the answer is
-        set-identical to the unsharded tree and to brute force; without
-        it each shard contributes its own candidate set
-        (decomposition-dependent).
+        With ``exact`` the answer is set-identical to the unsharded tree
+        and to brute force; without it each shard contributes its own
+        candidate set (decomposition-dependent).
 
         With a ``deadline`` (relative seconds) the query degrades
         gracefully by the wave's rule: when the budget runs out with
@@ -165,25 +164,16 @@ class ShardedIndex:
         :class:`~repro.resilience.PartialResult` (``shards_dropped``
         counts the rest) instead of raising.
         """
-        deadline_at = (time.monotonic() + deadline
-                       if deadline is not None else None)
-        (ids, *_), (_, _, dropped, ran) = self.query_wave(
-            WINDOW, np.asarray(rect, dtype=float).reshape(1, 4), exact,
-            deadline_at=deadline_at)
-        if dropped:
-            return PartialResult(ids, shards_dropped=dropped,
-                                 shards_completed=ran)
-        return ids
+        return one_probe(self, WINDOW, rect, exact, deadline_at=(
+            time.monotonic() + deadline if deadline is not None else None))
 
     def point_query(self, px: float, py: float) -> np.ndarray:
         """Global ids of lines passing through the point (always exact)."""
-        (ids, *_), _ = self.query_wave(POINT, [[px, py, px, py]])
-        return ids
+        return one_probe(self, POINT, (px, py))
 
     def nearest(self, px: float, py: float) -> Tuple[int, float]:
         """Closest line to the point; ties broken by lowest global id."""
-        (_, _, gid, d), _ = self.query_wave(NEAREST, [[px, py, px, py]])
-        return int(gid[0]), float(d[0])
+        return one_probe(self, NEAREST, (px, py))
 
     # -- batch waves (the engine's sharded core) --------------------------
 

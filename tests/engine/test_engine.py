@@ -8,12 +8,12 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 import numpy as np
 import pytest
 
-from repro.baselines.brute import brute_point_query, brute_window_query
+from repro.baselines.brute import (brute_nearest, brute_point_query,
+                                   brute_window_query)
 from repro.engine import EngineConfig, RejectedError, SpatialQueryEngine
 from repro.geometry import random_segments
 from repro.structures import (
     brute_join,
-    brute_nearest,
     build_bucket_pmr,
     build_pm1,
     build_rtree,

@@ -27,7 +27,8 @@ from repro.engine import (FaultPlan, FaultSpec, IndexKey, IndexRegistry,
 from repro.engine.worker import JobSpec
 from repro.geometry import random_segments
 from repro.machine import Machine, use_machine
-from repro.structures import brute_join, brute_nearest, index_join
+from repro.baselines import brute_nearest
+from repro.structures import brute_join, index_join
 from repro.structures.batch import KINDS, _pairs, _views
 from repro.structures.sharded import build_index, index_wave
 

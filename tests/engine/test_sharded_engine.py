@@ -15,7 +15,8 @@ import pytest
 from repro.baselines.brute import brute_point_query, brute_window_query
 from repro.engine import SpatialQueryEngine
 from repro.geometry import random_segments
-from repro.structures import brute_nearest, build_sharded
+from repro.baselines import brute_nearest
+from repro.structures import build_sharded
 
 DOMAIN = 512
 

@@ -25,7 +25,7 @@ from repro.baselines.brute import brute_point_query, brute_window_query
 from repro.engine import BoundedExecutor, SpatialQueryEngine
 from repro.engine import engine as engine_mod
 from repro.geometry import random_segments
-from repro.structures import brute_nearest
+from repro.baselines import brute_nearest
 
 DOMAIN = 512
 

@@ -99,6 +99,14 @@ class TestAccounting:
             m.record("scan", 1)
         assert m.phase_steps == {"inner": 1.0, "outer": 1.0}
 
+    def test_a_record_can_name_its_own_phase(self):
+        m = Machine(trace=True)
+        with m.phase("outer"):
+            m.record("scan", 3, phase="visit")
+            m.record("scan", 1)
+        assert m.phase_steps == {"visit": 1.0, "outer": 1.0}
+        assert m.events == [("visit", "scan", 3), ("outer", "scan", 1)]
+
     def test_snapshot_is_flat(self):
         m = Machine()
         m.record("scan", 2)

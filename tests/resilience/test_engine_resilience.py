@@ -286,7 +286,7 @@ class TestBruteFallback:
                 got = eng.window(fp, rect)
                 assert np.array_equal(
                     np.sort(got), np.sort(brute_window_query(lines, rect)))
-            from repro.structures import brute_nearest
+            from repro.baselines import brute_nearest
             px, py = rng.uniform(0, DOMAIN, 2)
             assert eng.nearest(fp, (px, py)) == brute_nearest(lines, px, py)
             snap = eng.snapshot()

@@ -1,4 +1,5 @@
-"""The batch kernels as they were before the O(frontier) rewrite (reference).
+"""The batch kernels as they were before the O(frontier) rewrite, and
+the scalar searches the one-probe waves retired (references).
 
 Kept verbatim: every R-tree kernel re-``argsort``s ``level_parent`` /
 ``line_leaf`` on each call, the quadtree nearest kernel recounts subtree
@@ -6,23 +7,35 @@ occupancy on each call, and ``_pack_results`` ends with a per-query
 ``np.unique`` loop.  ``test_batch_identity`` checks the kernels in
 :mod:`repro.structures.batch` array-equal against these -- values, order,
 dtype, nearest ties -- with the same per-batch ``machine`` accounting.
+
+The scalar searches (last section) are the plain trees' former
+``window_query`` / ``point_query`` methods -- a stack descent on the
+quadtree, a one-probe frontier on the R-tree -- and the best-first
+branch-and-bound nearest searches, as functions of the tree; the scalar
+calls, now one-probe waves, must answer like them, visit counts
+included.
 """
 
 
 from __future__ import annotations
 
-from typing import List, Optional
+import heapq
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.geometry.clip import segments_intersect_rects
 from repro.geometry.distance import (
+    point_rect_distance,
+    point_segment_distance,
     points_rects_distance,
     points_rects_max_distance,
     points_segments_distance,
 )
+from repro.geometry import rect as _rect
 from repro.geometry.rect import contains_point_halfopen, overlaps, validate_rects
 from repro.machine import Machine, get_machine
+from repro.structures.csr import gather_csr
 from repro.structures.quadblock import Quadtree
 from repro.structures.rtree import RTree
 
@@ -33,6 +46,12 @@ __all__ = [
     "batch_point_query_rtree",
     "batch_nearest_quadtree",
     "batch_nearest_rtree",
+    "quadtree_window_query",
+    "quadtree_point_query",
+    "rtree_window_query",
+    "rtree_point_query",
+    "quadtree_nearest",
+    "rtree_nearest",
 ]
 
 
@@ -296,7 +315,7 @@ def batch_nearest_quadtree(tree: Quadtree, points,
     """All nearest-line queries against a quadtree, level-synchronously.
 
     The batched branch-and-bound analogue of
-    :func:`repro.structures.nearest.quadtree_nearest`: the frontier is a
+    :func:`quadtree_nearest`: the frontier is a
     vector of (query, node) pairs; each round prunes pairs whose block
     lies farther than the query's current upper bound (min-max corner
     distance over non-empty subtrees, tightened by exact distances at
@@ -433,3 +452,156 @@ def batch_nearest_rtree(tree: RTree, points,
     out = _reduce_nearest(qid, lid, dist, nq)
     assert all(r is not None for r in out), "non-empty tree must answer"
     return out  # type: ignore[return-value]
+
+
+# -- the retired scalar searches ---------------------------------------------
+
+
+def quadtree_point_query(self: Quadtree, px: float, py: float) -> np.ndarray:
+    """Ids of lines whose q-edge shares the leaf containing the point."""
+    return np.unique(self.lines_in_node(self.find_leaf(px, py)))
+
+
+def quadtree_window_query(self: Quadtree, rect, exact: bool = True,
+                          count_visits: bool = False):
+    """Ids of lines intersecting the closed query rectangle.
+
+    Descends from the root, pruning blocks disjoint from the window;
+    candidate lines from reached leaves are optionally verified with
+    the exact segment-rectangle test.  With ``count_visits`` the
+    number of visited nodes is returned too (experiment C6's
+    metric).
+    """
+    rect = validate_rects(np.asarray(rect, dtype=float).reshape(1, 4))[0]
+    visits = 0
+    stack = [0]
+    cand: list[np.ndarray] = []
+    while stack:
+        node = stack.pop()
+        visits += 1
+        if not overlaps(self.boxes[node][None, :], rect[None, :])[0]:
+            continue
+        ch = self.children[node]
+        if ch[0] < 0:
+            ids = self.lines_in_node(node)
+            if ids.size:
+                cand.append(ids)
+        else:
+            stack.extend(int(c) for c in ch)
+    ids = np.unique(np.concatenate(cand)) if cand else np.zeros(0, dtype=np.int64)
+    if exact and ids.size:
+        tiles = np.tile(rect, (ids.size, 1))
+        keep = segments_intersect_rects(self.lines[ids], tiles)
+        ids = ids[keep]
+    return (ids, visits) if count_visits else ids
+
+
+def rtree_window_query(self: RTree, rect, exact: bool = True,
+                       count_visits: bool = False):
+    """Ids of lines intersecting the closed query rectangle.
+
+    Descends level by level, visiting every node whose rectangle
+    overlaps the window; because sibling rectangles may overlap, a
+    line can be reachable through several paths -- the non-disjoint
+    decomposition cost the paper contrasts with quadtrees
+    (experiment C6 counts ``visits``).
+    """
+    rect = _rect.validate_rects(np.asarray(rect, dtype=float).reshape(1, 4))[0]
+    visits = 1
+    top = self.height - 1
+    frontier = np.flatnonzero(_rect.overlaps(self.level_mbr[top], rect[None, :]))
+    for lvl in range(top, 0, -1):
+        cand = gather_csr(*self.adjacency[lvl], frontier)[1]
+        hit = _rect.overlaps(self.level_mbr[lvl - 1][cand],
+                             np.tile(rect, (cand.size, 1)))
+        frontier = cand[hit]
+        visits += int(cand.size)
+    ids = np.sort(gather_csr(*self.adjacency[0], frontier)[1])
+    if ids.size:
+        hit = _rect.overlaps(self.entry_bbox[ids], np.tile(rect, (ids.size, 1)))
+        ids = ids[hit]
+    if exact and ids.size:
+        keep = segments_intersect_rects(self.lines[ids], np.tile(rect, (ids.size, 1)))
+        ids = ids[keep]
+    return (ids, visits) if count_visits else ids
+
+
+def rtree_point_query(self: RTree, px: float, py: float, exact: bool = True,
+                      count_visits: bool = False):
+    """Lines whose bounding rectangle (or, with ``exact``, the line
+    itself) contains the point."""
+    r = np.array([px, py, px, py], dtype=float)
+    return rtree_window_query(self, r, exact=exact, count_visits=count_visits)
+
+
+def quadtree_nearest(tree: Quadtree, px: float, py: float) -> Tuple[int, float]:
+    """Best-first nearest-line search over a quadtree decomposition."""
+    if tree.lines.shape[0] == 0:
+        raise ValueError("empty tree has no nearest line")
+    best_id = -1
+    best_d = np.inf
+    heap = [(0.0, 0)]
+    while heap:
+        bound, node = heapq.heappop(heap)
+        if bound > best_d:
+            break  # every remaining block is at least this far
+        ch = tree.children[node]
+        if ch[0] < 0:
+            ids = tree.lines_in_node(node)
+            if ids.size:
+                d = point_segment_distance(px, py, tree.lines[ids])
+                mind = float(d.min())
+                cand = int(ids[d == mind].min())  # lowest id on ties
+                if mind < best_d or (mind == best_d and cand < best_id):
+                    best_d = mind
+                    best_id = cand
+        else:
+            dists = point_rect_distance(px, py, tree.boxes[ch])
+            for c, dist in zip(ch, dists):
+                if dist <= best_d:
+                    heapq.heappush(heap, (float(dist), int(c)))
+    if best_id < 0:
+        raise ValueError("tree holds no lines")
+    return best_id, best_d
+
+
+def rtree_nearest(tree: RTree, px: float, py: float) -> Tuple[int, float]:
+    """Best-first nearest-line search over an R-tree.
+
+    Entries in the heap are ``(lower bound, level, node)``; level -1
+    denotes a line entry.  Because sibling rectangles overlap, several
+    subtrees can hold candidates at the same bound -- the non-disjoint
+    analogue of the extra node visits measured in experiment C6.
+    """
+    if tree.lines.shape[0] == 0:
+        raise ValueError("empty tree has no nearest line")
+    top = tree.height - 1
+    best_id = -1
+    best_d = np.inf
+    heap = [(float(point_rect_distance(px, py, tree.level_mbr[top][0][None, :])[0]),
+             top, 0)]
+    while heap:
+        bound, level, node = heapq.heappop(heap)
+        if bound > best_d:
+            break
+        if level == -1:
+            d = float(point_segment_distance(px, py, tree.lines[node][None, :])[0])
+            if d < best_d or (d == best_d and node < best_id):
+                best_d = d
+                best_id = node
+            continue
+        if level == 0:
+            ids = tree.lines_in_leaf(node)
+            bounds = point_rect_distance(px, py, tree.entry_bbox[ids])
+            for lid, b in zip(ids, bounds):
+                if b <= best_d:
+                    heapq.heappush(heap, (float(b), -1, int(lid)))
+        else:
+            kids = tree.entries(level, node)
+            bounds = point_rect_distance(px, py, tree.level_mbr[level - 1][kids])
+            for c, b in zip(kids, bounds):
+                if b <= best_d:
+                    heapq.heappush(heap, (float(b), level - 1, int(c)))
+    if best_id < 0:
+        raise ValueError("tree holds no lines")
+    return best_id, best_d

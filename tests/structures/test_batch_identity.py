@@ -1,6 +1,7 @@
 """The O(frontier) batch kernels give the very answers the old ones gave.
 
-Every kernel in :mod:`repro.structures.batch` is compared with
+Every kernel of the structure table (by name through
+:func:`repro.engine.worker.batch_kernel`) is compared with
 ``reference_batch`` -- the per-call-``argsort`` / ``np.unique``-loop
 kernels it replaced -- array-equal: values, order, dtype ``int64``,
 nearest ties by lowest id, and for window and point probes the same
@@ -10,15 +11,18 @@ suites stand on them.  Mixed waves (windows, points and nearest probes
 in one wave core call) answer every row like the reference kernel of
 its kind.  Nearest probes are shrinking squares in the window frontier,
 not the reference's branch and bound, so their accounting is pinned by
-a frozen golden of its own.
+a frozen golden of its own.  The plain trees' scalar queries are
+one-probe waves; they answer like the scalar searches they retired
+(kept in ``reference_batch``), visit counts included.
 """
 
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.engine.worker import batch_kernel
 from repro.extras import build_rtree_str
 from repro.geometry import clustered_map, random_segments
 from repro.machine import Machine
@@ -62,6 +66,15 @@ def tree_of(map_kind, structure, map_seed):
     return BUILDS[structure](MAPS[map_kind](map_seed))
 
 
+def family_of(structure):
+    return "rtree" if structure in ("rtree", "str") else "quadtree"
+
+
+def kernel(family, kind, exact):
+    """The structure table's kernel for a family, looked up by name."""
+    return batch_kernel("pmr" if family == "quadtree" else "rtree", kind, exact)
+
+
 def probes(tree, nq, seed):
     """Windows (some degenerate, some missing the map) and points (on
     segment ends, anywhere, and a few outside the domain)."""
@@ -75,16 +88,14 @@ def probes(tree, nq, seed):
     return rects, pts
 
 
-def both(name, tree, payload, **kw):
-    """One kernel on both implementations, each on a fresh machine: the
-    per-batch accounting must agree before the answers are compared."""
-    runs = []
-    for mod in (batch, reference_batch):
-        m = Machine()
-        runs.append((getattr(mod, name)(tree, payload, machine=m, **kw), m))
-    (got, gm), (want, wm) = runs
+def both(run, reference, tree, payload):
+    """A kernel and its reference on one payload, each on a fresh
+    machine: the per-batch accounting must agree before the answers are
+    compared."""
+    gm, wm = Machine(), Machine()
+    got, want = run(tree, payload, gm), reference(tree, payload, machine=wm)
     assert (gm.steps, gm.total_primitives, gm.counts) == \
-        (wm.steps, wm.total_primitives, wm.counts), name
+        (wm.steps, wm.total_primitives, wm.counts)
     assert len(got) == len(want) == len(payload)
     return got, want
 
@@ -106,17 +117,22 @@ def assert_same_ids(got, want):
        exact=st.booleans(), seed=st.integers(0, 10**6))
 def test_kernels_match_the_reference(map_kind, structure, map_seed, nq, exact, seed):
     tree = tree_of(map_kind, structure, map_seed)
-    family = "rtree" if structure in ("rtree", "str") else "quadtree"
+    family = family_of(structure)
     rects, pts = probes(tree, nq, seed)
+    window = getattr(reference_batch, f"batch_window_query_{family}")
 
-    assert_same_ids(*both(f"batch_window_query_{family}", tree, rects, exact=exact))
-    if family == "quadtree":    # non-strict: points outside answer empty
-        assert_same_ids(*both("batch_point_query_quadtree", tree, pts, strict=False))
-    else:
-        assert_same_ids(*both("batch_point_query_rtree", tree, pts, exact=exact))
-    name = f"batch_nearest_{family}"
-    assert_same_nearest(getattr(batch, name)(tree, pts, machine=Machine()),
-                        getattr(reference_batch, name)(tree, pts))
+    assert_same_ids(*both(kernel(family, "window", exact),
+                          partial(window, exact=exact), tree, rects))
+    if family == "quadtree":    # the filter point: points outside answer empty
+        assert_same_ids(*both(kernel(family, "point", False),
+                              partial(reference_batch.batch_point_query_quadtree,
+                                      strict=False), tree, pts))
+    else:                       # the reference's point is its degenerate window
+        assert_same_ids(*both(kernel(family, "point", exact),
+                              partial(window, exact=exact), tree,
+                              np.hstack([pts, pts])))
+    assert_same_nearest(kernel(family, "nearest", True)(tree, pts, Machine()),
+                        getattr(reference_batch, f"batch_nearest_{family}")(tree, pts))
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -128,7 +144,7 @@ def test_empty_whole_and_zero_area_windows(map_kind, structure, exact):
     as a batch of their own, they keep the reference's ids and its
     per-batch accounting."""
     tree = tree_of(map_kind, structure, 0)
-    family = "rtree" if structure in ("rtree", "str") else "quadtree"
+    family = family_of(structure)
     end = tree.lines[0]
     inverted = [[300, 10, 200, 90], [10, 300, 90, 200],
                 [DOMAIN, DOMAIN, 0, 0], [end[0] + 1, end[1], end[0], end[1]]]
@@ -137,16 +153,22 @@ def test_empty_whole_and_zero_area_windows(map_kind, structure, exact):
     zero_area = [[end[0], end[1], end[0], end[1]], [256, 256, 256, 256],
                  [100, 0, 100, DOMAIN], [0, 64, DOMAIN, 64]]
     mixed = np.array(inverted[:2] + whole + zero_area + inverted[2:], float)
+    window = getattr(reference_batch, f"batch_window_query_{family}")
     for rects in (mixed, np.array(inverted, float)):
-        assert_same_ids(*both(f"batch_window_query_{family}", tree, rects,
-                              exact=exact))
+        assert_same_ids(*both(kernel(family, "window", exact),
+                              partial(window, exact=exact), tree, rects))
 
 
 def test_strict_point_probe_still_rejects_the_outside():
+    """The scalar quadtree point refuses a point outside the domain, as
+    the reference does."""
     tree = tree_of("uniform", "pmr", 0)
-    for mod in (batch, reference_batch):
-        with pytest.raises(ValueError):
-            mod.batch_point_query_quadtree(tree, [[-1.0, 5.0]], strict=True)
+    with pytest.raises(ValueError, match="outside the domain"):
+        tree.point_query(-1.0, 5.0)
+    with pytest.raises(ValueError):
+        reference_batch.batch_point_query_quadtree(tree, [[-1.0, 5.0]], strict=True)
+    with pytest.raises(ValueError):
+        reference_batch.quadtree_point_query(tree, -1.0, 5.0)
 
 
 # -- mixed waves ---------------------------------------------------------------
@@ -201,7 +223,7 @@ def test_mixed_waves_answer_each_row_like_the_reference(map_kind, structure,
     window).  A quadtree filter wave holds points alone, so filter waves
     here carry windows and nearest probes."""
     tree = tree_of(map_kind, structure, map_seed)
-    family = "rtree" if structure in ("rtree", "str") else "quadtree"
+    family = family_of(structure)
     rows, kinds = mixed_wave(tree, nq, seed, with_points=exact)
     m = Machine()
     got = batch.wave_answers(*batch.wave_core(family, exact)(tree, rows, kinds, m),
@@ -257,9 +279,87 @@ NEAREST_GOLDEN = {
 @pytest.mark.parametrize("map_kind", sorted(MAPS))
 def test_nearest_accounting_is_pinned(map_kind, structure):
     tree = tree_of(map_kind, structure, 0)
-    family = "rtree" if structure in ("rtree", "str") else "quadtree"
     m = Machine()
-    getattr(batch, f"batch_nearest_{family}")(tree, probes(tree, 7, 0)[1],
-                                              machine=m)
+    kernel(family_of(structure), "nearest", True)(tree, probes(tree, 7, 0)[1], m)
     assert [m.steps, m.total_primitives, dict(m.counts)] \
         == NEAREST_GOLDEN[f"{map_kind}/{structure}"]
+
+
+# -- scalar queries: one-probe waves -------------------------------------------
+
+
+#: windows every scalar cell probes besides the random ones: inverted,
+#: zero-area, whole-domain, beyond-domain and NaN
+SPECIAL_WINDOWS = np.array([
+    [300, 10, 200, 90], [DOMAIN, DOMAIN, 0, 0],
+    [256, 256, 256, 256], [100, 0, 100, DOMAIN], [0, 64, DOMAIN, 64],
+    [0, 0, DOMAIN, DOMAIN], [-DOMAIN, -DOMAIN, 2 * DOMAIN, 2 * DOMAIN],
+    [DOMAIN + 10, 0, DOMAIN + 90, 80], [-90, -90, -10, -10],
+    [np.nan, 0, 64, 64], [np.nan] * 4], float)
+
+
+def assert_same_answer(got, want):
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("structure", sorted(BUILDS))
+@pytest.mark.parametrize("map_kind", sorted(MAPS))
+@settings(max_examples=6, deadline=None)
+@given(map_seed=st.integers(0, 2), exact=st.booleans(), seed=st.integers(0, 10**6))
+def test_scalar_queries_answer_like_the_retired_searches(map_kind, structure,
+                                                         map_seed, exact, seed):
+    """``window_query(count_visits=True)``, ``point_query`` and
+    ``nearest`` on a plain tree equal the scalar searches they retired:
+    ids (values, order, dtype), visit counts, ``(id, distance)`` pairs."""
+    tree = tree_of(map_kind, structure, map_seed)
+    quad = family_of(structure) == "quadtree"
+    rects, pts = probes(tree, 8, seed)
+    window = (reference_batch.quadtree_window_query if quad
+              else reference_batch.rtree_window_query)
+    for rect in np.concatenate([rects, SPECIAL_WINDOWS]):
+        (got, visits), (want, want_visits) = (
+            tree.window_query(rect, exact=exact, count_visits=True),
+            window(tree, rect, exact=exact, count_visits=True))
+        assert_same_answer(got, want)
+        assert visits == want_visits
+        assert_same_answer(tree.window_query(rect, exact=exact), want)
+    nearest = reference_batch.quadtree_nearest if quad else reference_batch.rtree_nearest
+    for px, py in pts:
+        assert_same_nearest([tree.nearest(px, py)], [nearest(tree, px, py)])
+        if not quad:
+            (got, visits), (want, want_visits) = (
+                tree.point_query(px, py, exact=exact, count_visits=True),
+                reference_batch.rtree_point_query(tree, px, py, exact=exact,
+                                                  count_visits=True))
+            assert_same_answer(got, want)
+            assert visits == want_visits
+            continue
+        try:
+            want = reference_batch.quadtree_point_query(tree, px, py)
+        except ValueError:      # outside the domain: both refuse
+            with pytest.raises(ValueError, match="outside the domain"):
+                tree.point_query(px, py)
+        else:
+            assert_same_answer(tree.point_query(px, py), want)
+
+
+@pytest.mark.parametrize("structure", ["pmr", "rtree"])
+def test_scalar_answers_are_read_only_views(structure):
+    tree = tree_of("uniform", structure, 0)
+    for ids in (tree.window_query([0, 0, 256, 256]),
+                tree.point_query(*tree.lines[0, :2])):
+        assert ids.size and not ids.flags.writeable
+
+
+@pytest.mark.parametrize("family", ["quadtree", "rtree"])
+def test_a_foreign_kind_code_is_refused(family):
+    """A kind code outside ``KINDS`` fails the wave, naming the code,
+    instead of being served as a window."""
+    tree = tree_of("uniform", "pmr" if family == "quadtree" else "rtree", 0)
+    rows = np.array([[0, 0, 64, 64], [5, 5, 5, 5]], float)
+    for exact in (True, False):
+        with pytest.raises(ValueError, match="kind code 7"):
+            batch.wave_core(family, exact)(tree, rows, [batch.WINDOW, 7], Machine())
+    with pytest.raises(ValueError, match="kind code -1"):
+        batch.wave_kinds(-1, 3)

@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from repro.engine import IndexKey, dataset_fingerprint
+from repro.engine.worker import batch_kernel
 from repro.geometry import random_segments
 from repro.store import IndexStore
 from repro.structures import (Quadtree, RTree, build_bucket_pmr, build_rtree,
                               build_sharded)
-from repro.structures import batch
+from repro.structures.batch import NEAREST, WINDOW
 from repro.structures.csr import cell_table
 from repro.structures.io import (payload_checksum, payload_to_tree,
                                  structure_payload)
@@ -38,10 +39,15 @@ BUILDS = {"rtree": lambda: build_rtree(SEGS, 2, 8)[0],
           "pmr": lambda: build_bucket_pmr(SEGS, DOMAIN, 8)[0]}
 
 
-def answers(tree, mod=batch):
+def answers(tree, reference=False):
     family = "rtree" if isinstance(tree, RTree) else "quadtree"
-    window = getattr(mod, f"batch_window_query_{family}")(tree, RECTS)
-    nearest = getattr(mod, f"batch_nearest_{family}")(tree, PTS)
+    if reference:
+        window = getattr(reference_batch, f"batch_window_query_{family}")(tree, RECTS)
+        nearest = getattr(reference_batch, f"batch_nearest_{family}")(tree, PTS)
+    else:
+        name = "rtree" if family == "rtree" else "pmr"
+        window = batch_kernel(name, "window", True)(tree, RECTS, None)
+        nearest = batch_kernel(name, "nearest", True)(tree, PTS, None)
     return [w.tolist() for w in window], nearest
 
 
@@ -87,7 +93,7 @@ def test_recomputing_the_cell_table_gives_the_same_arrays(structure):
 def test_round_trips_answer_identically_from_unchanged_bytes(structure, tmp_path):
     tree = BUILDS[structure]()
     before = structure_payload(tree)
-    want = answers(tree, reference_batch)
+    want = answers(tree, reference=True)
     assert answers(tree) == want                     # derives the cache
     after = structure_payload(tree)
     assert sorted(after) == sorted(before) and "cells" not in after
@@ -111,14 +117,14 @@ def test_sharded_payload_ships_no_derived_state():
     idx = build_sharded(SEGS, DOMAIN, structure="rtree", shards=3)
     before = payload_checksum(structure_payload(idx))
     for k in range(idx.num_shards):
-        idx.query_shard_batch(k, batch.WINDOW, RECTS)
-        idx.query_shard_batch(k, batch.NEAREST, PTS)
+        idx.query_shard_batch(k, WINDOW, RECTS)
+        idx.query_shard_batch(k, NEAREST, PTS)
     assert payload_checksum(structure_payload(idx)) == before
 
 
 @pytest.mark.parametrize("structure", sorted(BUILDS))
 def test_threads_first_touching_one_tree_all_get_the_reference(structure):
-    want = answers(BUILDS[structure](), reference_batch)
+    want = answers(BUILDS[structure](), reference=True)
     tree = BUILDS[structure]()
     with ThreadPoolExecutor(max_workers=8) as pool:
         got = list(pool.map(lambda _: answers(tree), range(8)))
@@ -128,8 +134,7 @@ def test_threads_first_touching_one_tree_all_get_the_reference(structure):
 @pytest.mark.parametrize("structure", sorted(BUILDS))
 def test_packed_results_are_read_only(structure):
     tree = BUILDS[structure]()
-    family = "rtree" if structure == "rtree" else "quadtree"
-    out = getattr(batch, f"batch_window_query_{family}")(tree, RECTS)
+    out = batch_kernel(structure, "window", True)(tree, RECTS, None)
     hit = next(o for o in out if o.size)
     assert not hit.flags.writeable
     with pytest.raises(ValueError):

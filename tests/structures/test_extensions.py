@@ -5,18 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines import brute_nearest
 from repro.geometry import paper_dataset, random_segments
 from repro.structures import (
     brute_join,
-    brute_nearest,
     build_bucket_pmr,
     build_pm1,
     build_rtree,
     delete_lines,
     insert_lines,
     overlay_points,
-    quadtree_nearest,
-    rtree_nearest,
     to_linear,
 )
 
@@ -137,23 +135,22 @@ class TestNearest:
         for _ in range(60):
             px, py = rng.uniform(-20, 276, 2)  # includes points outside
             want_id, want_d = brute_nearest(self.segs, px, py)
-            for fn, tree in ((quadtree_nearest, self.quad),
-                             (rtree_nearest, self.rtree)):
-                got_id, got_d = fn(tree, px, py)
+            for tree in (self.quad, self.rtree):
+                got_id, got_d = tree.nearest(px, py)
                 assert got_id == want_id and abs(got_d - want_d) < 1e-9
 
     def test_point_on_a_line(self):
         seg = self.segs[7]
-        got_id, got_d = quadtree_nearest(self.quad, seg[0], seg[1])
+        got_id, got_d = self.quad.nearest(seg[0], seg[1])
         assert got_d == 0.0
 
     def test_empty_tree_rejected(self):
         empty, _ = build_bucket_pmr(np.zeros((0, 4)), 256, 4)
         with pytest.raises(ValueError):
-            quadtree_nearest(empty, 1, 1)
+            empty.nearest(1, 1)
         empty_r, _ = build_rtree(np.zeros((0, 4)), 1, 4)
         with pytest.raises(ValueError):
-            rtree_nearest(empty_r, 1, 1)
+            empty_r.nearest(1, 1)
 
 
 class TestOverlayPoints:

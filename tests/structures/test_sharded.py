@@ -9,14 +9,14 @@ structure itself.
 import numpy as np
 import pytest
 
-from repro.baselines.brute import brute_point_query, brute_window_query
+from repro.baselines.brute import (brute_nearest, brute_point_query,
+                                   brute_window_query)
 from repro.engine import IndexRegistry
 from repro.geometry import random_segments
 from repro.machine import Machine, use_machine
 from repro.structures import (
     ShardedIndex,
     brute_join,
-    brute_nearest,
     build_bucket_pmr,
     build_rtree,
     build_sharded,
@@ -374,6 +374,13 @@ class TestShardBatch:
         idx = build_sharded(lines_of(17, n=10), DOMAIN, "pmr", shards=2)
         with pytest.raises(ValueError):
             idx.query_shard_batch(0, "range", np.zeros((1, 4)))
+
+    def test_foreign_kind_code(self):
+        """A code outside ``KINDS`` is refused by name, not served as a
+        window."""
+        idx = build_sharded(lines_of(17, n=10), DOMAIN, "pmr", shards=2)
+        with pytest.raises(ValueError, match="kind code 7"):
+            idx.query_shard_batch(0, [0, 7], np.zeros((2, 4)))
 
 
 class TestJoin:

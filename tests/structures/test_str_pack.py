@@ -58,13 +58,13 @@ class TestQueries:
             assert got == want
 
     def test_nearest_works_on_packed_tree(self):
-        from repro.structures import brute_nearest, rtree_nearest
+        from repro.baselines import brute_nearest
         segs = random_segments(150, 512, 48, seed=4)
         tree = build_rtree_str(segs, 2, 8)
         rng = np.random.default_rng(5)
         for _ in range(20):
             px, py = rng.uniform(0, 512, 2)
-            assert rtree_nearest(tree, px, py) == brute_nearest(segs, px, py)
+            assert tree.nearest(px, py) == brute_nearest(segs, px, py)
 
 
 @settings(max_examples=15, deadline=None)

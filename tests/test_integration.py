@@ -19,8 +19,6 @@ from repro import (
     build_pm1,
     build_rtree,
     index_join,
-    quadtree_nearest,
-    rtree_nearest,
     to_linear,
     use_machine,
 )
@@ -76,8 +74,8 @@ class TestCrossStructureConsensus:
         for _ in range(12):
             px, py = rng.uniform(0, DOMAIN, 2)
             want = brute_nearest(segs, px, py)
-            assert quadtree_nearest(pmr, px, py) == want
-            assert rtree_nearest(rtree, px, py) == want
+            assert pmr.nearest(px, py) == want
+            assert rtree.nearest(px, py) == want
 
 
 class TestJoinConsensus:

@@ -31,11 +31,11 @@ tuple that reproduces it.
 import numpy as np
 import pytest
 
-from repro.baselines.brute import brute_point_query, brute_window_query
+from repro.baselines.brute import (brute_nearest, brute_point_query,
+                                   brute_window_query)
 from repro.geometry import clustered_map, random_segments, road_map
 from repro.structures import (
     brute_join,
-    brute_nearest,
     build_sharded,
     index_join,
     repair_sharded,
